@@ -133,10 +133,6 @@ def glue_mask(N, n):
     return _MASKS[key]
 
 
-def position_kind(N, n, i, j):
-    return glue_mask(N, n).kinds[i][j]
-
-
 def is_ccwg(M):
     """True iff all forbidden positions vanish; non-square matrices are CCwg
     only when zero."""

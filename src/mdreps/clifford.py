@@ -207,11 +207,6 @@ def subgroups_up_to_conjugacy(n):
     return reps
 
 
-def is_abelian(H):
-    H = list(H)
-    return all(perm_compose(g, h) == perm_compose(h, g) for g in H for h in H)
-
-
 def _element_order(g):
     n = len(g)
     e = perm_identity(n)
@@ -286,17 +281,6 @@ def _one_dim_characters(H, n):
 
     assign(0, [])
     return chars
-
-
-def commutator_subgroup(H, n):
-    comms = []
-    H = list(H)
-    for g in H:
-        for h in H:
-            c = perm_compose(perm_compose(g, h),
-                             perm_compose(perm_inverse(g), perm_inverse(h)))
-            comms.append(c)
-    return subgroup_closure(comms, n)
 
 
 def irreps_of_subgroup(H, n):

@@ -140,22 +140,18 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return self.scale(other)
         assert self.ncols == other.nrows, "dimension mismatch"
-        nr, nc, nk = self.nrows, other.ncols, self.ncols
-        orows = other.rows
+        nc = other.ncols
+        # the nonzero entries of each row of other, as (column, entry)
+        bnz = [[(j, b) for j, b in enumerate(row) if not b.is_zero()]
+               for row in other.rows]
         out = []
-        for i in range(nr):
-            arow = self.rows[i]
-            acc = [RF_ZERO] * nc
-            for k in range(nk):
-                a = arow[k]
-                if a.is_zero():
-                    continue
-                brow = orows[k]
-                for j in range(nc):
-                    b = brow[j]
-                    if not b.is_zero():
-                        acc[j] = acc[j] + a * b
-            out.append(acc)
+        for arow in self.rows:
+            terms = [[] for _ in range(nc)]
+            for a, brow in zip(arow, bnz):
+                if not a.is_zero():
+                    for j, b in brow:
+                        terms[j].append((a, b))
+            out.append([_dot(t) for t in terms])
         return ExactMatrix(self.N, self.rows_level, other.cols_level, out)
 
     def __rmul__(self, c):
@@ -271,6 +267,35 @@ class ExactMatrix:
                          for row in self.rows)
 
 
+def _dot(pairs):
+    """Sum of a*b over (a, b) pairs of RFs.  Numerators over the same
+    denominator product are summed unreduced and reduced once; the per-
+    denominator results are then added.  A single term is one product."""
+    if not pairs:
+        return RF_ZERO
+    if len(pairs) == 1:
+        a, b = pairs[0]
+        return a * b
+    sums = {}
+    for a, b in pairs:
+        if a.den.is_constant():
+            den = b.den
+        elif b.den.is_constant():
+            den = a.den
+        else:
+            den = a.den * b.den
+        num = a.num * b.num
+        acc = sums.get(den)
+        sums[den] = num if acc is None else acc + num
+    total = None
+    for den, num in sums.items():
+        # a product of monic denominators is monic; over 1 the sum of
+        # numerators is already canonical
+        part = RF(num, den, _canonical=den.is_constant())
+        total = part if total is None else total + part
+    return total
+
+
 def _level_of(size, N):
     lvl = 0
     s = 1
@@ -311,13 +336,6 @@ def kron(A, B):
                     a = arow[ja]
                     if not a.is_zero():
                         orow[coff + ja] = a * b
-    return out
-
-
-def kron_all(mats):
-    out = mats[0]
-    for M in mats[1:]:
-        out = kron(out, M)
     return out
 
 

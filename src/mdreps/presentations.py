@@ -119,8 +119,10 @@ def _images(pair, n):
 
 
 def _word_matrix(word, imgs, N, n):
-    M = ExactMatrix.identity(N, n)
-    for letter in word:
+    if not word:
+        return ExactMatrix.identity(N, n)
+    M = imgs[word[0]]
+    for letter in word[1:]:
         M = M * imgs[letter]
     return M
 

@@ -573,7 +573,30 @@ def _monic(p):
 
 class RF:
     """Rational function num/den in canonical form: gcd(num, den) = 1 and den
-    monic under graded lex."""
+    monic under graded lex.  A reduced fraction with a monic denominator is
+    unique, so equal values have equal (num, den).
+
+    The constructor reduces through ``_reduce`` (one gcd of num and den).
+    The operators keep their operands' canonical form instead of reducing
+    the full result (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1):
+
+    - ``*``: with g1 = gcd(n1, d2) and g2 = gcd(n2, d1), the result
+      (n1/g1 * n2/g2) / (d1/g2 * d2/g1) is reduced, because n1/g1 is prime
+      to d1 and to d2/g1, and n2/g2 is prime to d2 and to d1/g2.  Its
+      denominator is a product of monic quotients of monic polynomials,
+      hence monic.  With both denominators 1 the product of numerators is
+      already canonical.
+    - ``/``: multiplication by the inverse d2/n2, made monic by one scale.
+    - ``+``: with both denominators 1 the sum of numerators is canonical.
+      Otherwise, with g = gcd(d1, d2), e1 = d1/g, e2 = d2/g and
+      t = n1*e2 + n2*e1, any common factor of t and e1*e2*g divides g
+      (a factor of e1 is prime to n1 and to e2, so it does not divide t),
+      so t/h over e1*e2*(g/h) with h = gcd(t, g) is reduced.  When g is 1
+      no gcd is taken at all.  Equal denominators reduce the sum of the
+      numerators through the constructor.
+    - ``**``: powers of coprime polynomials stay coprime and powers of a
+      monic polynomial stay monic.
+    """
 
     __slots__ = ("num", "den")
 
@@ -602,9 +625,23 @@ class RF:
 
     def __add__(self, other):
         other = rf(other)
-        if self.den == other.den:
-            return RF(self.num + other.num, self.den)
-        return RF(self.num * other.den + other.num * self.den, self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if n1.is_zero():
+            return other
+        if n2.is_zero():
+            return self
+        if d1.is_constant() and d2.is_constant():
+            return RF(n1 + n2, d1, _canonical=True)
+        if d1 == d2:
+            return RF(n1 + n2, d1)
+        e1, e2, g = _cancel(d1, d2)
+        t = n1 * e2 + n2 * e1
+        if t.is_zero():
+            return RF_ZERO
+        if g.is_constant():
+            return RF(t, d1 * e2, _canonical=True)
+        t, g, _ = _cancel(t, g)
+        return RF(t, e1 * e2 * g, _canonical=True)
 
     __radd__ = __add__
 
@@ -619,17 +656,20 @@ class RF:
 
     def __mul__(self, other):
         other = rf(other)
-        if self.num.is_zero() or other.num.is_zero():
-            return RF_ZERO
-        return RF(self.num * other.num, self.den * other.den)
+        return _henrici_mul(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = rf(other)
-        if other.num.is_zero():
+        n2, d2 = other.num, other.den
+        if n2.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RF(self.num * other.den, self.den * other.num)
+        _, lc = n2.lead()
+        if lc != 1:
+            c = _inv(lc)
+            n2, d2 = n2.scale(c), d2.scale(c)
+        return _henrici_mul(self.num, self.den, d2, n2)
 
     def __rtruediv__(self, other):
         return rf(other) / self
@@ -640,14 +680,9 @@ class RF:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = RF_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        if k == 0:
+            return RF_ONE
+        return RF(self.num ** k, self.den ** k, _canonical=True)
 
     def __eq__(self, other):
         if not isinstance(other, RF):
@@ -675,6 +710,31 @@ class RF:
         if self.den == Poly.const(1):
             return repr(self.num)
         return "(%s)/(%s)" % (self.num, self.den)
+
+
+def _cancel(a, b):
+    """(a/g, b/g, g) for g = gcd(a, b); a/g and b/g are monic when a and b
+    are.  No gcd is taken when either is constant."""
+    if a.is_constant() or b.is_constant():
+        return a, b, Poly.const(1)
+    g = poly_gcd(a, b)
+    if g.is_constant():
+        return a, b, g
+    return poly_divmod_exact(a, g), poly_divmod_exact(b, g), g
+
+
+def _henrici_mul(n1, d1, n2, d2):
+    """Canonical (n1/d1) * (n2/d2) for canonical operands: cross-cancel
+    n1 against d2 and n2 against d1, then multiply."""
+    if n1.is_zero() or n2.is_zero():
+        return RF_ZERO
+    n1, d2, _ = _cancel(n1, d2)
+    n2, d1, _ = _cancel(n2, d1)
+    if d1.is_constant():
+        return RF(n1 * n2, d2, _canonical=True)
+    if d2.is_constant():
+        return RF(n1 * n2, d1, _canonical=True)
+    return RF(n1 * n2, d1 * d2, _canonical=True)
 
 
 def _reduce(num, den):

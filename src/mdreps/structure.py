@@ -592,17 +592,6 @@ class _SpanRREF:
         return len(self.pivots)
 
 
-def _flatten(M):
-    d = M.nrows
-    out = {}
-    for i in range(d):
-        for j in range(d):
-            v = as_fraction(M.rows[i][j])
-            if v:
-                out[i * d + j] = v
-    return out
-
-
 def _to_frac_rows(M):
     return [[as_fraction(e) for e in row] for row in M.rows]
 

@@ -6,7 +6,8 @@ import pytest
 from mdreps.matrix import (ExactMatrix, RepPair, UnsupportedSpectrum,
                            commutant_basis, eigen_data, embed_at, kron,
                            matrix_order, nullspace, words)
-from mdreps.scalar import BranchAmbiguity, NonVanishing, param, rf
+from mdreps.scalar import (RF_ZERO, BranchAmbiguity, NonVanishing, param, rf,
+                           zeta)
 
 p, q = param("p"), param("q")
 
@@ -210,3 +211,64 @@ def test_eigen_case2_x_jordan_type():
     pr_w = make_md_pair("case2", p=3, q=3, check=False)
     ed_w = eigen_data(pr_w.R * pr_w.S)
     assert ed_w.diagonalizable and ed_w.eigenvalues == [(Fraction(1), 4, 4)]
+
+
+# ---------------------------------------------------------------------------
+# the product against a plain entrywise loop
+
+def _reference_product(A, B):
+    rows = []
+    for arow in A.rows:
+        row = []
+        for j in range(B.ncols):
+            acc = RF_ZERO
+            for k, a in enumerate(arow):
+                acc = acc + a * B.rows[k][j]
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+def _entry_pool(m):
+    z = rf(zeta(m))
+    return [0, 0, 0, 0, 1, -2, Fraction(1, 3), p, q + 1, p * q - 1,
+            rf(1) / (p + 1), (p - q) / (q + 2), p / (p * q + 1),
+            (q + 1) / (p - q), z, z * p - 1, (z + q) / (p + 1),
+            rf(1) / (z * p + q)]
+
+
+def _random_matrix(rng, pool, level):
+    d = 2 ** level
+    rows = [[rng.choice(pool) for _ in range(d)] for _ in range(d)]
+    for i in rng.sample(range(d), rng.randint(0, 2)):
+        rows[i] = [0] * d
+    return m(rows)
+
+
+def _signed_permutation(rng, level):
+    d = 2 ** level
+    perm = list(range(d))
+    rng.shuffle(perm)
+    rows = [[0] * d for _ in range(d)]
+    for i, j in enumerate(perm):
+        rows[i][j] = rng.choice((1, -1))
+    return m(rows)
+
+
+def _assert_same_entries(M, rows):
+    for mrow, rrow in zip(M.rows, rows):
+        for x, y in zip(mrow, rrow):
+            assert x.num == y.num and x.den == y.den
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("cyc", [3, 4, 6])
+def test_product_matches_entrywise_loop(rng, level, cyc):
+    pool = _entry_pool(cyc)
+    I = ExactMatrix.identity(2, level)
+    for _ in range(3 if level == 2 else 1):
+        A = _random_matrix(rng, pool, level)
+        B = _random_matrix(rng, pool, level)
+        P = _signed_permutation(rng, level)
+        for X, Y in ((A, B), (B, A), (A, I), (I, B), (P, A), (B, P), (P, P)):
+            _assert_same_entries(X * Y, _reference_product(X, Y))

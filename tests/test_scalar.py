@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -197,3 +198,156 @@ def test_as_fraction():
     assert as_fraction(rf(6) / rf(4)) == Fraction(3, 2)
     with pytest.raises(ValueError):
         as_fraction(p)
+
+
+# ---------------------------------------------------------------------------
+# the RF operators against the reducing constructor
+
+# (cyclotomic order or None for Q, parameter names).  Three parameters are
+# drawn over Q only: with Q(zeta_3) coefficients in three parameters the
+# multivariate gcd can take seconds on inputs of degree 5.
+_FIELDS = [(None, ("p", "q")), (None, ("p", "q", "t")), (3, ("p", "q")),
+           (4, ("p", "q")), (6, ("p", "q"))]
+_nonzero = st.integers(-3, 3).filter(bool)
+
+
+def _coeff(draw, m):
+    if m is None:
+        return draw(_nonzero)
+    return Cyc(m, draw(st.integers(-2, 2)), draw(_nonzero))
+
+
+@st.composite
+def _factor(draw, m, names):
+    # a polynomial of total degree <= 2 that is not constant
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        mono = {}
+        for x in draw(st.lists(st.sampled_from(names), min_size=1,
+                               max_size=2)):
+            mono[x] = mono.get(x, 0) + 1
+        key = tuple(sorted(mono.items()))
+        terms[key] = terms.get(key, 0) + _coeff(draw, m)
+    if draw(st.booleans()):
+        terms[()] = _coeff(draw, m)
+    P = Poly(terms)
+    return P if not P.is_constant() else Poly.var(names[0]) + P
+
+
+@st.composite
+def rf_operands(draw):
+    """Two canonical RFs over one field whose numerators and denominators
+    are products of factors from a shared pool, so that the operators meet
+    common factors; denominators are often 1 and numerators sometimes 0."""
+    m, names = draw(st.sampled_from(_FIELDS))
+    pool = [draw(_factor(m, names)) for _ in range(2)]
+
+    def side():
+        P = Poly.const(draw(_nonzero))
+        for f in draw(st.lists(st.sampled_from(pool), max_size=2)):
+            P = P * f
+        return P
+
+    def operand():
+        num = Poly() if draw(st.integers(0, 5)) == 0 else side()
+        den = Poly.const(1) if draw(st.booleans()) else side()
+        return RF(num, den)
+
+    return operand(), operand()
+
+
+def _reference(op, a, b):
+    # the full fraction, reduced once by the constructor
+    n1, d1, n2, d2 = a.num, a.den, b.num, b.den
+    if op == "*":
+        return RF(n1 * n2, d1 * d2)
+    if op == "+":
+        return RF(n1 * d2 + n2 * d1, d1 * d2)
+    if op == "-":
+        return RF(n1 * d2 - n2 * d1, d1 * d2)
+    return RF(n1 * d2, d1 * n2)
+
+
+_OPS = {"*": operator.mul, "+": operator.add, "-": operator.sub,
+        "/": operator.truediv}
+
+
+@given(ab=rf_operands(), op=st.sampled_from("*+-/"))
+@settings(max_examples=300, deadline=None)
+def test_rf_operators_match_reducing_constructor(ab, op):
+    a, b = ab
+    if op == "/" and b.is_zero():
+        return
+    got, want = _OPS[op](a, b), _reference(op, a, b)
+    assert got.num == want.num and got.den == want.den
+
+
+@given(ab=rf_operands(), k=st.integers(-2, 3))
+@settings(max_examples=60, deadline=None)
+def test_rf_power_matches_reducing_constructor(ab, k):
+    a = ab[0]
+    if k < 0:
+        if a.is_zero():
+            return
+        want = RF(a.den ** -k, a.num ** -k)
+    else:
+        want = RF(a.num ** k, a.den ** k)
+    got = a ** k
+    assert got.num == want.num and got.den == want.den
+
+
+def test_rf_operator_fast_paths():
+    # polynomial operands take no gcd and stay polynomials
+    x = (p + 1) * (q - 2)
+    assert (x * q).den == Poly.const(1)
+    assert (x + q).den == Poly.const(1)
+    # coprime denominators: the product of denominators is kept
+    s = rf(1) / (p + 1) + rf(1) / (q + 1)
+    assert s == RF((Poly.var("p") + Poly.var("q") + Poly.const(2)),
+                   (Poly.var("p") + Poly.const(1))
+                   * (Poly.var("q") + Poly.const(1)))
+    # a shared factor of the denominators cancels against the sum
+    u = rf(1) / ((p - q) * (p + 1)) - rf(1) / ((p - q) * (q + 1))
+    assert u == rf(-1) / ((p + 1) * (q + 1))
+    # cross-cancellation in the product leaves a monic denominator
+    v = (2 * p + 2) / (q - 1) * ((q - 1) / (3 * p * p + 3 * p))
+    assert v == rf(Fraction(2, 3)) / p and v.den == Poly.var("p")
+
+
+def _to_sympy(P, sp, syms):
+    zetas = {3: (-1 + sp.sqrt(3) * sp.I) / 2, 4: sp.I,
+             6: (1 + sp.sqrt(3) * sp.I) / 2}
+    out = sp.Integer(0)
+    for mono, c in P.terms.items():
+        if isinstance(c, Cyc):
+            c = sp.Rational(c.a) + sp.Rational(c.b) * zetas[c.m]
+        else:
+            c = sp.Rational(c)
+        for x, e in mono:
+            c = c * syms[x] ** e
+        out = out + c
+    return out
+
+
+@given(ab=rf_operands(), op=st.sampled_from("*+-/"))
+@settings(max_examples=60, deadline=None)
+def test_rf_operators_against_sympy_cancel(ab, op):
+    sp = pytest.importorskip("sympy")
+    a, b = ab
+    if op == "/" and b.is_zero():
+        return
+    syms = {x: sp.Symbol(x) for x in ("p", "q", "t")}
+    ea = _to_sympy(a.num, sp, syms) / _to_sympy(a.den, sp, syms)
+    eb = _to_sympy(b.num, sp, syms) / _to_sympy(b.den, sp, syms)
+    want = sp.cancel(_OPS[op](ea, eb))
+    wn, wd = sp.fraction(want)
+    got = _OPS[op](a, b)
+    gn, gd = _to_sympy(got.num, sp, syms), _to_sympy(got.den, sp, syms)
+    # normalisations differ, so compare by cross-multiplication
+    assert sp.expand(gn * wd - wn * gd) == 0
+    if all(not isinstance(c, Cyc) for P in (a.num, a.den, b.num, b.den)
+           for c in P.terms.values()):
+        # over Q, sympy's reduced denominator has the least degree
+        gens = sorted(syms.values(), key=str)
+        assert sp.Poly(gd, *gens).total_degree() \
+            == sp.Poly(wd, *gens).total_degree()
