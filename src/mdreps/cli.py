@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import catalog, ccwg, clifford, mdd, presentations, structure
 from .matrix import ExactMatrix
-from .scalar import RejectedPoint, param, rf
+from .scalar import BranchAmbiguity, RejectedPoint, param, rf
 
 EXIT_OK, EXIT_MATH_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -116,6 +116,8 @@ def cmd_catalog(args):
 
 
 def cmd_analyze(args):
+    if args.n < 2:
+        raise UsageError("--n must be >= 2")
     rng = random.Random(args.seed)
     at = _parse_assignment(args.at) if args.at else None
     if args.case in ("a-glue", "f-glue", "antislash"):
@@ -136,6 +138,8 @@ _CHAR_TOKEN = {"1": rf(1), "-1": rf(-1)}
 
 def _parse_char_token(tok):
     tok = tok.strip()
+    if not tok:
+        raise UsageError("empty --char entry")
     if tok in _CHAR_TOKEN:
         return _CHAR_TOKEN[tok]
     if "/" in tok or tok.lstrip("-").isdigit():
@@ -146,17 +150,51 @@ def _parse_char_token(tok):
     if tok.startswith("w"):
         from .scalar import zeta
         return rf(zeta(int(tok[1:])))
+    if not tok.isidentifier():
+        raise UsageError("bad --char entry %r (want a rational, w<m>, a "
+                         "parameter name, or one of these ^<int>)" % (tok,))
     return param(tok)
 
 
+def _parse_char(text, n):
+    """--char: the n(n-1)/2 values of x_12, x_13, .., x_{n-1,n}."""
+    toks = text.split(",")
+    want = n * (n - 1) // 2
+    if len(toks) != want:
+        raise UsageError("--char needs %d entries at --n %d, got %d"
+                         % (want, n, len(toks)))
+    return [_parse_char_token(t) for t in toks]
+
+
+def _parse_word(text, n):
+    """--word: letters r<i>, s<i> with 1 <= i <= n-1, or x<i><j> (x<i>,<j>)
+    with distinct i, j in 1..n, each with an optional ^<int>."""
+    try:
+        word = mdd.parse_word(text)
+    except ValueError as exc:
+        raise UsageError("bad --word %r: %s" % (text, exc))
+    for letter, _ in word:
+        if letter[0] == "x":
+            ok = letter[1] != letter[2] and all(1 <= i <= n
+                                                for i in letter[1:])
+        else:
+            ok = 1 <= letter[1] <= n - 1
+        if not ok:
+            raise UsageError("letter %s out of range at --n %d"
+                             % (mdd.format_word([(letter, 1)]), n))
+    return word
+
+
 def cmd_irreps(args):
+    if args.n < 2:
+        raise UsageError("--n must be >= 2")
     if args.char:
-        vec = [_parse_char_token(t) for t in args.char.split(",")]
+        vec = _parse_char(args.char, args.n)
         chi = clifford.Character.from_vector(args.n, vec)
         stab = clifford.orbit_and_stabilizer(chi)
         taus = clifford.irreps_of_subgroup(stab.subgroup, args.n)
         idx = args.tau or 0
-        if idx >= len(taus):
+        if not 0 <= idx < len(taus):
             raise UsageError("tau index %d out of range (%d irreps)"
                              % (idx, len(taus)))
         rep = clifford.induce(chi, taus[idx], stab)
@@ -187,6 +225,8 @@ def cmd_ccwg(args):
         _emit(out.to_json(), args.out)
         return EXIT_OK
     if args.action == "order":
+        if args.N < 1 or args.n < 0:
+            raise UsageError("ccwg order needs --N >= 1 and --n >= 0")
         comps = ccwg.compositions(args.N, args.n)
         _emit({"N": args.N, "n": args.n,
                "order": ["".join(str(x) for x in c) for c in comps]}, args.out)
@@ -195,8 +235,11 @@ def cmd_ccwg(args):
 
 
 def cmd_mdd(args):
+    if args.n < 2:
+        raise UsageError("--n must be >= 2")
+    word = _parse_word(args.word, args.n)
     if args.action == "normal":
-        g = mdd.babeda_from_md(args.word, args.n)
+        g = mdd.babeda_from_md(word, args.n)
         _emit({"word": args.word, "n": args.n,
                "exponents": {"%d,%d" % k: v for k, v in sorted(g.exps.items())},
                "permutation": [v + 1 for v in g.perm]}, args.out)
@@ -206,7 +249,7 @@ def cmd_mdd(args):
         at = _parse_assignment(args.at) if args.at else None
         if at:
             pair = pair.evaluate(at)
-        M = mdd.evaluate_in_rep(args.word, pair, args.n)
+        M = mdd.evaluate_in_rep(word, pair, args.n)
         _emit(M.to_json(), args.out)
         return EXIT_OK
     raise UsageError("unknown mdd action %r" % (args.action,))
@@ -286,6 +329,9 @@ def main(argv=None):
         return args.func(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except BranchAmbiguity as exc:
+        print("error: %s; pass --at" % exc, file=sys.stderr)
         return EXIT_USAGE
     except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError,
             RejectedPoint, catalog.ConstraintViolation) as exc:

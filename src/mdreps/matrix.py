@@ -185,16 +185,6 @@ class ExactMatrix:
                     return False
         return True
 
-    def nonzero_witness(self):
-        """(row word, col word, value) of some nonzero entry, or None."""
-        ws_r = words(self.N, self.rows_level)
-        ws_c = words(self.N, self.cols_level)
-        for i, row in enumerate(self.rows):
-            for j, e in enumerate(row):
-                if not e.is_zero():
-                    return ws_r[i], ws_c[j], e
-        return None
-
     def evaluate(self, assignment, constraints=None):
         if constraints is not None:
             constraints.check(assignment)

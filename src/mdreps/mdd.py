@@ -188,15 +188,12 @@ def parse_word(text):
             exp = int(exp)
         else:
             base, exp = tok, 1
-        if base[0] in "rs":
-            letter = (base[0], int(base[1:]))
-        elif base[0] == "x":
-            digits = base[1:]
-            if "," in digits:
-                i, j = (int(v) for v in digits.split(","))
-            else:
-                i, j = int(digits[0]), int(digits[1])
-            letter = ("x", i, j)
+        head, digits = base[:1], base[1:]
+        if head in ("r", "s"):
+            letter = (head, int(digits))
+        elif head == "x" and ("," in digits or len(digits) == 2):
+            i, j = digits.split(",") if "," in digits else digits
+            letter = ("x", int(i), int(j))
         else:
             raise ValueError("bad token %r" % (tok,))
         out.append((letter, exp))
@@ -268,19 +265,13 @@ def babeda_from_md(word, n):
     return g
 
 
-_VERIFIED_PAIRS = {}
-
-
 def evaluate_in_rep(g_or_word, pair, n, check=True):
     """Image matrix of a group element or generator word under the level-n
     representation defined by the pair; the pair must satisfy the
-    mixed-doubles relations at level n."""
-    key = (id(pair), n)
-    if check and not _VERIFIED_PAIRS.get(key):
-        if not passes(pair, MIXED_DOUBLES, n):
-            raise ValueError("pair %r fails the relations at level %d"
-                             % (pair.provenance, n))
-        _VERIFIED_PAIRS[key] = True
+    mixed-doubles relations at level n, which check=True verifies."""
+    if check and not passes(pair, MIXED_DOUBLES, n):
+        raise ValueError("pair %r fails the relations at level %d"
+                         % (pair.provenance, n))
     if isinstance(g_or_word, GroupElement):
         word = babeda_to_md(g_or_word, n)
     elif isinstance(g_or_word, str):

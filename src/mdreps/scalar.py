@@ -587,13 +587,14 @@ class RF:
       hence monic.  With both denominators 1 the product of numerators is
       already canonical.
     - ``/``: multiplication by the inverse d2/n2, made monic by one scale.
-    - ``+``: with both denominators 1 the sum of numerators is canonical.
-      Otherwise, with g = gcd(d1, d2), e1 = d1/g, e2 = d2/g and
-      t = n1*e2 + n2*e1, any common factor of t and e1*e2*g divides g
-      (a factor of e1 is prime to n1 and to e2, so it does not divide t),
-      so t/h over e1*e2*(g/h) with h = gcd(t, g) is reduced.  When g is 1
-      no gcd is taken at all.  Equal denominators reduce the sum of the
-      numerators through the constructor.
+    - ``+`` and ``-``: with both denominators 1 the sum or difference of
+      the numerators is canonical.  Otherwise, with g = gcd(d1, d2),
+      e1 = d1/g, e2 = d2/g and t = n1*e2 +- n2*e1, any common factor of t
+      and e1*e2*g divides g (a factor of e1 is prime to n1 and to e2, so it
+      does not divide t), so t/h over e1*e2*(g/h) with h = gcd(t, g) is
+      reduced.  When g is 1 no gcd is taken at all.  Equal denominators
+      reduce the sum or difference of the numerators through the
+      constructor.
     - ``**``: powers of coprime polynomials stay coprime and powers of a
       monic polynomial stay monic.
     """
@@ -624,24 +625,7 @@ class RF:
         return Fraction(n) / Fraction(d)
 
     def __add__(self, other):
-        other = rf(other)
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if n1.is_zero():
-            return other
-        if n2.is_zero():
-            return self
-        if d1.is_constant() and d2.is_constant():
-            return RF(n1 + n2, d1, _canonical=True)
-        if d1 == d2:
-            return RF(n1 + n2, d1)
-        e1, e2, g = _cancel(d1, d2)
-        t = n1 * e2 + n2 * e1
-        if t.is_zero():
-            return RF_ZERO
-        if g.is_constant():
-            return RF(t, d1 * e2, _canonical=True)
-        t, g, _ = _cancel(t, g)
-        return RF(t, e1 * e2 * g, _canonical=True)
+        return _henrici_add(self, rf(other), False)
 
     __radd__ = __add__
 
@@ -649,10 +633,10 @@ class RF:
         return RF(-self.num, self.den, _canonical=True)
 
     def __sub__(self, other):
-        return self + (-rf(other))
+        return _henrici_add(self, rf(other), True)
 
     def __rsub__(self, other):
-        return rf(other) + (-self)
+        return _henrici_add(rf(other), self, True)
 
     def __mul__(self, other):
         other = rf(other)
@@ -721,6 +705,28 @@ def _cancel(a, b):
     if g.is_constant():
         return a, b, g
     return poly_divmod_exact(a, g), poly_divmod_exact(b, g), g
+
+
+def _henrici_add(a, b, sub):
+    """Canonical a - b if sub, else a + b, for canonical operands."""
+    n1, d1, n2, d2 = a.num, a.den, b.num, b.den
+    if n2.is_zero():
+        return a
+    if n1.is_zero():
+        return -b if sub else b
+    op = Poly.__sub__ if sub else Poly.__add__
+    if d1.is_constant() and d2.is_constant():
+        return RF(op(n1, n2), d1, _canonical=True)
+    if d1 == d2:
+        return RF(op(n1, n2), d1)
+    e1, e2, g = _cancel(d1, d2)
+    t = op(n1 * e2, n2 * e1)
+    if t.is_zero():
+        return RF_ZERO
+    if g.is_constant():
+        return RF(t, d1 * e2, _canonical=True)
+    t, g, _ = _cancel(t, g)
+    return RF(t, e1 * e2 * g, _canonical=True)
 
 
 def _henrici_mul(n1, d1, n2, d2):

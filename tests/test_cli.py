@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mdreps.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -127,3 +129,26 @@ def test_mdd_commands(capsys):
     # X = RS has the single glue entry at (11, 22)
     glue = [e for e in blob["entries"] if e[0] == "11" and e[1] == "22"]
     assert len(glue) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--case", "a-glue", "--n", "3"],
+    ["irreps", "--n", "3", "--char", "a,b"],
+    ["mdd", "normal", "--word", "x1", "--n", "3"],
+    ["ccwg", "order", "--N", "0", "--n", "2"],
+    ["irreps", "--n", "3", "--char", "a,,b"],
+    ["mdd", "normal", "--word", "r3", "--n", "3"],
+    ["mdd", "eval", "--word", "s0", "--case", "case2", "--n", "2"],
+    ["analyze", "--case", "a-glue", "--n", "1", "--at", "p=2,q=5"],
+    ["irreps", "--n", "3", "--char", "a,a^-1,a", "--tau", "-1"],
+])
+def test_bad_input_exits_2_without_traceback(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_branch_ambiguity_names_its_polynomial(capsys):
+    assert main(["analyze", "--case", "a-glue", "--n", "3"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "depends on" in err and "q" in err and "pass --at" in err

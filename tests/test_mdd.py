@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mdreps.catalog import analysis_pair, make_md_pair
-from mdreps.matrix import ExactMatrix
+from mdreps.matrix import ExactMatrix, RepPair
 from mdreps.mdd import (GroupElement, babeda_from_md,
                         babeda_to_md, evaluate_in_rep, format_word,
                         md_defining_relation_words, parse_word, perm_compose,
@@ -144,6 +144,24 @@ def test_homomorphism_property_sampled(rng):
         Mh = evaluate_in_rep(h, pair, 3, check=False)
         Mgh = evaluate_in_rep(g * h, pair, 3, check=False)
         assert (Mg * Mh - Mgh).is_zero()
+
+
+def test_check_is_not_fooled_by_a_reused_pair_id():
+    # a passing pair is checked and freed; a failing pair built next
+    # usually gets the same id() and must still be rejected
+    for _ in range(5):
+        good = make_md_pair("case2", check=False)
+        evaluate_in_rep("r1", good, 3)
+        R, S3 = good.R, good.S.scale(3)
+        freed = id(good)
+        del good
+        bad = RepPair(R, S3)
+        reused = id(bad) == freed
+        with pytest.raises(ValueError):
+            evaluate_in_rep("r1", bad, 3)
+        if reused:
+            break
+    assert reused
 
 
 def test_unverified_pair_rejected():

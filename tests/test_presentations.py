@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
-from mdreps.catalog import (make_involutive_braid, make_manji,
+from mdreps.catalog import (ALL_CASES, make_involutive_braid, make_manji,
                             make_md_pair)
-from mdreps.matrix import ExactMatrix, RepPair
+from mdreps.matrix import ExactMatrix, RepPair, embed_at, words
 from mdreps.presentations import (BRAID, LOOP_BRAID, MIXED_DOUBLES, SYM,
                                   VIRTUAL_BRAID, RelationSet, anomaly, passes,
                                   verify)
@@ -165,3 +167,100 @@ def test_report_json_shape():
 def test_unknown_relation_set():
     with pytest.raises(ValueError):
         RelationSet("Nope")
+
+
+# ---------------------------------------------------------------------------
+# differential test: level-local verify against dense level-n products
+
+_RELSETS = (SYM, BRAID, VIRTUAL_BRAID, LOOP_BRAID, MIXED_DOUBLES)
+_CONIC = ("case6a", "case6b", "case6c")
+
+
+def _dense_reports(pair, n):
+    """(relation, level, is_zero, witness) of every MixedDoubles relation
+    at level n, each from the first nonzero entry of the full N^n x N^n
+    residual lhs - rhs.  Every other relation set is a subset of these."""
+    imgs = {}
+    for i in range(1, n):
+        imgs[("r", i)] = embed_at(pair.R, i, n)
+        imgs[("s", i)] = embed_at(pair.S, i, n)
+
+    def word_matrix(word):
+        M = ExactMatrix.identity(pair.N, n)
+        for letter in word:
+            M = M * imgs[letter]
+        return M
+
+    ws = words(pair.N, n)
+    out = {}
+    for rel_id, lhs, rhs in MIXED_DOUBLES.relations(n):
+        res = word_matrix(lhs) - word_matrix(rhs)
+        wit = next(((ws[i], ws[j], e) for i, row in enumerate(res.rows)
+                    for j, e in enumerate(row) if not e.is_zero()), None)
+        out[rel_id] = (rel_id, n, wit is None, wit)
+    return out
+
+
+def _assert_matches_dense(pair, n):
+    """Returns the number of failing MixedDoubles relations."""
+    dense = _dense_reports(pair, n)
+    for relset in _RELSETS:
+        got = [(r.relation, r.level, r.is_zero, r.witness)
+               for r in verify(pair, relset, n)]
+        want = [dense[rel_id] for rel_id, _, _ in relset.relations(n)]
+        assert got == want, (pair.provenance, relset.name, n)
+    return sum(not ok for _, _, ok, _ in dense.values())
+
+
+def _broken_variants(pair, rng):
+    """S scaled, R and S swapped with R scaled, one entry of R perturbed."""
+    c = rf(rng.choice((-3, -2, 2, 3)))
+    R = pair.R.copy()
+    i, j = rng.randrange(4), rng.randrange(4)
+    R.rows[i][j] = R.rows[i][j] + rng.choice((-1, 1))
+    return [RepPair(pair.R, pair.S.scale(c), provenance="S*c"),
+            RepPair(pair.S.scale(c), pair.R, provenance="swap, R*c"),
+            RepPair(R, pair.S, provenance="R[%d][%d]+-1" % (i, j))]
+
+
+def _catalog_pairs(cases):
+    return [make_md_pair(case, check=False, **kw)
+            for case, kw in ALL_CASES if case in cases]
+
+
+def test_verify_matches_dense_on_catalog():
+    non_conic = [c for c, _ in ALL_CASES if c not in _CONIC]
+    for pair in _catalog_pairs(non_conic):
+        _assert_matches_dense(pair, 4)
+    for pair in _catalog_pairs(("case2", "case3", "case7-fglue")):
+        _assert_matches_dense(pair, 5)
+    for pair in _catalog_pairs(_CONIC):
+        _assert_matches_dense(pair, 3)
+
+
+def test_verify_matches_dense_on_broken_pairs():
+    rng = random.Random(3)
+    failing = 0
+    for pair in _catalog_pairs(("case2", "case3", "case4-glue",
+                                "case5-antidiag", "case7-fglue")):
+        for bad in _broken_variants(pair, rng):
+            failing += _assert_matches_dense(bad, 4)
+    for pair in _catalog_pairs(("case6a",)):
+        for bad in _broken_variants(pair, rng):
+            failing += _assert_matches_dense(bad, 3)
+    assert failing
+
+
+def test_verify_matches_dense_on_random_pair_at_level5():
+    # a sparse random pair that fails relations, so the far
+    # commutations are checked against products that do not commute
+    rng = random.Random(5)
+
+    def sparse():
+        M = ExactMatrix.zeros(2, 2)
+        for _ in range(6):
+            M.rows[rng.randrange(4)][rng.randrange(4)] = rf(rng.randint(-3, 3))
+        return M
+    R, S = sparse(), sparse()
+    assert R * S != S * R
+    assert _assert_matches_dense(RepPair(R, S), 5)

@@ -282,6 +282,28 @@ def test_rf_operators_match_reducing_constructor(ab, op):
     assert got.num == want.num and got.den == want.den
 
 
+@given(ab=rf_operands(), op=st.sampled_from("*+-/"),
+       shape=st.sampled_from(("equal", "zero_left", "zero_right", "int_left")))
+@settings(max_examples=120, deadline=None)
+def test_rf_operators_on_equal_zero_and_int_operands(ab, op, shape):
+    # the fast paths: x - x, x - 0, 0 - y, and the reflected k - y
+    a, b = ab
+    if shape == "equal":
+        b = a
+    elif shape == "zero_left":
+        a = rf(0)
+    elif shape == "zero_right":
+        b = rf(0)
+    if op == "/" and b.is_zero():
+        return
+    if shape == "int_left":
+        got, a = _OPS[op](-2, b), rf(-2)
+    else:
+        got = _OPS[op](a, b)
+    want = _reference(op, a, b)
+    assert got.num == want.num and got.den == want.den
+
+
 @given(ab=rf_operands(), k=st.integers(-2, 3))
 @settings(max_examples=60, deadline=None)
 def test_rf_power_matches_reducing_constructor(ab, k):
