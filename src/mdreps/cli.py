@@ -142,18 +142,21 @@ def _parse_char_token(tok):
         raise UsageError("empty --char entry")
     if tok in _CHAR_TOKEN:
         return _CHAR_TOKEN[tok]
-    if "/" in tok or tok.lstrip("-").isdigit():
-        return rf(Fraction(tok))
-    if "^" in tok:
-        base, exp = tok.split("^", 1)
-        return _parse_char_token(base) ** int(exp)
-    if tok.startswith("w"):
-        from .scalar import zeta
-        return rf(zeta(int(tok[1:])))
-    if not tok.isidentifier():
-        raise UsageError("bad --char entry %r (want a rational, w<m>, a "
-                         "parameter name, or one of these ^<int>)" % (tok,))
-    return param(tok)
+    try:
+        if "/" in tok or tok.lstrip("-").isdigit():
+            return rf(Fraction(tok))
+        if "^" in tok:
+            base, exp = tok.split("^", 1)
+            return _parse_char_token(base) ** int(exp)
+        if tok.startswith("w"):
+            from .scalar import zeta
+            return rf(zeta(int(tok[1:])))
+        if tok.isidentifier():
+            return param(tok)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise UsageError("bad --char entry %r (want a rational, w<m>, a "
+                     "parameter name, or one of these ^<int>)" % (tok,))
 
 
 def _parse_char(text, n):

@@ -8,9 +8,11 @@ Under these conventions ``kron(A, B)`` at entry (w, v) is
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .scalar import (RF, RF_ONE, RF_ZERO, BranchAmbiguity, Cyc, NonVanishing,
-                     as_fraction, rf, rf_from_json, rf_to_json, unity_order)
+from .scalar import (RF, RF_ONE, RF_ZERO, BranchAmbiguity, Cyc, InvariantError,
+                     NonVanishing, as_fraction, rf, rf_from_json, rf_to_json,
+                     unity_order)
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +195,14 @@ class ExactMatrix:
                             for row in self.rows])
 
     def power(self, k):
+        """self**k for k >= 0 by repeated squaring, with no product by the
+        identity."""
         assert self.nrows == self.ncols
-        out = ExactMatrix.identity(self.N, self.rows_level)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        if k <= 1:
+            return self if k else ExactMatrix.identity(self.N, self.rows_level)
+        half = self.power(k // 2)
+        square = half * half
+        return square * self if k & 1 else square
 
     def inverse(self, constraints=None):
         """Gauss-Jordan inverse; raises BranchAmbiguity when a pivot is not
@@ -397,6 +398,127 @@ class RepPair:
 
 
 # ---------------------------------------------------------------------------
+# fraction-free integer elimination
+
+class Echelon:
+    """Incremental, fully reduced row echelon form over the integers, kept
+    fraction-free (Bareiss 1968): every elimination on rational constants
+    runs here.
+
+    Rows are sparse ``{col: int}`` dicts.  Each stored row is primitive
+    (content 1) with a positive pivot entry, its pivot being its least
+    nonzero column below ``bound`` (any column when ``bound`` is None).
+    Columns at or above ``bound`` are marker columns: they never hold a
+    pivot and ride along with the eliminations, carrying Krylov
+    coefficients, solve coordinates or a row's scale.  Every pivot column is
+    zero in every other stored row, so the stored rows scaled to pivot 1 are
+    the reduced row echelon form of the rows inserted.  That form is unique,
+    so every basis read from it is the one Gauss-Jordan elimination over Q
+    with the same least-column pivots gives.
+    """
+
+    __slots__ = ("bound", "rows")
+
+    def __init__(self, bound=None):
+        self.bound = bound
+        self.rows = {}  # pivot column -> row
+
+    def reduce(self, row):
+        """A positive multiple of ``row`` minus its components along the
+        stored rows, as a new primitive row: zero in every pivot column."""
+        row = {c: v for c, v in row.items() if v}
+        _divide_content(row)
+        rows = self.rows
+        for p in [c for c in row if c in rows]:
+            _eliminate(row, rows[p], p)
+        return row
+
+    def insert(self, row):
+        """Add ``row``: None when it is independent of the stored rows, else
+        its residual, which is then zero below ``bound``."""
+        row = self.reduce(row)
+        bound = self.bound
+        piv = min((c for c in row if bound is None or c < bound),
+                  default=None)
+        if piv is None:
+            return row
+        if row[piv] < 0:
+            for c in row:
+                row[c] = -row[c]
+        for prow in self.rows.values():
+            if piv in prow:
+                _eliminate(prow, row, piv)
+        self.rows[piv] = row
+        return None
+
+    def nullspace(self, ncols):
+        """Basis of the right kernel of the stored rows over columns
+        0..ncols-1, as Fraction lists: one vector per free column, in
+        column order, with 1 at its free column and 0 at the others."""
+        rows = self.rows
+        if rows and max(rows) >= ncols:
+            raise InvariantError("pivot column beyond the %d columns" % ncols)
+        basis = {f: [Fraction(0)] * ncols for f in range(ncols)
+                 if f not in rows}
+        for f, vec in basis.items():
+            vec[f] = Fraction(1)
+        for p, row in rows.items():
+            pv = row[p]
+            for c, v in row.items():
+                if c != p and c < ncols:
+                    basis[c][p] = Fraction(-v, pv)
+        return list(basis.values())
+
+
+def _divide_content(row):
+    g = gcd(*row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
+
+
+def _eliminate(row, prow, p):
+    """row <- (a*row - b*prow) / content with a = prow[p] > 0 and b = row[p]
+    made coprime, which clears column p of row and keeps its signs."""
+    b = row.pop(p)
+    a = prow[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    for c, v in prow.items():
+        if c != p:
+            nv = row.get(c, 0) - b * v
+            if nv:
+                row[c] = nv
+            else:
+                del row[c]
+    _divide_content(row)
+
+
+def _clear(fracs):
+    """(ints, D): a list of rationals as integers over one positive
+    denominator D, the lcm of theirs."""
+    D = lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (D // x.denominator) for x in fracs], D
+
+
+def _clear_matrix(rows):
+    """(A, D): integer rows A and a positive integer D with rows = A / D,
+    for a matrix of rationals given by its rows."""
+    flat, D = _clear([x for row in rows for x in row])
+    nc = len(rows[0])
+    return [flat[i:i + nc] for i in range(0, len(flat), nc)], D
+
+
+def _int_matrix(M):
+    """``_clear_matrix`` of an ExactMatrix of rational constants (ValueError
+    when an entry is symbolic or cyclotomic)."""
+    return _clear_matrix([[as_fraction(e) for e in row] for row in M.rows])
+
+
+# ---------------------------------------------------------------------------
 # linear algebra: nullspace, rank, spectra
 
 def nullspace(A, constraints=None):
@@ -413,24 +535,19 @@ def nullspace(A, constraints=None):
     return _nullspace_rows(rows, A.ncols, constraints)
 
 
-def _all_constant(rows):
-    for r in rows:
-        for v in r.values():
-            if not v.is_constant():
-                return False
-            c = v.num.const_value()
-            if isinstance(c, Cyc) or isinstance(v.den.const_value(), Cyc):
-                return False
-    return True
-
-
 def _nullspace_rows(rows, ncols, constraints=None):
-    if _all_constant(rows):
-        fr = [{j: as_fraction(v) for j, v in r.items()} for r in rows
-              if not all(vv.is_zero() for vv in r.values())]
-        basis = _nullspace_fraction(fr, ncols)
-        return [[rf(x) for x in vec] for vec in basis]
-    return _nullspace_rf(rows, ncols, constraints)
+    try:
+        fracs = [[as_fraction(v) for v in r.values()] for r in rows]
+    except ValueError:  # a symbolic or cyclotomic entry
+        return _nullspace_rf(rows, ncols, constraints)
+    ech = Echelon()
+    for r, fr in zip(rows, fracs):
+        ech.insert(dict(zip(r, _clear(fr)[0])))
+    return _rf_vectors(ech.nullspace(ncols))
+
+
+def _rf_vectors(vecs):
+    return [[rf(x) if x else RF_ZERO for x in vec] for vec in vecs]
 
 
 def _nullspace_rf(rows, ncols, constraints):
@@ -490,57 +607,6 @@ def _nullspace_rf(rows, ncols, constraints):
         for c, prow in pivots.items():
             v = prow.get(fcol)
             if v is not None:
-                vec[c] = -v
-        basis.append(vec)
-    return basis
-
-
-def _nullspace_fraction(rows, ncols):
-    """Same elimination over plain Fractions (fast path for numeric points)."""
-    pivots = {}
-    for r in rows:
-        r = dict(r)
-        for c in sorted(set(r) & set(pivots)):
-            f = r.pop(c, None)
-            if not f:
-                continue
-            for cc, v in pivots[c].items():
-                if cc == c:
-                    continue
-                nv = r.get(cc, 0) - f * v
-                if nv:
-                    r[cc] = nv
-                else:
-                    r.pop(cc, None)
-        r = {c: v for c, v in r.items() if v}
-        if not r:
-            continue
-        piv = min(r)
-        pv = r[piv]
-        r = {c: v / pv for c, v in r.items()}
-        r[piv] = Fraction(1)
-        for c0, prow in pivots.items():
-            f = prow.get(piv)
-            if not f:
-                continue
-            for cc, v in r.items():
-                if cc == piv:
-                    continue
-                nv = prow.get(cc, 0) - f * v
-                if nv:
-                    prow[cc] = nv
-                else:
-                    prow.pop(cc, None)
-            prow.pop(piv, None)
-        pivots[piv] = r
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
-        vec = [Fraction(0)] * ncols
-        vec[fcol] = Fraction(1)
-        for c, prow in pivots.items():
-            v = prow.get(fcol)
-            if v:
                 vec[c] = -v
         basis.append(vec)
     return basis
@@ -618,10 +684,7 @@ def _rational_root_candidates(coeffs, cap=10 ** 12):
     nz = [c for c in coeffs if c != 0]
     if not nz or any(isinstance(c, Cyc) for c in coeffs):
         return []
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // _gcd_int(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
+    ints, _ = _clear(coeffs)
     lead = next(c for c in reversed(ints) if c)
     low_i = next(i for i, c in enumerate(ints) if c)
     low = ints[low_i]
@@ -686,12 +749,6 @@ def _squarefree_part(coeffs):
     for k, c in q:
         out[k] = c
     return out
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):
@@ -836,9 +893,7 @@ def matrix_order(A, bound=1000):
         if o is None:
             return None
         orders.append(o)
-    out = 1
-    for o in orders:
-        out = out * o // _gcd_int(out, o)
+    out = lcm(*orders)
     return out if out <= bound else None
 
 
@@ -857,37 +912,52 @@ def _order_by_powers(A, bound):
 
 def commutant_basis(mats, constraints=None):
     """Exact basis of {T : T M = M T for all M in mats}, as matrices of the
-    same shape; solves the sparse linear commutation system."""
+    same shape; solves the sparse linear commutation system.  When every
+    matrix is a rational constant M = A / D the system is built on the
+    integer rows A, since T M = M T iff T A = A T."""
     assert mats
     d = mats[0].nrows
     N, lvl = mats[0].N, mats[0].rows_level
-    rows = []
     for M in mats:
         assert M.nrows == d and M.ncols == d
-        col_support = [[] for _ in range(d)]
-        row_support = [[] for _ in range(d)]
-        for i in range(d):
-            mrow = M.rows[i]
-            for j in range(d):
-                if not mrow[j].is_zero():
-                    col_support[j].append(i)
-                    row_support[i].append(j)
-        for i in range(d):
-            for j in range(d):
-                row = {}
-                for k in col_support[j]:
-                    t = i * d + k
-                    row[t] = row.get(t, RF_ZERO) + M.rows[k][j]
-                for k in row_support[i]:
-                    t = k * d + j
-                    row[t] = row.get(t, RF_ZERO) - M.rows[i][k]
-                row = {t: v for t, v in row.items() if not v.is_zero()}
-                if row:
-                    rows.append(row)
-    basis = _nullspace_rows(rows, d * d, constraints)
-    out = []
-    for vec in basis:
-        T = ExactMatrix(N, lvl, lvl, [[vec[i * d + j] for j in range(d)]
+    try:
+        ints = [_int_matrix(M)[0] for M in mats]
+    except ValueError:
+        rows = [r for M in mats for r in _commutation_rows(M.rows, RF_ZERO)]
+        basis = _nullspace_rows(rows, d * d, constraints)
+    else:
+        ech = Echelon()
+        for A in ints:
+            for r in _commutation_rows(A, 0):
+                ech.insert(r)
+        basis = _rf_vectors(ech.nullspace(d * d))
+    return [ExactMatrix(N, lvl, lvl, [vec[i * d:(i + 1) * d]
                                       for i in range(d)])
-        out.append(T)
+            for vec in basis]
+
+
+def _commutation_rows(M, zero):
+    """The nonzero rows of T M - M T = 0 in the entries of T (row-major),
+    for a square matrix M given by its rows; ``zero`` is its zero entry."""
+    d = len(M)
+    col_support = [[] for _ in range(d)]
+    row_support = [[] for _ in range(d)]
+    for i, mrow in enumerate(M):
+        for j, x in enumerate(mrow):
+            if x != zero:
+                col_support[j].append(i)
+                row_support[i].append(j)
+    out = []
+    for i in range(d):
+        for j in range(d):
+            row = {}
+            for k in col_support[j]:
+                t = i * d + k
+                row[t] = row.get(t, zero) + M[k][j]
+            for k in row_support[i]:
+                t = k * d + j
+                row[t] = row.get(t, zero) - M[i][k]
+            row = {t: v for t, v in row.items() if v != zero}
+            if row:
+                out.append(row)
     return out

@@ -279,27 +279,37 @@ def evaluate_in_rep(g_or_word, pair, n, check=True):
     else:
         word = g_or_word
     imgs = {}
-    for i in range(1, n):
-        imgs[("r", i)] = embed_at(pair.R, i, n)
-        imgs[("s", i)] = embed_at(pair.S, i, n)
-    M = ExactMatrix.identity(pair.N, n)
+
+    def image(letter):
+        img = imgs.get(letter)
+        if img is None:
+            kind, i = letter
+            img = imgs[letter] = embed_at(pair.R if kind == "r" else pair.S,
+                                          i, n)
+        return img
+
+    M = None
     for letter, exp in word:
         if letter[0] == "x":
             i, j, e = letter[1], letter[2], exp
             if i > j:
                 i, j, e = j, i, -e
-            base = ExactMatrix.identity(pair.N, n)
-            for l in _x_word(n, i, j):
-                base = base * imgs[l]
+            if e == 0:
+                continue
+            factors = [image(l) for l in _x_word(n, i, j)]
+            base = factors[0]
+            for F in factors[1:]:
+                base = base * F
             if e < 0:
                 base = base.inverse(pair.constraints)
                 e = -e
-            M = M * base.power(e)
+            F = base.power(e)
+        elif exp % 2 == 1:
+            F = image(letter)
         else:
-            B = imgs[letter]
-            if exp % 2 == 1:
-                M = M * B
-    return M
+            continue
+        M = F if M is None else M * F
+    return ExactMatrix.identity(pair.N, n) if M is None else M
 
 
 def md_defining_relation_words(n):

@@ -23,6 +23,12 @@ class BranchAmbiguity(Exception):
         super().__init__("pivot decision depends on: %s" % (poly,))
 
 
+class InvariantError(Exception):
+    """An internal invariant does not hold: a defect in mdreps or an input
+    outside a function's documented domain, never a mathematical verdict.
+    Raised where ``assert`` would vanish under ``python -O``."""
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 
@@ -772,6 +778,7 @@ def rf(x):
 
 RF_ZERO = rf(0)
 RF_ONE = rf(1)
+_UNIT_TERMS = {_ONE: Fraction(1)}  # the terms of the polynomial 1
 
 
 def param(name):
@@ -883,6 +890,12 @@ def rf_from_json(obj):
 
 def as_fraction(f):
     """Constant RF as a Fraction (raises on symbolic or cyclotomic input)."""
+    if f.den.terms == _UNIT_TERMS:
+        num = f.num.terms
+        if not num:
+            return Fraction(0)
+        if len(num) == 1 and type(num.get(_ONE)) is Fraction:
+            return num[_ONE]
     if not f.is_constant():
         raise ValueError("not a constant: %s" % (f,))
     n, d = f.num.const_value(), f.den.const_value()

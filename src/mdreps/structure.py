@@ -3,18 +3,25 @@ idempotent search with paper-style entry-forcing certificates, recursive
 eigenspace splitting, the image trichotomy of X = RS, semisimple-quotient
 dimensions through the glue projection, and matrix-algebra dimension data.
 
-Numeric analyses work over plain rationals at exact sample points; the
-certificates (local endomorphism ring, commutant shape) are exact.
+Numeric analyses work over plain rationals at exact sample points: each
+constant matrix M is read once as integer rows A with M = A / D, and the
+minimal polynomials, commutants, algebra closures, subspace restrictions
+and quotient coordinates eliminate fraction-free on those integer rows
+through ``matrix.Echelon``.  The certificates (local endomorphism ring,
+commutant shape) are exact.
 """
 
+from collections import deque
 from fractions import Fraction
+from math import gcd, lcm
 
 from .ccwg import is_ccwg, project_K
 from .clifford import mn_character, partition_dim, partitions
-from .matrix import (ExactMatrix, commutant_basis, eigen_data, embed_at,
+from .matrix import (Echelon, ExactMatrix, _clear, _clear_matrix,
+                     _int_matrix, commutant_basis, eigen_data, embed_at,
                      matrix_order, char_poly, nullspace)
 from .mdd import all_permutations, perm_cycle_type, perm_to_adjacent_word
-from .scalar import as_fraction, rf
+from .scalar import InvariantError, as_fraction, rf
 
 
 class CommutantBasis:
@@ -171,7 +178,8 @@ def find_idempotents(com, constraints=None, rng=None, tries=25):
         T, mult = split
         idems = _spectral_idempotents(T, mult)
         for P in idems:
-            assert (P * P - P).is_zero()
+            if not (P * P - P).is_zero():
+                raise InvariantError("spectral projector is not idempotent")
         return {"kind": "decomposable", "idempotents": idems}
     if endo_ring_local(basis, constraints):
         return {"kind": "indecomposable",
@@ -195,42 +203,33 @@ def _rational_spectrum(T):
 
 def minimal_polynomial(M):
     """Minimal polynomial of a constant exact matrix (ascending Fraction
-    coefficients, monic), via Krylov iterations from the standard basis."""
-    d = M.nrows
-    vals = [[as_fraction(e) for e in row] for row in M.rows]
+    coefficients, monic): the lcm of the Krylov relations of the standard
+    basis vectors.  The chains run on the integer rows A = D*M, marker
+    column d+j tagging A^j e; a relation sum r_j A^j e = 0 is the relation
+    sum r_j D^j M^j e = 0."""
+    A, D = _int_matrix(M)
+    d = len(A)
+    nz = [[(j, a) for j, a in enumerate(row) if a] for row in A]
     mp = [Fraction(1)]
     for start in range(d):
         if len(mp) - 1 == d:
             break
-        v = [Fraction(0)] * d
-        v[start] = Fraction(1)
-        # grow the Krylov space of v, recording combinations
-        krylov = []          # raw vectors
-        rref = []            # (pivot, reduced vector, combo)
-        cur = v
+        chain = Echelon(bound=d)
+        v = [0] * d
+        v[start] = 1
+        j = 0
         while True:
-            vec = cur[:]
-            combo = [Fraction(0)] * (len(krylov) + 1)
-            combo[-1] = Fraction(1)
-            for piv, rvec, rcombo in rref:
-                f = vec[piv]
-                if f:
-                    vec = [x - f * y for x, y in zip(vec, rvec)]
-                    for i, c in enumerate(rcombo):
-                        combo[i] -= f * c
-            lead = next((i for i, x in enumerate(vec) if x), None)
-            if lead is None:
-                # dependence: combo holds the vanishing polynomial coeffs
-                poly = _ptrim(list(combo))
-                mp = _plcm(mp, poly)
+            row = {i: x for i, x in enumerate(v) if x}
+            row[d + j] = 1
+            rel = chain.insert(row)
+            if rel is not None:
                 break
-            inv = 1 / vec[lead]
-            vec = [x * inv for x in vec]
-            combo = [x * inv for x in combo] + [Fraction(0)] * 0
-            rref.append((lead, vec, combo))
-            krylov.append(cur)
-            cur = [sum((vals[i][j] * cur[j] for j in range(d) if cur[j]),
-                       Fraction(0)) for i in range(d)]
+            v = [sum(a * v[k] for k, a in arow) for arow in nz]
+            j += 1
+        poly = [rel.get(d + k, 0) * D ** k for k in range(j + 1)]
+        poly = [Fraction(c, poly[-1]) for c in poly]
+        if any(_pdivmod(mp, poly)[1]):
+            mp = _plcm(mp, poly)
     lc = mp[-1]
     return [x / lc for x in mp]
 
@@ -238,7 +237,8 @@ def minimal_polynomial(M):
 def _plcm(a, b):
     g = _pgcd(a, b)
     q, r = _pdivmod(_pmul(a, b), g)
-    assert r == [Fraction(0)] or not any(r)
+    if any(r):
+        raise InvariantError("gcd does not divide the product")
     return q
 
 
@@ -296,7 +296,8 @@ def _spectral_idempotents(T, mult):
             if mu != lam:
                 other = _pmul(other, f)
         u, _, g = _pxgcd(other, factors[lam])
-        assert len(g) == 1
+        if len(g) != 1:
+            raise InvariantError("eigenvalue factors are not coprime")
         proj = _pmul(u, other)
         out.append(_peval_matrix(proj, T))
     return out
@@ -312,38 +313,17 @@ def _ppow(p, k):
 # ---------------------------------------------------------------------------
 # subspace restriction
 
-def _solve_in_span(V_cols, target_cols, d):
-    """Coordinates of each target column in the span of V's columns (exact);
-    V_cols: list of length-d vectors."""
-    k = len(V_cols)
-    # row reduce [V | targets]
-    rows = [[V_cols[j][i] for j in range(k)] +
-            [t[i] for t in target_cols] for i in range(d)]
-    pivots = []
-    rc = 0
-    for col in range(k):
-        piv = None
-        for r in range(rc, d):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        assert piv is not None, "columns not independent"
-        rows[rc], rows[piv] = rows[piv], rows[rc]
-        pv = rows[rc][col]
-        rows[rc] = [x / pv for x in rows[rc]]
-        for r in range(d):
-            if r != rc and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rc])]
-        pivots.append(col)
-        rc += 1
-    sols = []
-    for t in range(len(target_cols)):
-        coords = [rows[r][k + t] for r in range(k)]
-        for r in range(k, d):
-            assert rows[r][k + t] == 0, "target not in span"
-        sols.append(coords)
-    return sols
+def _solve_in_span(span, row, k):
+    """Coordinates of a vector in the span of k stored rows.  Stored row j
+    carries its scale at marker column ``span.bound + j``, and ``row`` (the
+    vector times its scale) carries its scale at ``span.bound + k``; the
+    residual of ``row`` is then a multiple of (0 | -coordinates | 1)."""
+    res = span.reduce(row)
+    b = span.bound
+    if any(c < b for c in res):
+        raise InvariantError("vector not in the span")
+    den = res[b + k]
+    return [Fraction(-res.get(b + j, 0), den) for j in range(k)]
 
 
 def restrict_to_subspace(mats, basis_vectors):
@@ -351,38 +331,35 @@ def restrict_to_subspace(mats, basis_vectors):
     vectors are length-d Fraction lists."""
     d = len(basis_vectors[0])
     k = len(basis_vectors)
+    vecs = [_clear(v) for v in basis_vectors]
+    span = Echelon(d)
+    for j, (v, D) in enumerate(vecs):
+        row = dict(enumerate(v))
+        row[d + j] = D
+        if span.insert(row) is not None:
+            raise InvariantError("basis vectors are not independent")
     out = []
     for M in mats:
-        vals = [[as_fraction(e) for e in row] for row in M.rows]
-        images = []
-        for v in basis_vectors:
-            img = [sum((vals[i][j] * v[j] for j in range(d) if v[j]),
-                       Fraction(0)) for i in range(d)]
-            images.append(img)
-        coords = _solve_in_span(basis_vectors, images, d)
-        rows = [[rf(coords[j][i]) for j in range(k)] for i in range(k)]
-        out.append(ExactMatrix(k, 1, 1, rows))
+        A, DM = _int_matrix(M)
+        cols = []
+        for v, D in vecs:
+            row = {i: sum(a * x for a, x in zip(arow, v))
+                   for i, arow in enumerate(A)}
+            row[d + k] = DM * D
+            cols.append(_solve_in_span(span, row, k))
+        out.append(ExactMatrix(k, 1, 1, [[rf(cols[j][i]) for j in range(k)]
+                                         for i in range(k)]))
     return out
 
 
 def _matrix_column_space(P):
     """Independent columns of an exact constant matrix, as Fraction vectors."""
-    d = P.nrows
-    cols = [[as_fraction(P.rows[i][j]) for i in range(d)] for j in range(d)]
+    A, D = _int_matrix(P)
+    span = Echelon()
     basis = []
-    pivot_rows = {}
-    for c in cols:
-        vec = c[:]
-        for prow, bvec in pivot_rows.items():
-            f = vec[prow]
-            if f:
-                vec = [x - f * y for x, y in zip(vec, bvec)]
-        lead = next((i for i, x in enumerate(vec) if x), None)
-        if lead is None:
-            continue
-        vec = [x / vec[lead] for x in vec]
-        pivot_rows[lead] = vec
-        basis.append(c)
+    for col in zip(*A):
+        if span.insert(dict(enumerate(col))) is None:
+            basis.append([Fraction(x, D) for x in col])
     return basis
 
 
@@ -531,117 +508,84 @@ def semisimple_quotient_dims(pair, n):
                 tr_total += chi * as_fraction(P.trace())
         # trace of the isotypic projector is (multiplicity) * d_lam
         mult = Fraction(d_lam, fact) * tr_total / d_lam
-        assert mult.denominator == 1 and mult >= 0, (lam, mult)
+        if mult.denominator != 1 or mult < 0:
+            raise InvariantError("multiplicity %s of %s is not a natural "
+                                 "number" % (mult, lam))
         dims.extend([d_lam] * int(mult))
-    assert sum(dims) == pair.N ** n
+    if sum(dims) != pair.N ** n:
+        raise InvariantError("isotypic dimensions do not add up")
     return sorted(dims)
 
 
 # ---------------------------------------------------------------------------
 # matrix algebra dimensions
 
-class _SpanRREF:
-    """Incremental row-echelon span of flattened Fraction vectors."""
-
-    def __init__(self):
-        self.pivots = {}
-
-    def reduce(self, vec):
-        vec = dict(vec)
-        for p in sorted(set(vec) & set(self.pivots)):
-            f = vec.get(p)
-            if not f:
-                vec.pop(p, None)
-                continue
-            for c, v in self.pivots[p].items():
-                if c == p:
-                    continue
-                nv = vec.get(c, Fraction(0)) - f * v
-                if nv:
-                    vec[c] = nv
-                else:
-                    vec.pop(c, None)
-            vec.pop(p, None)
-        return {c: v for c, v in vec.items() if v}
-
-    def insert(self, vec):
-        vec = self.reduce(vec)
-        if not vec:
-            return False
-        p = min(vec)
-        pv = vec[p]
-        vec = {c: v / pv for c, v in vec.items()}
-        vec[p] = Fraction(1)
-        for p0, row in self.pivots.items():
-            f = row.get(p)
-            if f:
-                for c, v in vec.items():
-                    if c == p:
-                        continue
-                    nv = row.get(c, Fraction(0)) - f * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-                row.pop(p, None)
-        self.pivots[p] = vec
-        return True
-
-    @property
-    def dim(self):
-        return len(self.pivots)
-
-
-def _to_frac_rows(M):
-    return [[as_fraction(e) for e in row] for row in M.rows]
-
-
-def _frac_mul(A, B):
-    d = len(A)
-    out = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        Ai = A[i]
-        Oi = out[i]
-        for k in range(d):
-            a = Ai[k]
+def _imul(A, B):
+    """Product of square integer matrices given by their rows."""
+    Bnz = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+    out = []
+    for arow in A:
+        orow = [0] * len(arow)
+        for a, brow in zip(arow, Bnz):
             if a:
-                Bk = B[k]
-                for j in range(d):
-                    b = Bk[j]
-                    if b:
-                        Oi[j] += a * b
+                for j, b in brow:
+                    orow[j] += a * b
+        out.append(orow)
     return out
 
 
-def _frac_flatten(A):
+def _scaled_product(A, DA, B, DB):
+    """(C, DC) with C / DC = (A / DA)(B / DB), cancelled by the common
+    factor of DC and the entries of C."""
+    C = _imul(A, B)
+    DC = DA * DB
+    g = gcd(DC, *(x for row in C for x in row))
+    if g > 1:
+        C = [[x // g for x in row] for row in C]
+        DC //= g
+    return C, DC
+
+
+def _flat(A):
     d = len(A)
     return {i * d + j: A[i][j] for i in range(d) for j in range(d) if A[i][j]}
 
 
+def _combine(weights, mats):
+    """(Z, D) with Z / D the sum of w * A / DA over the rational weights and
+    the (A, DA) pairs."""
+    cs, D = _clear([Fraction(w) / DA for w, (_, DA) in zip(weights, mats)])
+    d = len(mats[0][0])
+    Z = [[0] * d for _ in range(d)]
+    for c, (A, _) in zip(cs, mats):
+        if c:
+            for zrow, arow in zip(Z, A):
+                for j, a in enumerate(arow):
+                    if a:
+                        zrow[j] += c * a
+    return Z, D
+
+
 def generated_algebra(mats, bound=4096):
     """Basis (as Fraction row-lists) of the unital algebra generated by the
-    given constant matrices, by span closure under products."""
+    given constant matrices, by span closure under products.  The closure
+    multiplies (integer matrix, denominator) pairs."""
     d = mats[0].nrows
-    gens = [_to_frac_rows(M) for M in mats]
-    span = _SpanRREF()
+    gens = [_int_matrix(M) for M in mats]
+    span = Echelon()
     basis = []
-    ident = [[Fraction(1) if i == j else Fraction(0) for j in range(d)]
-             for i in range(d)]
-    queue = [ident] + gens
+    ident = [[int(i == j) for j in range(d)] for i in range(d)]
+    queue = deque([(ident, 1)] + gens)
     while queue:
-        A = queue.pop(0)
-        if span.insert(_frac_flatten(A)):
-            basis.append(A)
+        A, D = queue.popleft()
+        if span.insert(_flat(A)) is None:
+            basis.append([[Fraction(x, D) for x in row] for row in A])
             if len(basis) > bound:
                 raise ValueError("algebra closure exceeds bound")
-            for G in gens:
-                queue.append(_frac_mul(A, G))
-                queue.append(_frac_mul(G, A))
+            for G, DG in gens:
+                queue.append(_scaled_product(A, D, G, DG))
+                queue.append(_scaled_product(G, DG, A, D))
     return basis
-
-
-def _frac_trace(A):
-    return sum((A[i][i] for i in range(len(A))), Fraction(0))
 
 
 def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None, tries=40):
@@ -659,88 +603,52 @@ def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None, tries=40):
             mats = [M.evaluate(assignment, pair.constraints) for M in mats]
     else:
         mats = list(mats_or_pair)
-    basis = generated_algebra(mats)
+    basis = [_clear_matrix(B) for B in generated_algebra(mats)]
     m = len(basis)
-    # radical = kernel of the trace Gram matrix
-    gram_rows = []
-    for i in range(m):
-        row = {}
-        for j in range(m):
-            v = _frac_trace(_frac_mul(basis[i], basis[j]))
-            if v:
-                row[j] = rf(v)
-        gram_rows.append(row)
-    from .matrix import sparse_nullspace
-    rad_coords = sparse_nullspace(gram_rows, m)
+    d = len(basis[0][0])
+    dd = d * d
+    # radical = kernel of the trace Gram matrix tr(B_i B_j), row i scaled by
+    # D_i * L
+    L = lcm(*(D for _, D in basis))
+    gram = Echelon()
+    for A, _ in basis:
+        gram.insert({j: _trace_product(A, B) * (L // DB)
+                     for j, (B, DB) in enumerate(basis)})
+    rad_coords = gram.nullspace(m)
     rad_dim = len(rad_coords)
     ss_dim = m - rad_dim
-    # quotient algebra structure
-    d = len(basis[0])
-    rad_span = _SpanRREF()
+    # quotient algebra: the radical rows, then each basis element outside
+    # their span with its scale at marker column dd + (its index in qbasis)
+    span = Echelon(dd)
     for vec in rad_coords:
-        flat = {}
-        for k, c in enumerate(vec):
-            cf = as_fraction(c)
-            if cf:
-                for key, v in _frac_flatten(basis[k]).items():
-                    flat[key] = flat.get(key, Fraction(0)) + cf * v
-        rad_span.insert({k: v for k, v in flat.items() if v})
-    qspan = _SpanRREF()
+        span.insert(_flat(_combine(vec, basis)[0]))
     qbasis = []
-    for A in basis:
-        vec = rad_span.reduce(_frac_flatten(A))
-        if qspan.insert(vec):
-            qbasis.append(A)
+    for A, D in basis:
+        row = _flat(A)
+        row[dd + len(qbasis)] = D
+        if span.insert(row) is None:
+            qbasis.append((A, D))
     s = len(qbasis)
-    assert s == ss_dim
+    if s != ss_dim:
+        raise InvariantError("quotient basis has %d elements, trace form "
+                             "rank is %d" % (s, ss_dim))
 
-    # fixed elimination for expressing quotient classes in the qbasis
-    reduced_qbasis = [rad_span.reduce(_frac_flatten(B)) for B in qbasis]
-    positions = sorted({k for r in reduced_qbasis for k in r})
-    base_rows = [[r.get(pos, Fraction(0)) for r in reduced_qbasis]
-                 for pos in positions]
+    def qcoords(A, D):
+        """Coordinates of the class of A / D in the quotient basis."""
+        row = _flat(A)
+        row[dd + s] = D
+        return _solve_in_span(span, row, s)
 
-    def qcoords(A):
-        work = rad_span.reduce(_frac_flatten(A))
-        rows = [row[:] + [work.get(pos, Fraction(0))]
-                for row, pos in zip(base_rows, positions)]
-        rc = 0
-        coords = [Fraction(0)] * s
-        pivrow = {}
-        for col in range(s):
-            piv = None
-            for r in range(rc, len(rows)):
-                if rows[r][col]:
-                    piv = r
-                    break
-            assert piv is not None
-            rows[rc], rows[piv] = rows[piv], rows[rc]
-            pv = rows[rc][col]
-            rows[rc] = [x / pv for x in rows[rc]]
-            for r in range(len(rows)):
-                if r != rc and rows[r][col]:
-                    fct = rows[r][col]
-                    rows[r] = [x - fct * y for x, y in zip(rows[r], rows[rc])]
-            pivrow[col] = rc
-            rc += 1
-        for col in range(s):
-            coords[col] = rows[pivrow[col]][s]
-        return coords
-
-    # center of the quotient: sum_i c_i [B_i, G] = 0 (mod radical) for all G
-    comm_rows = []
-    for G in qbasis:
-        comm_flat = [rad_span.reduce(_frac_flatten(
-            _frac_sub(_frac_mul(B, G), _frac_mul(G, B)))) for B in qbasis]
-        for pos in sorted({k for fl in comm_flat for k in fl}):
-            row = {}
-            for i, fl in enumerate(comm_flat):
-                v = fl.get(pos)
-                if v:
-                    row[i] = rf(v)
-            if row:
-                comm_rows.append(row)
-    center_coords = sparse_nullspace(comm_rows, s)
+    # center of the quotient: sum_i c_i [B_i, G] = 0 (mod radical) for all
+    # G, i.e. sum_i c_i (coordinates of [B_i, G])_l = 0 for every l
+    center = Echelon()
+    for G, DG in qbasis:
+        coords = [qcoords(_commutator(B, G), DB * DG) for B, DB in qbasis]
+        for l in range(s):
+            col = [c[l] for c in coords]
+            ints, _ = _clear(col)
+            center.insert(dict(enumerate(ints)))
+    center_coords = center.nullspace(s)
     center_dim = len(center_coords)
     # simple block dims from eigenspaces of a generic central element acting
     # by multiplication on the quotient
@@ -752,22 +660,15 @@ def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None, tries=40):
         rgen = rng if rng is not None else _random.Random(12345)
         for _ in range(tries):
             coeffs = [rgen.randint(-5, 5) for _ in range(center_dim)]
-            Z = None
-            for cvec, c in zip(center_coords, coeffs):
-                if not c:
-                    continue
-                for k, x in enumerate(cvec):
-                    xf = as_fraction(x) * c
-                    if xf:
-                        Z = _frac_axpy(Z, xf, qbasis[k], d)
-            if Z is None:
+            if not any(coeffs):
                 continue
-            mult = [[Fraction(0)] * s for _ in range(s)]
-            for j, B in enumerate(qbasis):
-                col = qcoords(_frac_mul(Z, B))
-                for i in range(s):
-                    mult[i][j] = col[i]
-            Zm = ExactMatrix(s, 1, 1, [[rf(x) for x in row] for row in mult])
+            weights = [sum(c * cvec[k] for c, cvec in zip(coeffs,
+                                                          center_coords))
+                       for k in range(s)]
+            Z, DZ = _combine(weights, qbasis)
+            cols = [qcoords(_imul(Z, B), DZ * DB) for B, DB in qbasis]
+            Zm = ExactMatrix(s, 1, 1, [[rf(col[i]) for col in cols]
+                                       for i in range(s)])
             roots = _rational_spectrum(Zm)
             if roots is None:
                 continue
@@ -791,20 +692,14 @@ def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None, tries=40):
             "simples": simples}
 
 
-def _frac_sub(A, B):
-    return [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(A, B)]
+def _trace_product(A, B):
+    return sum(a * brow[i] for i, arow in enumerate(A)
+               for a, brow in zip(arow, B) if a)
 
 
-def _frac_axpy(Z, c, B, d):
-    if Z is None:
-        Z = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        Bi = B[i]
-        Zi = Z[i]
-        for j in range(d):
-            if Bi[j]:
-                Zi[j] += c * Bi[j]
-    return Z
+def _commutator(A, B):
+    AB, BA = _imul(A, B), _imul(B, A)
+    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(AB, BA)]
 
 
 def _int_sqrt(v):

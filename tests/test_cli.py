@@ -141,11 +141,23 @@ def test_mdd_commands(capsys):
     ["mdd", "eval", "--word", "s0", "--case", "case2", "--n", "2"],
     ["analyze", "--case", "a-glue", "--n", "1", "--at", "p=2,q=5"],
     ["irreps", "--n", "3", "--char", "a,a^-1,a", "--tau", "-1"],
+    ["irreps", "--n", "3", "--char", "a,wx,b"],
+    ["irreps", "--n", "3", "--char", "a,a^x,b"],
+    ["irreps", "--n", "3", "--char", "a,1/0,b"],
+    ["irreps", "--n", "3", "--char", "a,0^-1,b"],
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", ["wx", "a^x", "1/0", "0^-1", "w5"])
+def test_bad_char_entry_is_named(capsys, entry):
+    argv = ["irreps", "--n", "3", "--char", "a,%s,b" % entry]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        "error: bad --char entry %r" % (entry,))
 
 
 def test_branch_ambiguity_names_its_polynomial(capsys):

@@ -1,11 +1,13 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from mdreps.matrix import (ExactMatrix, RepPair, UnsupportedSpectrum,
-                           commutant_basis, eigen_data, embed_at, kron,
-                           matrix_order, nullspace, words)
+from mdreps.matrix import (Echelon, ExactMatrix, RepPair, UnsupportedSpectrum,
+                           _commutation_rows, _nullspace_rf, commutant_basis,
+                           eigen_data, embed_at, kron, matrix_order,
+                           nullspace, sparse_nullspace, words)
 from mdreps.scalar import (RF_ZERO, BranchAmbiguity, NonVanishing, param, rf,
                            zeta)
 
@@ -272,3 +274,159 @@ def test_product_matches_entrywise_loop(rng, level, cyc):
         P = _signed_permutation(rng, level)
         for X, Y in ((A, B), (B, A), (A, I), (I, B), (P, A), (B, P), (P, P)):
             _assert_same_entries(X * Y, _reference_product(X, Y))
+
+
+def test_power_matches_repeated_product():
+    A = m([[1, 2, 0, 0], [0, 1, 0, Fraction(1, 3)], [0, 0, -1, 0],
+           [1, 0, 0, 1]])
+    P = ExactMatrix.identity(2, 2)
+    for k in range(7):
+        assert A.power(k) == P
+        P = P * A
+
+
+# ---------------------------------------------------------------------------
+# the integer echelon kernel against elimination over Fractions
+
+def _nullspace_fraction(rows, ncols):
+    """Reduced row echelon elimination over Fractions with the least nonzero
+    column as pivot; the right-kernel basis, one vector per free column."""
+    pivots = {}
+    for r in rows:
+        r = dict(r)
+        for c in sorted(set(r) & set(pivots)):
+            f = r.pop(c, None)
+            if not f:
+                continue
+            for cc, v in pivots[c].items():
+                if cc == c:
+                    continue
+                nv = r.get(cc, 0) - f * v
+                if nv:
+                    r[cc] = nv
+                else:
+                    r.pop(cc, None)
+        r = {c: v for c, v in r.items() if v}
+        if not r:
+            continue
+        piv = min(r)
+        pv = r[piv]
+        r = {c: v / pv for c, v in r.items()}
+        r[piv] = Fraction(1)
+        for c0, prow in pivots.items():
+            f = prow.get(piv)
+            if not f:
+                continue
+            for cc, v in r.items():
+                if cc == piv:
+                    continue
+                nv = prow.get(cc, 0) - f * v
+                if nv:
+                    prow[cc] = nv
+                else:
+                    prow.pop(cc, None)
+            prow.pop(piv, None)
+        pivots[piv] = r
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fcol in free:
+        vec = [Fraction(0)] * ncols
+        vec[fcol] = Fraction(1)
+        for c, prow in pivots.items():
+            v = prow.get(fcol)
+            if v:
+                vec[c] = -v
+        basis.append(vec)
+    return basis
+
+
+def _random_system(rng, nrows, ncols, density, big):
+    rows = []
+    for _ in range(nrows):
+        den = (lambda: rng.randint(1, 10 ** 12)) if big else \
+            (lambda: rng.choice((1, 1, 2, 3, 5, 12)))
+        rows.append({j: Fraction(rng.randint(-9, 9), den())
+                     for j in range(ncols) if rng.random() < density})
+    if rows and rng.random() < 0.5:
+        rows.append(dict(rows[rng.randrange(len(rows))]))   # duplicate
+    if rows and rng.random() < 0.5:
+        k = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 6))
+        rows.append({j: k * v for j, v in rows[0].items()})  # multiple
+    rng.shuffle(rows)
+    return rows
+
+
+def _systems(rng):
+    yield [], 1
+    yield [], 4
+    yield [{}, {}], 3
+    yield [{0: Fraction(0), 2: Fraction(0)}], 3
+    for _ in range(120):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        if rng.random() < 0.3:
+            nrows = rng.randint(1, 3) * ncols   # tall
+        yield (_random_system(rng, nrows, ncols, rng.choice((0.2, 0.5, 0.9)),
+                              rng.random() < 0.3), ncols)
+
+
+def test_echelon_nullspace_matches_fraction_elimination(rng):
+    for rows, ncols in _systems(rng):
+        expect = _nullspace_fraction(rows, ncols)
+        got = sparse_nullspace([{j: rf(v) for j, v in r.items()}
+                                for r in rows], ncols)
+        assert got == [[rf(x) for x in vec] for vec in expect]
+
+
+def test_echelon_rows_are_primitive_and_reduced(rng):
+    for rows, ncols in _systems(rng):
+        ech = Echelon()
+        for r in rows:
+            ech.insert({j: int(v * 10 ** 13) for j, v in r.items()})
+        for p, row in ech.rows.items():
+            assert row[p] > 0 and p == min(row)
+            assert math.gcd(*row.values()) == 1
+            for q0 in ech.rows:
+                assert q0 == p or q0 not in row
+
+
+def test_echelon_markers_never_pivot():
+    ech = Echelon(bound=2)
+    assert ech.insert({0: 2, 1: 4, 2: 6}) is None
+    assert ech.insert({3: 5}) == {3: 1}
+    assert ech.insert({0: 1, 1: 2, 3: 1}) == {2: -3, 3: 1}
+    assert list(ech.rows) == [0]
+
+
+def _commutant_oracle(mats):
+    d = mats[0].nrows
+    rows = [r for M in mats for r in _commutation_rows(M.rows, RF_ZERO)]
+    basis = _nullspace_rf(rows, d * d, None)
+    return [[vec[i * d:(i + 1) * d] for i in range(d)] for vec in basis]
+
+
+def test_constant_commutant_matches_symbolic_path(rng):
+    pool = [0, 0, 0, 0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 7),
+            Fraction(10 ** 9 + 7, 3)]
+    cases = [[ExactMatrix.identity(2, 2)], [ExactMatrix.zeros(2, 2)],
+             [m([[Fraction(7, 3)]], N=1)]]
+    for _ in range(12):
+        d = rng.choice((1, 2, 4))
+        cases.append([m([[rng.choice(pool) for _ in range(d)]
+                         for _ in range(d)]) for _ in range(rng.randint(1, 3))])
+    from mdreps.catalog import analysis_pair
+    pair = analysis_pair("f-glue", p=2, q=5).evaluate({"p": 2, "q": 5})
+    cases.append([M for _, M in pair.generator_images(3)])
+    for mats in cases:
+        got = [T.rows for T in commutant_basis(mats)]
+        assert got == _commutant_oracle(mats)
+
+
+def test_nullity_against_sympy(rng):
+    sp = pytest.importorskip("sympy")
+    for rows, ncols in _systems(rng):
+        if not rows:
+            continue
+        dense = [[r.get(j, 0) for j in range(ncols)] for r in rows]
+        got = sparse_nullspace([{j: rf(v) for j, v in r.items()}
+                                for r in rows], ncols)
+        assert len(got) == ncols - sp.Matrix(dense).rank()

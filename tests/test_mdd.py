@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mdreps.catalog import analysis_pair, make_md_pair
-from mdreps.matrix import ExactMatrix, RepPair
+from mdreps.matrix import ExactMatrix, RepPair, embed_at
 from mdreps.mdd import (GroupElement, babeda_from_md,
                         babeda_to_md, evaluate_in_rep, format_word,
                         md_defining_relation_words, parse_word, perm_compose,
@@ -214,3 +214,27 @@ def test_word_round_trip_agrees_in_representation(rng):
         M1 = evaluate_in_rep(word, pair, 3, check=False)
         M2 = evaluate_in_rep(back, pair, 3, check=False)
         assert (M1 - M2).is_zero(), word
+
+
+def test_evaluate_in_rep_multiplies_no_identity(monkeypatch):
+    pair = make_md_pair("case2", p=2, q=5)
+    word = "r1 s1 x12^2 s2"
+    expect = evaluate_in_rep(word, pair, 3, check=False)
+    mul = ExactMatrix.__mul__
+    factors = []
+
+    def counting(A, B):
+        factors.append((A, B))
+        return mul(A, B)
+    monkeypatch.setattr(ExactMatrix, "__mul__", counting)
+    got = evaluate_in_rep(word, pair, 3, check=False)
+    monkeypatch.undo()
+    assert got == expect
+    # r1 s1, the two letters of x12's base, its square, and two more factors
+    assert len(factors) == 5
+    assert not any(X.is_identity() for f in factors for X in f)
+    # the same image as the product of the letter images
+    R, S = pair.R, pair.S
+    r1, s1 = embed_at(R, 1, 3), embed_at(S, 1, 3)
+    x12 = r1 * s1
+    assert got == r1 * s1 * x12 * x12 * embed_at(S, 2, 3)

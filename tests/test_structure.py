@@ -1,15 +1,19 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from mdreps.catalog import analysis_pair, make_md_pair
 from mdreps.matrix import ExactMatrix
-from mdreps.scalar import NonVanishing, Poly, param, rf
-from mdreps.structure import (algebra_dims, commutant, decompose,
+from mdreps.scalar import InvariantError, NonVanishing, Poly, param, rf
+from mdreps.structure import (_plcm, algebra_dims, commutant, decompose,
                               distinct_eigenvalue_count,
                               fglue_commutant_shape_ok, find_idempotents,
-                              minimal_polynomial, semisimple_quotient_dims,
+                              generated_algebra, minimal_polynomial,
+                              restrict_to_subspace, semisimple_quotient_dims,
                               x_trichotomy)
 
 p, q = param("p"), param("q")
@@ -221,3 +225,185 @@ def test_minimal_polynomial():
     assert mp == [Fraction(1), Fraction(-2), Fraction(1)]  # (x-1)^2
     D = m([[2, 0], [0, 5]])
     assert minimal_polynomial(D) == [Fraction(10), Fraction(-7), Fraction(1)]
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against elimination over Fractions
+
+def _minimal_polynomial_fraction(M):
+    """Krylov chains of the standard basis over Fractions, each relation
+    found by a row echelon form that records combinations."""
+    d = M.nrows
+    vals = [[e.const_value() for e in row] for row in M.rows]
+    mp = [Fraction(1)]
+    for start in range(d):
+        if len(mp) - 1 == d:
+            break
+        cur = [Fraction(int(i == start)) for i in range(d)]
+        rref = []            # (pivot, reduced vector, combo)
+        while True:
+            vec = cur[:]
+            combo = [Fraction(0)] * len(rref) + [Fraction(1)]
+            for piv, rvec, rcombo in rref:
+                f = vec[piv]
+                if f:
+                    vec = [x - f * y for x, y in zip(vec, rvec)]
+                    for i, c in enumerate(rcombo):
+                        combo[i] -= f * c
+            lead = next((i for i, x in enumerate(vec) if x), None)
+            if lead is None:
+                mp = _plcm(mp, combo)
+                break
+            inv = 1 / vec[lead]
+            rref.append((lead, [x * inv for x in vec],
+                         [x * inv for x in combo]))
+            cur = [sum((vals[i][j] * cur[j] for j in range(d) if cur[j]),
+                       Fraction(0)) for i in range(d)]
+    return [x / mp[-1] for x in mp]
+
+
+def _block_diag(*blocks):
+    d = sum(len(b) for b in blocks)
+    rows = [[0] * d for _ in range(d)]
+    k = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[k + i][k:k + len(b)] = row
+        k += len(b)
+    return rows
+
+
+def _jordan(lam, size):
+    return [[lam if i == j else int(j == i + 1) for j in range(size)]
+            for i in range(size)]
+
+
+def _square(rows):
+    return ExactMatrix(len(rows), 1, 1, [[rf(x) for x in row] for row in rows])
+
+
+def _minpoly_cases(rng):
+    h, t = Fraction(1, 2), Fraction(-7, 3)
+    yield [[0]]
+    yield [[Fraction(5, 3)]]
+    yield [[0] * 4 for _ in range(4)]
+    yield [[t if i == j else 0 for j in range(5)] for i in range(5)]
+    yield _jordan(t, 4)
+    yield _jordan(0, 5)                                   # nilpotent
+    yield [[0, 2, 0], [0, 0, Fraction(3, 4)], [0, 0, 0]]   # nilpotent
+    yield _block_diag(_jordan(h, 2), _jordan(h, 1), _jordan(t, 3),
+                      _jordan(h, 3))
+    yield _block_diag(_jordan(1, 2), _jordan(1, 2), [[-1]])
+    for _ in range(60):
+        d = rng.randint(1, 6)
+        den = rng.choice((1, 2, 9, 10 ** 6 + 3))
+        rows = [[Fraction(rng.randint(-6, 6), den) if rng.random() < 0.4
+                 else 0 for _ in range(d)] for _ in range(d)]
+        if rng.random() < 0.3:   # conjugate a block-diagonal matrix
+            rows = _block_diag(_jordan(h, 2), _jordan(h, 2))
+            P = [[rng.randint(-2, 2) if j > i else int(i == j)
+                  for j in range(4)] for i in range(4)]
+            M = _square(P) * _square(rows) * _square(P).inverse()
+            yield [[e.const_value() for e in row] for row in M.rows]
+        else:
+            yield rows
+
+
+def test_minimal_polynomial_matches_fraction_krylov(rng):
+    for rows in _minpoly_cases(rng):
+        M = _square(rows)
+        assert minimal_polynomial(M) == _minimal_polynomial_fraction(M)
+
+
+def _generated_algebra_fraction(mats):
+    """Span closure under products over Fractions: a basis of the unital
+    algebra in the order it is found."""
+    d = mats[0].nrows
+    gens = [[[e.const_value() for e in row] for row in M.rows] for M in mats]
+    span = {}     # pivot -> reduced row, pivot entry 1
+
+    def reduce(vec):
+        for p, row in span.items():
+            f = vec.get(p)
+            if f:
+                for c, v in row.items():
+                    vec[c] = vec.get(c, 0) - f * v
+        return {c: v for c, v in vec.items() if v}
+
+    def mul(A, B):
+        return [[sum(A[i][k] * B[k][j] for k in range(d)) for j in range(d)]
+                for i in range(d)]
+
+    basis = []
+    queue = [[[Fraction(int(i == j)) for j in range(d)]
+              for i in range(d)]] + gens
+    while queue:
+        A = queue.pop(0)
+        vec = reduce({i * d + j: A[i][j] for i in range(d)
+                      for j in range(d) if A[i][j]})
+        if vec:
+            p = min(vec)
+            row = {c: v / vec[p] for c, v in vec.items()}
+            for other in span.values():
+                f = other.get(p)
+                if f:
+                    for c, v in row.items():
+                        other[c] = other.get(c, 0) - f * v
+            span[p] = row
+            basis.append(A)
+            for G in gens:
+                queue.append(mul(A, G))
+                queue.append(mul(G, A))
+    return basis
+
+
+def test_generated_algebra_matches_fraction_closure(rng):
+    pv, qv = Fraction(2), Fraction(5, 3)
+    mats = [m([[1, 0, 0, pv], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]]),
+            m([[1, 0, 0, qv], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]]),
+            m([[1, pv, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])]
+    cases = [[ExactMatrix.identity(2, 2)], mats, mats[:1], mats[::-1]]
+    for _ in range(8):
+        d = rng.choice((1, 2, 4))
+        cases.append([m([[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 7)))
+                          if rng.random() < 0.4 else 0 for _ in range(d)]
+                         for _ in range(d)]) for _ in range(rng.randint(1, 2))])
+    for mats in cases:
+        assert generated_algebra(mats) == _generated_algebra_fraction(mats)
+
+
+def test_invariant_errors_survive_python_O():
+    # the flip does not preserve span(e1): an assert would vanish under -O
+    # and return [[0]]
+    code = (
+        "from fractions import Fraction\n"
+        "from mdreps.matrix import ExactMatrix\n"
+        "from mdreps.scalar import InvariantError\n"
+        "from mdreps.structure import restrict_to_subspace\n"
+        "flip = ExactMatrix.from_rows([[0, 1], [1, 0]])\n"
+        "try:\n"
+        "    restrict_to_subspace([flip], [[Fraction(1), Fraction(0)]])\n"
+        "except InvariantError:\n"
+        "    print('InvariantError')\n")
+    import mdreps
+    src = os.path.dirname(os.path.dirname(mdreps.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, timeout=60, env=env,
+                         check=True)
+    assert out.stdout.strip() == "InvariantError"
+
+
+def test_restrict_to_subspace_coordinates():
+    # the swap of the first two coordinates of Q^4 on the plane spanned by
+    # e1 + e2 and (e1 - e2) / 3, and the line of e4
+    flip = m([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 3, 0],
+              [0, 0, 0, Fraction(1, 2)]])
+    basis = [[Fraction(1), Fraction(1), 0, 0],
+             [Fraction(1, 3), Fraction(-1, 3), 0, 0],
+             [0, 0, 0, Fraction(-2, 5)]]
+    (sub,) = restrict_to_subspace([flip], basis)
+    assert [[e.const_value() for e in row] for row in sub.rows] == \
+        [[1, 0, 0], [0, -1, 0], [0, 0, Fraction(1, 2)]]
+    with pytest.raises(InvariantError):
+        restrict_to_subspace([flip], [basis[0], basis[0]])
