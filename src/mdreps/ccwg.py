@@ -7,8 +7,8 @@ vanishes, where f counts letters; positions with f(w) < f(v) are glue,
 positions with f(w) = f(v) are charge-conserving (CC).
 """
 
-from .matrix import ExactMatrix, words
-from .scalar import RF_ZERO, rf
+from .matrix import ExactMatrix, word_to_str, words
+from .scalar import RF_ZERO, InvariantError, rf
 
 CC, GLUE, FORBIDDEN = "cc", "glue", "forbidden"
 
@@ -74,29 +74,29 @@ def orbit_rep(lam):
     return tuple(out)
 
 
+# the kind of position (w, v) by less(f(w), f(v))
+_KIND = {"=": CC, "<": GLUE, ">": FORBIDDEN}
+
+
 class GlueMask:
-    """Per-(N, n) classification of all square word positions."""
+    """Per-(N, n) classification of all square word positions.
 
-    __slots__ = ("N", "n", "kinds")
+    ``kinds[i][j]`` is the kind of position (i, j); ``cc[i]``, ``glue[i]``
+    and ``forbidden[i]`` list the columns of each kind in row i.  Pass
+    ``kinds`` to rebuild a mask from a stored classification."""
 
-    def __init__(self, N, n):
+    __slots__ = ("N", "n", "kinds", "cc", "glue", "forbidden")
+
+    def __init__(self, N, n, kinds=None):
         self.N = N
         self.n = n
-        ws = words(N, n)
-        fs = [f_over(w, N) for w in ws]
-        kinds = []
-        for fw in fs:
-            row = []
-            for fv in fs:
-                cmp = less(fw, fv)
-                if cmp == "=":
-                    row.append(CC)
-                elif cmp == "<":
-                    row.append(GLUE)
-                else:
-                    row.append(FORBIDDEN)
-            kinds.append(row)
+        if kinds is None:
+            fs = [f_over(w, N) for w in words(N, n)]
+            kinds = [[_KIND[less(fw, fv)] for fv in fs] for fw in fs]
         self.kinds = kinds
+        self.cc, self.glue, self.forbidden = (
+            [[j for j, k in enumerate(row) if k == kind] for row in kinds]
+            for kind in (CC, GLUE, FORBIDDEN))
 
 
 _MASKS = {}
@@ -120,11 +120,8 @@ def glue_mask(N, n):
             import os
             if os.path.exists(path):
                 with open(path) as fh:
-                    kinds = json.load(fh)
-                gm = GlueMask.__new__(GlueMask)
-                gm.N, gm.n, gm.kinds = N, n, kinds
-                _MASKS[key] = gm
-                return gm
+                    _MASKS[key] = GlueMask(N, n, json.load(fh))
+                return _MASKS[key]
         _MASKS[key] = GlueMask(N, n)
         if path is not None:
             import json
@@ -133,30 +130,28 @@ def glue_mask(N, n):
     return _MASKS[key]
 
 
+def _vanish_at(M, cols_per_row):
+    for row, cols in zip(M.rows, cols_per_row):
+        for j in cols:
+            if not row[j].is_zero():
+                return False
+    return True
+
+
 def is_ccwg(M):
     """True iff all forbidden positions vanish; non-square matrices are CCwg
     only when zero."""
     if M.rows_level != M.cols_level:
         return M.is_zero()
-    kinds = glue_mask(M.N, M.rows_level).kinds
-    for i, row in enumerate(M.rows):
-        krow = kinds[i]
-        for j, e in enumerate(row):
-            if krow[j] == FORBIDDEN and not e.is_zero():
-                return False
-    return True
+    return _vanish_at(M, glue_mask(M.N, M.rows_level).forbidden)
 
 
 def is_cc(M):
     """Strictly charge-conserving: nonzero entries only at CC positions."""
     if M.rows_level != M.cols_level:
         return M.is_zero()
-    kinds = glue_mask(M.N, M.rows_level).kinds
-    for i, row in enumerate(M.rows):
-        for j, e in enumerate(row):
-            if kinds[i][j] != CC and not e.is_zero():
-                return False
-    return True
+    mask = glue_mask(M.N, M.rows_level)
+    return _vanish_at(M, mask.forbidden) and _vanish_at(M, mask.glue)
 
 
 def project_K(M):
@@ -170,15 +165,17 @@ def project_glue(M):
 
 
 def _project(M, keep):
-    assert M.rows_level == M.cols_level
-    kinds = glue_mask(M.N, M.rows_level).kinds
-    out = M.copy()
-    for i, row in enumerate(out.rows):
-        krow = kinds[i]
-        for j in range(len(row)):
-            if krow[j] != keep:
-                row[j] = RF_ZERO
-    return out
+    if M.rows_level != M.cols_level:
+        raise InvariantError("projection of a non-square matrix: levels "
+                             "%d x %d" % (M.rows_level, M.cols_level))
+    mask = glue_mask(M.N, M.rows_level)
+    rows = []
+    for row, cols in zip(M.rows, mask.cc if keep == CC else mask.glue):
+        out = [RF_ZERO] * len(row)
+        for j in cols:
+            out[j] = row[j]
+        rows.append(out)
+    return ExactMatrix(M.N, M.rows_level, M.cols_level, rows)
 
 
 def check_closure(A, B):
@@ -213,11 +210,9 @@ def random_ccwg(N, n, rng, density=0.7, bound=5):
 
 def all_ones_glue(N, n):
     M = ExactMatrix.zeros(N, n)
-    kinds = glue_mask(N, n).kinds
-    for i in range(M.nrows):
-        for j in range(M.ncols):
-            if kinds[i][j] == GLUE:
-                M.rows[i][j] = rf(1)
+    for row, cols in zip(M.rows, glue_mask(N, n).glue):
+        for j in cols:
+            row[j] = rf(1)
     return M
 
 
@@ -225,11 +220,11 @@ def chain_length(N, n):
     """Length of the longest chain in the composition order; the order is
     total here, so this is the number of compositions."""
     comps = compositions(N, n)
-    # confirm totality: every pair comparable
     for a in comps:
         for b in comps:
             if less(a, b) == "incomparable":
-                raise AssertionError("order unexpectedly partial")
+                raise InvariantError("compositions %s and %s of %d are "
+                                     "incomparable" % (a, b, n))
     return len(comps)
 
 
@@ -237,21 +232,25 @@ def glue_nilpotency(N, n, rng=None, samples=5):
     """Bound the nilpotency index of the glue ideal by the chain length L and
     verify that products of L glue matrices vanish (all-ones witness plus
     seeded random samples); also report whether the witness at power L-1 is
-    nonzero."""
+    nonzero.  Raises InvariantError when a product does not vanish."""
     L = chain_length(N, n)
     G = all_ones_glue(N, n)
-    power = ExactMatrix.identity(N, n)
+    prev, power = None, G  # G^(L-1) (None for the identity) and G^L
     for _ in range(L - 1):
-        power = power * G
-    witness_prev_nonzero = not power.is_zero()
-    assert (power * G).is_zero()
+        prev, power = power, power * G
+    witness_prev_nonzero = prev is None or not prev.is_zero()
+    if not power.is_zero():
+        raise InvariantError("all-ones glue G^%d is nonzero at (N, n) = "
+                             "(%d, %d)" % (L, N, n))
     if rng is not None:
-        for _ in range(samples):
+        for k in range(samples):
             # product of L random glue-only matrices must vanish
-            P = ExactMatrix.identity(N, n)
-            for _ in range(L):
+            P = project_glue(random_ccwg(N, n, rng))
+            for _ in range(L - 1):
                 P = P * project_glue(random_ccwg(N, n, rng))
-            assert P.is_zero()
+            if not P.is_zero():
+                raise InvariantError("product of %d random glue matrices "
+                                     "is nonzero (sample %d)" % (L, k))
     return {"chain_length": L, "index_bound": L,
             "witness_power_Lminus1_nonzero": witness_prev_nonzero}
 
@@ -282,11 +281,16 @@ def split_lemma_check(N, n, m, bound=10 ** 5):
             whole = less(fv, fw)
             cp, cs = less(fvp, fwp), less(fvs, fws)
             if whole == "<":
-                assert cp == "<" or cs == "<", (v, w)
+                ok = cp == "<" or cs == "<"
             elif whole == "=":
-                assert (cp == "=" and cs == "=") or \
-                    (cp == "<" and cs == ">") or (cp == ">" and cs == "<"), (v, w)
+                ok = (cp == "=" and cs == "=") or \
+                    (cp == "<" and cs == ">") or (cp == ">" and cs == "<")
             else:
-                assert cp == ">" or cs == ">", (v, w)
+                ok = cp == ">" or cs == ">"
+            if not ok:
+                raise InvariantError("split lemma fails on v=%s, w=%s: "
+                                     "whole %s, prefixes %s, suffixes %s"
+                                     % (word_to_str(v), word_to_str(w),
+                                        whole, cp, cs))
             checked += 1
     return {"pairs": checked, "ok": True}

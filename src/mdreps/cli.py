@@ -224,6 +224,9 @@ def cmd_ccwg(args):
         return EXIT_OK if ok else EXIT_MATH_FAIL
     if args.action == "project":
         M = _load_matrix(args.matrix)
+        if M.rows_level != M.cols_level:
+            raise UsageError("ccwg project needs a square matrix, not levels "
+                             "%d x %d" % (M.rows_level, M.cols_level))
         out = ccwg.project_K(M) if args.part == "cc" else ccwg.project_glue(M)
         _emit(out.to_json(), args.out)
         return EXIT_OK

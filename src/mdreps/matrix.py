@@ -11,8 +11,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .scalar import (RF, RF_ONE, RF_ZERO, BranchAmbiguity, Cyc, InvariantError,
-                     NonVanishing, as_fraction, rf, rf_from_json, rf_to_json,
-                     unity_order)
+                     NonVanishing, Poly, as_fraction, rf, rf_from_json,
+                     rf_to_json, unity_order)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +261,29 @@ class ExactMatrix:
 def _dot(pairs):
     """Sum of a*b over (a, b) pairs of RFs.  Numerators over the same
     denominator product are summed unreduced and reduced once; the per-
-    denominator results are then added.  A single term is one product."""
+    denominator results are then added.  A single term is one product.
+
+    When every factor is a constant the coefficient products are added
+    straight into one constant.  A zero product adds nothing and the
+    running sum drops back to the int 0 whenever it vanishes, as
+    ``Poly.__mul__`` and ``Poly.__add__`` store no zero term, so the
+    coefficient has the type the general path gives it."""
     if not pairs:
         return RF_ZERO
     if len(pairs) == 1:
         a, b = pairs[0]
         return a * b
+    if all(a.is_constant() and b.is_constant() for a, b in pairs):
+        total = 0
+        for a, b in pairs:
+            c = a.num.const_value() * b.num.const_value()
+            if c:
+                total = total + c
+                if not total:
+                    total = 0
+        if not total:
+            return RF_ZERO
+        return RF(Poly.const(total), RF_ONE.den, _canonical=True)
     sums = {}
     for a, b in pairs:
         if a.den.is_constant():
@@ -313,20 +330,18 @@ def kron(A, B):
     sa_r, sa_c = A.nrows, A.ncols
     out = ExactMatrix.zeros(N, A.rows_level + B.rows_level,
                             A.cols_level + B.cols_level)
-    for ib in range(B.nrows):
-        brow = B.rows[ib]
-        for jb in range(B.ncols):
-            b = brow[jb]
+    # the nonzero entries of each row of A, as (column, entry)
+    anz = [[(ja, a) for ja, a in enumerate(row) if not a.is_zero()]
+           for row in A.rows]
+    for ib, brow in enumerate(B.rows):
+        for jb, b in enumerate(brow):
             if b.is_zero():
                 continue
             roff, coff = ib * sa_r, jb * sa_c
-            for ia in range(sa_r):
-                arow = A.rows[ia]
+            for ia, arow in enumerate(anz):
                 orow = out.rows[roff + ia]
-                for ja in range(sa_c):
-                    a = arow[ja]
-                    if not a.is_zero():
-                        orow[coff + ja] = a * b
+                for ja, a in arow:
+                    orow[coff + ja] = a * b
     return out
 
 

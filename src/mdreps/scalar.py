@@ -8,6 +8,7 @@ with leading coefficient 1 under graded-lex on alphabetically sorted names).
 
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd, lcm
 
 
 class RejectedPoint(Exception):
@@ -428,28 +429,22 @@ def _content(coeffs):
 
 
 def _rat_rescale(coeffs):
-    """Divide a coefficient list through by the gcd of all its rational
-    coefficients (keeps pseudo-remainder sequences from blowing up)."""
+    """Divide a coefficient list through by its rational content: the gcd
+    of the numerators over the lcm of the denominators of every rational
+    coefficient and of both components a, b of every a + b*zeta (keeps
+    pseudo-remainder sequences from blowing up)."""
     num_gcd, den_lcm = 0, 1
     for c in coeffs:
         for v in c.terms.values():
-            if isinstance(v, Cyc):
-                return coeffs
-            num_gcd = _int_gcd(num_gcd, abs(v.numerator))
-            den_lcm = den_lcm * v.denominator // _int_gcd(den_lcm,
-                                                          v.denominator)
+            for r in (v.a, v.b) if isinstance(v, Cyc) else (v,):
+                num_gcd = gcd(num_gcd, r.numerator)
+                den_lcm = lcm(den_lcm, r.denominator)
     if num_gcd == 0:
         return coeffs
     scale = Fraction(den_lcm, num_gcd)
     if scale == 1:
         return coeffs
     return [c.scale(scale) for c in coeffs]
-
-
-def _int_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _prim(coeffs):
@@ -591,7 +586,13 @@ class RF:
       to d1 and to d2/g1, and n2/g2 is prime to d2 and to d1/g2.  Its
       denominator is a product of monic quotients of monic polynomials,
       hence monic.  With both denominators 1 the product of numerators is
-      already canonical.
+      already canonical.  Two constants (constant numerators, both
+      denominators 1) multiply as one coefficient product over the
+      operand's own denominator 1: a nonzero constant over 1 is reduced
+      with a monic denominator, and the coefficient is the Fraction or
+      Cyc that ``Poly.__mul__`` would store.  The test is on
+      ``den.is_constant()``, since a denominator like ``p`` also has a
+      single term.
     - ``/``: multiplication by the inverse d2/n2, made monic by one scale.
     - ``+`` and ``-``: with both denominators 1 the sum or difference of
       the numerators is canonical.  Otherwise, with g = gcd(d1, d2),
@@ -740,6 +741,10 @@ def _henrici_mul(n1, d1, n2, d2):
     n1 against d2 and n2 against d1, then multiply."""
     if n1.is_zero() or n2.is_zero():
         return RF_ZERO
+    if (n1.is_constant() and n2.is_constant() and d1.is_constant()
+            and d2.is_constant()):
+        return RF(Poly({_ONE: n1.terms[_ONE] * n2.terms[_ONE]}, False), d1,
+                  _canonical=True)
     n1, d2, _ = _cancel(n1, d2)
     n2, d1, _ = _cancel(n2, d1)
     if d1.is_constant():

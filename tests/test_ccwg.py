@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from mdreps.catalog import make_md_pair
-from mdreps.ccwg import (all_ones_glue, chain_length, check_closure,
+from mdreps.ccwg import (CC, FORBIDDEN, GLUE, all_ones_glue, chain_length,
+                         check_closure,
                          compositions, f_over, glue_mask, glue_nilpotency,
                          is_cc, is_ccwg, less, orbit_rep,
                          order_by_first_instance, project_K, project_glue,
@@ -11,7 +15,7 @@ from mdreps.ccwg import (all_ones_glue, chain_length, check_closure,
 from mdreps.matrix import ExactMatrix, kron
 from mdreps.presentations import MIXED_DOUBLES, passes
 from mdreps.matrix import RepPair
-from mdreps.scalar import rf
+from mdreps.scalar import RF_ZERO, rf
 
 
 def m(rows, N=2):
@@ -171,3 +175,145 @@ def test_mask_disk_cache_round_trip(tmp_path, monkeypatch):
     m2 = ccwg_mod.glue_mask(2, 4)
     assert m1.kinds == m2.kinds
     ccwg_mod._MASKS.pop((2, 4), None)
+
+
+def _classify_by_kinds(M, kinds):
+    # the loop over every position, as the mask's kinds table reads
+    ccwg = cc = True
+    K = [[RF_ZERO] * len(row) for row in M.rows]
+    G = [[RF_ZERO] * len(row) for row in M.rows]
+    for i, row in enumerate(M.rows):
+        for j, e in enumerate(row):
+            kind = kinds[i][j]
+            if kind == CC:
+                K[i][j] = e
+            elif kind == GLUE:
+                G[i][j] = e
+            if not e.is_zero():
+                ccwg = ccwg and kind != FORBIDDEN
+                cc = cc and kind == CC
+    return ccwg, cc, K, G
+
+
+def _random_square(rng, N, n, density):
+    d = N ** n
+    return ExactMatrix.from_rows(
+        [[rng.randint(-2, 2) if rng.random() < density else 0
+          for _ in range(d)] for _ in range(d)], N=N, rows_level=n,
+        cols_level=n)
+
+
+def _check_mask_against_kinds(mask, rng):
+    N, n = mask.N, mask.n
+    for lists, kind in ((mask.cc, CC), (mask.glue, GLUE),
+                        (mask.forbidden, FORBIDDEN)):
+        assert lists == [[j for j, k in enumerate(row) if k == kind]
+                         for row in mask.kinds]
+    samples = [random_ccwg(N, n, rng), all_ones_glue(N, n),
+               ExactMatrix.identity(N, n), ExactMatrix.zeros(N, n)]
+    samples += [_random_square(rng, N, n, dens) for dens in (0.05, 0.3, 1.0)]
+    samples += [project_K(random_ccwg(N, n, rng, density=1.0))]
+    for M in samples:
+        ccwg, cc, K, G = _classify_by_kinds(M, mask.kinds)
+        assert is_ccwg(M) == ccwg and is_cc(M) == cc
+        assert project_K(M).rows == K and project_glue(M).rows == G
+
+
+@pytest.mark.parametrize("N,n", [(1, 3), (2, 1), (2, 2), (2, 3), (3, 2)])
+def test_mask_lists_match_kinds_loop(N, n):
+    rng = random.Random(100 * N + n)
+    _check_mask_against_kinds(glue_mask(N, n), rng)
+
+
+def test_mask_lists_after_disk_cache_load(tmp_path, monkeypatch):
+    import mdreps.ccwg as ccwg_mod
+    monkeypatch.setenv("MDREPS_CACHE_DIR", str(tmp_path))
+    for key in ((2, 3), (3, 2)):
+        saved = ccwg_mod._MASKS.pop(key, None)
+        computed = ccwg_mod.glue_mask(*key)
+        ccwg_mod._MASKS.pop(key)
+        loaded = ccwg_mod.glue_mask(*key)
+        assert loaded is not computed
+        assert (loaded.kinds, loaded.cc, loaded.glue, loaded.forbidden) == \
+            (computed.kinds, computed.cc, computed.glue, computed.forbidden)
+        _check_mask_against_kinds(loaded, random.Random(7))
+        ccwg_mod._MASKS.pop(key)
+        if saved is not None:
+            ccwg_mod._MASKS[key] = saved
+
+
+def test_glue_nilpotency_multiplies_no_identity(monkeypatch):
+    mul = ExactMatrix.__mul__
+    factors = []
+
+    def counting(A, B):
+        factors.append((A, B))
+        return mul(A, B)
+    monkeypatch.setattr(ExactMatrix, "__mul__", counting)
+    out = glue_nilpotency(2, 2, rng=random.Random(5), samples=2)
+    monkeypatch.undo()
+    assert out == {"chain_length": 3, "index_bound": 3,
+                   "witness_power_Lminus1_nonzero": True}
+    # G^2 and G^3, then two factors after the first of each of two samples
+    assert len(factors) == 2 + 2 * 2
+    assert not any(X.is_identity() for f in factors for X in f)
+
+
+_BROKEN = """
+import mdreps.ccwg as cc
+from mdreps.matrix import ExactMatrix
+from mdreps.scalar import InvariantError
+
+real_less = cc.less
+
+
+def whole_words_compare(verdict):
+    # in split_lemma_check(2, 1, 1) the whole words sum to 2, their parts to 1
+    return lambda a, b: verdict if sum(a) == 2 else real_less(a, b)
+
+
+cases = {
+    "witness": lambda: setattr(cc, "all_ones_glue",
+                               lambda N, n: ExactMatrix.identity(N, n)),
+    "samples": lambda: setattr(cc, "project_glue", lambda M: M),
+    "split<": lambda: setattr(cc, "less", whole_words_compare("<")),
+    "split=": lambda: setattr(cc, "less", whole_words_compare("=")),
+    "split>": lambda: setattr(cc, "less", whole_words_compare(">")),
+    "chain": lambda: setattr(cc, "less", lambda a, b: "incomparable"),
+}
+split = lambda: cc.split_lemma_check(2, 1, 1)
+runs = {
+    "witness": lambda: cc.glue_nilpotency(2, 2),
+    "samples": lambda: cc.glue_nilpotency(2, 2, rng=__import__("random")
+                                          .Random(5)),
+    "split<": split, "split=": split, "split>": split,
+    "chain": lambda: cc.chain_length(2, 2),
+    "project": lambda: cc.project_K(ExactMatrix.zeros(2, 2, 1)),
+}
+saved = dict(vars(cc))
+for name, run in runs.items():
+    if name in cases:
+        cases[name]()
+    try:
+        run()
+        print(name, "passed")
+    except InvariantError as exc:
+        print(name, "InvariantError", str(exc).split(" ")[0])
+    vars(cc).update(saved)
+"""
+
+
+def test_broken_checks_raise_under_python_O():
+    # each verdict must come from a check that survives -O
+    import mdreps
+    src = os.path.dirname(os.path.dirname(mdreps.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _BROKEN],
+                         capture_output=True, text=True, timeout=120,
+                         env=env, check=True)
+    # one clause of the split lemma fails per broken whole-word comparison
+    assert out.stdout.splitlines() == [
+        "witness InvariantError all-ones", "samples InvariantError product",
+        "split< InvariantError split", "split= InvariantError split",
+        "split> InvariantError split", "chain InvariantError compositions",
+        "project InvariantError projection"]

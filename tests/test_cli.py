@@ -3,6 +3,8 @@ import json
 import pytest
 
 from mdreps.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
+from mdreps.matrix import ExactMatrix
+from mdreps.scalar import rf
 
 
 def run(capsys, *argv):
@@ -158,6 +160,17 @@ def test_bad_char_entry_is_named(capsys, entry):
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(
         "error: bad --char entry %r" % (entry,))
+
+
+def test_ccwg_project_of_a_non_square_matrix_exits_2(capsys, tmp_path):
+    M = ExactMatrix.zeros(2, 2, 1)
+    M.rows[0][0] = rf(1)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(M.to_json()))
+    assert main(["ccwg", "project", str(path), "--part", "glue"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ccwg project needs a square matrix") \
+        and "Traceback" not in err
 
 
 def test_branch_ambiguity_names_its_polynomial(capsys):

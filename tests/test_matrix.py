@@ -3,13 +3,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdreps.matrix import (Echelon, ExactMatrix, RepPair, UnsupportedSpectrum,
-                           _commutation_rows, _nullspace_rf, commutant_basis,
-                           eigen_data, embed_at, kron, matrix_order,
-                           nullspace, sparse_nullspace, words)
-from mdreps.scalar import (RF_ZERO, BranchAmbiguity, NonVanishing, param, rf,
-                           zeta)
+                           _commutation_rows, _dot, _nullspace_rf,
+                           commutant_basis, eigen_data, embed_at, kron,
+                           matrix_order, nullspace, sparse_nullspace, words)
+from mdreps.scalar import (RF, RF_ZERO, BranchAmbiguity, Cyc, NonVanishing,
+                           Poly, param, rf, zeta)
 
 p, q = param("p"), param("q")
 
@@ -274,6 +276,93 @@ def test_product_matches_entrywise_loop(rng, level, cyc):
         P = _signed_permutation(rng, level)
         for X, Y in ((A, B), (B, A), (A, I), (I, B), (P, A), (B, P), (P, P)):
             _assert_same_entries(X * Y, _reference_product(X, Y))
+
+
+def _reference_dot(pairs):
+    # the full fraction sum(a*b), reduced once by the constructor
+    num, den = Poly(), Poly.const(1)
+    for a, b in pairs:
+        n, d = a.num * b.num, a.den * b.den
+        num, den = num * d + n * den, den * d
+    return RF(num, den)
+
+
+def typed(P):
+    return {mono: (type(c), c) for mono, c in P.terms.items()}
+
+
+@st.composite
+def _dot_pairs(draw):
+    """Up to six pairs of constants over one field (0, +-1, fractions,
+    a + b*zeta with b possibly 0, repeated operands), sometimes with one
+    symbolic factor among them."""
+    m = draw(st.sampled_from((None, 3, 4, 6)))
+
+    def const():
+        v = Fraction(draw(st.sampled_from((0, 1, -1, 2, Fraction(-1, 2),
+                                           Fraction(3, 4)))))
+        if m is not None and draw(st.booleans()):
+            v = Cyc(m, v, draw(st.integers(-1, 1)))
+        return rf(v)
+
+    pool = [const() for _ in range(3)]
+    pairs = [(draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))
+             for _ in range(draw(st.integers(0, 6)))]
+    if pairs and draw(st.integers(0, 3)) == 0:
+        sym = draw(st.sampled_from((p, q + 1, rf(1) / (p + 1),
+                                    (p - q) / (q + 2))))
+        k = draw(st.integers(0, len(pairs) - 1))
+        pairs[k] = (pairs[k][0], sym)
+    return pairs
+
+
+@given(pairs=_dot_pairs())
+@settings(max_examples=300, deadline=None)
+def test_dot_matches_reducing_constructor(pairs):
+    got, want = _dot(pairs), _reference_dot(pairs)
+    assert got.num == want.num and got.den == want.den
+    if all(a.is_constant() and b.is_constant() for a, b in pairs):
+        assert typed(got.num) == typed(want.num)
+        assert typed(got.den) == typed(want.den)
+        assert got is RF_ZERO or not got.is_zero()
+
+
+def test_dot_keeps_the_coefficient_type_of_the_general_path():
+    # a Cyc sum that vanishes drops back to 0, so a later rational term
+    # is stored as a Fraction, as Poly.__add__ stores it
+    z = rf(zeta(3))
+    got = _dot([(z, rf(1)), (-z, rf(1)), (rf(2), rf(1))])
+    assert typed(got.num) == {(): (Fraction, Fraction(2))}
+    got = _dot([(z, rf(1)), (rf(2), rf(1)), (-z, rf(1))])
+    assert typed(got.num) == {(): (Cyc, Cyc(3, 2, 0))}
+    assert _dot([(rf(2), rf(3)), (rf(-3), rf(2))]) is RF_ZERO
+    # a zero factor adds no term, not even a zero Cyc
+    got = _dot([(rf(1), rf(1)), (rf(0), z)])
+    assert typed(got.num) == {(): (Fraction, Fraction(1))}
+
+
+@pytest.mark.parametrize("N,la,lb", [(2, 1, 1), (2, 1, 2), (2, 2, 1),
+                                     (3, 1, 1), (2, 0, 2)])
+def test_kron_matches_entrywise_definition(rng, N, la, lb):
+    pool = _entry_pool(3) + [rf(Cyc(3, Fraction(2, 3)))]
+
+    def rand(level):
+        d = N ** level
+        return ExactMatrix.from_rows([[rng.choice(pool) for _ in range(d)]
+                                      for _ in range(d)], N=N,
+                                     rows_level=level, cols_level=level)
+
+    for _ in range(3):
+        A, B = rand(la), rand(lb)
+        K = kron(A, B)
+        for w in words(N, la + lb):
+            for v in words(N, la + lb):
+                a = A.entry(w[:la], v[:la])
+                b = B.entry(w[la:], v[la:])
+                want = RF(a.num * b.num, a.den * b.den)
+                got = K.entry(w, v)
+                assert got.num == want.num and got.den == want.den
+                assert typed(got.num) == typed(want.num)
 
 
 def test_power_matches_repeated_product():

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdreps.scalar import (RF, Cyc, NonVanishing, Poly,
-                           RejectedPoint, as_fraction, param, poly_divmod_exact,
-                           poly_gcd, rf, rf_from_json, rf_to_json, unity_order,
-                           zeta)
+from mdreps.scalar import (RF, RF_ZERO, Cyc, NonVanishing, Poly,
+                           RejectedPoint, _monic, _rat_rescale, as_fraction,
+                           param, poly_divmod_exact, poly_gcd, rf, rf_from_json,
+                           rf_to_json, unity_order, zeta)
 
 p, q, t = param("p"), param("q"), param("t")
 
@@ -203,11 +203,9 @@ def test_as_fraction():
 # ---------------------------------------------------------------------------
 # the RF operators against the reducing constructor
 
-# (cyclotomic order or None for Q, parameter names).  Three parameters are
-# drawn over Q only: with Q(zeta_3) coefficients in three parameters the
-# multivariate gcd can take seconds on inputs of degree 5.
+# (cyclotomic order or None for Q, parameter names)
 _FIELDS = [(None, ("p", "q")), (None, ("p", "q", "t")), (3, ("p", "q")),
-           (4, ("p", "q")), (6, ("p", "q"))]
+           (3, ("p", "q", "t")), (4, ("p", "q")), (6, ("p", "q"))]
 _nonzero = st.integers(-3, 3).filter(bool)
 
 
@@ -373,3 +371,102 @@ def test_rf_operators_against_sympy_cancel(ab, op):
         gens = sorted(syms.values(), key=str)
         assert sp.Poly(gd, *gens).total_degree() \
             == sp.Poly(wd, *gens).total_degree()
+
+
+# ---------------------------------------------------------------------------
+# the constant fast path of * against the reducing constructor
+
+
+def typed(P):
+    """The terms of P with the type of each coefficient: a Cyc on the
+    rational line equals a Fraction but is not stored as one."""
+    return {mono: (type(c), c) for mono, c in P.terms.items()}
+
+
+@st.composite
+def constants(draw, m):
+    """0, +-1 or a small fraction, over Q(zeta_m) sometimes as a + b*zeta
+    (b may be 0, a Cyc on the rational line)."""
+    if draw(st.booleans()):
+        v = Fraction(draw(st.sampled_from((0, 1, -1))))
+    else:
+        v = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+    if m is not None and draw(st.booleans()):
+        v = Cyc(m, v, draw(st.integers(-2, 2)))
+    return rf(v)
+
+
+@st.composite
+def constant_pairs(draw):
+    """Two constants over one field, often equal, or one constant and one
+    rational function with a non-constant numerator or denominator."""
+    m = draw(st.sampled_from((None, 3, 4, 6)))
+    a = draw(constants(m))
+    shape = draw(st.sampled_from(("constants", "equal", "symbolic_left",
+                                  "symbolic_right")))
+    if shape == "equal":
+        return a, a
+    if shape == "constants":
+        return a, draw(constants(m))
+    f = draw(_factor(m, ("p", "q")))
+    s = RF(f) if draw(st.booleans()) else RF(Poly.const(_coeff(draw, m)), f)
+    return (s, a) if shape == "symbolic_left" else (a, s)
+
+
+@given(ab=constant_pairs())
+@settings(max_examples=300, deadline=None)
+def test_constant_products_match_reducing_constructor(ab):
+    a, b = ab
+    got = a * b
+    want = RF(a.num * b.num, a.den * b.den)
+    assert got.num == want.num and got.den == want.den
+    if a.is_constant() and b.is_constant():
+        assert typed(got.num) == typed(want.num)
+        assert typed(got.den) == typed(want.den)
+        if got.is_zero():
+            assert got is RF_ZERO
+        elif type(want.num.const_value()) is Fraction:
+            assert as_fraction(got) == want.const_value()
+
+
+def test_rat_rescale_divides_cyclotomic_content():
+    x = (("p", 1),)
+    coeffs = [Poly({(): Cyc(3, Fraction(2, 3), Fraction(4, 9))}),
+              Poly({x: Fraction(2)})]
+    out = _rat_rescale(coeffs)
+    assert typed(out[0]) == {(): (Cyc, Cyc(3, 3, 2))}
+    assert typed(out[1]) == {x: (Fraction, Fraction(9))}
+    assert _rat_rescale([Poly({x: Cyc(3, 0, 6)}), Poly({(): Fraction(4)})]) \
+        == [Poly({x: Cyc(3, 0, 3)}), Poly({(): Fraction(2)})]
+    # over Q as before; an already primitive list is returned as it is
+    assert _rat_rescale([Poly({x: Fraction(6)}), Poly({(): Fraction(-4)})]) \
+        == [Poly({x: Fraction(3)}), Poly({(): Fraction(-2)})]
+    prim = [Poly({x: Cyc(4, 1, 1)}), Poly({(): Fraction(2)})]
+    assert _rat_rescale(prim) is prim
+
+
+def _random_cyc_poly(rng, degree, nterms, names=("p", "q", "t")):
+    terms = {}
+    for _ in range(nterms):
+        mono = {}
+        for _ in range(rng.randint(1, degree)):
+            x = rng.choice(names)
+            mono[x] = mono.get(x, 0) + 1
+        key = tuple(sorted(mono.items()))
+        terms[key] = terms.get(key, 0) + Cyc(3, rng.randint(-3, 3),
+                                             rng.choice((-2, -1, 1, 2)))
+    terms[()] = Cyc(3, rng.randint(-3, 3), rng.randint(-2, 2))
+    return Poly(terms)
+
+
+def test_gcd_three_parameters_over_q_zeta3():
+    # F*A and F*B with A = B*C + 1, so gcd(A, B) = 1 and the gcd is monic F
+    # free of p, F is part of the content in the main variable p
+    rng = random.Random(7)
+    for k in range(6):
+        F = _random_cyc_poly(rng, 2, 4, ("p", "q", "t") if k % 2 else "qt")
+        B = _random_cyc_poly(rng, 2, 4)
+        A = B * _random_cyc_poly(rng, 1, 3) + Poly.const(1)
+        g = poly_gcd(F * A, F * B)
+        assert g == _monic(F) and g.lead()[1] == 1
+        assert poly_gcd(F * B, F * A) == g
