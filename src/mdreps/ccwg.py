@@ -7,8 +7,8 @@ vanishes, where f counts letters; positions with f(w) < f(v) are glue,
 positions with f(w) = f(v) are charge-conserving (CC).
 """
 
-from .matrix import ExactMatrix, word_to_str, words
-from .scalar import RF_ZERO, InvariantError, rf
+from .matrix import ExactMatrix, _entries, _like, word_to_str, words
+from .scalar import InvariantError
 
 CC, GLUE, FORBIDDEN = "cc", "glue", "forbidden"
 
@@ -131,9 +131,10 @@ def glue_mask(N, n):
 
 
 def _vanish_at(M, cols_per_row):
-    for row, cols in zip(M.rows, cols_per_row):
+    rows, zero = _entries(M)
+    for row, cols in zip(rows, cols_per_row):
         for j in cols:
-            if not row[j].is_zero():
+            if row[j] != zero:
                 return False
     return True
 
@@ -169,13 +170,14 @@ def _project(M, keep):
         raise InvariantError("projection of a non-square matrix: levels "
                              "%d x %d" % (M.rows_level, M.cols_level))
     mask = glue_mask(M.N, M.rows_level)
+    src, zero = _entries(M)
     rows = []
-    for row, cols in zip(M.rows, mask.cc if keep == CC else mask.glue):
-        out = [RF_ZERO] * len(row)
+    for row, cols in zip(src, mask.cc if keep == CC else mask.glue):
+        out = [zero] * len(row)
         for j in cols:
             out[j] = row[j]
         rows.append(out)
-    return ExactMatrix(M.N, M.rows_level, M.cols_level, rows)
+    return _like(M, rows)
 
 
 def check_closure(A, B):
@@ -197,23 +199,25 @@ def check_closure(A, B):
 
 def random_ccwg(N, n, rng, density=0.7, bound=5):
     """Seeded random CCwg matrix with small integer entries."""
-    M = ExactMatrix.zeros(N, n)
     kinds = glue_mask(N, n).kinds
-    for i in range(M.nrows):
-        for j in range(M.ncols):
-            if kinds[i][j] == FORBIDDEN:
+    rows = [[0] * len(krow) for krow in kinds]
+    for row, krow in zip(rows, kinds):
+        for j, kind in enumerate(krow):
+            if kind == FORBIDDEN:
                 continue
             if rng.random() < density:
-                M.rows[i][j] = rf(rng.randint(-bound, bound))
-    return M
+                row[j] = rng.randint(-bound, bound)
+    return ExactMatrix.from_ints(rows, N=N, rows_level=n, cols_level=n)
 
 
 def all_ones_glue(N, n):
-    M = ExactMatrix.zeros(N, n)
-    for row, cols in zip(M.rows, glue_mask(N, n).glue):
+    rows = []
+    for cols in glue_mask(N, n).glue:
+        row = [0] * N ** n
         for j in cols:
-            row[j] = rf(1)
-    return M
+            row[j] = 1
+        rows.append(row)
+    return ExactMatrix.from_ints(rows, N=N, rows_level=n, cols_level=n)
 
 
 def chain_length(N, n):

@@ -9,10 +9,11 @@ Under these conventions ``kron(A, B)`` at entry (w, v) is
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 
-from .scalar import (RF, RF_ONE, RF_ZERO, BranchAmbiguity, Cyc, InvariantError,
-                     NonVanishing, Poly, as_fraction, rf, rf_from_json,
-                     rf_to_json, unity_order)
+from .scalar import (_ONE, RF, RF_ONE, RF_ZERO, BranchAmbiguity, Cyc,
+                     InvariantError, NonVanishing, Poly, as_fraction, rf,
+                     rf_from_json, rf_to_json, unity_order)
 
 
 # ---------------------------------------------------------------------------
@@ -56,15 +57,46 @@ class UnsupportedSpectrum(Exception):
 
 
 class ExactMatrix:
-    """Dense matrix of rational functions over the word basis of {1..N}^n."""
+    """Dense exact matrix over the word basis of {1..N}^n, in one of two
+    forms chosen from its entries.
 
-    __slots__ = ("N", "rows_level", "cols_level", "rows")
+    - Constant form: integer rows ``A`` over one common denominator
+      ``D > 0``, the matrix being A / D, with gcd(D, entries of A) = 1 so
+      that a value has one form and equality is structural.  ``from_rows``,
+      ``from_ints``, ``from_json``, ``zeros``, ``identity`` and ``evaluate``
+      give it whenever every entry is rational; products, sums, ``scale``
+      by a rational, ``kron``, ``embed_at``, ``transpose`` and ``inverse``
+      of constant operands keep it.
+    - RF form: rows of canonical rational functions, for symbolic or
+      cyclotomic entries, for matrices built from RF rows by the
+      constructor, and for any operation with an RF-form operand.
+
+    An entry a / D is boxed into an RF only at the boundary, as the value
+    and coefficient type (a Fraction over 1) that RF arithmetic gives it.
+    ``entry``, ``M[i, j]``, ``trace``, ``to_json`` and operations with an
+    RF-form operand box what they need and leave the matrix as it is.
+    Reading ``rows`` boxes the whole matrix once and keeps it in the RF form
+    from then on, so that writes such as ``M.rows[i][j] = rf(1)`` are seen
+    by every later operation.
+    """
+
+    __slots__ = ("N", "rows_level", "cols_level", "_rows", "_ints", "_den")
 
     def __init__(self, N, rows_level, cols_level, rows):
         self.N = N
         self.rows_level = rows_level
         self.cols_level = cols_level
-        self.rows = rows
+        self._rows = rows
+        self._ints = None
+        self._den = 1
+
+    @property
+    def rows(self):
+        """The entries as RFs, row by row (see the class docstring)."""
+        if self._ints is not None:
+            self._rows = _rf_rows(self)
+            self._ints = None
+        return self._rows
 
     @property
     def nrows(self):
@@ -79,75 +111,117 @@ class ExactMatrix:
         if cols_level is None:
             cols_level = rows_level
         nr, nc = N ** rows_level, N ** cols_level
-        return cls(N, rows_level, cols_level, [[RF_ZERO] * nc for _ in range(nr)])
+        return _const(N, rows_level, cols_level, [[0] * nc for _ in range(nr)])
 
     @classmethod
     def identity(cls, N, level):
-        M = cls.zeros(N, level)
-        for i in range(M.nrows):
-            M.rows[i][i] = RF_ONE
-        return M
+        d = N ** level
+        return _const(N, level, level,
+                      [[int(i == j) for j in range(d)] for i in range(d)])
 
     @classmethod
     def from_rows(cls, entries, N=2, rows_level=None, cols_level=None):
-        rows = [[rf(x) for x in row] for row in entries]
-        nr, nc = len(rows), len(rows[0])
-        if rows_level is None:
-            rows_level = _level_of(nr, N)
-        if cols_level is None:
-            cols_level = _level_of(nc, N)
-        assert N ** rows_level == nr and N ** cols_level == nc
-        return cls(N, rows_level, cols_level, rows)
+        """Matrix of the given entries (int, Fraction, Cyc, Poly, RF or a
+        parameter name), in the constant form when all are rational."""
+        rows_level, cols_level = _levels(entries, N, rows_level, cols_level)
+        vals = [[_rational(x) for x in row] for row in entries]
+        if all(None not in row for row in vals):
+            return _fraction_matrix(N, rows_level, cols_level, vals)
+        return cls(N, rows_level, cols_level,
+                   [[rf(x) for x in row] for row in entries])
+
+    @classmethod
+    def from_ints(cls, rows, den=1, N=2, rows_level=None, cols_level=None):
+        """The constant-form matrix rows / den of integer rows and a
+        positive integer denominator; the rows are taken over, not
+        copied."""
+        rows_level, cols_level = _levels(rows, N, rows_level, cols_level)
+        if den <= 0:
+            raise ValueError("denominator must be positive, got %d" % den)
+        return _const(N, rows_level, cols_level, rows, den)
 
     def entry(self, w, v):
         """Bra-ket access <w|M|v> by words."""
-        return self.rows[word_index(w, self.N)][word_index(v, self.N)]
+        return self[word_index(w, self.N), word_index(v, self.N)]
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        if self._ints is not None:
+            return _box(self._ints[i][j], self._den)
+        return self._rows[i][j]
 
     def copy(self):
+        if self._ints is not None:
+            return _const(self.N, self.rows_level, self.cols_level,
+                          self._ints, self._den)
         return ExactMatrix(self.N, self.rows_level, self.cols_level,
-                           [row[:] for row in self.rows])
+                           [row[:] for row in self._rows])
 
     def __eq__(self, other):
-        return (isinstance(other, ExactMatrix) and self.N == other.N
+        if not (isinstance(other, ExactMatrix) and self.N == other.N
                 and self.rows_level == other.rows_level
-                and self.cols_level == other.cols_level
-                and self.rows == other.rows)
+                and self.cols_level == other.cols_level):
+            return False
+        if self._ints is not None and other._ints is not None:
+            return self._den == other._den and self._ints == other._ints
+        return _rf_rows(self) == _rf_rows(other)
 
     def __add__(self, other):
-        assert self.nrows == other.nrows and self.ncols == other.ncols
-        return ExactMatrix(self.N, self.rows_level, self.cols_level,
-                           [[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.rows, other.rows)])
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        assert self.nrows == other.nrows and self.ncols == other.ncols
+        return self._sum(other, -1)
+
+    def _sum(self, other, sign):
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError("cannot add or subtract a %dx%d and a %dx%d "
+                             "matrix" % (self.nrows, self.ncols, other.nrows,
+                                         other.ncols))
+        if self._ints is not None and other._ints is not None:
+            Z, D = _combine((1, sign), [(self._ints, self._den),
+                                        (other._ints, other._den)])
+            return _const(self.N, self.rows_level, self.cols_level, Z, D)
+        op = add if sign > 0 else sub
         return ExactMatrix(self.N, self.rows_level, self.cols_level,
-                           [[a - b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.rows, other.rows)])
+                           [list(map(op, r1, r2)) for r1, r2
+                            in zip(_rf_rows(self), _rf_rows(other))])
 
     def __neg__(self):
+        if self._ints is not None:
+            return _const(self.N, self.rows_level, self.cols_level,
+                          [[-a for a in row] for row in self._ints],
+                          self._den)
         return ExactMatrix(self.N, self.rows_level, self.cols_level,
-                           [[-a for a in row] for row in self.rows])
+                           [[-a for a in row] for row in self._rows])
 
     def scale(self, c):
+        v = _rational(c) if self._ints is not None else None
+        if v is not None:
+            n = v.numerator
+            return _const(self.N, self.rows_level, self.cols_level,
+                          [[a * n for a in row] for row in self._ints],
+                          self._den * v.denominator)
         c = rf(c)
         return ExactMatrix(self.N, self.rows_level, self.cols_level,
-                           [[a * c for a in row] for row in self.rows])
+                           [[a * c for a in row] for row in _rf_rows(self)])
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
             return self.scale(other)
-        assert self.ncols == other.nrows, "dimension mismatch"
+        if self.ncols != other.nrows:
+            raise ValueError("dimension mismatch: a %dx%d times a %dx%d "
+                             "matrix" % (self.nrows, self.ncols, other.nrows,
+                                         other.ncols))
+        if self._ints is not None and other._ints is not None:
+            return _const(self.N, self.rows_level, other.cols_level,
+                          _imul(self._ints, other._ints),
+                          self._den * other._den)
         nc = other.ncols
         # the nonzero entries of each row of other, as (column, entry)
         bnz = [[(j, b) for j, b in enumerate(row) if not b.is_zero()]
-               for row in other.rows]
+               for row in _rf_rows(other)]
         out = []
-        for arow in self.rows:
+        for arow in _rf_rows(self):
             terms = [[] for _ in range(nc)]
             for a, brow in zip(arow, bnz):
                 if not a.is_zero():
@@ -160,44 +234,49 @@ class ExactMatrix:
         return self.scale(c)
 
     def transpose(self):
-        nr, nc = self.nrows, self.ncols
+        if self._ints is not None:
+            return _const(self.N, self.cols_level, self.rows_level,
+                          [list(col) for col in zip(*self._ints)], self._den)
         return ExactMatrix(self.N, self.cols_level, self.rows_level,
-                           [[self.rows[i][j] for i in range(nr)] for j in range(nc)])
+                           [list(col) for col in zip(*self._rows)])
 
     def trace(self):
-        assert self.nrows == self.ncols
+        _require_square(self, "trace")
+        if self._ints is not None:
+            return _box(sum(row[i] for i, row in enumerate(self._ints)),
+                        self._den)
         t = RF_ZERO
-        for i in range(self.nrows):
-            t = t + self.rows[i][i]
+        for i, row in enumerate(self._rows):
+            t = t + row[i]
         return t
 
     def is_zero(self):
-        return all(e.is_zero() for row in self.rows for e in row)
+        if self._ints is not None:
+            return not any(map(any, self._ints))
+        return all(e.is_zero() for row in self._rows for e in row)
 
     def is_identity(self):
-        if self.nrows != self.ncols:
-            return False
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                e = self.rows[i][j]
-                if i == j:
-                    if e != RF_ONE:
-                        return False
-                elif not e.is_zero():
-                    return False
-        return True
+        return (self.nrows == self.ncols
+                and self == ExactMatrix.identity(self.N, self.rows_level))
 
     def evaluate(self, assignment, constraints=None):
+        """The matrix at a point, in the constant form when every value is
+        rational."""
         if constraints is not None:
             constraints.check(assignment)
+        if self._ints is not None:
+            return self.copy()
+        vals = [[e.evaluate(assignment) for e in row] for row in self._rows]
+        if all(type(v) is Fraction for row in vals for v in row):
+            return _fraction_matrix(self.N, self.rows_level, self.cols_level,
+                                    vals)
         return ExactMatrix(self.N, self.rows_level, self.cols_level,
-                           [[rf(e.evaluate(assignment)) for e in row]
-                            for row in self.rows])
+                           [[rf(v) for v in row] for row in vals])
 
     def power(self, k):
         """self**k for k >= 0 by repeated squaring, with no product by the
         identity."""
-        assert self.nrows == self.ncols
+        _require_square(self, "power")
         if k <= 1:
             return self if k else ExactMatrix.identity(self.N, self.rows_level)
         half = self.power(k // 2)
@@ -205,12 +284,16 @@ class ExactMatrix:
         return square * self if k & 1 else square
 
     def inverse(self, constraints=None):
-        """Gauss-Jordan inverse; raises BranchAmbiguity when a pivot is not
-        certified nonzero by the constraints."""
-        assert self.nrows == self.ncols
+        """Inverse: fraction-free through ``Echelon`` in the constant form,
+        else Gauss-Jordan over RFs, which raises BranchAmbiguity when a pivot
+        is not certified nonzero by the constraints.  A singular matrix
+        raises ZeroDivisionError."""
+        _require_square(self, "inverse")
         n = self.nrows
+        if self._ints is not None:
+            return _const_inverse(self)
         a = [row[:] + [RF_ONE if j == i else RF_ZERO for j in range(n)]
-             for i, row in enumerate(self.rows)]
+             for i, row in enumerate(self._rows)]
         for col in range(n):
             piv = None
             for r in range(col, n):
@@ -232,11 +315,31 @@ class ExactMatrix:
         return ExactMatrix(self.N, self.rows_level, self.cols_level,
                            [row[n:] for row in a])
 
+    def first_difference(self, other):
+        """(i, j, self[i, j] - other[i, j]) at the first entry, rows first,
+        where two matrices of one shape differ, or None."""
+        A, B = self._ints, other._ints
+        if A is not None and B is not None:
+            DA, DB = self._den, other._den
+            for i, (ra, rb) in enumerate(zip(A, B)):
+                if DA == DB and ra == rb:
+                    continue
+                for j, (a, b) in enumerate(zip(ra, rb)):
+                    if a * DB != b * DA:
+                        return i, j, _box(a * DB - b * DA, DA * DB)
+            return None
+        for i, (ra, rb) in enumerate(zip(_rf_rows(self), _rf_rows(other))):
+            if ra != rb:
+                for j, (a, b) in enumerate(zip(ra, rb)):
+                    if a != b:
+                        return i, j, a - b
+        return None
+
     def to_json(self):
         ws_r = words(self.N, self.rows_level)
         ws_c = words(self.N, self.cols_level)
         entries = []
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(_rf_rows(self)):
             for j, e in enumerate(row):
                 if not e.is_zero():
                     entries.append([word_to_str(ws_r[i]), word_to_str(ws_c[j]),
@@ -246,44 +349,218 @@ class ExactMatrix:
 
     @classmethod
     def from_json(cls, obj):
-        M = cls.zeros(obj["N"], obj["rows_level"], obj["cols_level"])
+        N = obj["N"]
+        nr, nc = N ** obj["rows_level"], N ** obj["cols_level"]
+        rows = [[RF_ZERO] * nc for _ in range(nr)]
         for wstr, vstr, e in obj["entries"]:
-            i = word_index(word_from_str(wstr), obj["N"])
-            j = word_index(word_from_str(vstr), obj["N"])
-            M.rows[i][j] = rf_from_json(e)
-        return M
+            i = word_index(word_from_str(wstr), N)
+            j = word_index(word_from_str(vstr), N)
+            rows[i][j] = rf_from_json(e)
+        return cls.from_rows(rows, N, obj["rows_level"], obj["cols_level"])
 
     def __repr__(self):
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]"
-                         for row in self.rows)
+                         for row in _rf_rows(self))
+
+
+# ---------------------------------------------------------------------------
+# the constant form
+
+_UNIT = RF_ONE.den  # the polynomial 1, shared by every boxed constant
+
+
+def _const(N, rows_level, cols_level, A, D=1):
+    """The constant-form matrix A / D (D > 0), cancelled so that gcd(D,
+    entries of A) = 1.  A is taken over, not copied; no constant-form rows
+    are ever written after construction, so matrices may share them."""
+    A, D = _lowest(A, D)
+    M = ExactMatrix.__new__(ExactMatrix)
+    M.N, M.rows_level, M.cols_level = N, rows_level, cols_level
+    M._rows, M._ints, M._den = None, A, D
+    return M
+
+
+def _lowest(A, D):
+    """(A, D) cancelled by the gcd of D and the entries of A."""
+    if D == 1:
+        return A, D
+    g = D
+    for row in A:
+        g = gcd(g, *row)
+        if g == 1:
+            return A, D
+    return [[a // g for a in row] for row in A], D // g
+
+
+def _levels(rows, N, rows_level, cols_level):
+    """The levels of a matrix given by its rows, checked against its
+    shape (ValueError)."""
+    nr, nc = len(rows), len(rows[0])
+    if any(len(row) != nc for row in rows):
+        raise ValueError("rows of unequal length")
+    if rows_level is None:
+        rows_level = _level_of(nr, N)
+    if cols_level is None:
+        cols_level = _level_of(nc, N)
+    if N ** rows_level != nr or N ** cols_level != nc:
+        raise ValueError("a %dx%d matrix does not have levels %d x %d over "
+                         "N = %d" % (nr, nc, rows_level, cols_level, N))
+    return rows_level, cols_level
+
+
+def _require_square(M, what):
+    if M.nrows != M.ncols:
+        raise ValueError("%s needs a square matrix, got %dx%d"
+                         % (what, M.nrows, M.ncols))
+
+
+def _fraction_matrix(N, rows_level, cols_level, rows):
+    """The constant-form matrix of Fraction rows: over the lcm of their
+    denominators the entries are already prime to it."""
+    D = lcm(*(x.denominator for row in rows for x in row))
+    return _const(N, rows_level, cols_level,
+                  [[x.numerator * (D // x.denominator) for x in row]
+                   for row in rows], D)
+
+
+def _box(a, D):
+    """The RF of the rational a / D, a Fraction over the polynomial 1."""
+    if not a:
+        return RF_ZERO
+    return RF(Poly({_ONE: Fraction(a, D)}, False), _UNIT, _canonical=True)
+
+
+def _rf_rows(M):
+    """The entries of M as RF rows, boxed afresh from the constant form
+    (which M keeps) or M's own RF rows."""
+    if M._ints is None:
+        return M._rows
+    D = M._den
+    return [[_box(a, D) for a in row] for row in M._ints]
+
+
+def _fraction_coeff(terms):
+    """The value of a constant polynomial's terms when its coefficient is a
+    Fraction (0 for no terms), else None."""
+    if not terms:
+        return Fraction(0)
+    if len(terms) == 1:
+        c = terms.get(_ONE)
+        if type(c) is Fraction:
+            return c
+    return None
+
+
+def _rational(x):
+    """x as a Fraction when it is a rational constant: an int, a Fraction,
+    or a Poly or RF whose only coefficient is a Fraction (over the
+    denominator 1); None for anything symbolic or cyclotomic."""
+    if isinstance(x, RF):
+        if _fraction_coeff(x.den.terms) != 1:
+            return None
+        x = x.num
+    if isinstance(x, Poly):
+        return _fraction_coeff(x.terms)
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    return None
+
+
+def _int_form(M):
+    """(A, D) with M = A / D for a matrix of rational constants: its constant
+    form, or its RF rows converted (ValueError when an entry is symbolic or
+    cyclotomic)."""
+    if M._ints is not None:
+        return M._ints, M._den
+    flat, D = _clear([as_fraction(e) for row in M._rows for e in row])
+    nc = M.ncols
+    return [flat[i:i + nc] for i in range(0, len(flat), nc)], D
+
+
+def _entries(M):
+    """(rows, zero): the integer rows and 0 of the constant form, or the RF
+    rows and RF_ZERO, for readers that only compare entries of one matrix
+    with each other or with zero."""
+    if M._ints is not None:
+        return M._ints, 0
+    return M._rows, RF_ZERO
+
+
+def _like(M, rows):
+    """A matrix of M's shape and form from rows in that form (integer rows
+    over M's denominator, or RF rows)."""
+    if M._ints is not None:
+        return _const(M.N, M.rows_level, M.cols_level, rows, M._den)
+    return ExactMatrix(M.N, M.rows_level, M.cols_level, rows)
+
+
+def _imul(A, B):
+    """Product of integer matrices given by their rows."""
+    nc = len(B[0])
+    Bnz = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+    out = []
+    for arow in A:
+        orow = [0] * nc
+        for a, brow in zip(arow, Bnz):
+            if a:
+                for j, b in brow:
+                    orow[j] += a * b
+        out.append(orow)
+    return out
+
+
+def _scaled_product(A, DA, B, DB):
+    """(C, DC) with C / DC = (A / DA)(B / DB), cancelled by the common
+    factor of DC and the entries of C."""
+    return _lowest(_imul(A, B), DA * DB)
+
+
+def _combine(weights, mats):
+    """(Z, D) with Z / D the sum of w * A / DA over the rational weights and
+    the (A, DA) pairs, D being the lcm of the denominators of the w / DA."""
+    cs, D = _clear([Fraction(w) / DA for w, (_, DA) in zip(weights, mats)])
+    A0 = mats[0][0]
+    Z = [[0] * len(A0[0]) for _ in A0]
+    for c, (A, _) in zip(cs, mats):
+        if c:
+            for zrow, arow in zip(Z, A):
+                for j, a in enumerate(arow):
+                    if a:
+                        zrow[j] += c * a
+    return Z, D
+
+
+def _const_inverse(M):
+    """Inverse of a constant-form matrix A / D: D A^-1, row p of A^-1 being
+    the marker part of the stored echelon row with pivot p over that
+    pivot."""
+    A, D = M._ints, M._den
+    n = len(A)
+    ech = Echelon(bound=n)
+    for i, row in enumerate(A):
+        r = {j: a for j, a in enumerate(row) if a}
+        r[n + i] = 1
+        if ech.insert(r) is not None:
+            raise ZeroDivisionError("singular matrix")
+    L = lcm(*(row[p] for p, row in ech.rows.items()))
+    inv = []
+    for p in range(n):
+        row = ech.rows[p]
+        f = L // row[p] * D
+        inv.append([row.get(n + i, 0) * f for i in range(n)])
+    return _const(M.N, M.rows_level, M.cols_level, inv, L)
 
 
 def _dot(pairs):
     """Sum of a*b over (a, b) pairs of RFs.  Numerators over the same
     denominator product are summed unreduced and reduced once; the per-
-    denominator results are then added.  A single term is one product.
-
-    When every factor is a constant the coefficient products are added
-    straight into one constant.  A zero product adds nothing and the
-    running sum drops back to the int 0 whenever it vanishes, as
-    ``Poly.__mul__`` and ``Poly.__add__`` store no zero term, so the
-    coefficient has the type the general path gives it."""
+    denominator results are then added.  A single term is one product, and
+    a vanishing sum is RF_ZERO."""
     if not pairs:
         return RF_ZERO
     if len(pairs) == 1:
         a, b = pairs[0]
         return a * b
-    if all(a.is_constant() and b.is_constant() for a, b in pairs):
-        total = 0
-        for a, b in pairs:
-            c = a.num.const_value() * b.num.const_value()
-            if c:
-                total = total + c
-                if not total:
-                    total = 0
-        if not total:
-            return RF_ZERO
-        return RF(Poly.const(total), RF_ONE.den, _canonical=True)
     sums = {}
     for a, b in pairs:
         if a.den.is_constant():
@@ -301,7 +578,7 @@ def _dot(pairs):
         # numerators is already canonical
         part = RF(num, den, _canonical=den.is_constant())
         total = part if total is None else total + part
-    return total
+    return RF_ZERO if total.is_zero() else total
 
 
 def _level_of(size, N):
@@ -310,7 +587,8 @@ def _level_of(size, N):
     while s < size:
         s *= N
         lvl += 1
-    assert s == size, "size %d is not a power of %d" % (size, N)
+    if s != size:
+        raise ValueError("size %d is not a power of %d" % (size, N))
     return lvl
 
 
@@ -325,47 +603,61 @@ def _certified(x, constraints):
 
 def kron(A, B):
     """Tensor product with the first factor reading the leading letters."""
-    assert A.N == B.N
+    if A.N != B.N:
+        raise ValueError("kron of matrices over N = %d and N = %d"
+                         % (A.N, B.N))
     N = A.N
+    rows_level = A.rows_level + B.rows_level
+    cols_level = A.cols_level + B.cols_level
+    if A._ints is not None and B._ints is not None:
+        # output row (ib, ia) is B's row ib with each entry b replaced by b
+        # times A's row ia
+        zero = [0] * A.ncols
+        rows = [[x for b in brow for x in ([b * a for a in arow] if b
+                                           else zero)]
+                for brow in B._ints for arow in A._ints]
+        return _const(N, rows_level, cols_level, rows, A._den * B._den)
     sa_r, sa_c = A.nrows, A.ncols
-    out = ExactMatrix.zeros(N, A.rows_level + B.rows_level,
-                            A.cols_level + B.cols_level)
+    rows = [[RF_ZERO] * (sa_c * B.ncols) for _ in range(sa_r * B.nrows)]
     # the nonzero entries of each row of A, as (column, entry)
     anz = [[(ja, a) for ja, a in enumerate(row) if not a.is_zero()]
-           for row in A.rows]
-    for ib, brow in enumerate(B.rows):
+           for row in _rf_rows(A)]
+    for ib, brow in enumerate(_rf_rows(B)):
         for jb, b in enumerate(brow):
             if b.is_zero():
                 continue
             roff, coff = ib * sa_r, jb * sa_c
             for ia, arow in enumerate(anz):
-                orow = out.rows[roff + ia]
+                orow = rows[roff + ia]
                 for ja, a in arow:
                     orow[coff + ja] = a * b
-    return out
+    return ExactMatrix(N, rows_level, cols_level, rows)
 
 
 def embed_at(M, i, n):
     """I^(i-1) (x) M (x) I^(n-i-1): the level-n image of a level-2 generator
-    acting on letters i, i+1 (1-based)."""
+    acting on letters i, i+1 (1-based), in M's form."""
     if not (1 <= i <= n - 1):
         raise ValueError("position %d out of range for level %d" % (i, n))
+    if M.rows_level != 2 or M.cols_level != 2:
+        raise ValueError("embed_at needs a level-2 matrix, got levels %d x %d"
+                         % (M.rows_level, M.cols_level))
     N = M.N
-    assert M.rows_level == 2 and M.cols_level == 2
-    out = ExactMatrix.zeros(N, n)
+    src, zero = _entries(M)
+    d = N ** n
+    out = [[zero] * d for _ in range(d)]
     lo = N ** (i - 1)
+    # column offset of each level-2 column word (a, b) within a row
+    offs = [(vp % N) * lo + (vp // N) * lo * N for vp in range(N * N)]
     for w_idx, w in enumerate(words(N, n)):
-        wp = (w[i - 1] - 1) + (w[i] - 1) * N
-        mrow = M.rows[wp]
+        mrow = src[(w[i - 1] - 1) + (w[i] - 1) * N]
+        orow = out[w_idx]
         base = w_idx - (w[i - 1] - 1) * lo - (w[i] - 1) * lo * N
-        for vp in range(N * N):
-            e = mrow[vp]
-            if e.is_zero():
-                continue
-            a, b = vp % N, vp // N
-            v_idx = base + a * lo + b * lo * N
-            out.rows[w_idx][v_idx] = e
-    return out
+        for off, e in zip(offs, mrow):
+            orow[base + off] = e
+    if M._ints is not None:
+        return _const(N, n, n, out, M._den)
+    return ExactMatrix(N, n, n, out)
 
 
 def conjugate(U, M, constraints=None):
@@ -382,8 +674,12 @@ class RepPair:
     __slots__ = ("R", "S", "params", "constraints", "provenance")
 
     def __init__(self, R, S, params=(), constraints=None, provenance=""):
-        assert R.N == S.N and R.rows_level == S.rows_level == 2
-        assert R.cols_level == S.cols_level == 2
+        if not (R.N == S.N and R.rows_level == S.rows_level == 2
+                and R.cols_level == S.cols_level == 2):
+            raise ValueError("R and S must be N^2 x N^2 matrices over one N, "
+                             "got levels %d x %d (N = %d) and %d x %d (N = %d)"
+                             % (R.rows_level, R.cols_level, R.N,
+                                S.rows_level, S.cols_level, S.N))
         self.R = R
         self.S = S
         self.params = tuple(params)
@@ -519,20 +815,6 @@ def _clear(fracs):
     return [x.numerator * (D // x.denominator) for x in fracs], D
 
 
-def _clear_matrix(rows):
-    """(A, D): integer rows A and a positive integer D with rows = A / D,
-    for a matrix of rationals given by its rows."""
-    flat, D = _clear([x for row in rows for x in row])
-    nc = len(rows[0])
-    return [flat[i:i + nc] for i in range(0, len(flat), nc)], D
-
-
-def _int_matrix(M):
-    """``_clear_matrix`` of an ExactMatrix of rational constants (ValueError
-    when an entry is symbolic or cyclotomic)."""
-    return _clear_matrix([[as_fraction(e) for e in row] for row in M.rows])
-
-
 # ---------------------------------------------------------------------------
 # linear algebra: nullspace, rank, spectra
 
@@ -540,10 +822,16 @@ def nullspace(A, constraints=None):
     """Exact basis of the right kernel of A, as lists of RF entries.
 
     Raises BranchAmbiguity when a pivot decision depends on a polynomial not
-    covered by the constraints.
+    covered by the constraints.  The constant form is eliminated on its
+    integer rows.
     """
+    if A._ints is not None:
+        ech = Echelon()
+        for row in A._ints:
+            ech.insert({j: a for j, a in enumerate(row) if a})
+        return _rf_vectors(ech.nullspace(A.ncols))
     rows = []
-    for row in A.rows:
+    for row in A._rows:
         r = {j: e for j, e in enumerate(row) if not e.is_zero()}
         if r:
             rows.append(r)
@@ -639,10 +927,13 @@ def rank(A, constraints=None):
 def char_poly(A):
     """Characteristic polynomial coefficients [c_0 .. c_n] of A (monic,
     det(xI - A)), by the Faddeev-LeVerrier recursion; entries must be
-    constant."""
+    constant (ValueError otherwise)."""
+    _require_square(A, "char_poly")
+    if A._ints is not None:
+        return _int_char_poly(A._ints, A._den)
     n = A.nrows
     vals = [[e.const_value() if e.is_constant() else None for e in row]
-            for row in A.rows]
+            for row in A._rows]
     for row in vals:
         for e in row:
             if e is None:
@@ -658,6 +949,25 @@ def char_poly(A):
         M = [[AM[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
     # coeffs[k] multiplies x^(n-k); return ascending order c_0..c_n
     return list(reversed(coeffs))
+
+
+def _int_char_poly(B, D):
+    """char_poly of B / D for integer rows B.  Faddeev-LeVerrier on B has
+    integer coefficients e_k, so each -tr/k divides exactly, and the
+    coefficient of x^(n-k) of B / D is e_k / D^k."""
+    n = len(B)
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    coeffs = [1]
+    for k in range(1, n + 1):
+        M = _imul(B, M)
+        c, r = divmod(-sum(M[i][i] for i in range(n)), k)
+        if r:
+            raise InvariantError("Faddeev-LeVerrier trace %d of step %d is "
+                                 "not divisible by %d" % (-c * k - r, k, k))
+        coeffs.append(c)
+        for i in range(n):
+            M[i][i] += c
+    return [Fraction(e, D ** k) for k, e in reversed(list(enumerate(coeffs)))]
 
 
 class EigenData:
@@ -691,7 +1001,8 @@ def _deflate(coeffs, root):
     for k in range(n - 1, -1, -1):
         out[k] = carry
         carry = coeffs[k] + carry * root
-    assert carry == 0
+    if carry != 0:
+        raise InvariantError("%s is not a root: remainder %s" % (root, carry))
     return out
 
 
@@ -871,7 +1182,7 @@ def eigen_data(A, assignment=None, constraints=None):
     constant entries, and the characteristic polynomial must split over the
     scalar tower; otherwise UnsupportedSpectrum is raised.
     """
-    assert A.nrows == A.ncols
+    _require_square(A, "eigen_data")
     B = A.evaluate(assignment, constraints) if assignment is not None else A
     coeffs = char_poly(B)
     roots = _roots_in_tower(coeffs)
@@ -888,7 +1199,9 @@ def eigen_data(A, assignment=None, constraints=None):
         eigs.append((lam, alg, geo))
         if geo != alg:
             diag = False
-    assert sum(a for _, a, _ in eigs) == n
+    if sum(a for _, a, _ in eigs) != n:
+        raise InvariantError("algebraic multiplicities %s do not add up to "
+                             "%d" % ([a for _, a, _ in eigs], n))
     return EigenData(eigs, diag, n)
 
 
@@ -929,26 +1242,31 @@ def commutant_basis(mats, constraints=None):
     """Exact basis of {T : T M = M T for all M in mats}, as matrices of the
     same shape; solves the sparse linear commutation system.  When every
     matrix is a rational constant M = A / D the system is built on the
-    integer rows A, since T M = M T iff T A = A T."""
-    assert mats
+    integer rows A, since T M = M T iff T A = A T, and the basis comes in
+    the constant form."""
+    if not mats:
+        raise ValueError("commutant of an empty list of matrices")
     d = mats[0].nrows
     N, lvl = mats[0].N, mats[0].rows_level
     for M in mats:
-        assert M.nrows == d and M.ncols == d
+        if M.nrows != d or M.ncols != d:
+            raise ValueError("commutant needs square matrices of one size, "
+                             "got %dx%d and %dx%d" % (d, d, M.nrows, M.ncols))
     try:
-        ints = [_int_matrix(M)[0] for M in mats]
+        ints = [_int_form(M)[0] for M in mats]
     except ValueError:
-        rows = [r for M in mats for r in _commutation_rows(M.rows, RF_ZERO)]
-        basis = _nullspace_rows(rows, d * d, constraints)
-    else:
-        ech = Echelon()
-        for A in ints:
-            for r in _commutation_rows(A, 0):
-                ech.insert(r)
-        basis = _rf_vectors(ech.nullspace(d * d))
-    return [ExactMatrix(N, lvl, lvl, [vec[i * d:(i + 1) * d]
-                                      for i in range(d)])
-            for vec in basis]
+        rows = [r for M in mats for r in _commutation_rows(_rf_rows(M),
+                                                           RF_ZERO)]
+        return [ExactMatrix(N, lvl, lvl, [vec[i * d:(i + 1) * d]
+                                          for i in range(d)])
+                for vec in _nullspace_rows(rows, d * d, constraints)]
+    ech = Echelon()
+    for A in ints:
+        for r in _commutation_rows(A, 0):
+            ech.insert(r)
+    return [_fraction_matrix(N, lvl, lvl, [vec[i * d:(i + 1) * d]
+                                           for i in range(d)])
+            for vec in ech.nullspace(d * d)]
 
 
 def _commutation_rows(M, zero):

@@ -152,13 +152,12 @@ class _WordImages:
 def _first_difference(A, B):
     """(row word, col word, A - B entry) at the first entry, rows first, where
     A and B differ, or None."""
-    for i, (ra, rb) in enumerate(zip(A.rows, B.rows)):
-        if ra != rb:
-            for j, (a, b) in enumerate(zip(ra, rb)):
-                if a != b:
-                    ws = words(A.N, A.rows_level)
-                    return ws[i], ws[j], a - b
-    return None
+    diff = A.first_difference(B)
+    if diff is None:
+        return None
+    i, j, e = diff
+    ws = words(A.N, A.rows_level)
+    return ws[i], ws[j], e
 
 
 def _is_far(lhs, rhs):

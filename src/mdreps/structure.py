@@ -3,25 +3,27 @@ idempotent search with paper-style entry-forcing certificates, recursive
 eigenspace splitting, the image trichotomy of X = RS, semisimple-quotient
 dimensions through the glue projection, and matrix-algebra dimension data.
 
-Numeric analyses work over plain rationals at exact sample points: each
-constant matrix M is read once as integer rows A with M = A / D, and the
+Numeric analyses work over plain rationals at exact sample points, on the
+constant form of ``ExactMatrix`` (integer rows A with M = A / D): the
 minimal polynomials, commutants, algebra closures, subspace restrictions
 and quotient coordinates eliminate fraction-free on those integer rows
-through ``matrix.Echelon``.  The certificates (local endomorphism ring,
-commutant shape) are exact.
+through ``matrix.Echelon``, and the splitting candidates and spectral
+projectors are integer combinations and integer Horner evaluations.  The
+certificates (local endomorphism ring, commutant shape) are exact.
 """
 
 from collections import deque
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .ccwg import is_ccwg, project_K
 from .clifford import mn_character, partition_dim, partitions
-from .matrix import (Echelon, ExactMatrix, _clear, _clear_matrix,
-                     _int_matrix, commutant_basis, eigen_data, embed_at,
-                     matrix_order, char_poly, nullspace)
+from .matrix import (Echelon, ExactMatrix, UnsupportedSpectrum, _clear,
+                     _combine, _entries, _imul, _int_form, _roots_in_tower,
+                     _scaled_product, char_poly, commutant_basis, eigen_data,
+                     embed_at, matrix_order, nullspace)
 from .mdd import all_permutations, perm_cycle_type, perm_to_adjacent_word
-from .scalar import InvariantError, as_fraction, rf
+from .scalar import InvariantError, as_fraction
 
 
 class CommutantBasis:
@@ -106,14 +108,22 @@ def _psub(a, b):
 
 
 def _peval_matrix(coeffs, M):
-    I = ExactMatrix.identity(M.N, M.rows_level)
-    out = ExactMatrix.zeros(M.N, M.rows_level)
-    P = I
-    for c in coeffs:
+    """coeffs(M) for a rational constant matrix M = A / D, by Horner on the
+    integer rows: with coeffs = c / Dc for integers c_0 .. c_m,
+    Dc * D^m * coeffs(M) = sum_k c_k D^(m-k) A^k."""
+    A, D = _int_form(M)
+    cs, Dc = _clear(coeffs)
+    m, d = len(cs) - 1, len(A)
+    B = [[cs[m] if i == j else 0 for j in range(d)] for i in range(d)]
+    Dk = 1
+    for c in reversed(cs[:m]):
+        B = _imul(B, A)
+        Dk *= D
         if c:
-            out = out + P.scale(rf(c))
-        P = P * M
-    return out
+            for i in range(d):
+                B[i][i] += c * Dk
+    return ExactMatrix.from_ints(B, Dc * Dk, N=M.N, rows_level=M.rows_level,
+                                 cols_level=M.cols_level)
 
 
 def distinct_eigenvalue_count(M):
@@ -133,9 +143,9 @@ def endo_ring_local(basis, constraints=None):
     quotient of dimension 1 (radical = kernel of the trace form), which
     certifies indecomposability; exact over Q at numeric points."""
     m = len(basis)
-    gram = ExactMatrix(m, 1, 1,
-                       [[(basis[i] * basis[j]).trace() for j in range(m)]
-                        for i in range(m)])
+    gram = ExactMatrix.from_rows([[(basis[i] * basis[j]).trace()
+                                   for j in range(m)] for i in range(m)],
+                                 N=m, rows_level=1, cols_level=1)
     r = m - len(nullspace(gram, constraints))
     return r == 1
 
@@ -147,13 +157,14 @@ def _shape_certificate(basis):
     d = basis[0].nrows
     half = d // 2
     for T in basis:
-        diag = T.rows[0][0]
+        rows, zero = _entries(T)
+        diag = rows[0][0]
         for i in range(d):
-            if T.rows[i][i] != diag:
+            if rows[i][i] != diag:
                 return None
         for i in range(d):
             for j in range(i):
-                if (i, j) != (half, half - 1) and not T.rows[i][j].is_zero():
+                if (i, j) != (half, half - 1) and rows[i][j] != zero:
                     return None
     return {"kind": "indecomposable",
             "certificate": "constant-diagonal almost-triangular commutant: "
@@ -191,7 +202,6 @@ def find_idempotents(com, constraints=None, rng=None, tries=25):
 def _rational_spectrum(T):
     """(roots with multiplicity) if the characteristic polynomial splits over
     Q, else None."""
-    from .matrix import _roots_in_tower, UnsupportedSpectrum
     try:
         roots = _roots_in_tower(char_poly(T))
     except UnsupportedSpectrum:
@@ -207,7 +217,7 @@ def minimal_polynomial(M):
     basis vectors.  The chains run on the integer rows A = D*M, marker
     column d+j tagging A^j e; a relation sum r_j A^j e = 0 is the relation
     sum r_j D^j M^j e = 0."""
-    A, D = _int_matrix(M)
+    A, D = _int_form(M)
     d = len(A)
     nz = [[(j, a) for j, a in enumerate(row) if a] for row in A]
     mp = [Fraction(1)]
@@ -245,7 +255,6 @@ def _plcm(a, b):
 def _splitting_data(T):
     """(distinct roots, multiplicities-in-min-poly) when the minimal
     polynomial splits into rational linear factors, else None."""
-    from .matrix import _roots_in_tower, UnsupportedSpectrum
     mp = minimal_polynomial(T)
     try:
         roots = _roots_in_tower(mp)
@@ -261,17 +270,36 @@ def _splitting_data(T):
 
 
 def _find_splitter(basis, rng=None, tries=25):
-    best = None
+    """(T, multiplicities) for the candidate T with the most distinct
+    rational eigenvalues, at least two, or None.  The candidates are the
+    basis and ``tries`` seeded combinations of it with coefficients in
+    -3..3; on a rational basis the combinations are formed on the integer
+    rows.  Candidates that are not rational constant matrices are
+    skipped."""
     cands = list(basis)
     if rng is not None:
+        try:
+            forms = [_int_form(B) for B in basis]
+        except ValueError:  # a symbolic or cyclotomic basis
+            forms = None
+        B0 = basis[0]
         for _ in range(tries):
             coeffs = [rng.randint(-3, 3) for _ in basis]
-            T = basis[0].scale(coeffs[0])
-            for c, B in zip(coeffs[1:], basis[1:]):
-                T = T + B.scale(c)
+            if forms is not None:
+                Z, D = _combine(coeffs, forms)
+                T = ExactMatrix.from_ints(Z, D, N=B0.N,
+                                          rows_level=B0.rows_level,
+                                          cols_level=B0.cols_level)
+            else:
+                T = B0.scale(coeffs[0])
+                for c, B in zip(coeffs[1:], basis[1:]):
+                    T = T + B.scale(c)
             cands.append(T)
+    best = None
     for T in cands:
-        if not _is_constant_matrix(T):
+        try:
+            _int_form(T)
+        except ValueError:
             continue
         mult = _splitting_data(T)
         if mult is None or len(mult) < 2:
@@ -279,10 +307,6 @@ def _find_splitter(basis, rng=None, tries=25):
         if best is None or len(mult) > len(best[1]):
             best = (T, mult)
     return best
-
-
-def _is_constant_matrix(M):
-    return all(e.is_constant() for row in M.rows for e in row)
 
 
 def _spectral_idempotents(T, mult):
@@ -340,21 +364,22 @@ def restrict_to_subspace(mats, basis_vectors):
             raise InvariantError("basis vectors are not independent")
     out = []
     for M in mats:
-        A, DM = _int_matrix(M)
+        A, DM = _int_form(M)
         cols = []
         for v, D in vecs:
             row = {i: sum(a * x for a, x in zip(arow, v))
                    for i, arow in enumerate(A)}
             row[d + k] = DM * D
             cols.append(_solve_in_span(span, row, k))
-        out.append(ExactMatrix(k, 1, 1, [[rf(cols[j][i]) for j in range(k)]
-                                         for i in range(k)]))
+        out.append(ExactMatrix.from_rows([[cols[j][i] for j in range(k)]
+                                          for i in range(k)],
+                                         N=k, rows_level=1, cols_level=1))
     return out
 
 
 def _matrix_column_space(P):
     """Independent columns of an exact constant matrix, as Fraction vectors."""
-    A, D = _int_matrix(P)
+    A, D = _int_form(P)
     span = Echelon()
     basis = []
     for col in zip(*A):
@@ -432,7 +457,8 @@ def decompose(pair, n, assignment=None, rng=None):
     klass, order = (None, None)
     try:
         klass, order = x_trichotomy(pair, assignment)
-    except Exception:
+    except (UnsupportedSpectrum, ValueError):
+        # X has a spectrum outside the scalar tower, or is not constant
         pass
     return DecompositionReport(leaves, klass, order, projectors)
 
@@ -443,7 +469,8 @@ def _x_spectrum(gen_mats):
     X = gen_mats[0] * gen_mats[1]
     try:
         ed = eigen_data(X)
-    except Exception:
+    except (UnsupportedSpectrum, ValueError):
+        # a spectrum outside the scalar tower, or X is not constant
         return None
     return [(str(v), a, g) for v, a, g in ed.eigenvalues]
 
@@ -520,50 +547,9 @@ def semisimple_quotient_dims(pair, n):
 # ---------------------------------------------------------------------------
 # matrix algebra dimensions
 
-def _imul(A, B):
-    """Product of square integer matrices given by their rows."""
-    Bnz = [[(j, b) for j, b in enumerate(row) if b] for row in B]
-    out = []
-    for arow in A:
-        orow = [0] * len(arow)
-        for a, brow in zip(arow, Bnz):
-            if a:
-                for j, b in brow:
-                    orow[j] += a * b
-        out.append(orow)
-    return out
-
-
-def _scaled_product(A, DA, B, DB):
-    """(C, DC) with C / DC = (A / DA)(B / DB), cancelled by the common
-    factor of DC and the entries of C."""
-    C = _imul(A, B)
-    DC = DA * DB
-    g = gcd(DC, *(x for row in C for x in row))
-    if g > 1:
-        C = [[x // g for x in row] for row in C]
-        DC //= g
-    return C, DC
-
-
 def _flat(A):
     d = len(A)
     return {i * d + j: A[i][j] for i in range(d) for j in range(d) if A[i][j]}
-
-
-def _combine(weights, mats):
-    """(Z, D) with Z / D the sum of w * A / DA over the rational weights and
-    the (A, DA) pairs."""
-    cs, D = _clear([Fraction(w) / DA for w, (_, DA) in zip(weights, mats)])
-    d = len(mats[0][0])
-    Z = [[0] * d for _ in range(d)]
-    for c, (A, _) in zip(cs, mats):
-        if c:
-            for zrow, arow in zip(Z, A):
-                for j, a in enumerate(arow):
-                    if a:
-                        zrow[j] += c * a
-    return Z, D
 
 
 def generated_algebra(mats, bound=4096):
@@ -571,7 +557,7 @@ def generated_algebra(mats, bound=4096):
     given constant matrices, by span closure under products.  The closure
     multiplies (integer matrix, denominator) pairs."""
     d = mats[0].nrows
-    gens = [_int_matrix(M) for M in mats]
+    gens = [_int_form(M) for M in mats]
     span = Echelon()
     basis = []
     ident = [[int(i == j) for j in range(d)] for i in range(d)]
@@ -603,9 +589,12 @@ def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None, tries=40):
             mats = [M.evaluate(assignment, pair.constraints) for M in mats]
     else:
         mats = list(mats_or_pair)
-    basis = [_clear_matrix(B) for B in generated_algebra(mats)]
+    d = mats[0].nrows
+    basis = []
+    for B in generated_algebra(mats):
+        flat, D = _clear([x for row in B for x in row])
+        basis.append(([flat[i:i + d] for i in range(0, d * d, d)], D))
     m = len(basis)
-    d = len(basis[0][0])
     dd = d * d
     # radical = kernel of the trace Gram matrix tr(B_i B_j), row i scaled by
     # D_i * L
@@ -667,8 +656,9 @@ def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None, tries=40):
                        for k in range(s)]
             Z, DZ = _combine(weights, qbasis)
             cols = [qcoords(_imul(Z, B), DZ * DB) for B, DB in qbasis]
-            Zm = ExactMatrix(s, 1, 1, [[rf(col[i]) for col in cols]
-                                       for i in range(s)])
+            Zm = ExactMatrix.from_rows([[col[i] for col in cols]
+                                        for i in range(s)],
+                                       N=s, rows_level=1, cols_level=1)
             roots = _rational_spectrum(Zm)
             if roots is None:
                 continue

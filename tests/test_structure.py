@@ -9,7 +9,9 @@ import pytest
 from mdreps.catalog import analysis_pair, make_md_pair
 from mdreps.matrix import ExactMatrix
 from mdreps.scalar import InvariantError, NonVanishing, Poly, param, rf
-from mdreps.structure import (_plcm, algebra_dims, commutant, decompose,
+from mdreps.structure import (_find_splitter, _peval_matrix, _plcm,
+                              _splitting_data, algebra_dims, commutant,
+                              decompose,
                               distinct_eigenvalue_count,
                               fglue_commutant_shape_ok, find_idempotents,
                               generated_algebra, minimal_polynomial,
@@ -407,3 +409,109 @@ def test_restrict_to_subspace_coordinates():
         [[1, 0, 0], [0, -1, 0], [0, 0, Fraction(1, 2)]]
     with pytest.raises(InvariantError):
         restrict_to_subspace([flip], [basis[0], basis[0]])
+
+
+# ---------------------------------------------------------------------------
+# constant-form kernels against the RF matrix operations they replace
+
+def _rf_twin(M):
+    """M with its boxed entries in the RF form."""
+    return ExactMatrix(M.N, M.rows_level, M.cols_level,
+                       [[M[i, j] for j in range(M.ncols)]
+                        for i in range(M.nrows)])
+
+
+def _peval_reference(coeffs, M):
+    # the RF evaluation: powers of M from the identity, scaled and summed
+    P = _rf_twin(ExactMatrix.identity(M.N, M.rows_level))
+    out = _rf_twin(ExactMatrix.zeros(M.N, M.rows_level))
+    for c in coeffs:
+        if c:
+            out = out + P.scale(rf(c))
+        P = P * _rf_twin(M)
+    return out
+
+
+def test_peval_matrix_matches_rf_evaluation(rng):
+    pool = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
+    for _ in range(40):
+        d = rng.choice((2, 4))
+        T = m([[rng.choice(pool) for _ in range(d)] for _ in range(d)])
+        coeffs = [Fraction(rng.choice(pool)) for _ in range(rng.randint(1, 5))]
+        got = _peval_matrix(coeffs, T)
+        assert got._ints is not None
+        assert got.rows == _peval_reference(coeffs, T).rows
+
+
+def _find_splitter_reference(basis, rng, tries=25):
+    # RF combinations through scale and +, as the splitter formed them
+    cands = list(basis)
+    for _ in range(tries):
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        T = basis[0].scale(coeffs[0])
+        for c, B in zip(coeffs[1:], basis[1:]):
+            T = T + B.scale(c)
+        cands.append(T)
+    best = None
+    for T in cands:
+        mult = _splitting_data(T)
+        if mult is None or len(mult) < 2:
+            continue
+        if best is None or len(mult) > len(best[1]):
+            best = (T, mult)
+    return best
+
+
+def test_find_splitter_combinations_match_rf_combinations():
+    fgp = analysis_pair("f-glue", p=2, q=5).evaluate({"p": 2, "q": 5})
+    agp = analysis_pair("a-glue", p=2, q=5)
+    bases = [commutant([M for _, M in pr.generator_images(n)]).basis
+             for pr, n in ((fgp, 3), (agp, 3), (agp, 4))]
+    bases.append(commutant([ExactMatrix.identity(2, 2)]).basis)
+    # diagonal matrix units: only a combination has more than two
+    # eigenvalues, so the chosen splitter is one of the combinations
+    bases.append(commutant([m([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0],
+                               [0, 0, 0, 4]])]).basis)
+    for basis in bases:
+        for seed in range(4):
+            got = _find_splitter(basis, random.Random(seed))
+            want = _find_splitter_reference([_rf_twin(B) for B in basis],
+                                            random.Random(seed))
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0]._ints is not None
+                assert got[0] == want[0] and got[1] == want[1]
+
+
+def test_decompose_surfaces_invariant_errors(monkeypatch):
+    import mdreps.structure as structure
+    from mdreps.matrix import UnsupportedSpectrum
+    pair = make_md_pair("case1", check=False)
+
+    def raising(exc):
+        def fn(*args, **kwargs):
+            raise exc
+        return fn
+
+    def run():
+        return decompose(pair, 2, rng=random.Random(1))
+
+    # each of the two sites on its own: the x_spectrum of the leaves, and
+    # the trichotomy of X
+    for exc in (InvariantError("broken spectrum"), TypeError("broken")):
+        with monkeypatch.context() as mp:
+            mp.setattr(structure, "eigen_data", raising(exc))
+            mp.setattr(structure, "x_trichotomy", lambda *a: ("a", 1))
+            with pytest.raises(type(exc)):
+                run()
+        with monkeypatch.context() as mp:
+            mp.setattr(structure, "x_trichotomy", raising(exc))
+            with pytest.raises(type(exc)):
+                run()
+    # the documented failures of the spectrum leave it out of the report
+    for exc in (UnsupportedSpectrum("x^5 - 2"),
+                ValueError("char_poly needs constant entries")):
+        monkeypatch.setattr(structure, "eigen_data", raising(exc))
+        rep = run()
+        assert rep.dims() == [1, 1, 1, 1] and rep.klass is None
+        assert all(s["x_spectrum"] is None for s in rep.summands)
