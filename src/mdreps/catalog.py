@@ -9,7 +9,8 @@ the full mixed-doubles set at level 3 for pairs).
 
 from .matrix import ExactMatrix, RepPair, conjugate, embed_at, kron
 from .presentations import MIXED_DOUBLES, passes
-from .scalar import RF_ONE, NonVanishing, param, rf
+from .scalar import (RF_ONE, BranchAmbiguity, InvariantError, NonVanishing,
+                     param, rf)
 
 
 class ConstraintViolation(Exception):
@@ -82,8 +83,11 @@ def make_involutive_braid(family, p=None, q=None, sign=1, check=True):
     else:
         raise ConstraintViolation("unknown involutive braid family %r" % (family,))
     if check:
-        assert is_involutive(M), family
-        assert satisfies_ybe(M), family
+        if not is_involutive(M):
+            raise InvariantError("%s braid matrix is not involutive" % family)
+        if not satisfies_ybe(M):
+            raise InvariantError("%s braid matrix fails the Yang-Baxter "
+                                 "equation" % family)
     return M
 
 
@@ -430,7 +434,6 @@ def check_ds_equivalence(A, pair):
     if not ((AA * pair.R - pair.R * AA).is_zero()
             and (AA * pair.S - pair.S * AA).is_zero()):
         return False, None
-    from .scalar import BranchAmbiguity
     try:
         AI = kron(A, ExactMatrix.identity(2, 1))
         AIi = AI.inverse(pair.constraints)

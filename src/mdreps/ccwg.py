@@ -7,7 +7,10 @@ vanishes, where f counts letters; positions with f(w) < f(v) are glue,
 positions with f(w) = f(v) are charge-conserving (CC).
 """
 
-from .matrix import ExactMatrix, _entries, _like, word_to_str, words
+import json
+import os
+
+from .matrix import ExactMatrix, _entries, _like, kron, word_to_str, words
 from .scalar import InvariantError
 
 CC, GLUE, FORBIDDEN = "cc", "glue", "forbidden"
@@ -103,7 +106,6 @@ _MASKS = {}
 
 
 def _disk_cache_path(N, n):
-    import os
     root = os.environ.get("MDREPS_CACHE_DIR")
     if not root:
         return None
@@ -116,15 +118,12 @@ def glue_mask(N, n):
     if key not in _MASKS:
         path = _disk_cache_path(N, n)
         if path is not None:
-            import json
-            import os
             if os.path.exists(path):
                 with open(path) as fh:
                     _MASKS[key] = GlueMask(N, n, json.load(fh))
                 return _MASKS[key]
         _MASKS[key] = GlueMask(N, n)
         if path is not None:
-            import json
             with open(path, "w") as fh:
                 json.dump(_MASKS[key].kinds, fh)
     return _MASKS[key]
@@ -183,7 +182,6 @@ def _project(M, keep):
 def check_closure(A, B):
     """Verify closure of the CCwg class: A*B (when composable) and the tensor
     product are CCwg, and the CC projection is multiplicative on the product."""
-    from .matrix import kron
     if not (is_ccwg(A) and is_ccwg(B)):
         raise ValueError("inputs must be CCwg")
     report = {}

@@ -13,8 +13,8 @@ import sys
 from fractions import Fraction
 
 from . import catalog, ccwg, clifford, mdd, presentations, structure
-from .matrix import ExactMatrix
-from .scalar import BranchAmbiguity, RejectedPoint, param, rf
+from .matrix import ExactMatrix, RepPair
+from .scalar import BranchAmbiguity, RejectedPoint, param, rf, zeta
 
 EXIT_OK, EXIT_MATH_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -67,7 +67,6 @@ def _pair_from_args(args):
         kw = _parse_params(getattr(args, "params", "") or "")
         return catalog.make_md_pair(args.case, check=False, **kw)
     if getattr(args, "R", None) and getattr(args, "S", None):
-        from .matrix import RepPair
         return RepPair(_load_matrix(args.R), _load_matrix(args.S),
                        provenance="files")
     raise UsageError("need --case or both --R and --S")
@@ -149,7 +148,6 @@ def _parse_char_token(tok):
             base, exp = tok.split("^", 1)
             return _parse_char_token(base) ** int(exp)
         if tok.startswith("w"):
-            from .scalar import zeta
             return rf(zeta(int(tok[1:])))
         if tok.isidentifier():
             return param(tok)

@@ -7,12 +7,13 @@ Also home to the symmetric-group character machinery (partitions and the
 Murnaghan-Nakayama rule) used for decomposing semisimple quotients.
 """
 
+import itertools
 from fractions import Fraction
 
 from .matrix import ExactMatrix, commutant_basis
-from .mdd import (all_permutations, perm_compose, perm_identity, perm_inverse,
-                  perm_sign, perm_to_adjacent_word)
-from .scalar import RF, NonVanishing, param, rf
+from .mdd import (all_permutations, perm_adjacent, perm_compose, perm_identity,
+                  perm_inverse, perm_sign, perm_to_adjacent_word)
+from .scalar import RF, InvariantError, NonVanishing, param, rf, zeta
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +223,6 @@ def _one_dim_characters(H, n):
     roots of unity; found by assigning root values to a generating set and
     propagating with consistency checks (characters of a nonabelian group
     factor through the abelianization automatically)."""
-    from .scalar import zeta
     H = sorted(H)
     # greedy generating set
     gens = []
@@ -308,7 +308,9 @@ class Character:
         self.n = n
         self.values = {}
         for (i, j), v in values.items():
-            assert 1 <= i < j <= n
+            if not 1 <= i < j <= n:
+                raise ValueError("character pair (%s, %s) is not 1 <= i < j "
+                                 "<= %d" % (i, j, n))
             v = rf(v) if not isinstance(v, RF) else v
             if v.is_zero():
                 raise ValueError("character values must be nonzero")
@@ -318,7 +320,9 @@ class Character:
     def from_vector(cls, n, vec):
         """Values listed in the order x_12, x_13, .., x_1n, x_23, .., x_{n-1,n}."""
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        assert len(vec) == len(pairs)
+        if len(vec) != len(pairs):
+            raise ValueError("rank %d needs %d character values, got %d"
+                             % (n, len(pairs), len(vec)))
         return cls(n, dict(zip(pairs, vec)))
 
     def vector(self):
@@ -386,7 +390,10 @@ def orbit_and_stabilizer(chi, bound=6):
         if key not in cosets:
             cosets[key] = w
     transversal = sorted(cosets.values(), key=_transversal_key)
-    assert len(transversal) * len(stabset) == _factorial(n)
+    if len(transversal) * len(stabset) != _factorial(n):
+        raise InvariantError("%d cosets of a stabilizer of order %d do not "
+                             "cover Sym_%d" % (len(transversal), len(stabset),
+                                               n))
     return StabilizerData(stabset, transversal)
 
 
@@ -458,7 +465,6 @@ def induce(chi, tau, stab=None):
     # symmetric-group generators: permuted blocks with tau cocycles
     sigma_images = {}
     for i in range(1, n):
-        from .mdd import perm_adjacent
         g = perm_adjacent(n, i)
         M = ExactMatrix.zeros(dim, 1)
         for bj, tj in enumerate(T):
@@ -484,29 +490,37 @@ def _verify_induced(rep):
     I = ExactMatrix.identity(rep.dim, 1)
     for i in range(1, n):
         Si = rep.sigma(i)
-        assert (Si * Si - I).is_zero(), "sigma_%d not involutive" % i
+        if not (Si * Si - I).is_zero():
+            raise InvariantError("induced sigma_%d is not involutive" % i)
     for i in range(1, n - 1):
         a, b = rep.sigma(i), rep.sigma(i + 1)
-        assert (a * b * a - b * a * b).is_zero(), "braid fails at %d" % i
+        if not (a * b * a - b * a * b).is_zero():
+            raise InvariantError("induced sigma_%d, sigma_%d fail the braid "
+                                 "relation" % (i, i + 1))
     for i in range(1, n):
         for j in range(i + 2, n):
             a, b = rep.sigma(i), rep.sigma(j)
-            assert (a * b - b * a).is_zero()
+            if not (a * b - b * a).is_zero():
+                raise InvariantError("induced sigma_%d, sigma_%d do not "
+                                     "commute" % (i, j))
     # conjugation: sigma_i x_{kl} sigma_i = x_{sigma_i(k) sigma_i(l)}
-    from .mdd import perm_adjacent
     for i in range(1, n):
         g = perm_adjacent(n, i)
         Si = rep.sigma(i)
         for (k, l) in sorted(rep.chi.values):
             a, b = g[k - 1] + 1, g[l - 1] + 1
             lhs = Si * rep.x(k, l) * Si
-            assert (lhs - rep.x(a, b)).is_zero(), "conjugation fails"
+            if not (lhs - rep.x(a, b)).is_zero():
+                raise InvariantError("sigma_%d x_%d%d sigma_%d is not x_%d%d"
+                                     % (i, k, l, i, a, b))
     # abelian part commutes
     keys = sorted(rep.chi.values)
     for p1 in keys:
         for p2 in keys:
             A, B = rep.x(*p1), rep.x(*p2)
-            assert (A * B - B * A).is_zero()
+            if not (A * B - B * A).is_zero():
+                raise InvariantError("induced x_%d%d and x_%d%d do not "
+                                     "commute" % (p1 + p2))
 
 
 def dimension_formula_holds(rep):
@@ -612,7 +626,6 @@ def classify_small_dims(n, d):
         free_names = {i: "a%d" % k for k, i in enumerate(free)}
         # enumerate sign branches; keep those with stabilizer exactly H
         branches = []
-        import itertools
         for combo in itertools.product((1, -1), repeat=len(signed)):
             sign_choice = dict(zip(signed, combo))
             chi = _pattern_character(orbits, orbit_of, n, sign_choice, free_names)

@@ -5,15 +5,20 @@ the leading letters of a word.
 
 Under these conventions ``kron(A, B)`` at entry (w, v) is
 ``A[w_lead, v_lead] * B[w_trail, v_trail]``.
+
+Spectra: ``char_poly`` gives the characteristic polynomial as an ascending
+coefficient list, and ``eigen_data`` and ``matrix_order`` split it with the
+univariate-polynomial root finder of ``upoly``.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 
-from .scalar import (_ONE, RF, RF_ONE, RF_ZERO, BranchAmbiguity, Cyc,
+from .scalar import (_ONE, RF, RF_ONE, RF_ZERO, BranchAmbiguity,
                      InvariantError, NonVanishing, Poly, as_fraction, rf,
                      rf_from_json, rf_to_json, unity_order)
+from .upoly import UnsupportedSpectrum, _clear, _roots_in_tower
 
 
 # ---------------------------------------------------------------------------
@@ -46,14 +51,6 @@ def word_from_str(s):
 
 def word_to_str(w):
     return "".join(str(l) for l in w)
-
-
-class UnsupportedSpectrum(Exception):
-    """Characteristic polynomial has a factor outside the scalar tower."""
-
-    def __init__(self, factor):
-        self.factor = factor
-        super().__init__("unsupported spectrum factor: %s" % (factor,))
 
 
 class ExactMatrix:
@@ -808,13 +805,6 @@ def _eliminate(row, prow, p):
     _divide_content(row)
 
 
-def _clear(fracs):
-    """(ints, D): a list of rationals as integers over one positive
-    denominator D, the lcm of theirs."""
-    D = lcm(*(x.denominator for x in fracs))
-    return [x.numerator * (D // x.denominator) for x in fracs], D
-
-
 # ---------------------------------------------------------------------------
 # linear algebra: nullspace, rank, spectra
 
@@ -984,195 +974,6 @@ class EigenData:
     def __repr__(self):
         return "EigenData(%s, diagonalizable=%s)" % (self.eigenvalues,
                                                      self.diagonalizable)
-
-
-def _poly_eval(coeffs, x):
-    acc = 0 * x if isinstance(x, Cyc) else Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(coeffs, root):
-    """Divide the ascending-coefficient polynomial by (x - root)."""
-    n = len(coeffs) - 1
-    out = [None] * n
-    carry = coeffs[n]
-    for k in range(n - 1, -1, -1):
-        out[k] = carry
-        carry = coeffs[k] + carry * root
-    if carry != 0:
-        raise InvariantError("%s is not a root: remainder %s" % (root, carry))
-    return out
-
-
-def _rational_root_candidates(coeffs, cap=10 ** 12):
-    nz = [c for c in coeffs if c != 0]
-    if not nz or any(isinstance(c, Cyc) for c in coeffs):
-        return []
-    ints, _ = _clear(coeffs)
-    lead = next(c for c in reversed(ints) if c)
-    low_i = next(i for i, c in enumerate(ints) if c)
-    low = ints[low_i]
-    if abs(low) > cap or abs(lead) > cap:
-        raise UnsupportedSpectrum("coefficients too large for root search")
-    cands = set()
-    for pp in _divisors(abs(low)):
-        for qq in _divisors(abs(lead)):
-            cands.add(Fraction(pp, qq))
-            cands.add(Fraction(-pp, qq))
-    cands.add(Fraction(0))
-    return sorted(cands)
-
-
-def _frac_poly_gcd(a, b):
-    a, b = list(a), list(b)
-
-    def trim(p):
-        while len(p) > 1 and p[-1] == 0:
-            p.pop()
-        return p
-    a, b = trim(a), trim(b)
-    while any(b):
-        # remainder of a by b
-        r = list(a)
-        while len(r) >= len(b) and any(r):
-            if r[-1] == 0:
-                r.pop()
-                continue
-            c = r[-1] / b[-1]
-            k = len(r) - len(b)
-            for i, y in enumerate(b):
-                r[i + k] -= c * y
-            r.pop()
-        a, b = b, trim(r or [Fraction(0)])
-    if a[-1] != 0:
-        a = [x / a[-1] for x in a]
-    return a
-
-
-def _squarefree_part(coeffs):
-    deriv = [c * k for k, c in enumerate(coeffs)][1:]
-    if not any(deriv):
-        return coeffs
-    g = _frac_poly_gcd(coeffs, deriv)
-    if len(g) == 1:
-        return coeffs
-    # exact division coeffs / g
-    q = []
-    r = list(coeffs)
-    while len(r) >= len(g) and any(r):
-        if r[-1] == 0:
-            r.pop()
-            continue
-        c = r[-1] / g[-1]
-        k = len(r) - len(g)
-        q.append((k, c))
-        for i, y in enumerate(g):
-            r[i + k] -= c * y
-        r.pop()
-    out = [Fraction(0)] * (len(coeffs) - len(g) + 1)
-    for k, c in q:
-        out[k] = c
-    return out
-
-
-def _divisors(n):
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
-
-
-# quadratics x^2 + bx + c whose roots are supported cyclotomics
-_CYC_QUADS = {(Fraction(1), Fraction(1)): 3, (Fraction(0), Fraction(1)): 4,
-              (Fraction(-1), Fraction(1)): 6}
-
-
-def _roots_in_tower(coeffs):
-    """All roots, with multiplicity, of an ascending-coefficient polynomial
-    over Q, as Fractions/Cycs; raises UnsupportedSpectrum if it does not split
-    over the tower."""
-    coeffs = list(coeffs)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    roots = []
-    # strip zero roots
-    while coeffs and coeffs[0] == 0 and len(coeffs) > 1:
-        roots.append(Fraction(0))
-        coeffs = coeffs[1:]
-    if len(coeffs) > 3:
-        # hunt roots on the squarefree part (much smaller coefficients),
-        # then recover multiplicities by deflating the original
-        sf = _squarefree_part(coeffs)
-        for cand in _rational_root_candidates(sf):
-            if _poly_eval(sf, cand) == 0:
-                while len(coeffs) > 1 and _poly_eval(coeffs, cand) == 0:
-                    roots.append(cand)
-                    coeffs = _deflate(coeffs, cand)
-    changed = True
-    while changed and len(coeffs) > 2:
-        changed = False
-        for cand in _rational_root_candidates(coeffs):
-            while len(coeffs) > 1 and _poly_eval(coeffs, cand) == 0:
-                roots.append(cand)
-                coeffs = _deflate(coeffs, cand)
-                changed = True
-            if len(coeffs) <= 2:
-                break
-    if len(coeffs) == 2:
-        roots.append(-coeffs[0] / coeffs[1])
-        coeffs = coeffs[1:]
-    if len(coeffs) == 3:
-        a2, a1, a0 = coeffs[2], coeffs[1], coeffs[0]
-        b, c = a1 / a2, a0 / a2
-        disc = b * b - 4 * c
-        if isinstance(disc, Fraction) and disc >= 0 and _is_square(disc):
-            s = _sqrt_frac(disc)
-            roots.append((-b + s) / 2)
-            roots.append((-b - s) / 2)
-            coeffs = coeffs[2:]
-        else:
-            # scaled root of unity? x^2+bx+c with roots u*z, u*z^-1 not handled;
-            # support only the plain cyclotomic quadratics
-            key = (b, c)
-            if key in _CYC_QUADS:
-                m = _CYC_QUADS[key]
-                z = Cyc(m, 0, 1)
-                roots.append(z)
-                zbar = Cyc(m, -_CYC_PQ_B(m), -1)
-                roots.append(zbar)
-                coeffs = coeffs[2:]
-            else:
-                raise UnsupportedSpectrum("x^2 + (%s)x + (%s)" % (b, c))
-    if len(coeffs) > 3:
-        raise UnsupportedSpectrum("degree-%d factor %s" % (len(coeffs) - 1, coeffs))
-    return roots
-
-
-def _CYC_PQ_B(m):
-    from .scalar import _CYC_PQ
-    return _CYC_PQ[m][0]
-
-
-def _is_square(fr):
-    return _isqrt(fr.numerator) ** 2 == fr.numerator and \
-        _isqrt(fr.denominator) ** 2 == fr.denominator
-
-
-def _sqrt_frac(fr):
-    return Fraction(_isqrt(fr.numerator), _isqrt(fr.denominator))
-
-
-def _isqrt(n):
-    import math
-    return math.isqrt(n)
 
 
 def eigen_data(A, assignment=None, constraints=None):

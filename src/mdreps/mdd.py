@@ -148,7 +148,8 @@ class GroupElement:
         return out
 
     def __mul__(self, other):
-        assert self.n == other.n, "rank mismatch"
+        if self.n != other.n:
+            raise ValueError("rank mismatch: %d and %d" % (self.n, other.n))
         exps = dict(self.exps)
         for pair, e in GroupElement(other.n, other.exps, other.perm).act(self.perm).items():
             exps[pair] = exps.get(pair, 0) + e

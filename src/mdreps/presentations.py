@@ -13,7 +13,8 @@ the level-3 (or level-2) witness with its row and column words padded by
 letters 1, exactly the first nonzero entry of the dense level-n residual.
 """
 
-from .matrix import ExactMatrix, embed_at, words
+from .matrix import ExactMatrix, embed_at, word_to_str, words
+from .scalar import rf_to_json
 
 
 def _braid(sym, i):
@@ -102,8 +103,6 @@ class AnomalyReport:
         self.witness = witness
 
     def to_json(self):
-        from .matrix import word_to_str
-        from .scalar import rf_to_json
         if self.witness is None:
             wit = None
         else:

@@ -9,21 +9,26 @@ minimal polynomials, commutants, algebra closures, subspace restrictions
 and quotient coordinates eliminate fraction-free on those integer rows
 through ``matrix.Echelon``, and the splitting candidates and spectral
 projectors are integer combinations and integer Horner evaluations.  The
-certificates (local endomorphism ring, commutant shape) are exact.
+minimal polynomials, their roots and the CRT idempotents of the spectral
+projectors are computed in Q[x] with ``upoly``.  The certificates (local
+endomorphism ring, commutant shape) are exact.
 """
 
+import random
 from collections import deque
 from fractions import Fraction
 from math import lcm
 
 from .ccwg import is_ccwg, project_K
 from .clifford import mn_character, partition_dim, partitions
-from .matrix import (Echelon, ExactMatrix, UnsupportedSpectrum, _clear,
-                     _combine, _entries, _imul, _int_form, _roots_in_tower,
-                     _scaled_product, char_poly, commutant_basis, eigen_data,
-                     embed_at, matrix_order, nullspace)
+from .matrix import (Echelon, ExactMatrix, UnsupportedSpectrum, _combine,
+                     _entries, _imul, _int_form, _scaled_product, char_poly,
+                     commutant_basis, eigen_data, embed_at, matrix_order,
+                     nullspace)
 from .mdd import all_permutations, perm_cycle_type, perm_to_adjacent_word
 from .scalar import InvariantError, as_fraction
+from .upoly import (_clear, _pdivmod, _plcm, _pmul, _ppow, _pxgcd,
+                    _roots_in_tower, _sqrt, _squarefree_part)
 
 
 class CommutantBasis:
@@ -37,74 +42,6 @@ class CommutantBasis:
 def commutant(matrices, constraints=None):
     """Exact basis of everything commuting with the given matrices."""
     return CommutantBasis(commutant_basis(matrices, constraints))
-
-
-# ---------------------------------------------------------------------------
-# univariate polynomial helpers over Q (ascending coefficient lists)
-
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _ptrim(a):
-    while len(a) > 1 and a[-1] == 0:
-        a = a[:-1]
-    return a
-
-
-def _pdivmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        k = len(a) - len(b)
-        c = a[-1] / b[-1]
-        q[k] = c
-        for i, y in enumerate(b):
-            a[i + k] -= c * y
-        a.pop()
-    return _ptrim(q), _ptrim(a or [Fraction(0)])
-
-
-def _pgcd(a, b):
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b != [Fraction(0)] and any(b):
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-    if a[-1] != 0:
-        a = [x / a[-1] for x in a]
-    return a
-
-
-def _pxgcd(a, b):
-    """(u, v) with u*a + v*b = gcd (gcd normalized monic, assumed nonzero)."""
-    r0, r1 = _ptrim(list(a)), _ptrim(list(b))
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-    while any(r1):
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        t0, t1 = t1, _psub(t0, _pmul(q, t1))
-    lc = r0[-1]
-    return ([x / lc for x in s0], [x / lc for x in t0], [x / lc for x in r0])
-
-
-def _psub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _ptrim(out)
 
 
 def _peval_matrix(coeffs, M):
@@ -129,10 +66,7 @@ def _peval_matrix(coeffs, M):
 def distinct_eigenvalue_count(M):
     """Number of distinct eigenvalues over the algebraic closure: degree of
     the squarefree part of the characteristic polynomial."""
-    cp = char_poly(M)
-    dcp = [c * k for k, c in enumerate(cp)][1:]
-    g = _pgcd(cp, dcp)
-    return (len(cp) - 1) - (len(g) - 1)
+    return len(_squarefree_part(char_poly(M))) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +178,6 @@ def minimal_polynomial(M):
     return [x / lc for x in mp]
 
 
-def _plcm(a, b):
-    g = _pgcd(a, b)
-    q, r = _pdivmod(_pmul(a, b), g)
-    if any(r):
-        raise InvariantError("gcd does not divide the product")
-    return q
-
-
 def _splitting_data(T):
     """(distinct roots, multiplicities-in-min-poly) when the minimal
     polynomial splits into rational linear factors, else None."""
@@ -324,13 +250,6 @@ def _spectral_idempotents(T, mult):
             raise InvariantError("eigenvalue factors are not coprime")
         proj = _pmul(u, other)
         out.append(_peval_matrix(proj, T))
-    return out
-
-
-def _ppow(p, k):
-    out = [Fraction(1)]
-    for _ in range(k):
-        out = _pmul(out, p)
     return out
 
 
@@ -643,10 +562,9 @@ def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None, tries=40):
     # by multiplication on the quotient
     simples = None
     if center_dim == 1:
-        simples = [_int_sqrt(ss_dim)]
+        simples = [_sqrt(ss_dim)]
     else:
-        import random as _random
-        rgen = rng if rng is not None else _random.Random(12345)
+        rgen = rng if rng is not None else random.Random(12345)
         for _ in range(tries):
             coeffs = [rgen.randint(-5, 5) for _ in range(center_dim)]
             if not any(coeffs):
@@ -669,7 +587,7 @@ def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None, tries=40):
                 continue
             blocks = []
             for _, c0 in sorted(counts.items()):
-                b = _int_sqrt(c0)
+                b = _sqrt(c0)
                 if b is None:
                     blocks = None
                     break
@@ -690,12 +608,6 @@ def _trace_product(A, B):
 def _commutator(A, B):
     AB, BA = _imul(A, B), _imul(B, A)
     return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(AB, BA)]
-
-
-def _int_sqrt(v):
-    import math
-    r = math.isqrt(int(v))
-    return r if r * r == v else None
 
 
 def fglue_commutant_shape_ok(basis):

@@ -212,9 +212,9 @@ def test_verify_witness_matches_the_rf_path():
 
 
 _BROKEN = '''
-from mdreps.matrix import (ExactMatrix, RepPair, _deflate, embed_at,
-                           eigen_data, kron)
+from mdreps.matrix import ExactMatrix, RepPair, embed_at, eigen_data, kron
 from mdreps.scalar import InvariantError
+from mdreps.upoly import _deflate
 import mdreps.matrix as mx
 
 A = ExactMatrix.from_rows([[1, 2], [3, 4]])

@@ -51,7 +51,7 @@ def test_group_axioms_randomized(rng):
 
 
 def test_rank_mismatch():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         GroupElement.x(3, 1, 2) * GroupElement.x(4, 1, 2)
 
 

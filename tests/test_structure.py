@@ -9,7 +9,7 @@ import pytest
 from mdreps.catalog import analysis_pair, make_md_pair
 from mdreps.matrix import ExactMatrix
 from mdreps.scalar import InvariantError, NonVanishing, Poly, param, rf
-from mdreps.structure import (_find_splitter, _peval_matrix, _plcm,
+from mdreps.structure import (_find_splitter, _peval_matrix,
                               _splitting_data, algebra_dims, commutant,
                               decompose,
                               distinct_eigenvalue_count,
@@ -17,6 +17,7 @@ from mdreps.structure import (_find_splitter, _peval_matrix, _plcm,
                               generated_algebra, minimal_polynomial,
                               restrict_to_subspace, semisimple_quotient_dims,
                               x_trichotomy)
+from mdreps.upoly import _plcm
 
 p, q = param("p"), param("q")
 NV_FG = NonVanishing(["p", "q", Poly.var("q") - Poly.var("p"),
