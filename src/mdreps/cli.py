@@ -30,8 +30,12 @@ def _parse_assignment(text):
     for item in text.split(","):
         if "=" not in item:
             raise UsageError("bad assignment %r (want name=value)" % (item,))
-        name, val = item.split("=", 1)
-        out[name.strip()] = Fraction(val.strip())
+        name, val = (x.strip() for x in item.split("=", 1))
+        try:
+            out[name] = Fraction(val)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError("bad value %r for %r (want a rational)"
+                             % (val, name))
     return out
 
 
@@ -46,6 +50,18 @@ def _parse_params(text):
         else:
             kw[name] = val
     return kw
+
+
+def _call(fn, *args, **kw):
+    """fn(*args, **kw) for keywords from --params: one that fn does not take,
+    or that repeats a positional argument (such as make_md_pair's check),
+    is a usage error."""
+    try:
+        return fn(*args, **kw)
+    except TypeError as exc:
+        if exc.__traceback__.tb_next is not None:  # raised inside fn
+            raise
+        raise UsageError("bad --params: %s" % exc)
 
 
 def _emit(obj, path=None):
@@ -65,7 +81,7 @@ def _load_matrix(path):
 def _pair_from_args(args):
     if getattr(args, "case", None):
         kw = _parse_params(getattr(args, "params", "") or "")
-        return catalog.make_md_pair(args.case, check=False, **kw)
+        return _call(catalog.make_md_pair, args.case, False, **kw)
     if getattr(args, "R", None) and getattr(args, "S", None):
         return RepPair(_load_matrix(args.R), _load_matrix(args.S),
                        provenance="files")
@@ -99,14 +115,14 @@ def cmd_catalog(args):
         kw = _parse_params(args.params or "")
         if args.family in ("trivial", "f-glue", "a-glue", "fa-slash",
                            "anti-slash"):
-            M = catalog.make_involutive_braid(args.family, **kw)
+            M = _call(catalog.make_involutive_braid, args.family, **kw)
             _emit(M.to_json(), args.out)
             return EXIT_OK
         if args.family in ("P", "A", "N", "N'", "R"):
-            M = catalog.make_manji(args.family, **kw)
+            M = _call(catalog.make_manji, args.family, **kw)
             _emit(M.to_json(), args.out)
             return EXIT_OK
-        pair = catalog.make_md_pair(args.family, **kw)
+        pair = _call(catalog.make_md_pair, args.family, **kw)
         _emit({"R": pair.R.to_json(), "S": pair.S.to_json(),
                "provenance": pair.provenance,
                "params": list(pair.params)}, args.out)
@@ -122,8 +138,8 @@ def cmd_analyze(args):
     if args.case in ("a-glue", "f-glue", "antislash"):
         pair = catalog.analysis_pair(args.case)
     else:
-        pair = catalog.make_md_pair(args.case, check=False,
-                                    **_parse_params(args.params or ""))
+        pair = _call(catalog.make_md_pair, args.case, False,
+                     **_parse_params(args.params or ""))
     rep = structure.decompose(pair, args.n, assignment=at, rng=rng)
     out = rep.to_json()
     out["provenance"] = {"case": args.case, "n": args.n, "at": args.at,

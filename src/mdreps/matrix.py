@@ -6,6 +6,10 @@ the leading letters of a word.
 Under these conventions ``kron(A, B)`` at entry (w, v) is
 ``A[w_lead, v_lead] * B[w_trail, v_trail]``.
 
+Elimination: every nullspace, commutant and inverse runs through ``Echelon``
+(rational constants, fraction-free on integer rows) or ``RFEchelon``
+(symbolic and cyclotomic entries, over RFs, on certified pivots only).
+
 Spectra: ``char_poly`` gives the characteristic polynomial as an ascending
 coefficient list, and ``eigen_data`` and ``matrix_order`` split it with the
 univariate-polynomial root finder of ``upoly``.
@@ -282,35 +286,34 @@ class ExactMatrix:
 
     def inverse(self, constraints=None):
         """Inverse: fraction-free through ``Echelon`` in the constant form,
-        else Gauss-Jordan over RFs, which raises BranchAmbiguity when a pivot
-        is not certified nonzero by the constraints.  A singular matrix
-        raises ZeroDivisionError."""
+        else Gauss-Jordan elimination through ``RFEchelon``, fed the columns
+        of the matrix; an uncertified pivot raises BranchAmbiguity.  A
+        singular matrix raises ZeroDivisionError."""
         _require_square(self, "inverse")
-        n = self.nrows
         if self._ints is not None:
             return _const_inverse(self)
-        a = [row[:] + [RF_ONE if j == i else RF_ZERO for j in range(n)]
-             for i, row in enumerate(self._rows)]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not a[r][col].is_zero() and _certified(a[r][col], constraints):
-                    piv = r
-                    break
-            if piv is None:
-                for r in range(col, n):
-                    if not a[r][col].is_zero():
-                        raise BranchAmbiguity(a[r][col].num)
+        n = self.nrows
+        ech = RFEchelon(constraints, bound=n)
+        # echelon column k stands for the row at place k of Gauss-Jordan's
+        # row order (each pivot row swaps into its step's place), so the
+        # least certified column is the row that Gauss-Jordan picks
+        place = list(range(n))  # place[j]: the column of row j
+        for i, col in enumerate(zip(*self._rows)):
+            r = {place[j]: e for j, e in enumerate(col) if not e.is_zero()}
+            r[n + i] = RF_ONE
+            if ech.insert(r) is not None:
                 raise ZeroDivisionError("singular matrix")
-            a[col], a[piv] = a[piv], a[col]
-            pv = a[col][col]
-            a[col] = [x / pv for x in a[col]]
-            for r in range(n):
-                if r != col and not a[r][col].is_zero():
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+            p = max(ech.rows)  # the new pivot: places below i hold the others
+            if p != i:
+                swap = {i: p, p: i}
+                ech.rows = {swap.get(c, c): {swap.get(k, k): v
+                                             for k, v in row.items()}
+                            for c, row in ech.rows.items()}
+                place = [swap.get(c, c) for c in place]
+        # column j of the inverse is the marker part of the row at j's place
         return ExactMatrix(self.N, self.rows_level, self.cols_level,
-                           [row[n:] for row in a])
+                           [[ech.rows[c].get(n + i, RF_ZERO) for c in place]
+                            for i in range(n)])
 
     def first_difference(self, other):
         """(i, j, self[i, j] - other[i, j]) at the first entry, rows first,
@@ -346,14 +349,27 @@ class ExactMatrix:
 
     @classmethod
     def from_json(cls, obj):
-        N = obj["N"]
-        nr, nc = N ** obj["rows_level"], N ** obj["cols_level"]
-        rows = [[RF_ZERO] * nc for _ in range(nr)]
-        for wstr, vstr, e in obj["entries"]:
-            i = word_index(word_from_str(wstr), N)
-            j = word_index(word_from_str(vstr), N)
-            rows[i][j] = rf_from_json(e)
-        return cls.from_rows(rows, N, obj["rows_level"], obj["cols_level"])
+        """The matrix of a ``to_json`` object, checked: ValueError names the
+        first bad field or entry."""
+        if not isinstance(obj, dict):
+            raise ValueError("a matrix must be a JSON object, not %r" % (obj,))
+        N, rl, cl = (_json_int(obj, key, lo, hi) for key, lo, hi in
+                     (("N", 1, 9), ("rows_level", 0, 20),
+                      ("cols_level", 0, 20)))
+        if N ** (rl + cl) > 2 ** 20:
+            raise ValueError("a %d x %d matrix has more than 2^20 entries"
+                             % (N ** rl, N ** cl))
+        entries = obj.get("entries")
+        if not isinstance(entries, list):
+            raise ValueError("matrix 'entries' must be a list")
+        rows = [[RF_ZERO] * N ** cl for _ in range(N ** rl)]
+        for k, item in enumerate(entries):
+            try:
+                i, j, e = _json_entry(item, N, rl, cl)
+            except ValueError as exc:
+                raise ValueError("matrix entry %d: %s" % (k, exc)) from exc
+            rows[i][j] = e
+        return cls.from_rows(rows, N, rl, cl)
 
     def __repr__(self):
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]"
@@ -403,6 +419,28 @@ def _levels(rows, N, rows_level, cols_level):
         raise ValueError("a %dx%d matrix does not have levels %d x %d over "
                          "N = %d" % (nr, nc, rows_level, cols_level, N))
     return rows_level, cols_level
+
+
+def _json_int(obj, key, least, most):
+    v = obj.get(key)
+    if type(v) is not int or not least <= v <= most:
+        raise ValueError("matrix %r must be an integer in %d..%d, got %r"
+                         % (key, least, most, v))
+    return v
+
+
+def _json_entry(item, N, rows_level, cols_level):
+    """(i, j, value) of a [row word, column word, value] matrix entry."""
+    if not (isinstance(item, list) and len(item) == 3):
+        raise ValueError("%r is not [row word, column word, value]" % (item,))
+    ij = []
+    for w, lvl in zip(item, (rows_level, cols_level)):
+        if not (isinstance(w, str) and len(w) == lvl
+                and all("1" <= ch <= str(N) for ch in w)):
+            raise ValueError("word %r is not %d letters in 1..%d"
+                             % (w, lvl, N))
+        ij.append(word_index(word_from_str(w), N))
+    return ij[0], ij[1], rf_from_json(item[2])
 
 
 def _require_square(M, what):
@@ -763,19 +801,24 @@ class Echelon:
         """Basis of the right kernel of the stored rows over columns
         0..ncols-1, as Fraction lists: one vector per free column, in
         column order, with 1 at its free column and 0 at the others."""
-        rows = self.rows
-        if rows and max(rows) >= ncols:
-            raise InvariantError("pivot column beyond the %d columns" % ncols)
-        basis = {f: [Fraction(0)] * ncols for f in range(ncols)
-                 if f not in rows}
-        for f, vec in basis.items():
-            vec[f] = Fraction(1)
-        for p, row in rows.items():
-            pv = row[p]
-            for c, v in row.items():
-                if c != p and c < ncols:
-                    basis[c][p] = Fraction(-v, pv)
-        return list(basis.values())
+        return _kernel(self.rows, ncols, Fraction(0), Fraction(1),
+                       lambda v, pv: Fraction(-v, pv))
+
+
+def _kernel(rows, ncols, zero, one, coordinate):
+    """The basis ``nullspace`` reads from fully reduced rows keyed by pivot
+    column; coordinate(v, pivot entry) is a vector's entry at the pivot."""
+    if rows and max(rows) >= ncols:
+        raise InvariantError("pivot column beyond the %d columns" % ncols)
+    basis = {f: [zero] * ncols for f in range(ncols) if f not in rows}
+    for f, vec in basis.items():
+        vec[f] = one
+    for p, row in rows.items():
+        pv = row[p]
+        for c, v in row.items():
+            if c != p and c < ncols:
+                basis[c][p] = coordinate(v, pv)
+    return list(basis.values())
 
 
 def _divide_content(row):
@@ -806,6 +849,70 @@ def _eliminate(row, prow, p):
 
 
 # ---------------------------------------------------------------------------
+# elimination over rational functions
+
+class RFEchelon:
+    """Incremental, fully reduced row echelon form over rational functions,
+    with ``Echelon``'s interface: every elimination on symbolic or
+    cyclotomic entries runs here.  Rows are sparse ``{col: RF}`` dicts, and
+    each stored row has pivot entry 1.  The pivot is the least column below
+    ``bound`` whose entry is certified nonzero: a nonzero constant, or a
+    numerator covered by ``constraints``.  If no entry there is certified,
+    BranchAmbiguity names the numerator of the least one.
+    """
+
+    __slots__ = ("constraints", "bound", "rows")
+
+    def __init__(self, constraints=None, bound=None):
+        self.constraints = constraints
+        self.bound = bound
+        self.rows = {}  # pivot column -> row
+
+    def insert(self, row):
+        """Add ``row``: None when it is independent of the stored rows, else
+        its residual, which is then zero below ``bound``."""
+        row = dict(row)
+        rows = self.rows
+        for p in sorted(set(row) & set(rows)):
+            _rf_eliminate(row, rows[p], p)
+        row = {c: v for c, v in row.items() if not v.is_zero()}
+        bound = self.bound
+        cols = sorted(c for c in row if bound is None or c < bound)
+        if not cols:
+            return row
+        piv = next((c for c in cols if _certified(row[c], self.constraints)),
+                   None)
+        if piv is None:
+            raise BranchAmbiguity(row[cols[0]].num)
+        pv = row[piv]
+        row = {c: v / pv for c, v in row.items()}
+        row[piv] = RF_ONE
+        for prow in rows.values():
+            _rf_eliminate(prow, row, piv)
+        rows[piv] = row
+        return None
+
+    def nullspace(self, ncols):
+        """As ``Echelon.nullspace``, with RF entries."""
+        return _kernel(self.rows, ncols, RF_ZERO, RF_ONE, lambda v, pv: -v)
+
+
+def _rf_eliminate(row, prow, p):
+    """row <- row - row[p] * prow for a stored row with prow[p] = 1, which
+    clears column p of row; entries that cancel are dropped."""
+    f = row.pop(p, None)
+    if f is None or f.is_zero():
+        return
+    for c, v in prow.items():
+        if c != p:
+            nv = row.get(c, RF_ZERO) - f * v
+            if nv.is_zero():
+                row.pop(c, None)
+            else:
+                row[c] = nv
+
+
+# ---------------------------------------------------------------------------
 # linear algebra: nullspace, rank, spectra
 
 def nullspace(A, constraints=None):
@@ -820,94 +927,28 @@ def nullspace(A, constraints=None):
         for row in A._ints:
             ech.insert({j: a for j, a in enumerate(row) if a})
         return _rf_vectors(ech.nullspace(A.ncols))
-    rows = []
-    for row in A._rows:
-        r = {j: e for j, e in enumerate(row) if not e.is_zero()}
-        if r:
-            rows.append(r)
-    return _nullspace_rows(rows, A.ncols, constraints)
+    return sparse_nullspace([{j: e for j, e in enumerate(row)
+                              if not e.is_zero()} for row in A._rows],
+                            A.ncols, constraints)
 
 
-def _nullspace_rows(rows, ncols, constraints=None):
+def sparse_nullspace(rows, ncols, constraints=None):
+    """Nullspace of a sparse system given as row dicts {col: RF}: through
+    ``Echelon`` when every entry is rational, else ``RFEchelon``."""
     try:
-        fracs = [[as_fraction(v) for v in r.values()] for r in rows]
+        rows = [dict(zip(r, _clear([as_fraction(v) for v in r.values()])[0]))
+                for r in rows]
+        ech = Echelon()
     except ValueError:  # a symbolic or cyclotomic entry
-        return _nullspace_rf(rows, ncols, constraints)
-    ech = Echelon()
-    for r, fr in zip(rows, fracs):
-        ech.insert(dict(zip(r, _clear(fr)[0])))
-    return _rf_vectors(ech.nullspace(ncols))
+        ech = RFEchelon(constraints)
+    for r in rows:
+        ech.insert(r)
+    vecs = ech.nullspace(ncols)
+    return vecs if isinstance(ech, RFEchelon) else _rf_vectors(vecs)
 
 
 def _rf_vectors(vecs):
     return [[rf(x) if x else RF_ZERO for x in vec] for vec in vecs]
-
-
-def _nullspace_rf(rows, ncols, constraints):
-    rows = [dict(r) for r in rows]
-    pivots = {}  # col -> reduced row (dict)
-    for r in rows:
-        # reduce against existing pivots
-        for c in sorted(set(r) & set(pivots)):
-            f = r.get(c)
-            if f is None or f.is_zero():
-                r.pop(c, None)
-                continue
-            prow = pivots[c]
-            for cc, v in prow.items():
-                if cc == c:
-                    continue
-                nv = r.get(cc, RF_ZERO) - f * v
-                if nv.is_zero():
-                    r.pop(cc, None)
-                else:
-                    r[cc] = nv
-            r.pop(c, None)
-        r = {c: v for c, v in r.items() if not v.is_zero()}
-        if not r:
-            continue
-        # choose a certified pivot
-        piv = None
-        for c in sorted(r):
-            if _certified(r[c], constraints):
-                piv = c
-                break
-        if piv is None:
-            raise BranchAmbiguity(r[sorted(r)[0]].num)
-        pv = r[piv]
-        r = {c: v / pv for c, v in r.items()}
-        r[piv] = RF_ONE
-        # eliminate the new pivot from previous pivot rows
-        for c0, prow in pivots.items():
-            f = prow.get(piv)
-            if f is None or f.is_zero():
-                continue
-            for cc, v in r.items():
-                if cc == piv:
-                    continue
-                nv = prow.get(cc, RF_ZERO) - f * v
-                if nv.is_zero():
-                    prow.pop(cc, None)
-                else:
-                    prow[cc] = nv
-            prow.pop(piv, None)
-        pivots[piv] = r
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
-        vec = [RF_ZERO] * ncols
-        vec[fcol] = RF_ONE
-        for c, prow in pivots.items():
-            v = prow.get(fcol)
-            if v is not None:
-                vec[c] = -v
-        basis.append(vec)
-    return basis
-
-
-def sparse_nullspace(rows, ncols, constraints=None):
-    """Nullspace of a sparse system given as row dicts {col: RF}."""
-    return _nullspace_rows(rows, ncols, constraints)
 
 
 def rank(A, constraints=None):
@@ -1054,19 +1095,15 @@ def commutant_basis(mats, constraints=None):
             raise ValueError("commutant needs square matrices of one size, "
                              "got %dx%d and %dx%d" % (d, d, M.nrows, M.ncols))
     try:
-        ints = [_int_form(M)[0] for M in mats]
-    except ValueError:
-        rows = [r for M in mats for r in _commutation_rows(_rf_rows(M),
-                                                           RF_ZERO)]
-        return [ExactMatrix(N, lvl, lvl, [vec[i * d:(i + 1) * d]
-                                          for i in range(d)])
-                for vec in _nullspace_rows(rows, d * d, constraints)]
-    ech = Echelon()
-    for A in ints:
-        for r in _commutation_rows(A, 0):
+        mats, zero, make = [_int_form(M)[0] for M in mats], 0, _fraction_matrix
+        ech = Echelon()
+    except ValueError:  # a symbolic or cyclotomic entry
+        mats, zero, make = [_rf_rows(M) for M in mats], RF_ZERO, ExactMatrix
+        ech = RFEchelon(constraints)
+    for A in mats:
+        for r in _commutation_rows(A, zero):
             ech.insert(r)
-    return [_fraction_matrix(N, lvl, lvl, [vec[i * d:(i + 1) * d]
-                                           for i in range(d)])
+    return [make(N, lvl, lvl, [vec[i * d:(i + 1) * d] for i in range(d)])
             for vec in ech.nullspace(d * d)]
 
 

@@ -6,6 +6,7 @@ Rational functions are kept reduced (numerator/denominator coprime, denominator
 with leading coefficient 1 under graded-lex on alphabetically sorted names).
 """
 
+import re
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
@@ -862,12 +863,32 @@ def _coeff_to_json(c):
 
 
 def _coeff_from_json(obj):
-    if "q" in obj:
-        return Fraction(obj["q"])
-    d = obj["cyc"]
-    coeffs = [Fraction(s) for s in d["coeffs"]]
+    if isinstance(obj, dict) and "q" in obj:
+        return _rational_from_json(obj["q"])
+    d = obj.get("cyc") if isinstance(obj, dict) else None
+    if not (isinstance(d, dict) and type(d.get("m")) is int
+            and d["m"] in _CYC_PQ and isinstance(d.get("coeffs"), list)
+            and len(d["coeffs"]) <= 2):
+        raise ValueError("bad coefficient %r (want {'q': a rational} or "
+                         "{'cyc': {'m': 3, 4 or 6, 'coeffs': [a, b]}})"
+                         % (obj,))
+    coeffs = [_rational_from_json(x) for x in d["coeffs"]]
     coeffs += [Fraction(0)] * (2 - len(coeffs))
     return Cyc(d["m"], coeffs[0], coeffs[1])
+
+
+# an integer, a/b or a decimal; Fraction's exponent form is left out, as
+# "1e999999999" would take minutes to parse
+_RATIONAL = re.compile(r"\s*[-+]?(\d+(/\d+)?|\d*\.\d+)\s*\Z")
+
+
+def _rational_from_json(x):
+    if not (type(x) is int or isinstance(x, str) and _RATIONAL.match(x)):
+        raise ValueError("bad rational %r" % (x,))
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (x,))
 
 
 def _poly_to_json(p):
@@ -878,10 +899,19 @@ def _poly_to_json(p):
 
 
 def _poly_from_json(items):
+    if not isinstance(items, list):
+        raise ValueError("bad polynomial %r (want a list of terms)"
+                         % (items,))
     terms = {}
-    for coeff, exps in items:
-        m = tuple(sorted((str(x), int(e)) for x, e in exps.items()))
-        terms[m] = _coeff_from_json(coeff)
+    for item in items:
+        if not (isinstance(item, list) and len(item) == 2
+                and isinstance(item[1], dict)
+                and all(type(e) is int and e > 0 for e in item[1].values())):
+            raise ValueError("bad term %r (want [coefficient, {name: positive "
+                             "exponent}])" % (item,))
+        coeff, exps = item
+        terms[tuple(sorted((str(x), e) for x, e in exps.items()))] = \
+            _coeff_from_json(coeff)
     return Poly(terms)
 
 
@@ -890,7 +920,13 @@ def rf_to_json(f):
 
 
 def rf_from_json(obj):
-    return RF(_poly_from_json(obj["num"]), _poly_from_json(obj["den"]))
+    """The RF of an ``rf_to_json`` object; ValueError if it is malformed."""
+    if not (isinstance(obj, dict) and "num" in obj and "den" in obj):
+        raise ValueError("bad entry %r (want {'num': .., 'den': ..})" % (obj,))
+    num, den = _poly_from_json(obj["num"]), _poly_from_json(obj["den"])
+    if den.is_zero():
+        raise ValueError("zero denominator in %r" % (obj,))
+    return RF(num, den)
 
 
 def as_fraction(f):

@@ -5,7 +5,8 @@ Q(zeta_m) (``Cyc``).
 Arithmetic (trim, sub, mul, pow, long division), the monic gcd, the
 extended gcd and the lcm, Horner evaluation and the squarefree part, and
 the root finder behind every spectrum: rational roots from the candidates
-of the rational root theorem, then rational and cyclotomic quadratics.
+of the rational root theorem, then every cyclotomic quadratic factor, then a
+last quadratic with rational roots.
 Every step is exact: the results carry the coefficient types that field
 arithmetic on the inputs gives.
 """
@@ -227,26 +228,24 @@ def _roots_in_tower(coeffs):
     if len(coeffs) == 2:
         roots.append(-coeffs[0] / coeffs[1])
         coeffs = coeffs[1:]
+    # split off the cyclotomic quadratics, each as often as it divides
+    for (b, c), m in _CYC_QUADS.items():
+        while len(coeffs) >= 3:
+            quo, rem = _pdivmod(coeffs, [c, b, Fraction(1)])
+            if any(rem):
+                break
+            roots += [Cyc(m, 0, 1), Cyc(m, -_CYC_PQ[m][0], -1)]
+            coeffs = quo
     if len(coeffs) == 3:
         a2, a1, a0 = coeffs[2], coeffs[1], coeffs[0]
         b, c = a1 / a2, a0 / a2
         disc = b * b - 4 * c
         s = _sqrt(disc) if isinstance(disc, Fraction) and disc >= 0 else None
-        if s is not None:
-            roots.append((-b + s) / 2)
-            roots.append((-b - s) / 2)
-            coeffs = coeffs[2:]
-        else:
-            # scaled root of unity? x^2+bx+c with roots u*z, u*z^-1 not handled;
-            # support only the plain cyclotomic quadratics
-            key = (b, c)
-            if key in _CYC_QUADS:
-                m = _CYC_QUADS[key]
-                roots.append(Cyc(m, 0, 1))
-                roots.append(Cyc(m, -_CYC_PQ[m][0], -1))
-                coeffs = coeffs[2:]
-            else:
-                raise UnsupportedSpectrum("x^2 + (%s)x + (%s)" % (b, c))
+        if s is None:
+            raise UnsupportedSpectrum("x^2 + (%s)x + (%s)" % (b, c))
+        roots.append((-b + s) / 2)
+        roots.append((-b - s) / 2)
+        coeffs = coeffs[2:]
     if len(coeffs) > 3:
         raise UnsupportedSpectrum("degree-%d factor %s" % (len(coeffs) - 1, coeffs))
     return roots

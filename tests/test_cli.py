@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdreps.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
 from mdreps.matrix import ExactMatrix
@@ -147,6 +151,14 @@ def test_mdd_commands(capsys):
     ["irreps", "--n", "3", "--char", "a,a^x,b"],
     ["irreps", "--n", "3", "--char", "a,1/0,b"],
     ["irreps", "--n", "3", "--char", "a,0^-1,b"],
+    ["catalog", "make", "f-glue", "--params", "t=1/2"],
+    ["catalog", "make", "P", "--params", "=0"],
+    ["verify", "--case", "case2", "--params", "check=0"],
+    ["analyze", "--case", "case2", "--n", "2", "--params", "check=1"],
+    ["verify", "--case", "case1", "--params", "t=1/0"],
+    ["analyze", "--case", "a-glue", "--n", "2", "--at", "p=1/0,q=2"],
+    ["mdd", "eval", "--word", "r1", "--case", "case2", "--n", "2", "--at",
+     "p=x"],
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert main(argv) == EXIT_USAGE
@@ -177,3 +189,176 @@ def test_branch_ambiguity_names_its_polynomial(capsys):
     assert main(["analyze", "--case", "a-glue", "--n", "3"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "depends on" in err and "q" in err and "pass --at" in err
+
+
+def _flip_json():
+    from mdreps.catalog import flip_matrix
+    return flip_matrix().to_json()
+
+
+def _with(entry_index, position, value):
+    obj = _flip_json()
+    obj["entries"][entry_index][position] = value
+    return obj
+
+
+_ONE = {"num": [[{"q": "1"}, {}]], "den": [[{"q": "1"}, {}]]}
+_MALFORMED_MATRICES = {
+    "letter beyond N": _with(0, 0, "13"),
+    "letter 0": _with(0, 0, "10"),
+    "short word": _with(0, 1, "1"),
+    "long word": _with(0, 1, "111"),
+    "entry not an RF object": _with(0, 2, "1"),
+    "coefficient not an object": _with(0, 2, {"num": [["x", {}]],
+                                              "den": _ONE["den"]}),
+    "zero denominator": _with(0, 2, {"num": _ONE["num"], "den": []}),
+    "rational 1/0": _with(0, 2, {"num": [[{"q": "1/0"}, {}]],
+                                 "den": _ONE["den"]}),
+    "exponent form": _with(0, 2, {"num": [[{"q": "1e999999999"}, {}]],
+                                  "den": _ONE["den"]}),
+    "zero exponent": _with(0, 2, {"num": [[{"q": "1"}, {"p": 0}]],
+                                  "den": _ONE["den"]}),
+    "cyclotomic order 5": _with(0, 2, {"num": [[{"cyc": {"m": 5,
+                                                         "coeffs": ["0", "1"]}},
+                                                {}]], "den": _ONE["den"]}),
+    "entry not a triple": dict(_flip_json(), entries=[["11", "11"]]),
+    "N a string": dict(_flip_json(), N="2"),
+    "N of 10": dict(_flip_json(), N=10),
+    "negative level": dict(_flip_json(), rows_level=-1),
+    "level too high": dict(_flip_json(), cols_level=21),
+    "too many entries": dict(_flip_json(), N=2, rows_level=20,
+                             cols_level=20, entries=[]),
+    "no entries": {"N": 2, "rows_level": 2, "cols_level": 2},
+    "not an object": [1, 2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_MATRICES))
+def test_malformed_matrix_file_exits_2(tmp_path, capsys, name):
+    bad, ok = tmp_path / "bad.json", tmp_path / "ok.json"
+    bad.write_text(json.dumps(_MALFORMED_MATRICES[name]))
+    ok.write_text(json.dumps(_flip_json()))
+    for argv in (["verify", "--R", str(bad), "--S", str(ok), "--n", "3"],
+                 ["ccwg", "check", str(bad)]):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_malformed_entry_is_named():
+    with pytest.raises(ValueError, match="matrix entry 0: word '10' is not "
+                                         "2 letters in 1..2"):
+        ExactMatrix.from_json(_with(0, 0, "10"))
+    with pytest.raises(ValueError, match="matrix entry 0: bad coefficient"):
+        ExactMatrix.from_json(_with(0, 2, {"num": [["x", {}]],
+                                           "den": _ONE["den"]}))
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over the argv grammar
+
+_CASE_NAMES = st.sampled_from(["case1", "case2", "case6a", "a-glue",
+                               "f-glue", "antislash", "trivial", "nope"])
+_SMALL_N = st.sampled_from(["-1", "0", "1", "2", "3", "x"])
+_VALUES = st.sampled_from(["2", "5", "-1", "1/2", "0", "1/0", "x", ""])
+_ASSIGNMENTS = st.lists(st.tuples(st.sampled_from(["p", "q", "t", "eps",
+                                                   "sign", ""]), _VALUES),
+                        max_size=3).map(
+    lambda kv: ",".join("%s=%s" % item for item in kv))
+_CHARS = st.lists(st.sampled_from(["1", "-1", "a", "a^-1", "w3", "w5", "0",
+                                   "1/0", ""]), min_size=1, max_size=4).map(
+    ",".join)
+_WORDS = st.lists(st.sampled_from(["r1", "s1", "r2", "s2^-1", "x12", "x21",
+                                   "x13", "r0", "q"]), min_size=1,
+                  max_size=3).map(" ".join)
+_JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 12),
+                         st.sampled_from(["", "1", "12", "21", "13", "10",
+                                          "111", "x", "1/0", "1e9"]))
+_JSON = st.recursive(_JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.sampled_from(["N", "rows_level", "cols_level",
+                                     "entries", "num", "den", "q", "cyc",
+                                     "m", "coeffs", "p"]), inner,
+                    max_size=4)), max_leaves=12)
+
+
+@st.composite
+def _matrix_files(draw):
+    """A valid matrix, one with a field or entry replaced, or any JSON."""
+    from mdreps.catalog import antislash_matrix
+    obj = draw(st.sampled_from([_flip_json, lambda: antislash_matrix()
+                                .to_json()]))()
+    kind = draw(st.sampled_from(["valid", "field", "entry", "any"]))
+    if kind == "field":
+        obj[draw(st.sampled_from(sorted(obj)))] = draw(_JSON)
+    elif kind == "entry":
+        entry = obj["entries"][draw(st.integers(0, 2))]
+        entry[draw(st.integers(0, 2))] = draw(_JSON)
+    elif kind == "any":
+        obj = draw(_JSON)
+    return obj
+
+
+@st.composite
+def _argvs(draw, paths):
+    """(argv, matrix files) from the CLI grammar, with bad values mixed in."""
+    files = [draw(_matrix_files()) for _ in paths]
+    opt = lambda flag, values: ([flag, draw(values)]  # noqa: E731
+                                if draw(st.booleans()) else [])
+    command = draw(st.sampled_from(["verify", "catalog", "analyze", "irreps",
+                                    "ccwg", "mdd"]))
+    if command == "verify":
+        if draw(st.booleans()):
+            argv = ["verify", "--case", draw(_CASE_NAMES)]
+            argv += opt("--params", _ASSIGNMENTS)
+        else:
+            argv = ["verify", "--R", paths[0], "--S", paths[1]]
+        argv += opt("--n", _SMALL_N) + opt("--relations", st.sampled_from(
+            ["MixedDoubles", "Braid", "nope"]))
+    elif command == "catalog":
+        argv = ["catalog", draw(st.sampled_from(["list", "make", "nope"]))]
+        argv += [draw(st.sampled_from(["f-glue", "P", "case2", "N'", "x"]))]
+        argv += opt("--params", _ASSIGNMENTS)
+    elif command == "analyze":
+        argv = ["analyze", "--case", draw(_CASE_NAMES),
+                "--n", draw(st.sampled_from(["1", "2", "3"]))]
+        argv += opt("--at", _ASSIGNMENTS) + opt("--params", _ASSIGNMENTS)
+    elif command == "irreps":
+        argv = ["irreps", "--n", draw(_SMALL_N)]
+        argv += opt("--char", _CHARS) + opt("--tau", _SMALL_N)
+        argv += opt("--dims", st.sampled_from(["1", "2", "3", "0", "x"]))
+    elif command == "ccwg":
+        argv = ["ccwg", draw(st.sampled_from(["check", "project", "order"])),
+                paths[0]]
+        argv += opt("--part", st.sampled_from(["cc", "glue"]))
+        argv += opt("--N", _SMALL_N) + opt("--n", _SMALL_N)
+    else:
+        argv = ["mdd", draw(st.sampled_from(["normal", "eval"])), "--word",
+                draw(_WORDS), "--n", draw(st.sampled_from(["2", "3"]))]
+        if draw(st.booleans()):
+            argv += ["--case", draw(_CASE_NAMES)]
+        else:
+            argv += ["--R", paths[0], "--S", paths[1]]
+        argv += opt("--at", _ASSIGNMENTS) + opt("--params", _ASSIGNMENTS)
+    return opt("--seed", st.sampled_from(["0", "3", "x"])) + argv, files
+
+
+def test_exit_code_contract_over_the_argv_grammar(tmp_path):
+    paths = [str(tmp_path / "R.json"), str(tmp_path / "S.json")]
+
+    @given(_argvs(paths))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def check(case):
+        argv, files = case
+        for path, obj in zip(paths, files):
+            with open(path, "w") as fh:
+                json.dump(obj, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_MATH_FAIL, EXIT_USAGE), argv
+        if code == EXIT_USAGE and err.getvalue().startswith("error: "):
+            assert err.getvalue().count("\n") == 1, argv
+
+    check()

@@ -11,16 +11,53 @@ import mdreps
 _SRC = os.path.dirname(os.path.dirname(mdreps.__file__))
 
 
-def test_no_assert_statements_in_the_package():
+def _package_nodes():
+    """(file name, AST node) for every node of every module of the
+    package."""
     pkg = os.path.dirname(mdreps.__file__)
-    found = []
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name)) as fh:
                 tree = ast.parse(fh.read(), name)
-            found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
+            for node in ast.walk(tree):
+                yield name, node
+
+
+def test_no_assert_statements_in_the_package():
+    found = ["%s:%d" % (name, node.lineno) for name, node in _package_nodes()
+             if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _catches_everything(handler):
+    """True for ``except:``, ``except Exception`` or ``except
+    BaseException``, alone or in a tuple."""
+    if handler.type is None:
+        return True
+    types = (handler.type.elts if isinstance(handler.type, ast.Tuple)
+             else [handler.type])
+    return any(isinstance(t, ast.Name) and t.id in ("Exception",
+                                                     "BaseException")
+               for t in types)
+
+
+def test_no_catch_all_handlers_in_the_package():
+    # no exception is swallowed silently: every handler names what it expects
+    found = ["%s:%d" % (name, node.lineno) for name, node in _package_nodes()
+             if isinstance(node, ast.ExceptHandler)
+             and _catches_everything(node)]
+    assert found == []
+
+
+def test_catch_all_scan_sees_each_form():
+    src = ("try:\n    f()\nexcept:\n    pass\n"
+           "try:\n    f()\nexcept Exception:\n    pass\n"
+           "try:\n    f()\nexcept (ValueError, BaseException):\n    pass\n"
+           "try:\n    f()\nexcept (ValueError, KeyError):\n    pass\n")
+    handlers = [n for n in ast.walk(ast.parse(src))
+                if isinstance(n, ast.ExceptHandler)]
+    assert [_catches_everything(h) for h in handlers] == [True, True, True,
+                                                          False]
 
 
 _PROBES = '''

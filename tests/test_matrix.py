@@ -1,17 +1,18 @@
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdreps.matrix import (Echelon, ExactMatrix, RepPair, UnsupportedSpectrum,
-                           _commutation_rows, _dot, _nullspace_rf,
-                           commutant_basis, eigen_data, embed_at, kron,
+from mdreps.matrix import (Echelon, ExactMatrix, RepPair, RFEchelon,
+                           UnsupportedSpectrum, _certified, _commutation_rows,
+                           _dot, commutant_basis, eigen_data, embed_at, kron,
                            matrix_order, nullspace, sparse_nullspace, words)
-from mdreps.scalar import (RF, RF_ZERO, BranchAmbiguity, Cyc, NonVanishing,
-                           Poly, param, rf, zeta)
+from mdreps.scalar import (RF, RF_ONE, RF_ZERO, BranchAmbiguity, Cyc,
+                           NonVanishing, Poly, param, rf, zeta)
 
 p, q = param("p"), param("q")
 
@@ -162,6 +163,23 @@ def test_eigen_cyclotomic_and_unsupported():
     bad = m([[0, 2], [1, 0]], N=2)  # eigenvalues +-sqrt(2)
     with pytest.raises(UnsupportedSpectrum):
         eigen_data(bad)
+
+
+def test_spectrum_with_two_cyclotomic_quadratics(monkeypatch):
+    # block rotation of orders 3 and 4: the characteristic polynomial
+    # (x^2+x+1)(x^2+1) splits, so the order comes from the spectrum, and the
+    # geometric multiplicities from RF nullspaces with Cyc entries
+    import mdreps.matrix as mx
+    B = m([[0, -1, 0, 0], [1, -1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    ed = eigen_data(B)
+    assert ed.diagonalizable
+    assert sorted((v.m, v.a, v.b, a, g) for v, a, g in ed.eigenvalues) == [
+        (3, -1, -1, 1, 1), (3, 0, 1, 1, 1), (4, 0, -1, 1, 1), (4, 0, 1, 1, 1)]
+
+    def no_powers(A, bound):
+        raise AssertionError("order not read from the spectrum")
+    monkeypatch.setattr(mx, "_order_by_powers", no_powers)
+    assert matrix_order(B) == 12
 
 
 def test_matrix_order():
@@ -486,10 +504,102 @@ def test_echelon_markers_never_pivot():
     assert list(ech.rows) == [0]
 
 
-def _commutant_oracle(mats):
+# The two RF elimination loops that ``RFEchelon`` replaced, kept verbatim as
+# oracles: the row-by-row sparse nullspace, and the dense column-pivoting
+# Gauss-Jordan loop of ``ExactMatrix.inverse``.
+
+def _nullspace_rf(rows, ncols, constraints):
+    rows = [dict(r) for r in rows]
+    pivots = {}  # col -> reduced row (dict)
+    for r in rows:
+        # reduce against existing pivots
+        for c in sorted(set(r) & set(pivots)):
+            f = r.get(c)
+            if f is None or f.is_zero():
+                r.pop(c, None)
+                continue
+            prow = pivots[c]
+            for cc, v in prow.items():
+                if cc == c:
+                    continue
+                nv = r.get(cc, RF_ZERO) - f * v
+                if nv.is_zero():
+                    r.pop(cc, None)
+                else:
+                    r[cc] = nv
+            r.pop(c, None)
+        r = {c: v for c, v in r.items() if not v.is_zero()}
+        if not r:
+            continue
+        # choose a certified pivot
+        piv = None
+        for c in sorted(r):
+            if _certified(r[c], constraints):
+                piv = c
+                break
+        if piv is None:
+            raise BranchAmbiguity(r[sorted(r)[0]].num)
+        pv = r[piv]
+        r = {c: v / pv for c, v in r.items()}
+        r[piv] = RF_ONE
+        # eliminate the new pivot from previous pivot rows
+        for c0, prow in pivots.items():
+            f = prow.get(piv)
+            if f is None or f.is_zero():
+                continue
+            for cc, v in r.items():
+                if cc == piv:
+                    continue
+                nv = prow.get(cc, RF_ZERO) - f * v
+                if nv.is_zero():
+                    prow.pop(cc, None)
+                else:
+                    prow[cc] = nv
+            prow.pop(piv, None)
+        pivots[piv] = r
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fcol in free:
+        vec = [RF_ZERO] * ncols
+        vec[fcol] = RF_ONE
+        for c, prow in pivots.items():
+            v = prow.get(fcol)
+            if v is not None:
+                vec[c] = -v
+        basis.append(vec)
+    return basis
+
+
+def _inverse_gauss_jordan(M, constraints=None):
+    n = M.nrows
+    a = [row[:] + [RF_ONE if j == i else RF_ZERO for j in range(n)]
+         for i, row in enumerate(M.rows)]
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if not a[r][col].is_zero() and _certified(a[r][col], constraints):
+                piv = r
+                break
+        if piv is None:
+            for r in range(col, n):
+                if not a[r][col].is_zero():
+                    raise BranchAmbiguity(a[r][col].num)
+            raise ZeroDivisionError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        pv = a[col][col]
+        a[col] = [x / pv for x in a[col]]
+        for r in range(n):
+            if r != col and not a[r][col].is_zero():
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return ExactMatrix(M.N, M.rows_level, M.cols_level,
+                       [row[n:] for row in a])
+
+
+def _commutant_oracle(mats, constraints=None):
     d = mats[0].nrows
     rows = [r for M in mats for r in _commutation_rows(M.rows, RF_ZERO)]
-    basis = _nullspace_rf(rows, d * d, None)
+    basis = _nullspace_rf(rows, d * d, constraints)
     return [[vec[i * d:(i + 1) * d] for i in range(d)] for vec in basis]
 
 
@@ -519,3 +629,115 @@ def test_nullity_against_sympy(rng):
         got = sparse_nullspace([{j: rf(v) for j, v in r.items()}
                                 for r in rows], ncols)
         assert len(got) == ncols - sp.Matrix(dense).rank()
+
+
+# ---------------------------------------------------------------------------
+# RFEchelon against the loops it replaced
+
+P, Q = Poly.var("p"), Poly.var("q")
+_NV_SETS = (None, NonVanishing(["p"]), NonVanishing(["q"]),
+            NonVanishing(["p", "q"]), NonVanishing(["p", "q", P - Q]),
+            NonVanishing(["p", "q", P - Q, P + Q]))
+
+
+def _outcome(f, *args):
+    """f(*args), or the class name of the elimination error it raises and,
+    for a BranchAmbiguity, its polynomial."""
+    try:
+        return f(*args)
+    except BranchAmbiguity as exc:
+        return ("BranchAmbiguity", exc.poly)
+    except ZeroDivisionError:
+        return ("ZeroDivisionError",)
+
+
+def test_rf_echelon_nullspace_matches_the_loop_it_replaced(rng):
+    pool = [rf(1), rf(-1), rf(Fraction(2, 3)), p, q, p - q, p + q, p * q,
+            1 / p, p / q, q * q - 1, rf(zeta(3)), p * zeta(3)]
+    seen = set()
+    for _ in range(120):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        density = rng.choice((0.3, 0.6, 0.9))
+        rows = [{j: rng.choice(pool) for j in range(ncols)
+                 if rng.random() < density} for _ in range(nrows)]
+        if rng.random() < 0.5:  # a dependent row
+            f = rng.choice(pool)
+            rows.append({j: f * v for j, v in rows[0].items()})
+        rng.shuffle(rows)
+        nv = rng.choice(_NV_SETS)
+        got = _outcome(sparse_nullspace, rows, ncols, nv)
+        assert got == _outcome(_nullspace_rf, rows, ncols, nv)
+        seen.add(type(got))
+    assert seen == {list, tuple}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_symbolic_commutants_match_the_loop_they_replaced(n):
+    from mdreps.catalog import analysis_pair, make_md_pair
+    t = Poly.var("t")
+    one = Poly.const(1)
+    cases = [(analysis_pair("f-glue"), NonVanishing(["p", "q", Q - P, P + Q])),
+             (analysis_pair("a-glue"), NonVanishing(["p", "q", Q - P])),
+             (make_md_pair("case6a", eps=-1, t="t", check=False),
+              NonVanishing(["t", t - one, t + one]))]
+    dims = []
+    for pair, nv in cases:
+        mats = [M for _, M in pair.generator_images(n)]
+        got = [T.rows for T in commutant_basis(mats, nv)]
+        assert got == _commutant_oracle(mats, nv)
+        dims.append(len(got))
+    assert dims == {3: [6, 4, 6], 4: [7, 4, 7]}[n]
+
+
+def test_rf_echelon_markers_never_pivot():
+    ech = RFEchelon(NonVanishing(["p"]), bound=2)
+    assert ech.insert({0: p, 1: 2 * p, 2: 3 * p}) is None
+    # a marker entry is never a pivot, certified or not
+    assert ech.insert({3: q}) == {3: q}
+    assert ech.insert({0: rf(1), 1: rf(2), 3: rf(1)}) == {2: rf(-3),
+                                                          3: rf(1)}
+    assert list(ech.rows) == [0] and ech.rows[0] == {0: RF_ONE, 1: rf(2),
+                                                     2: rf(3)}
+
+
+def test_rf_echelon_pivots_on_the_least_certified_column():
+    ech = RFEchelon(NonVanishing(["p"]))
+    assert ech.insert({0: q, 1: p, 2: rf(1)}) is None
+    assert list(ech.rows) == [1] and ech.rows[1][0] == q / p
+    with pytest.raises(BranchAmbiguity) as exc:
+        ech.insert({0: p - q, 2: q})
+    # after reduction no entry is certified; the least one is named
+    assert exc.value.poly == (p - q).num
+    assert ech.nullspace(3) == [[RF_ONE, -q / p, RF_ZERO],
+                                [RF_ZERO, -1 / p, RF_ONE]]
+
+
+def test_rf_inverse_matches_gauss_jordan(rng):
+    """Seeded symbolic 2x2 and 4x4 matrices over p and q under each
+    constraint set: the kernel returns the dense loop's inverse, or raises
+    its ZeroDivisionError or its BranchAmbiguity on the same polynomial."""
+    pool = [1, -1, 2, p, q, p - q, p + q, 1 / p, p / q, p * q]
+    seen = Counter()
+    for k in range(5000):
+        # one 4x4 in ten, half zeros; the 2x2s a quarter zeros
+        n, zeros = (4, 10) if k % 10 == 0 else (2, 3)
+        M = m([[rng.choice(pool + [0] * zeros) for _ in range(n)]
+               for _ in range(n)])
+        while M._ints is not None:
+            M.rows[rng.randrange(n)][rng.randrange(n)] = p
+        nv = rng.choice(_NV_SETS)
+        got = _outcome(M.inverse, nv)
+        assert got == _outcome(_inverse_gauss_jordan, M, nv)
+        seen[got[0] if isinstance(got, tuple) else "inverse"] += 1
+    assert min(seen.values()) > 200 and len(seen) == 3
+
+
+def test_rf_inverse_keeps_the_gauss_jordan_row_order():
+    # column 0 pivots on row 3, which Gauss-Jordan swaps with row 0; column
+    # 1 then tries row 1 before row 0.  Pivoting on row 0 instead leaves
+    # only p*q and q*(1 - p) for column 2, neither certified by q alone.
+    M = m([[0, -1, p * q, 2], [0, 1, 0, 0], [0, -1, q, 0], [2, 0, 1 / p, 0]])
+    nv = NonVanishing(["q"])
+    Minv = M.inverse(nv)
+    assert Minv == _inverse_gauss_jordan(M, nv)
+    assert (M * Minv).is_identity() and (Minv * M).is_identity()

@@ -218,8 +218,35 @@ def test_roots_of_known_factors(roots, m, lead):
     assert Counter(map(_key, got)) == Counter(map(_key, expected))
 
 
+@given(st.lists(_RATS, max_size=3),
+       st.lists(st.sampled_from((3, 4, 6)), min_size=2, max_size=3),
+       _RATS.filter(bool))
+@settings(max_examples=100, deadline=None)
+def test_roots_of_several_cyclotomic_quadratics(roots, ms, lead):
+    # (x^2+x+1)(x^2+1) and (x^2+x+1)^2 split: each quadratic is divided out
+    # as often as it divides
+    p = [lead]
+    for r in roots:
+        p = _pmul(p, [-r, Fraction(1)])
+    expected = list(roots)
+    for m in ms:
+        quad, zs = _CYC_FACTORS[m]
+        p = _pmul(p, [Fraction(c) for c in quad])
+        expected += zs
+    got = _roots_in_tower(p)
+    assert Counter(map(_key, got)) == Counter(map(_key, expected))
+
+
+def test_x4_plus_x2_plus_1_splits():
+    # (x^2+x+1)(x^2-x+1): the primitive 3rd and 6th roots of unity
+    got = _roots_in_tower([Fraction(c) for c in (1, 0, 1, 0, 1)])
+    assert Counter(map(_key, got)) == Counter(
+        map(_key, _CYC_FACTORS[3][1] + _CYC_FACTORS[6][1]))
+
+
 def test_roots_outside_the_tower_are_unsupported():
-    for p in ([-2, 0, 1], [1, 0, 1, 0, 1], [-2, 0, 0, 1]):
+    # x^4 + 1 has the primitive 8th roots of unity
+    for p in ([-2, 0, 1], [1, 0, 0, 0, 1], [-2, 0, 0, 1]):
         with pytest.raises(UnsupportedSpectrum):
             _roots_in_tower([Fraction(c) for c in p])
 
