@@ -202,15 +202,42 @@ def _check_conic(value_lhs, value_rhs, label):
         raise ConstraintViolation("conic constraint not satisfied for %s" % label)
 
 
+# the keywords each case reads, besides the conic cases' parameter t or
+# point coordinates
+_CASE_KEYWORDS = {
+    "case1": {"sign"}, "case2": {"sign", "p", "q"},
+    "case3-wangian": {"sign", "p", "q"}, "case3": {"sign", "q", "s"},
+    "case4": {"sign", "p", "s"}, "case4-glue": {"p", "s"},
+    "case5": {"sign", "p", "s"}, "case5-antidiag": {"sign", "s"},
+    "case6a": {"eps"}, "case6b": {"eps"}, "case6c": {"eps"},
+    "case7-flip": {"sign"}, "case7-antislash": {"sign"},
+    "case7-aslash": {"sign", "s"}, "case7-fglue": {"sign", "s"},
+}
+
+_CONIC_POINTS = {"case6a": ("z", "x"), "case6b": ("y", "r"),
+                 "case6c": ("r", "y")}
+
+
 def make_md_pair(case, check=True, **kw):
     """Construct the (R, S) pair of a classification case or subcase.
 
     Cases: case1, case2, case3, case3-wangian, case4, case4-glue, case5,
     case5-antidiag, case6a, case6b, case6c, case7-flip, case7-antislash,
     case7-aslash, case7-fglue.  Sign choices are explicit keyword arguments;
-    unsupplied continuous parameters stay symbolic.  Construction re-verifies
-    the mixed-doubles relations at level 3.
+    unsupplied continuous parameters stay symbolic.  A conic case takes its
+    point coordinates or the conic parameter t.  A keyword that the case
+    does not read is refused.  Construction re-verifies the mixed-doubles
+    relations at level 3.
     """
+    if case not in _CASE_KEYWORDS:
+        raise ConstraintViolation("unknown case %r" % (case,))
+    point = _CONIC_POINTS.get(case, ())
+    if point and not set(kw) & set(point):
+        point = ("t",)
+    unread = set(kw).difference(_CASE_KEYWORDS[case], point)
+    if unread:
+        raise ConstraintViolation("%s does not take %s"
+                                  % (case, ", ".join(sorted(unread))))
     sign = kw.get("sign", 1)
     eps = kw.get("eps", 1)
     if sign not in (1, -1) or eps not in (1, -1):
@@ -277,9 +304,9 @@ def make_md_pair(case, check=True, **kw):
         S = _mat([[0, 0, 0, s], [0, sign, 0, 0], [0, 0, sign, 0],
                   [s.inverse(), 0, 0, 0]])
         nv = NonVanishing([s])
-    elif case in ("case6a", "case6b", "case6c"):
+    elif case in _CONIC_POINTS:
         R = antislash_matrix()
-        if "t" in kw or not set(kw) & {"z", "x", "y", "r"}:
+        if point == ("t",):
             t = grab("t")
             nv = NonVanishing([t, t - 1, t + 1])
             if case == "case6a":
@@ -292,18 +319,18 @@ def make_md_pair(case, check=True, **kw):
                 r, y = _conic_point_c(eps, t)
                 S = _case6c_S(eps, r, y)
         else:
+            # a coordinate left out stays symbolic and fails the conic
+            a, b = (grab(name) for name in point)
             if case == "case6a":
-                z, x = rf(kw["z"]), rf(kw["x"])
-                _check_conic(x * x, z * z + z * eps, "case6a")
-                S = _case6a_S(eps, z, x)
+                _check_conic(b * b, a * a + a * eps, "case6a")
+                S = _case6a_S(eps, a, b)
             elif case == "case6b":
-                y, r = rf(kw["y"]), rf(kw["r"])
-                _check_conic(r * r * 2 - y * y * 2 + y * (2 * eps), rf(1), "case6b")
-                S = _case6b_S(eps, y, r)
+                _check_conic(b * b * 2 - a * a * 2 + a * (2 * eps), rf(1),
+                             "case6b")
+                S = _case6b_S(eps, a, b)
             else:
-                r, y = rf(kw["r"]), rf(kw["y"])
-                _check_conic(r * r + r * eps, y * y, "case6c")
-                S = _case6c_S(eps, r, y)
+                _check_conic(a * a + a * eps, b * b, "case6c")
+                S = _case6c_S(eps, a, b)
     elif case == "case7-flip":
         R = flip_matrix()
         S = flip_matrix().scale(sign)
@@ -322,8 +349,6 @@ def make_md_pair(case, check=True, **kw):
         s = grab("s")
         R = flip_matrix()
         S = _fglue_diag(s).scale(sign)
-    else:
-        raise ConstraintViolation("unknown case %r" % (case,))
 
     pair = RepPair(R, S, params=params, constraints=nv, provenance=case)
     if check and not passes(pair, MIXED_DOUBLES, 3):
@@ -369,9 +394,7 @@ def analysis_pair(family, **kw):
         return RepPair(_fglue_diag(q), _fglue_diag(p), params=("p", "q"),
                        constraints=NonVanishing([]), provenance="f-glue")
     if family == "antislash":
-        if "t" in kw:
-            return make_md_pair("case6a", eps=-1, t=kw["t"])
-        return make_md_pair("case6a", eps=-1, z=kw["z"], x=kw["x"])
+        return make_md_pair("case6a", eps=-1, **kw)
     raise ConstraintViolation("unknown analysis family %r" % (family,))
 
 

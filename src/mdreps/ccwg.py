@@ -7,9 +7,6 @@ vanishes, where f counts letters; positions with f(w) < f(v) are glue,
 positions with f(w) = f(v) are charge-conserving (CC).
 """
 
-import json
-import os
-
 from .matrix import ExactMatrix, _entries, _like, kron, word_to_str, words
 from .scalar import InvariantError
 
@@ -85,18 +82,15 @@ class GlueMask:
     """Per-(N, n) classification of all square word positions.
 
     ``kinds[i][j]`` is the kind of position (i, j); ``cc[i]``, ``glue[i]``
-    and ``forbidden[i]`` list the columns of each kind in row i.  Pass
-    ``kinds`` to rebuild a mask from a stored classification."""
+    and ``forbidden[i]`` list the columns of each kind in row i."""
 
     __slots__ = ("N", "n", "kinds", "cc", "glue", "forbidden")
 
-    def __init__(self, N, n, kinds=None):
+    def __init__(self, N, n):
         self.N = N
         self.n = n
-        if kinds is None:
-            fs = [f_over(w, N) for w in words(N, n)]
-            kinds = [[_KIND[less(fw, fv)] for fv in fs] for fw in fs]
-        self.kinds = kinds
+        fs = [f_over(w, N) for w in words(N, n)]
+        self.kinds = kinds = [[_KIND[less(fw, fv)] for fv in fs] for fw in fs]
         self.cc, self.glue, self.forbidden = (
             [[j for j, k in enumerate(row) if k == kind] for row in kinds]
             for kind in (CC, GLUE, FORBIDDEN))
@@ -105,27 +99,10 @@ class GlueMask:
 _MASKS = {}
 
 
-def _disk_cache_path(N, n):
-    root = os.environ.get("MDREPS_CACHE_DIR")
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, "gluemask_%d_%d.json" % (N, n))
-
-
 def glue_mask(N, n):
     key = (N, n)
     if key not in _MASKS:
-        path = _disk_cache_path(N, n)
-        if path is not None:
-            if os.path.exists(path):
-                with open(path) as fh:
-                    _MASKS[key] = GlueMask(N, n, json.load(fh))
-                return _MASKS[key]
         _MASKS[key] = GlueMask(N, n)
-        if path is not None:
-            with open(path, "w") as fh:
-                json.dump(_MASKS[key].kinds, fh)
     return _MASKS[key]
 
 

@@ -8,6 +8,7 @@ byte-identical reports.
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -40,9 +41,12 @@ def _parse_assignment(text):
 
 
 def _parse_params(text):
-    """name=value pairs; values Fraction, or +-1 for sign/eps."""
+    """name=value pairs; values Fraction, or +-1 for sign/eps.  ``check``
+    is refused: it is not a family parameter."""
     kw = {}
     for name, val in _parse_assignment(text).items():
+        if name == "check":
+            raise UsageError("bad --params: check is not a family parameter")
         if name in ("sign", "eps", "p") and val in (1, -1):
             kw[name] = int(val)
         elif val.denominator == 1:
@@ -53,8 +57,7 @@ def _parse_params(text):
 
 
 def _call(fn, *args, **kw):
-    """fn(*args, **kw) for keywords from --params: one that fn does not take,
-    or that repeats a positional argument (such as make_md_pair's check),
+    """fn(*args, **kw) for keywords from --params: one that fn does not take
     is a usage error."""
     try:
         return fn(*args, **kw)
@@ -70,7 +73,13 @@ def _emit(obj, path=None):
         with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has closed stdout: the rest of the report, and the
+            # interpreter's exit flush, go to os.devnull
+            sys.stdout = open(os.devnull, "w")
 
 
 def _load_matrix(path):

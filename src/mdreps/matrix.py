@@ -15,6 +15,7 @@ coefficient list, and ``eigen_data`` and ``matrix_order`` split it with the
 univariate-polynomial root finder of ``upoly``.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
@@ -958,47 +959,36 @@ def rank(A, constraints=None):
 def char_poly(A):
     """Characteristic polynomial coefficients [c_0 .. c_n] of A (monic,
     det(xI - A)), by the Faddeev-LeVerrier recursion; entries must be
-    constant (ValueError otherwise)."""
+    constant (ValueError otherwise).  A rational A = B / D runs on the
+    integer rows B, whose coefficients e_k are integers, so each -tr/k
+    divides exactly, and the coefficient of x^(n-k) of A is e_k / D^k.  A
+    cyclotomic A runs on its Fraction and Cyc entries, dividing by k."""
     _require_square(A, "char_poly")
-    if A._ints is not None:
-        return _int_char_poly(A._ints, A._den)
-    n = A.nrows
-    vals = [[e.const_value() if e.is_constant() else None for e in row]
-            for row in A._rows]
-    for row in vals:
-        for e in row:
-            if e is None:
-                raise ValueError("char_poly needs constant entries")
-    M = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    coeffs = [Fraction(1)]  # leading
-    for k in range(1, n + 1):
-        AM = [[sum((vals[i][l] * M[l][j] for l in range(n)), Fraction(0))
-               for j in range(n)] for i in range(n)]
-        tr = sum((AM[i][i] for i in range(n)), Fraction(0))
-        c = -tr / k
-        coeffs.append(c)
-        M = [[AM[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-    # coeffs[k] multiplies x^(n-k); return ascending order c_0..c_n
-    return list(reversed(coeffs))
-
-
-def _int_char_poly(B, D):
-    """char_poly of B / D for integer rows B.  Faddeev-LeVerrier on B has
-    integer coefficients e_k, so each -tr/k divides exactly, and the
-    coefficient of x^(n-k) of B / D is e_k / D^k."""
+    try:
+        B, D = _int_form(A)
+    except ValueError:  # a cyclotomic or symbolic entry
+        if not all(e.is_constant() for row in A._rows for e in row):
+            raise ValueError("char_poly needs constant entries")
+        B, D = [[e.const_value() for e in row] for row in A._rows], None
     n = len(B)
     M = [[int(i == j) for j in range(n)] for i in range(n)]
-    coeffs = [1]
+    coeffs = [Fraction(1)]
     for k in range(1, n + 1):
         M = _imul(B, M)
-        c, r = divmod(-sum(M[i][i] for i in range(n)), k)
-        if r:
-            raise InvariantError("Faddeev-LeVerrier trace %d of step %d is "
-                                 "not divisible by %d" % (-c * k - r, k, k))
+        t = -sum(M[i][i] for i in range(n))
+        if D is None:
+            c = t / Fraction(k)
+        else:
+            c, r = divmod(t, k)
+            if r:
+                raise InvariantError("Faddeev-LeVerrier trace %d of step %d "
+                                     "is not divisible by %d" % (-t, k, k))
         coeffs.append(c)
         for i in range(n):
             M[i][i] += c
-    return [Fraction(e, D ** k) for k, e in reversed(list(enumerate(coeffs)))]
+    if D is not None:
+        coeffs = [Fraction(e, D ** k) for k, e in enumerate(coeffs)]
+    return coeffs[::-1]
 
 
 class EigenData:
@@ -1011,6 +1001,18 @@ class EigenData:
 
     def spectrum(self):
         return sorted(((str(v), a, g) for v, a, g in self.eigenvalues))
+
+    def order(self, bound):
+        """Multiplicative order of the matrix, or None if > bound / infinite.
+        Finite order requires diagonalizability with root-of-unity
+        eigenvalues, which the spectrum detects exactly."""
+        if not self.diagonalizable:
+            return None
+        orders = [unity_order(lam) for lam, _, _ in self.eigenvalues]
+        if None in orders:
+            return None
+        out = lcm(*orders)
+        return out if out <= bound else None
 
     def __repr__(self):
         return "EigenData(%s, diagonalizable=%s)" % (self.eigenvalues,
@@ -1026,12 +1028,7 @@ def eigen_data(A, assignment=None, constraints=None):
     """
     _require_square(A, "eigen_data")
     B = A.evaluate(assignment, constraints) if assignment is not None else A
-    coeffs = char_poly(B)
-    roots = _roots_in_tower(coeffs)
-    mult = {}
-    for r in roots:
-        key = next((k for k in mult if k == r), r)
-        mult[key] = mult.get(key, 0) + 1
+    mult = Counter(_roots_in_tower(char_poly(B)))
     eigs = []
     diag = True
     n = B.nrows
@@ -1049,22 +1046,13 @@ def eigen_data(A, assignment=None, constraints=None):
 
 def matrix_order(A, bound=1000):
     """Multiplicative order of a constant matrix, or None if > bound /
-    infinite.  Finite order requires diagonalizability with root-of-unity
-    eigenvalues, which the spectrum detects exactly."""
+    infinite: from its spectrum, or by powers when the spectrum is outside
+    the scalar tower."""
     try:
         ed = eigen_data(A)
     except UnsupportedSpectrum:
         return _order_by_powers(A, bound)
-    if not ed.diagonalizable:
-        return None
-    orders = []
-    for lam, _, _ in ed.eigenvalues:
-        o = unity_order(lam)
-        if o is None:
-            return None
-        orders.append(o)
-    out = lcm(*orders)
-    return out if out <= bound else None
+    return ed.order(bound)
 
 
 def _order_by_powers(A, bound):

@@ -15,7 +15,7 @@ endomorphism ring, commutant shape) are exact.
 """
 
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from math import lcm
 
@@ -23,8 +23,7 @@ from .ccwg import is_ccwg, project_K
 from .clifford import mn_character, partition_dim, partitions
 from .matrix import (Echelon, ExactMatrix, UnsupportedSpectrum, _combine,
                      _entries, _imul, _int_form, _scaled_product, char_poly,
-                     commutant_basis, eigen_data, embed_at, matrix_order,
-                     nullspace)
+                     commutant_basis, eigen_data, embed_at, nullspace)
 from .mdd import all_permutations, perm_cycle_type, perm_to_adjacent_word
 from .scalar import InvariantError, as_fraction
 from .upoly import (_clear, _pdivmod, _plcm, _pmul, _ppow, _pxgcd,
@@ -133,18 +132,6 @@ def find_idempotents(com, constraints=None, rng=None, tries=25):
     return {"kind": "undecided"}
 
 
-def _rational_spectrum(T):
-    """(roots with multiplicity) if the characteristic polynomial splits over
-    Q, else None."""
-    try:
-        roots = _roots_in_tower(char_poly(T))
-    except UnsupportedSpectrum:
-        return None
-    if any(not isinstance(r, Fraction) for r in roots):
-        return None
-    return roots
-
-
 def minimal_polynomial(M):
     """Minimal polynomial of a constant exact matrix (ascending Fraction
     coefficients, monic): the lcm of the Krylov relations of the standard
@@ -178,21 +165,22 @@ def minimal_polynomial(M):
     return [x / lc for x in mp]
 
 
-def _splitting_data(T):
-    """(distinct roots, multiplicities-in-min-poly) when the minimal
-    polynomial splits into rational linear factors, else None."""
-    mp = minimal_polynomial(T)
+def _rational_roots(coeffs):
+    """Counter of the roots of a polynomial that splits into rational linear
+    factors, else None."""
     try:
-        roots = _roots_in_tower(mp)
+        roots = _roots_in_tower(coeffs)
     except UnsupportedSpectrum:
         return None
-    if len(roots) != len(mp) - 1 or any(not isinstance(r, Fraction)
-                                        for r in roots):
+    if any(not isinstance(r, Fraction) for r in roots):
         return None
-    mult = {}
-    for r in roots:
-        mult[r] = mult.get(r, 0) + 1
-    return mult
+    return Counter(roots)
+
+
+def _splitting_data(T):
+    """{root: multiplicity in the minimal polynomial} when the minimal
+    polynomial splits into rational linear factors, else None."""
+    return _rational_roots(minimal_polynomial(T))
 
 
 def _find_splitter(basis, rng=None, tries=25):
@@ -353,18 +341,14 @@ def decompose(pair, n, assignment=None, rng=None):
                            "chain": chain, "generators": gen_mats,
                            "x_spectrum": _x_spectrum(gen_mats)})
             return
-        split = _find_splitter(com.basis, rng)
-        if split is None:
-            res = find_idempotents(com, rng=rng)
-            status = "indecomposable" if res["kind"] == "indecomposable" \
-                else "undecided"
-            leaves.append({"dim": dim, "status": status, "chain": chain,
+        res = find_idempotents(com, rng=rng)
+        if res["kind"] != "decomposable":  # indecomposable or undecided
+            leaves.append({"dim": dim, "status": res["kind"], "chain": chain,
                            "certificate": res.get("certificate"),
                            "generators": gen_mats,
                            "x_spectrum": _x_spectrum(gen_mats)})
             return
-        T, mult = split
-        idems = _spectral_idempotents(T, mult)
+        idems = res["idempotents"]
         if not chain:
             projectors.extend(idems)
         for P in idems:
@@ -404,7 +388,7 @@ def x_trichotomy(pair, assignment=None, order_bound=1000):
     ed = eigen_data(X)
     if not ed.diagonalizable:
         return "c", None
-    order = matrix_order(X, bound=order_bound)
+    order = ed.order(order_bound)
     if order is not None:
         return "a", order
     return "b", None
@@ -577,13 +561,8 @@ def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None, tries=40):
             Zm = ExactMatrix.from_rows([[col[i] for col in cols]
                                         for i in range(s)],
                                        N=s, rows_level=1, cols_level=1)
-            roots = _rational_spectrum(Zm)
-            if roots is None:
-                continue
-            counts = {}
-            for r0 in roots:
-                counts[r0] = counts.get(r0, 0) + 1
-            if len(counts) != center_dim:
+            counts = _rational_roots(char_poly(Zm))
+            if counts is None or len(counts) != center_dim:
                 continue
             blocks = []
             for _, c0 in sorted(counts.items()):

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from mdreps.catalog import (ConstraintViolation, Transform,
-                            antislash_matrix, apply_transform,
+from mdreps.catalog import (ALL_CASES, ConstraintViolation, Transform,
+                            analysis_pair, antislash_matrix, apply_transform,
                             check_ds_equivalence, flip_matrix, is_involutive,
                             iter_all_cases, known_coincidences,
                             make_involutive_braid, make_manji, make_md_pair,
@@ -222,3 +222,38 @@ def test_case3_wangian_branch_is_exactly_wangian():
     assert pr.S == pr.R
     prm = make_md_pair("case3-wangian", sign=-1, check=False)
     assert prm.S == pr.R.scale(-1)
+
+
+@pytest.mark.parametrize("case,kw", ALL_CASES)
+def test_a_keyword_the_case_does_not_read_is_refused(case, kw):
+    make_md_pair(case, check=False, **kw)
+    with pytest.raises(ConstraintViolation, match="%s does not take pp$"
+                       % case):
+        make_md_pair(case, check=False, pp=2, **kw)
+
+
+@pytest.mark.parametrize("case,kw,unread", [
+    ("case6a", {"z": 1, "x": 0, "t": 2}, "t"),
+    ("case6a", {"y": 1}, "y"),
+    ("case6b", {"eps": 1, "z": 1}, "z"),
+    ("case4-glue", {"sign": -1}, "sign"),
+    ("case2", {"eps": -1}, "eps"),
+    ("case7-flip", {"s": 2, "t": 3}, "s, t"),
+])
+def test_unread_keywords_are_named(case, kw, unread):
+    with pytest.raises(ConstraintViolation,
+                       match="^%s does not take %s$" % (case, unread)):
+        make_md_pair(case, check=False, **kw)
+
+
+def test_conic_point_with_a_missing_coordinate_fails_the_conic():
+    with pytest.raises(ConstraintViolation, match="conic constraint"):
+        make_md_pair("case6a", eps=-1, z=1, check=False)
+
+
+def test_antislash_analysis_pair_keeps_t_symbolic():
+    pair = analysis_pair("antislash")
+    assert list(pair.params) == ["t"]
+    assert pair.S == make_md_pair("case6a", eps=-1, t="t", check=False).S
+    at = analysis_pair("antislash", z=Fraction(-1, 3), x=Fraction(-2, 3))
+    assert not at.params and at.S == pair.S.evaluate({"t": 2})

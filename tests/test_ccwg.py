@@ -165,18 +165,6 @@ def test_split_lemma():
         split_lemma_check(10, 3, 3)
 
 
-def test_mask_disk_cache_round_trip(tmp_path, monkeypatch):
-    import mdreps.ccwg as ccwg_mod
-    monkeypatch.setenv("MDREPS_CACHE_DIR", str(tmp_path))
-    ccwg_mod._MASKS.pop((2, 4), None)
-    m1 = ccwg_mod.glue_mask(2, 4)
-    assert (tmp_path / "gluemask_2_4.json").exists()
-    ccwg_mod._MASKS.pop((2, 4), None)
-    m2 = ccwg_mod.glue_mask(2, 4)
-    assert m1.kinds == m2.kinds
-    ccwg_mod._MASKS.pop((2, 4), None)
-
-
 def _classify_by_kinds(M, kinds):
     # the loop over every position, as the mask's kinds table reads
     ccwg = cc = True
@@ -223,23 +211,6 @@ def _check_mask_against_kinds(mask, rng):
 def test_mask_lists_match_kinds_loop(N, n):
     rng = random.Random(100 * N + n)
     _check_mask_against_kinds(glue_mask(N, n), rng)
-
-
-def test_mask_lists_after_disk_cache_load(tmp_path, monkeypatch):
-    import mdreps.ccwg as ccwg_mod
-    monkeypatch.setenv("MDREPS_CACHE_DIR", str(tmp_path))
-    for key in ((2, 3), (3, 2)):
-        saved = ccwg_mod._MASKS.pop(key, None)
-        computed = ccwg_mod.glue_mask(*key)
-        ccwg_mod._MASKS.pop(key)
-        loaded = ccwg_mod.glue_mask(*key)
-        assert loaded is not computed
-        assert (loaded.kinds, loaded.cc, loaded.glue, loaded.forbidden) == \
-            (computed.kinds, computed.cc, computed.glue, computed.forbidden)
-        _check_mask_against_kinds(loaded, random.Random(7))
-        ccwg_mod._MASKS.pop(key)
-        if saved is not None:
-            ccwg_mod._MASKS[key] = saved
 
 
 def test_glue_nilpotency_multiplies_no_identity(monkeypatch):

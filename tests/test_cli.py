@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +155,10 @@ def test_mdd_commands(capsys):
     ["catalog", "make", "f-glue", "--params", "t=1/2"],
     ["catalog", "make", "P", "--params", "=0"],
     ["verify", "--case", "case2", "--params", "check=0"],
+    ["verify", "--case", "case2", "--params", "pp=2", "--n", "2"],
+    ["catalog", "make", "case2", "--params", "check=0"],
+    ["catalog", "make", "f-glue", "--params", "check=0"],
+    ["catalog", "make", "case6a", "--params", "eps=-1,z=1,x=0,t=2"],
     ["analyze", "--case", "case2", "--n", "2", "--params", "check=1"],
     ["verify", "--case", "case1", "--params", "t=1/0"],
     ["analyze", "--case", "a-glue", "--n", "2", "--at", "p=1/0,q=2"],
@@ -164,6 +169,45 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+def test_params_name_the_case_does_not_read(capsys):
+    argv = ["verify", "--case", "case2", "--params", "pp=2", "--n", "2"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: case2 does not take pp\n"
+
+
+def test_antislash_analyze_keeps_t_symbolic_until_at(capsys):
+    code, out = run(capsys, "analyze", "--case", "antislash", "--n", "2",
+                    "--at", "t=3")
+    assert code == EXIT_OK
+    rep = json.loads(out)
+    assert rep["class"] == "b"
+    assert sorted(s["dim"] for s in rep["summands"]) == [1, 1, 2]
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["ccwg", "order", "--N", "4", "--n", "3"], EXIT_OK),
+    (["ccwg", "check", "M.json"], EXIT_MATH_FAIL),
+])
+def test_closed_stdout_keeps_the_verdict(monkeypatch, tmp_path, capsys, argv,
+                                         code):
+    from mdreps.catalog import antislash_matrix
+    (tmp_path / "M.json").write_text(json.dumps(antislash_matrix().to_json()))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert main(argv) == code
+    assert not isinstance(sys.stdout, _ClosedPipe)
+    print("after the pipe closed")  # goes to the null device
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("entry", ["wx", "a^x", "1/0", "0^-1", "w5"])

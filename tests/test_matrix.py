@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from mdreps.matrix import (Echelon, ExactMatrix, RepPair, RFEchelon,
                            UnsupportedSpectrum, _certified, _commutation_rows,
-                           _dot, commutant_basis, eigen_data, embed_at, kron,
-                           matrix_order, nullspace, sparse_nullspace, words)
+                           _dot, char_poly, commutant_basis, eigen_data,
+                           embed_at, kron, matrix_order, nullspace,
+                           sparse_nullspace, words)
 from mdreps.scalar import (RF, RF_ONE, RF_ZERO, BranchAmbiguity, Cyc,
                            NonVanishing, Poly, param, rf, zeta)
 
@@ -741,3 +742,90 @@ def test_rf_inverse_keeps_the_gauss_jordan_row_order():
     Minv = M.inverse(nv)
     assert Minv == _inverse_gauss_jordan(M, nv)
     assert (M * Minv).is_identity() and (Minv * M).is_identity()
+
+
+# The dense Fraction loop that ``char_poly`` ran on every RF-form matrix,
+# kept verbatim as the oracle (it reads the public ``rows``, which puts a
+# constant-form matrix into the RF form).
+
+def _char_poly_dense(A):
+    n = A.nrows
+    vals = [[e.const_value() if e.is_constant() else None for e in row]
+            for row in A.rows]
+    for row in vals:
+        for e in row:
+            if e is None:
+                raise ValueError("char_poly needs constant entries")
+    M = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    coeffs = [Fraction(1)]  # leading
+    for k in range(1, n + 1):
+        AM = [[sum((vals[i][l] * M[l][j] for l in range(n)), Fraction(0))
+               for j in range(n)] for i in range(n)]
+        tr = sum((AM[i][i] for i in range(n)), Fraction(0))
+        c = -tr / k
+        coeffs.append(c)
+        M = [[AM[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+    # coeffs[k] multiplies x^(n-k); return ascending order c_0..c_n
+    return list(reversed(coeffs))
+
+
+def _char_poly_inputs(rng):
+    """(kind, matrices) for 216 seeded rational matrices of sizes 1..9, each
+    in the constant form and in the RF form, and 90 cyclotomic ones of
+    sizes 1..6 over Q(zeta_m) for m = 3, 4, 6: 522 inputs, zero entries in
+    about a third of the positions."""
+    rat = [0, 0, 0, 1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-5, 3),
+           Fraction(9, 4)]
+    for kind, count, sizes in (("rational", 216, 9), ("cyc", 90, 6)):
+        for k in range(count):
+            d = 1 + k % sizes
+            pool = rat
+            if kind == "cyc":
+                z = zeta((3, 4, 6)[k // sizes % 3])
+                pool = rat[:8] + [z, -z, z * z, 1 + z, z - 2]
+            rows = [[rng.choice(pool) for _ in range(d)] for _ in range(d)]
+            if kind == "cyc" and not any(isinstance(e, Cyc) for r in rows
+                                         for e in r):
+                rows[0][0] = pool[-1]
+            rf_form = ExactMatrix(d, 1, 1, [[rf(e) for e in r] for r in rows])
+            if kind == "cyc":
+                yield kind, [rf_form]
+            else:
+                yield kind, [m(rows, N=d), rf_form]
+
+
+def test_char_poly_matches_the_dense_loop(rng):
+    """One Faddeev-LeVerrier loop for every constant matrix: the oracle's
+    values everywhere, and its types on rational input.  On cyclotomic
+    input the integer-style loop may give a Fraction where the dense loop,
+    which starts every sum at Fraction(0) + Cyc, gives a Cyc with zero
+    zeta-part."""
+    seen = Counter()
+    for kind, mats in _char_poly_inputs(rng):
+        want = _char_poly_dense(mats[-1])
+        assert [M._ints is not None for M in mats] == \
+            ([True, False] if kind == "rational" else [False])
+        for M in mats:
+            got = char_poly(M)
+            assert got == want, (kind, M.rows)
+            for g, w in zip(got, want):
+                if type(g) is not type(w):
+                    assert kind == "cyc" and type(g) is Fraction and w.b == 0
+                seen[kind, type(g).__name__, type(w).__name__] += 1
+    assert set(seen) == {("rational", "Fraction", "Fraction"),
+                         ("cyc", "Fraction", "Fraction"),
+                         ("cyc", "Cyc", "Cyc"), ("cyc", "Fraction", "Cyc")}
+
+
+def test_char_poly_refuses_a_symbolic_entry():
+    with pytest.raises(ValueError, match="constant entries"):
+        char_poly(m([[p, 1], [0, 1]]))
+
+
+def test_eigen_data_order_reads_the_spectrum():
+    assert eigen_data(h).order(1000) == 2
+    assert eigen_data(h).order(1) is None
+    rot3 = m([[0, -1], [1, -1]])
+    assert eigen_data(rot3).order(1000) == 3
+    assert eigen_data(m([[1, 1], [0, 1]])).order(1000) is None
+    assert eigen_data(m([[1, 0], [0, 2]])).order(1000) is None

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mdreps.catalog import analysis_pair, make_md_pair
-from mdreps.matrix import ExactMatrix
+from mdreps.matrix import ExactMatrix, RepPair
 from mdreps.scalar import InvariantError, NonVanishing, Poly, param, rf
 from mdreps.structure import (_find_splitter, _peval_matrix,
                               _splitting_data, algebra_dims, commutant,
@@ -516,3 +516,61 @@ def test_decompose_surfaces_invariant_errors(monkeypatch):
         rep = run()
         assert rep.dims() == [1, 1, 1, 1] and rep.klass is None
         assert all(s["x_spectrum"] is None for s in rep.summands)
+
+
+_JORDAN = ExactMatrix.from_rows([[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0],
+                                 [0, 0, 1, 1]], N=2)
+
+
+@pytest.mark.parametrize("pair,n,seed,statuses", [
+    (analysis_pair("a-glue", p=2, q=5), 3, 99, [(4, None)] * 2),
+    (analysis_pair("a-glue", p=2, q=5), 4, 5, [(8, None)] * 2),
+    # a lower Jordan block: its commutant is local and has no certified
+    # shape, so the one search finds no splitter and the trace form decides
+    (RepPair(_JORDAN, _JORDAN), 2, 1,
+     [(4, "endomorphism ring is local (trace-form radical has corank 1)")]),
+])
+def test_decompose_searches_for_a_splitter_once_per_node(monkeypatch, pair,
+                                                         n, seed, statuses):
+    # the one node with a non-scalar commutant asks find_idempotents once,
+    # and only find_idempotents runs the splitter search
+    import mdreps.structure as structure
+    calls = {"splitter": 0, "nodes": 0}
+    splitter, commutant_ = structure._find_splitter, structure.commutant
+
+    def counted_splitter(*args, **kw):
+        calls["splitter"] += 1
+        return splitter(*args, **kw)
+
+    def counted_commutant(*args, **kw):
+        com = commutant_(*args, **kw)
+        calls["nodes"] += com.dim > 1
+        return com
+    monkeypatch.setattr(structure, "_find_splitter", counted_splitter)
+    monkeypatch.setattr(structure, "commutant", counted_commutant)
+    rep = decompose(pair, n, rng=random.Random(seed))
+    assert [(s["dim"], s.get("certificate")) for s in rep.summands] == \
+        statuses
+    assert all(s["status"] == "indecomposable" for s in rep.summands)
+    assert calls == {"splitter": 1, "nodes": 1}
+
+
+def test_x_trichotomy_computes_one_spectrum(monkeypatch):
+    import mdreps.matrix as matrix
+    import mdreps.structure as structure
+    calls = []
+    eigen = matrix.eigen_data
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return eigen(*args, **kw)
+    monkeypatch.setattr(matrix, "eigen_data", counted)
+    monkeypatch.setattr(structure, "eigen_data", counted)
+    for pair, want in (
+            (analysis_pair("a-glue", p=2, q=5), ("c", None)),
+            (make_md_pair("case3-wangian", p=3, q=2, check=False), ("a", 1)),
+            (make_md_pair("case5", p=2, s=3, check=False), ("b", None)),
+            (make_md_pair("case5", p=2, s=-2, check=False), ("a", 2))):
+        del calls[:]
+        assert x_trichotomy(pair) == want
+        assert len(calls) == 1
