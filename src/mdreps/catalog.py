@@ -384,15 +384,17 @@ def iter_all_cases(check=True):
 def analysis_pair(family, **kw):
     """Families as analysed for all n: 'a-glue' has R with glue q and S with
     glue p; 'f-glue' is the equal-shape pair (R(q), S(p)); 'antislash' is the
-    eps=-1 case6a pair."""
-    if family == "a-glue":
+    eps=-1 case6a pair.  A keyword that the family does not read is
+    refused."""
+    if family in ("a-glue", "f-glue"):
+        unread = set(kw).difference(("p", "q"))
+        if unread:
+            raise ConstraintViolation("%s does not take %s"
+                                      % (family, ", ".join(sorted(unread))))
         p, q = rf(kw.get("p", "p")), rf(kw.get("q", "q"))
-        return RepPair(_aglue(q), _aglue(p), params=("p", "q"),
-                       constraints=NonVanishing([]), provenance="a-glue")
-    if family == "f-glue":
-        p, q = rf(kw.get("p", "p")), rf(kw.get("q", "q"))
-        return RepPair(_fglue_diag(q), _fglue_diag(p), params=("p", "q"),
-                       constraints=NonVanishing([]), provenance="f-glue")
+        glue = _aglue if family == "a-glue" else _fglue_diag
+        return RepPair(glue(q), glue(p), params=("p", "q"),
+                       constraints=NonVanishing([]), provenance=family)
     if family == "antislash":
         return make_md_pair("case6a", eps=-1, **kw)
     raise ConstraintViolation("unknown analysis family %r" % (family,))

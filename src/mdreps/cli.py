@@ -144,11 +144,11 @@ def cmd_analyze(args):
         raise UsageError("--n must be >= 2")
     rng = random.Random(args.seed)
     at = _parse_assignment(args.at) if args.at else None
+    kw = _parse_params(args.params or "")
     if args.case in ("a-glue", "f-glue", "antislash"):
-        pair = catalog.analysis_pair(args.case)
+        pair = _call(catalog.analysis_pair, args.case, **kw)
     else:
-        pair = _call(catalog.make_md_pair, args.case, False,
-                     **_parse_params(args.params or ""))
+        pair = _call(catalog.make_md_pair, args.case, False, **kw)
     rep = structure.decompose(pair, args.n, assignment=at, rng=rng)
     out = rep.to_json()
     out["provenance"] = {"case": args.case, "n": args.n, "at": args.at,

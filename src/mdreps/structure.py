@@ -5,10 +5,14 @@ dimensions through the glue projection, and matrix-algebra dimension data.
 
 Numeric analyses work over plain rationals at exact sample points, on the
 constant form of ``ExactMatrix`` (integer rows A with M = A / D): the
-minimal polynomials, commutants, algebra closures, subspace restrictions
-and quotient coordinates eliminate fraction-free on those integer rows
-through ``matrix.Echelon``, and the splitting candidates and spectral
-projectors are integer combinations and integer Horner evaluations.  The
+minimal polynomials, commutants, spins, algebra closures, subspace
+restrictions and quotient coordinates eliminate fraction-free on those
+integer rows through ``matrix.Echelon``, and the spectral projectors are
+integer Horner evaluations.  The splitter search works in the regular
+representation of the commutant (m x m for an m-dimensional commutant), so
+no d x d matrix is formed per candidate.  A leaf with a scalar commutant is
+labelled by spin certificates (a proper invariant subspace, or Norton's
+criterion); the Burnside closure runs only when neither applies.  The
 minimal polynomials, their roots and the CRT idempotents of the spectral
 projectors are computed in Q[x] with ``upoly``.  The certificates (local
 endomorphism ring, commutant shape) are exact.
@@ -109,7 +113,10 @@ def _shape_certificate(basis):
 
 def find_idempotents(com, constraints=None, rng=None, tries=25):
     """Nontrivial exact idempotents in the span of a commutant basis, or an
-    indecomposability certificate, or an 'undecided' report."""
+    indecomposability certificate, or an 'undecided' report.  The basis must
+    span a unital algebra, as every commutant does: a rational basis whose
+    span does not contain I or is not closed under products raises
+    ValueError."""
     basis = com.basis if isinstance(com, CommutantBasis) else com
     if len(basis) == 1:
         return {"kind": "indecomposable", "certificate": "commutant is scalar"}
@@ -132,37 +139,42 @@ def find_idempotents(com, constraints=None, rng=None, tries=25):
     return {"kind": "undecided"}
 
 
-def minimal_polynomial(M):
-    """Minimal polynomial of a constant exact matrix (ascending Fraction
-    coefficients, monic): the lcm of the Krylov relations of the standard
-    basis vectors.  The chains run on the integer rows A = D*M, marker
-    column d+j tagging A^j e; a relation sum r_j A^j e = 0 is the relation
-    sum r_j D^j M^j e = 0."""
-    A, D = _int_form(M)
+def _annihilator(A, D, v):
+    """Monic annihilator (ascending Fraction coefficients) of the integer
+    vector v under M = A / D: the least-degree p with p(M) v = 0.  The
+    Krylov chain runs on the integer rows A, marker column d+j tagging
+    A^j v; a relation sum r_j A^j v = 0 is the relation
+    sum r_j D^j M^j v = 0."""
     d = len(A)
     nz = [[(j, a) for j, a in enumerate(row) if a] for row in A]
+    chain = Echelon(bound=d)
+    j = 0
+    while True:
+        row = {i: x for i, x in enumerate(v) if x}
+        row[d + j] = 1
+        rel = chain.insert(row)
+        if rel is not None:
+            break
+        v = [sum(a * v[k] for k, a in arow) for arow in nz]
+        j += 1
+    poly = [rel.get(d + k, 0) * D ** k for k in range(j + 1)]
+    return [Fraction(c, poly[-1]) for c in poly]
+
+
+def minimal_polynomial(M):
+    """Minimal polynomial of a constant exact matrix (ascending Fraction
+    coefficients, monic): the lcm of the annihilators of the standard basis
+    vectors."""
+    A, D = _int_form(M)
+    d = len(A)
     mp = [Fraction(1)]
     for start in range(d):
         if len(mp) - 1 == d:
             break
-        chain = Echelon(bound=d)
-        v = [0] * d
-        v[start] = 1
-        j = 0
-        while True:
-            row = {i: x for i, x in enumerate(v) if x}
-            row[d + j] = 1
-            rel = chain.insert(row)
-            if rel is not None:
-                break
-            v = [sum(a * v[k] for k, a in arow) for arow in nz]
-            j += 1
-        poly = [rel.get(d + k, 0) * D ** k for k in range(j + 1)]
-        poly = [Fraction(c, poly[-1]) for c in poly]
+        poly = _annihilator(A, D, [int(i == start) for i in range(d)])
         if any(_pdivmod(mp, poly)[1]):
             mp = _plcm(mp, poly)
-    lc = mp[-1]
-    return [x / lc for x in mp]
+    return mp
 
 
 def _rational_roots(coeffs):
@@ -177,50 +189,99 @@ def _rational_roots(coeffs):
     return Counter(roots)
 
 
-def _splitting_data(T):
-    """{root: multiplicity in the minimal polynomial} when the minimal
-    polynomial splits into rational linear factors, else None."""
-    return _rational_roots(minimal_polynomial(T))
+def _regular_representation(forms):
+    """(L, e) for a basis B_k = A_k / D_k, given as (A_k, D_k), of a unital
+    algebra: L[i], as (integer rows, denominator), is the matrix of left
+    multiplication by B_i in basis coordinates (column j holds the
+    coordinates of B_i B_j), and the integer vector e is a multiple of the
+    coordinates of I.  For T in the span, p(L_T) e = 0 iff p(T) = 0, so
+    the annihilator of e under L_T is the minimal polynomial of T.
+    ValueError when a product, or I, is not in the span."""
+    m, d = len(forms), len(forms[0][0])
+    dd = d * d
+    span = Echelon(dd)
+    for k, (A, D) in enumerate(forms):
+        row = _flat(A)
+        row[dd + k] = D
+        span.insert(row)
+
+    def coords(A, D, what):
+        row = _flat(A)
+        row[dd + m] = D
+        try:
+            return _solve_in_span(span, row, m)
+        except InvariantError:
+            raise ValueError("%s is not in the span of the basis"
+                             % what) from None
+
+    L = []
+    for i, (Ai, Di) in enumerate(forms):
+        cols = [coords(*_scaled_product(Ai, Di, Aj, Dj),
+                       "B[%d]*B[%d]" % (i, j))
+                for j, (Aj, Dj) in enumerate(forms)]
+        L.append(_int_form(ExactMatrix.from_rows(
+            [list(r) for r in zip(*cols)], N=m, rows_level=1, cols_level=1)))
+    ident = [[int(i == j) for j in range(d)] for i in range(d)]
+    return L, _clear(coords(ident, 1, "the identity"))[0]
 
 
 def _find_splitter(basis, rng=None, tries=25):
     """(T, multiplicities) for the candidate T with the most distinct
     rational eigenvalues, at least two, or None.  The candidates are the
     basis and ``tries`` seeded combinations of it with coefficients in
-    -3..3; on a rational basis the combinations are formed on the integer
-    rows.  Candidates that are not rational constant matrices are
-    skipped."""
-    cands = list(basis)
+    -3..3; the first candidate with the most wins.  On a rational basis,
+    which must span a unital algebra, each minimal polynomial is one
+    annihilator in the regular representation (m x m for m basis
+    elements), and only the winner is formed as a matrix.  Otherwise every
+    candidate is formed, and those that are not rational constant matrices
+    are skipped."""
+    m = len(basis)
+    cands = [[int(i == k) for i in range(m)] for k in range(m)]
     if rng is not None:
-        try:
-            forms = [_int_form(B) for B in basis]
-        except ValueError:  # a symbolic or cyclotomic basis
-            forms = None
-        B0 = basis[0]
-        for _ in range(tries):
-            coeffs = [rng.randint(-3, 3) for _ in basis]
-            if forms is not None:
-                Z, D = _combine(coeffs, forms)
-                T = ExactMatrix.from_ints(Z, D, N=B0.N,
-                                          rows_level=B0.rows_level,
-                                          cols_level=B0.cols_level)
-            else:
-                T = B0.scale(coeffs[0])
-                for c, B in zip(coeffs[1:], basis[1:]):
-                    T = T + B.scale(c)
-            cands.append(T)
-    best = None
-    for T in cands:
-        try:
-            _int_form(T)
-        except ValueError:
+        cands += [[rng.randint(-3, 3) for _ in basis] for _ in range(tries)]
+    try:
+        forms = [_int_form(B) for B in basis]
+    except ValueError:  # a symbolic or cyclotomic basis
+        forms = None
+    if forms is not None:
+        L, e = _regular_representation(forms)
+    best, most = None, 1
+    for k, c in enumerate(cands):
+        if forms is not None:
+            mp = _annihilator(*_combine(c, L), e)
+        else:
+            try:
+                mp = minimal_polynomial(_candidate(basis, forms, k, c))
+            except ValueError:  # not a rational constant matrix
+                continue
+        # a candidate wins only with more distinct rational roots than the
+        # best so far, and it has at most its squarefree degree of them
+        if len(_squarefree_part(mp)) - 1 <= most:
             continue
-        mult = _splitting_data(T)
-        if mult is None or len(mult) < 2:
-            continue
-        if best is None or len(mult) > len(best[1]):
-            best = (T, mult)
-    return best
+        mult = _rational_roots(mp)
+        if mult is not None and len(mult) > most:
+            best, most = (k, c, mult), len(mult)
+    if best is None:
+        return None
+    k, c, mult = best
+    return _candidate(basis, forms, k, c), mult
+
+
+def _candidate(basis, forms, k, c):
+    """Candidate k of the splitter search, with coefficients c: basis[k]
+    itself for k < len(basis), else the combination, formed on the integer
+    rows when the basis is rational."""
+    if k < len(basis):
+        return basis[k]
+    B0 = basis[0]
+    if forms is not None:
+        Z, D = _combine(c, forms)
+        return ExactMatrix.from_ints(Z, D, N=B0.N, rows_level=B0.rows_level,
+                                     cols_level=B0.cols_level)
+    T = B0.scale(c[0])
+    for ci, B in zip(c[1:], basis[1:]):
+        T = T + B.scale(ci)
+    return T
 
 
 def _spectral_idempotents(T, mult):
@@ -320,7 +381,10 @@ class DecompositionReport:
 def decompose(pair, n, assignment=None, rng=None):
     """Direct-sum decomposition of the level-n representation at an exact
     sample point: recursive eigenspace splitting along commutant elements with
-    rational spectrum, with exact certificates on the indecomposable leaves."""
+    rational spectrum, with exact certificates on the indecomposable leaves.
+    A leaf with a scalar commutant is labelled 'irreducible' or
+    'indecomposable' by spin certificates, with no Burnside closure unless
+    they do not apply (see ``_leaf_status``)."""
     mats = [M for _, M in pair.generator_images(n)]
     if assignment:
         mats = [M.evaluate(assignment, pair.constraints) for M in mats]
@@ -330,13 +394,7 @@ def decompose(pair, n, assignment=None, rng=None):
     def analyze(gen_mats, dim, chain):
         com = commutant(gen_mats)
         if com.dim == 1:
-            # scalar commutant certifies indecomposability; irreducibility
-            # additionally needs the generated algebra to be the full matrix
-            # algebra (Burnside)
-            if dim == 1 or len(generated_algebra(gen_mats)) == dim * dim:
-                status = "irreducible"
-            else:
-                status = "indecomposable"
+            status = "irreducible" if dim == 1 else _leaf_status(gen_mats)
             leaves.append({"dim": dim, "status": status,
                            "chain": chain, "generators": gen_mats,
                            "x_spectrum": _x_spectrum(gen_mats)})
@@ -364,6 +422,69 @@ def decompose(pair, n, assignment=None, rng=None):
         # X has a spectrum outside the scalar tower, or is not constant
         pass
     return DecompositionReport(leaves, klass, order, projectors)
+
+
+def _leaf_status(mats):
+    """'irreducible' or 'indecomposable' for rational constant matrices
+    whose commutant is scalar, which already makes them indecomposable.
+    Spin certificates (Parker 1984; Holt-Rees 1994): take the first
+    generator g under which the annihilator of e_1 splits over Q, its least
+    root lam, which is an eigenvalue, and spin the basis of ker(g - lam).
+    A proper spin is a proper invariant subspace.  When that kernel is a
+    line whose vector spins to the whole space, and so does the kernel
+    vector of (g - lam)^T under the transposes, the matrices act absolutely
+    irreducibly (Norton's criterion); a proper transposed spin is the
+    annihilator of a proper invariant subspace.  Otherwise the Burnside
+    closure decides: irreducible iff it is the full matrix algebra."""
+    forms = [_int_form(M) for M in mats]
+    gens, d = [A for A, _ in forms], len(forms[0][0])
+    for A, D in forms:
+        roots = _rational_roots(_annihilator(A, D, [1] + [0] * (d - 1)))
+        if not roots:
+            continue
+        lam = min(roots)
+        K = [[lam.denominator * a - lam.numerator * D * (i == j)
+              for j, a in enumerate(row)] for i, row in enumerate(A)]
+        kernel = _int_kernel(K)
+        if any(_spin_dim(v, gens) < d for v in kernel):
+            return "indecomposable"
+        if len(kernel) == 1:
+            (w,) = _int_kernel(list(zip(*K)))
+            if _spin_dim(w, [list(zip(*G)) for G in gens]) < d:
+                return "indecomposable"
+            return "irreducible"
+        break
+    if len(generated_algebra(mats)) == d * d:
+        return "irreducible"
+    return "indecomposable"
+
+
+def _int_kernel(K):
+    """Basis of the right kernel of the integer rows K, as integer
+    vectors."""
+    ech = Echelon()
+    for row in K:
+        ech.insert(dict(enumerate(row)))
+    return [_clear(v)[0] for v in ech.nullspace(len(K[0]))]
+
+
+def _spin_dim(v, gens):
+    """Dimension of the least subspace that contains the integer vector v
+    and is invariant under the integer matrices gens (lists of rows),
+    computed until it is the whole space."""
+    d = len(v)
+    nzs = [[[(j, a) for j, a in enumerate(row) if a] for row in G]
+           for G in gens]
+    span = Echelon()
+    span.insert(dict(enumerate(v)))
+    queue = deque([v])
+    while queue and len(span.rows) < d:
+        w = queue.popleft()
+        for nz in nzs:
+            u = [sum(a * w[k] for k, a in row) for row in nz]
+            if span.insert(dict(enumerate(u))) is None:
+                queue.append(u)
+    return len(span.rows)
 
 
 def _x_spectrum(gen_mats):

@@ -316,6 +316,24 @@ def test_criterion_6_structure_numbers():
     _report(6, "structure invariants match the reported numbers", ok)
 
 
+def test_criterion_6_aglue_n6_without_closure(monkeypatch):
+    # ROADMAP item 1: the spin certificates label both 32-dimensional
+    # leaves, so no Burnside closure runs
+    import mdreps.structure as structure
+    calls = []
+    closure = structure.generated_algebra
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return closure(*args, **kw)
+    monkeypatch.setattr(structure, "generated_algebra", counted)
+    rep = decompose(analysis_pair("a-glue", p=2, q=5), 6,
+                    rng=random.Random(99))
+    ok = rep.dims() == [32, 32] and calls == []
+    ok = ok and all(s["status"] == "indecomposable" for s in rep.summands)
+    _report(6, "a-glue n=6 splits as [32, 32] with no closure", ok)
+
+
 def test_criterion_7_equivalences():
     ok = True
     p = param("p")

@@ -162,6 +162,8 @@ def test_mdd_commands(capsys):
     ["analyze", "--case", "case2", "--n", "2", "--params", "check=1"],
     ["verify", "--case", "case1", "--params", "t=1/0"],
     ["analyze", "--case", "a-glue", "--n", "2", "--at", "p=1/0,q=2"],
+    ["analyze", "--case", "a-glue", "--params", "zz=1", "--n", "2", "--at",
+     "p=2,q=5"],
     ["mdd", "eval", "--word", "r1", "--case", "case2", "--n", "2", "--at",
      "p=x"],
 ])
@@ -185,6 +187,16 @@ def test_antislash_analyze_keeps_t_symbolic_until_at(capsys):
     rep = json.loads(out)
     assert rep["class"] == "b"
     assert sorted(s["dim"] for s in rep["summands"]) == [1, 1, 2]
+
+
+def test_analysis_families_read_params(capsys):
+    code, out = run(capsys, "analyze", "--case", "antislash", "--params",
+                    "t=5", "--n", "2")
+    assert code == EXIT_OK
+    assert json.loads(out)["provenance"]["case"] == "antislash"
+    assert main(["analyze", "--case", "f-glue", "--params", "p=2,zz=1",
+                 "--n", "2"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: f-glue does not take zz\n"
 
 
 class _ClosedPipe(io.StringIO):

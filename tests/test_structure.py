@@ -8,9 +8,10 @@ import pytest
 
 from mdreps.catalog import analysis_pair, make_md_pair
 from mdreps.matrix import ExactMatrix, RepPair
-from mdreps.scalar import InvariantError, NonVanishing, Poly, param, rf
-from mdreps.structure import (_find_splitter, _peval_matrix,
-                              _splitting_data, algebra_dims, commutant,
+from mdreps.scalar import (InvariantError, NonVanishing, Poly, param, rf,
+                           zeta)
+from mdreps.structure import (_find_splitter, _leaf_status, _peval_matrix,
+                              _rational_roots, algebra_dims, commutant,
                               decompose,
                               distinct_eigenvalue_count,
                               fglue_commutant_shape_ok, find_idempotents,
@@ -455,7 +456,10 @@ def _find_splitter_reference(basis, rng, tries=25):
         cands.append(T)
     best = None
     for T in cands:
-        mult = _splitting_data(T)
+        try:
+            mult = _rational_roots(minimal_polynomial(T))
+        except ValueError:  # not a rational constant matrix
+            continue
         if mult is None or len(mult) < 2:
             continue
         if best is None or len(mult) > len(best[1]):
@@ -463,25 +467,221 @@ def _find_splitter_reference(basis, rng, tries=25):
     return best
 
 
-def test_find_splitter_combinations_match_rf_combinations():
+def _qmat(rows):
+    return ExactMatrix.from_rows(rows, N=len(rows), rows_level=1,
+                                 cols_level=1)
+
+
+def _conjugated(mats, rng):
+    """The matrices conjugated by one seeded unipotent integer matrix."""
+    d = mats[0].nrows
+    P = _qmat([[rng.choice((-1, 1)) if j > i and rng.random() < 0.3
+                else int(i == j) for j in range(d)] for i in range(d)])
+    Pinv = P.inverse()
+    return [P * M * Pinv for M in mats]
+
+
+def _block_reps(rng, count):
+    """Seeded integer representations of sizes 2-12 on 2 or 3 generators:
+    block-diagonal ones, some with a repeated block, and block-triangular
+    ones with random off-diagonal blocks (generically non-split), each
+    conjugated so that the blocks are not coordinate subspaces.  The first
+    generator is triangular on each block, so it has rational
+    eigenvalues."""
+    def block(k, first):
+        return [[rng.randint(-3, 3) if i == j else rng.randint(-2, 2)
+                 if j > i or not first else 0 for j in range(k)]
+                for i in range(k)]
+
+    for _ in range(count):
+        ngens = rng.choice((2, 3))
+        sizes = []
+        while sum(sizes) < 2 or (sum(sizes) < 12 and rng.random() < 0.5):
+            sizes.append(rng.randint(1, min(4, 12 - sum(sizes))))
+        blocks = [[block(k, g == 0) for g in range(ngens)] for k in sizes]
+        if len(blocks) > 1 and rng.random() < 0.4:   # a repeated block
+            i = rng.randrange(1, len(blocks))
+            if sizes[i] == sizes[0]:
+                blocks[i] = blocks[0]
+        triangular = rng.random() < 0.5
+        mats = []
+        for g in range(ngens):
+            rows = _block_diag(*(b[g] for b in blocks))
+            if triangular:   # the later blocks span a submodule
+                k = 0
+                for size in sizes[:-1]:
+                    k += size
+                    for i in range(k, len(rows)):
+                        for j in range(k - size, k):
+                            rows[i][j] = rng.randint(-2, 2)
+            mats.append(_qmat(rows))
+        yield _conjugated(mats, rng)
+
+
+def _splitter_bases():
     fgp = analysis_pair("f-glue", p=2, q=5).evaluate({"p": 2, "q": 5})
     agp = analysis_pair("a-glue", p=2, q=5)
+    asp = make_md_pair("case6a", eps=-1, z=Fraction(-1, 3),
+                       x=Fraction(-2, 3), check=False)
     bases = [commutant([M for _, M in pr.generator_images(n)]).basis
-             for pr, n in ((fgp, 3), (agp, 3), (agp, 4))]
+             for pr, n in ((fgp, 3), (fgp, 4), (agp, 3), (agp, 4), (agp, 5),
+                           (asp, 3))]
+    # the symbolic a-glue commutant: its basis is rational
+    bases.append(commutant([M for _, M in analysis_pair(
+        "a-glue").generator_images(3)], NV_AG).basis)
     bases.append(commutant([ExactMatrix.identity(2, 2)]).basis)
     # diagonal matrix units: only a combination has more than two
     # eigenvalues, so the chosen splitter is one of the combinations
     bases.append(commutant([m([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0],
                                [0, 0, 0, 4]])]).basis)
-    for basis in bases:
-        for seed in range(4):
+    bases += [commutant(mats).basis
+              for mats in _block_reps(random.Random(11), 20)]
+    # a symbolic and a cyclotomic element: the per-candidate search, which
+    # skips every candidate that is not a rational constant matrix
+    for x in (p, rf(zeta(3))):
+        bases.append([m([[int(i == j == k) for j in range(4)]
+                         for i in range(4)]) for k in range(2)]
+                     + [m([[x if i == j == 2 else 0 for j in range(4)]
+                           for i in range(4)])])
+    return [b for b in bases if len(b) > 1]
+
+
+def test_find_splitter_combinations_match_rf_combinations():
+    # the regular-representation search against the RF combinations and
+    # d x d minimal polynomials of every candidate
+    for basis in _splitter_bases():
+        for seed in range(8):
             got = _find_splitter(basis, random.Random(seed))
             want = _find_splitter_reference([_rf_twin(B) for B in basis],
                                             random.Random(seed))
             assert (got is None) == (want is None)
             if got is not None:
-                assert got[0]._ints is not None
+                # a winning combination of a constant-form basis is formed
+                # on the integer rows
+                if all(B._ints is not None for B in basis):
+                    assert got[0]._ints is not None
                 assert got[0] == want[0] and got[1] == want[1]
+
+
+def test_find_splitter_forms_no_candidate_on_a_rational_basis(monkeypatch):
+    import mdreps.structure as structure
+
+    def refused(M):
+        raise AssertionError("minimal_polynomial of a d x d candidate")
+    agp = analysis_pair("a-glue", p=2, q=5)
+    basis = commutant([M for _, M in agp.generator_images(4)]).basis
+    want = _find_splitter_reference(basis, random.Random(3))
+    monkeypatch.setattr(structure, "minimal_polynomial", refused)
+    T, mult = _find_splitter(basis, random.Random(3))
+    assert T == want[0] and mult == want[1]
+
+
+def test_splitter_basis_must_span_a_unital_algebra_under_python_O():
+    # E12 * E21 = E11 leaves span(I, E12, E21); span(E11, E12) is closed
+    # under products but lacks I
+    code = (
+        "from mdreps.matrix import ExactMatrix\n"
+        "from mdreps.structure import _find_splitter\n"
+        "def m(rows):\n"
+        "    return ExactMatrix.from_rows(rows, N=2)\n"
+        "for basis in ([m([[1, 0], [0, 1]]), m([[0, 1], [0, 0]]),\n"
+        "               m([[0, 0], [1, 0]])],\n"
+        "              [m([[1, 0], [0, 0]]), m([[0, 1], [0, 0]])]):\n"
+        "    try:\n"
+        "        _find_splitter(basis)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n")
+    import mdreps
+    src = os.path.dirname(os.path.dirname(mdreps.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, timeout=60, env=env,
+                         check=True)
+    assert out.stdout.splitlines() == [
+        "B[1]*B[2] is not in the span of the basis",
+        "the identity is not in the span of the basis"]
+
+
+def _closure_status(mats):
+    d = mats[0].nrows
+    if len(generated_algebra(mats)) == d * d:
+        return "irreducible"
+    return "indecomposable"
+
+
+def _counted_closure(monkeypatch):
+    import mdreps.structure as structure
+    calls = []
+    closure = structure.generated_algebra
+
+    def counted(mats, *args, **kw):
+        calls.append(len(mats))
+        return closure(mats, *args, **kw)
+    monkeypatch.setattr(structure, "generated_algebra", counted)
+    return calls
+
+
+def test_spin_certificates_label_the_decomposition_leaves(monkeypatch):
+    agp = analysis_pair("a-glue", p=2, q=5)
+    asp = make_md_pair("case6a", eps=-1, z=Fraction(-1, 3),
+                       x=Fraction(-2, 3), check=False)
+    leaves = []
+    for pair, n, seed in ((agp, 3, 99), (agp, 4, 7), (agp, 5, 17),
+                          (asp, 3, 4)):
+        rep = decompose(pair, n, rng=random.Random(seed))
+        leaves += [s["generators"] for s in rep.summands
+                   if s["dim"] > 1 and "certificate" not in s]
+    assert len(leaves) == 8
+    calls = _counted_closure(monkeypatch)
+    got = [_leaf_status(mats) for mats in leaves]
+    assert calls == []
+    monkeypatch.undo()
+    assert got == [_closure_status(mats) for mats in leaves]
+    assert got == ["indecomposable"] * 6 + ["irreducible"] * 2
+
+
+def test_spin_verdict_matches_the_closure():
+    # the verdict on irreducibility; on a representation with a scalar
+    # commutant it is the leaf label
+    from mdreps.clifford import _perm_matrix_standard, symmetric_group_irreps
+    from mdreps.mdd import perm_adjacent
+    cases = [list(irr.images.values()) for k in (3, 4)
+             for irr in symmetric_group_irreps(k) if irr.dim > 1]
+    cases += [[_perm_matrix_standard(perm_adjacent(k, i))
+               for i in range(1, k)] for k in (5, 6)]
+    cases += list(_block_reps(random.Random(5), 20))
+    # a leading identity has a kernel of dimension d: Norton's criterion
+    # does not apply, and a proper spin still decides
+    cases += [[ExactMatrix.identity(M.N, M.rows_level)] + mats
+              for mats in cases for M in mats[:1]]
+    got = [_leaf_status(mats) for mats in cases]
+    assert got == [_closure_status(mats) for mats in cases]
+    assert {"irreducible", "indecomposable"} <= set(got)
+
+
+@pytest.mark.parametrize("mats,status,closures", [
+    # lam = 1, with a kernel line: Q e2 is a submodule, and e2 spans the
+    # kernel of the first generator
+    ([[[2, 0], [1, 1]], [[0, 0], [1, 0]]], "indecomposable", 0),
+    # the same non-split extension with the eigenvalues swapped: the kernel
+    # vector (1, -1) spins to Q^2, the transposed kernel vector e1 does not
+    ([[[1, 0], [1, 2]], [[0, 0], [1, 0]]], "indecomposable", 0),
+    # Norton's criterion: the standard representation of Sym_3
+    ([[[-1, 1], [0, 1]], [[1, 0], [1, -1]]], "irreducible", 0),
+    # no generator has a rational eigenvalue: Q(i) acts on Q^2, and a
+    # second rotation makes the action absolutely irreducible
+    ([[[0, -1], [1, 0]]], "indecomposable", 1),
+    ([[[0, -1], [1, 0]], [[0, -1], [1, -1]]], "irreducible", 1),
+    # the identity's kernel is Q^2, and each of its basis vectors spins to
+    # Q^2
+    ([[[1, 0], [0, 1]], [[-1, 1], [0, 1]], [[1, 0], [1, -1]]],
+     "irreducible", 1),
+    ([[[1, 0], [0, 1]], [[0, -1], [1, 0]]], "indecomposable", 1),
+])
+def test_spin_certificate_branches(monkeypatch, mats, status, closures):
+    calls = _counted_closure(monkeypatch)
+    assert _leaf_status([_qmat(rows) for rows in mats]) == status
+    assert calls == [len(mats)] * closures
 
 
 def test_decompose_surfaces_invariant_errors(monkeypatch):
