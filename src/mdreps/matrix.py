@@ -8,7 +8,9 @@ Under these conventions ``kron(A, B)`` at entry (w, v) is
 
 Elimination: every nullspace, commutant and inverse runs through ``Echelon``
 (rational constants, fraction-free on integer rows) or ``RFEchelon``
-(symbolic and cyclotomic entries, over RFs, on certified pivots only).
+(symbolic and cyclotomic entries, over RFs, on certified pivots only).  A
+commutant of rational constants is found by spinning, with the basis of the
+d^2-unknown commutation system that symbolic commutants solve.
 
 Spectra: ``char_poly`` gives the characteristic polynomial as an ascending
 coefficient list, and ``eigen_data`` and ``matrix_order`` split it with the
@@ -1070,10 +1072,12 @@ def _order_by_powers(A, bound):
 
 def commutant_basis(mats, constraints=None):
     """Exact basis of {T : T M = M T for all M in mats}, as matrices of the
-    same shape; solves the sparse linear commutation system.  When every
-    matrix is a rational constant M = A / D the system is built on the
-    integer rows A, since T M = M T iff T A = A T, and the basis comes in
-    the constant form."""
+    same shape: the basis the nullspace of the d^2-unknown commutation
+    system gives (one matrix per free column, in column order).  Symbolic
+    and cyclotomic matrices solve that system through ``RFEchelon``.
+    Rational constants M = A / D commute with T iff A does, and their
+    commutant is found by spinning (``_spin_commutant``) on the integer
+    rows A, in the constant form."""
     if not mats:
         raise ValueError("commutant of an empty list of matrices")
     d = mats[0].nrows
@@ -1083,16 +1087,16 @@ def commutant_basis(mats, constraints=None):
             raise ValueError("commutant needs square matrices of one size, "
                              "got %dx%d and %dx%d" % (d, d, M.nrows, M.ncols))
     try:
-        mats, zero, make = [_int_form(M)[0] for M in mats], 0, _fraction_matrix
-        ech = Echelon()
+        gens = [_int_form(M)[0] for M in mats]
     except ValueError:  # a symbolic or cyclotomic entry
-        mats, zero, make = [_rf_rows(M) for M in mats], RF_ZERO, ExactMatrix
         ech = RFEchelon(constraints)
-    for A in mats:
-        for r in _commutation_rows(A, zero):
-            ech.insert(r)
-    return [make(N, lvl, lvl, [vec[i * d:(i + 1) * d] for i in range(d)])
-            for vec in ech.nullspace(d * d)]
+        for M in mats:
+            for r in _commutation_rows(_rf_rows(M), RF_ZERO):
+                ech.insert(r)
+        return [ExactMatrix(N, lvl, lvl, [vec[i * d:(i + 1) * d]
+                                          for i in range(d)])
+                for vec in ech.nullspace(d * d)]
+    return [_const(N, lvl, lvl, A, D) for A, D in _spin_commutant(gens)]
 
 
 def _commutation_rows(M, zero):
@@ -1120,3 +1124,162 @@ def _commutation_rows(M, zero):
             if row:
                 out.append(row)
     return out
+
+
+def _spin_commutant(gens):
+    """The commutant of integer matrices (lists of rows) by the standard-
+    basis method (Schneider 1990; Holt, Eick & O'Brien 2005, 7.5), as
+    (integer rows, denominator) pairs: exactly the basis of the d^2-unknown
+    commutation system.
+
+    The unit vectors e_0, e_1, ... that are not yet in the span are spun in
+    turn under the generators.  Each image g b_j that is new is the next
+    standard basis vector, and any other is a relation
+    den g b_j + sum_l a_l b_l = 0.  An endomorphism phi is fixed by the
+    images of the seeds, phi(g b_j) = g phi(b_j) along the spin, and it
+    commutes with the generators iff it satisfies every relation.  The
+    image of each seed brings d unknowns, and each phi(b_j) is kept as one
+    sparse vector per unknown.  As soon as the relations fix half of the
+    unknowns, the unknowns are replaced by a basis of their solutions: the
+    image of a seed then lies in the common kernel of the annihilating
+    elements found so far, and the unknowns soon number the dimension of
+    the commutant.
+
+    Read-out: put the solutions, flattened row-major, in the reduced row
+    echelon form over the reversed columns c -> d^2-1-c.  Its pivots are the
+    free columns of the d^2 system, and its rows, scaled to pivot 1, are the
+    vectors that system's ``nullspace`` returns, in ascending free column
+    order when taken by descending reversed pivot."""
+    d = len(gens[0])
+    spin = _Spin(d)
+    cols = [_columns(A) for A in gens]
+    for s in range(d):
+        if len(spin.span.rows) == d:
+            break
+        if not any(c < d for c in spin.span.reduce({s: 1})):
+            continue
+        j = len(spin.basis)
+        spin.add({s: 1}, {spin.unknowns + r: {r: 1} for r in range(d)})
+        spin.unknowns += d
+        while j < len(spin.basis):
+            for col in cols:
+                # read b_j's image afresh: a relation may replace unknowns
+                spin.add(_sparse_apply(col, spin.basis[j]),
+                         {u: _sparse_apply(col, x)
+                          for u, x in spin.images[j].items()})
+            j += 1
+    spin.settle()
+    return spin.read_out()
+
+
+class _Spin:
+    """The state of ``_spin_commutant``: the standard basis b_j in an
+    ``Echelon`` (bound d, b_j carrying its scale at marker column d + j),
+    the images phi(b_j) as {unknown: sparse vector}, and the relations so
+    far on the unknowns in a second ``Echelon``."""
+
+    __slots__ = ("d", "span", "basis", "images", "relations", "unknowns")
+
+    def __init__(self, d):
+        self.d = d
+        self.span = Echelon(bound=d)
+        self.basis = []
+        self.images = []
+        self.relations = Echelon()
+        self.unknowns = 0
+
+    def add(self, y, image):
+        """Make y, with phi(y) = image, the next basis vector if it is
+        independent of the span; else add the relation it satisfies to
+        the relations on the unknowns."""
+        d, k = self.d, len(self.basis)
+        row = dict(y)
+        row[d + k] = 1
+        res = self.span.reduce(row)
+        if any(c < d for c in res):
+            self.span.insert(res)
+            self.basis.append(y)
+            self.images.append(image)
+            return
+        # res[d + k] y + sum_l res[d + l] b_l = 0: phi takes it to 0, which
+        # is one row on the unknowns per coordinate
+        rows = {}
+        for c, a in res.items():
+            for u, x in (image if c == d + k else self.images[c - d]).items():
+                for i, v in x.items():
+                    row = rows.setdefault(i, {})
+                    row[u] = row.get(u, 0) + a * v
+        for row in rows.values():
+            if any(row.values()):
+                self.relations.insert(row)
+        if 2 * len(self.relations.rows) >= self.unknowns:
+            self.settle()
+
+    def settle(self):
+        """Replace the unknowns by a basis of the solutions of the
+        relations so far."""
+        sols = [_clear(v)[0] for v in self.relations.nullspace(self.unknowns)]
+        self.images = [{t: _sparse_sum([(z[u], x) for u, x in image.items()
+                                        if z[u]])
+                        for t, z in enumerate(sols)}
+                       for image in self.images]
+        self.unknowns = len(sols)
+        self.relations = Echelon()
+
+    def read_out(self):
+        """The commutant basis, as (integer rows, denominator) pairs, once
+        the basis spans the space and the unknowns are settled.  Span row p
+        is then pv e_p = sum_j m_j b_j, so that a solution T has
+        T e_p = sum_j m_j T b_j / pv."""
+        d, dd = self.d, self.d * self.d
+        rows = self.span.rows
+        L = lcm(*(r[p] for p, r in rows.items()))
+        canon = Echelon()
+        for t in range(self.unknowns):
+            flat = {}
+            for p, r in rows.items():
+                f = L // r[p]
+                col = _sparse_sum([(m * f, self.images[c - d].get(t, {}))
+                                   for c, m in r.items() if c >= d])
+                for i, x in col.items():
+                    flat[dd - 1 - i * d - p] = x
+            if canon.insert(flat) is not None:
+                raise InvariantError("commutant solutions are dependent")
+        out = []
+        for c in sorted(canon.rows, reverse=True):
+            A = [[0] * d for _ in range(d)]
+            for k, x in canon.rows[c].items():
+                i, j = divmod(dd - 1 - k, d)
+                A[i][j] = x
+            out.append((A, canon.rows[c][c]))
+        return out
+
+
+def _columns(A):
+    """The nonzero entries of each column of the integer rows A, as
+    (row, entry) lists."""
+    cols = [[] for _ in A[0]]
+    for i, row in enumerate(A):
+        for j, a in enumerate(row):
+            if a:
+                cols[j].append((i, a))
+    return cols
+
+
+def _sparse_apply(cols, v):
+    """A v for A given by ``_columns`` and a sparse vector v ({index: int}),
+    as a sparse vector."""
+    out = {}
+    for k, x in v.items():
+        for i, a in cols[k]:
+            out[i] = out.get(i, 0) + a * x
+    return {i: x for i, x in out.items() if x}
+
+
+def _sparse_sum(terms):
+    """sum c v over (int c, sparse vector v) terms, as a sparse vector."""
+    out = {}
+    for c, v in terms:
+        for i, x in v.items():
+            out[i] = out.get(i, 0) + c * x
+    return {i: x for i, x in out.items() if x}

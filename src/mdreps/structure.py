@@ -4,18 +4,23 @@ eigenspace splitting, the image trichotomy of X = RS, semisimple-quotient
 dimensions through the glue projection, and matrix-algebra dimension data.
 
 Numeric analyses work over plain rationals at exact sample points, on the
-constant form of ``ExactMatrix`` (integer rows A with M = A / D): the
-minimal polynomials, commutants, spins, algebra closures, subspace
-restrictions and quotient coordinates eliminate fraction-free on those
-integer rows through ``matrix.Echelon``, and the spectral projectors are
-integer Horner evaluations.  The splitter search works in the regular
-representation of the commutant (m x m for an m-dimensional commutant), so
-no d x d matrix is formed per candidate.  A leaf with a scalar commutant is
-labelled by spin certificates (a proper invariant subspace, or Norton's
-criterion); the Burnside closure runs only when neither applies.  The
-minimal polynomials, their roots and the CRT idempotents of the spectral
-projectors are computed in Q[x] with ``upoly``.  The certificates (local
-endomorphism ring, commutant shape) are exact.
+constant form of ``ExactMatrix`` (integer rows A with M = A / D).  At a
+point given by ``assignment``, ``decompose`` and ``algebra_dims`` evaluate
+the 4x4 pair once and embed the constant matrices.  Commutants come from
+``matrix.commutant_basis``, which spins under the generators instead of
+solving the d^2-unknown commutation system, with the same basis.  The
+minimal polynomials, spins, algebra closures, subspace restrictions (each
+image summed over nonzero entries only) and quotient coordinates eliminate
+fraction-free on the integer rows through ``matrix.Echelon``, and the
+spectral projectors are integer Horner evaluations.  The splitter search
+works in the regular representation of the commutant (m x m for an
+m-dimensional commutant), so no d x d matrix is formed per candidate.  A
+leaf with a scalar commutant is labelled by spin certificates (a proper
+invariant subspace, or Norton's criterion); the Burnside closure runs only
+when neither applies.  The minimal polynomials, their roots and the CRT
+idempotents of the spectral projectors are computed in Q[x] with
+``upoly``.  The certificates (local endomorphism ring, commutant shape)
+are exact.
 """
 
 import random
@@ -25,9 +30,10 @@ from math import lcm
 
 from .ccwg import is_ccwg, project_K
 from .clifford import mn_character, partition_dim, partitions
-from .matrix import (Echelon, ExactMatrix, UnsupportedSpectrum, _combine,
-                     _entries, _imul, _int_form, _scaled_product, char_poly,
-                     commutant_basis, eigen_data, embed_at, nullspace)
+from .matrix import (Echelon, ExactMatrix, UnsupportedSpectrum, _columns,
+                     _combine, _entries, _imul, _int_form, _scaled_product,
+                     _sparse_apply, char_poly, commutant_basis, eigen_data,
+                     embed_at, nullspace)
 from .mdd import all_permutations, perm_cycle_type, perm_to_adjacent_word
 from .scalar import InvariantError, as_fraction
 from .upoly import (_clear, _pdivmod, _plcm, _pmul, _ppow, _pxgcd,
@@ -305,22 +311,29 @@ def _spectral_idempotents(T, mult):
 # ---------------------------------------------------------------------------
 # subspace restriction
 
-def _solve_in_span(span, row, k):
-    """Coordinates of a vector in the span of k stored rows.  Stored row j
-    carries its scale at marker column ``span.bound + j``, and ``row`` (the
-    vector times its scale) carries its scale at ``span.bound + k``; the
-    residual of ``row`` is then a multiple of (0 | -coordinates | 1)."""
+def _span_coords(span, row, k):
+    """(c, den): the coordinates c / den of a vector in the span of k stored
+    rows, as integers over one positive denominator.  Stored row j carries
+    its scale at marker column ``span.bound + j``, and ``row`` (the vector
+    times its scale) carries its scale at ``span.bound + k``; the residual
+    of ``row`` is then den (0 | -coordinates | 1) for some den > 0."""
     res = span.reduce(row)
     b = span.bound
     if any(c < b for c in res):
         raise InvariantError("vector not in the span")
-    den = res[b + k]
-    return [Fraction(-res.get(b + j, 0), den) for j in range(k)]
+    return [-res.get(b + j, 0) for j in range(k)], res[b + k]
+
+
+def _solve_in_span(span, row, k):
+    """The coordinates of ``_span_coords`` as Fractions."""
+    c, den = _span_coords(span, row, k)
+    return [Fraction(x, den) for x in c]
 
 
 def restrict_to_subspace(mats, basis_vectors):
     """Restrict matrices preserving span(basis_vectors) to that subspace;
-    vectors are length-d Fraction lists."""
+    vectors are length-d Fraction lists.  Each image A v is summed over the
+    nonzero entries of v and of A's columns."""
     d = len(basis_vectors[0])
     k = len(basis_vectors)
     vecs = [_clear(v) for v in basis_vectors]
@@ -330,18 +343,21 @@ def restrict_to_subspace(mats, basis_vectors):
         row[d + j] = D
         if span.insert(row) is not None:
             raise InvariantError("basis vectors are not independent")
+    vecs = [({i: x for i, x in enumerate(v) if x}, D) for v, D in vecs]
     out = []
     for M in mats:
         A, DM = _int_form(M)
-        cols = []
+        cols = _columns(A)
+        coords = []
         for v, D in vecs:
-            row = {i: sum(a * x for a, x in zip(arow, v))
-                   for i, arow in enumerate(A)}
+            row = _sparse_apply(cols, v)
             row[d + k] = DM * D
-            cols.append(_solve_in_span(span, row, k))
-        out.append(ExactMatrix.from_rows([[cols[j][i] for j in range(k)]
-                                          for i in range(k)],
-                                         N=k, rows_level=1, cols_level=1))
+            coords.append(_span_coords(span, row, k))
+        L = lcm(*(den for _, den in coords))
+        out.append(ExactMatrix.from_ints([[c[i] * (L // den)
+                                           for c, den in coords]
+                                          for i in range(k)], L, N=k,
+                                         rows_level=1, cols_level=1))
     return out
 
 
@@ -384,10 +400,10 @@ def decompose(pair, n, assignment=None, rng=None):
     rational spectrum, with exact certificates on the indecomposable leaves.
     A leaf with a scalar commutant is labelled 'irreducible' or
     'indecomposable' by spin certificates, with no Burnside closure unless
-    they do not apply (see ``_leaf_status``)."""
-    mats = [M for _, M in pair.generator_images(n)]
-    if assignment:
-        mats = [M.evaluate(assignment, pair.constraints) for M in mats]
+    they do not apply (see ``_leaf_status``).  At a point, the pair is
+    evaluated before its generators are embedded at level n."""
+    at = pair.evaluate(assignment) if assignment else pair
+    mats = [M for _, M in at.generator_images(n)]
     leaves = []
     projectors = []
 
@@ -608,9 +624,9 @@ def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None, tries=40):
     """
     if n is not None:
         pair = mats_or_pair
-        mats = [M for _, M in pair.generator_images(n)]
         if assignment:
-            mats = [M.evaluate(assignment, pair.constraints) for M in mats]
+            pair = pair.evaluate(assignment)
+        mats = [M for _, M in pair.generator_images(n)]
     else:
         mats = list(mats_or_pair)
     d = mats[0].nrows

@@ -180,6 +180,19 @@ def test_params_name_the_case_does_not_read(capsys):
     assert capsys.readouterr().err == "error: case2 does not take pp\n"
 
 
+@pytest.mark.parametrize("case,at,err", [
+    ("case4", "p=0", "error: constraint vanishes: p\n"),
+    ("antislash", "t=1", "error: constraint vanishes: t + -1\n"),
+])
+def test_analyze_at_a_rejected_point(capsys, case, at, err):
+    # analyze evaluates the 4x4 pair before embedding it: a point that
+    # zeroes a declared constraint still exits 2 with the constraint named
+    assert main(["analyze", "--case", case, "--n", "3", "--at", at]) == \
+        EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == err and captured.out == ""
+
+
 def test_antislash_analyze_keeps_t_symbolic_until_at(capsys):
     code, out = run(capsys, "analyze", "--case", "antislash", "--n", "2",
                     "--at", "t=3")

@@ -774,3 +774,60 @@ def test_x_trichotomy_computes_one_spectrum(monkeypatch):
         del calls[:]
         assert x_trichotomy(pair) == want
         assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# rejected points: the 4x4 pair is evaluated before it is embedded
+
+def _glue_pair(r_glue, s_glue):
+    def glued(g):
+        return ExactMatrix.from_rows([[1, 0, 0, g], [0, 0, 1, 0],
+                                      [0, 1, 0, 0], [0, 0, 0, 1]])
+    return RepPair(glued(r_glue), glued(s_glue), params=("p", "q"))
+
+
+@pytest.mark.parametrize("pair,assignment,message", [
+    # a denominator that vanishes, in a pair with no constraints
+    (_glue_pair(1 / (p - 1), rf(2)), {"p": 1, "q": 2},
+     "denominator vanishes: p + -1"),
+    # two that vanish at one point: the first entry of R, then of S, in
+    # row order, is named, as when every level-n entry was evaluated
+    (_glue_pair(1 / (p - 1), 1 / (p + q - 3)), {"p": 1, "q": 2},
+     "denominator vanishes: p + -1"),
+    (_glue_pair(1 / (p + q - 3), 1 / (p - 1)), {"p": 1, "q": 2},
+     "denominator vanishes: p + q + -3"),
+    # a declared constraint that vanishes
+    (make_md_pair("case4", check=False), {"p": 0, "s": 1},
+     "constraint vanishes: p"),
+    (analysis_pair("antislash"), {"t": 1}, "constraint vanishes: t + -1"),
+])
+def test_rejected_points_are_rejected_before_any_analysis(pair, assignment,
+                                                          message):
+    from mdreps.scalar import RejectedPoint
+    for run in (lambda: decompose(pair, 3, assignment=assignment),
+                lambda: algebra_dims(pair, 3, assignment=assignment)):
+        with pytest.raises(RejectedPoint) as info:
+            run()
+        assert str(info.value) == message
+
+
+def test_decompose_at_a_point_evaluates_the_pair_once(monkeypatch):
+    # the 4x4 pair is evaluated, not the 2(n-1) level-n images
+    calls = []
+    evaluate = ExactMatrix.evaluate
+
+    def counted(self, *args, **kw):
+        calls.append(self.nrows)
+        return evaluate(self, *args, **kw)
+    monkeypatch.setattr(ExactMatrix, "evaluate", counted)
+    pair = analysis_pair("a-glue")
+    at = {"p": 2, "q": 5}
+    rep = decompose(pair, 4, assignment=at, rng=random.Random(5))
+    assert calls.count(16) == 0 and calls.count(4) == 3
+    del calls[:]
+    dims = algebra_dims(pair, 3, assignment=at)
+    assert calls == [4, 4]
+    # the same reports as the evaluated pair gives
+    assert rep.to_json() == decompose(pair.evaluate(at), 4,
+                                      rng=random.Random(5)).to_json()
+    assert dims == algebra_dims(pair.evaluate(at), 3)
