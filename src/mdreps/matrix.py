@@ -318,26 +318,6 @@ class ExactMatrix:
                            [[ech.rows[c].get(n + i, RF_ZERO) for c in place]
                             for i in range(n)])
 
-    def first_difference(self, other):
-        """(i, j, self[i, j] - other[i, j]) at the first entry, rows first,
-        where two matrices of one shape differ, or None."""
-        A, B = self._ints, other._ints
-        if A is not None and B is not None:
-            DA, DB = self._den, other._den
-            for i, (ra, rb) in enumerate(zip(A, B)):
-                if DA == DB and ra == rb:
-                    continue
-                for j, (a, b) in enumerate(zip(ra, rb)):
-                    if a * DB != b * DA:
-                        return i, j, _box(a * DB - b * DA, DA * DB)
-            return None
-        for i, (ra, rb) in enumerate(zip(_rf_rows(self), _rf_rows(other))):
-            if ra != rb:
-                for j, (a, b) in enumerate(zip(ra, rb)):
-                    if a != b:
-                        return i, j, a - b
-        return None
-
     def to_json(self):
         ws_r = words(self.N, self.rows_level)
         ws_c = words(self.N, self.cols_level)

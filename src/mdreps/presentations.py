@@ -11,10 +11,21 @@ braid or mixed relation on three strands at level 3, an involution at level
 commutation holds identically.  A failing relation's witness at level n is
 the level-3 (or level-2) witness with its row and column words padded by
 letters 1, exactly the first nonzero entry of the dense level-n residual.
+
+The word images are products of the cleared pair R~ = c_R R, S~ = c_S S,
+whose entries are polynomials with packed exponents (``_Cleared``).  Each
+side of a relation is scaled to c_R^A c_S^B, A and B being the most letters
+r and s on either side; braid and mixed relations are homogeneous in r and
+in s, so only an involution's identity side is scaled (R~R~ against
+c_R^2 I).  The residual vanishes where the true one does, so a passing pair
+makes no RF and takes no gcd; a witness value is boxed once, as the
+canonical RF of the residual entry over c_R^A c_S^B.
 """
 
-from .matrix import ExactMatrix, embed_at, word_to_str, words
-from .scalar import rf_to_json
+from math import lcm
+
+from .matrix import ExactMatrix, word_to_str, words
+from .scalar import RF, RF_ZERO, Cyc, InvariantError, Poly, rf_to_json
 
 
 def _braid(sym, i):
@@ -116,47 +127,245 @@ class AnomalyReport:
                                                      self.is_zero)
 
 
-class _WordImages:
-    """Memoised level-k images of words in r_i, s_i: a word's image reuses
-    the cached image of its suffix, else of its prefix, else builds its
-    suffix first."""
+# ---------------------------------------------------------------------------
+# word images of the cleared pair
 
-    __slots__ = ("pair", "k", "cache")
+class _Cleared:
+    """Level-k word images of the cleared pair R~ = c_R R, S~ = c_S S.
 
-    def __init__(self, pair, k):
-        self.pair, self.k, self.cache = pair, k, {}
+    c_X is an integer times the product of X's distinct entry denominators,
+    so X~ has polynomial entries and no gcd is ever needed: any nonzero
+    common multiple of the denominators would do.  A matrix is a list of
+    sparse rows {column: polynomial}, and a polynomial a dict {packed
+    exponent: coefficient}.  The exponent of the i-th parameter (sorted by
+    name) fills bits i*w to (i+1)*w - 1 of the packed int, so a product of
+    monomials is the sum of their packed ints (Monagan & Pearce 2007).  The
+    field width w holds ``span`` times the largest exponent that an entry of
+    R~ or S~, or c_R or c_S, can have, so no product of at most ``span``
+    letters carries into the next field.  Coefficients are ints when they
+    are rational and stay Cyc when they are cyclotomic.  A constant-form
+    matrix is read from its integer rows, with c_X its denominator.
+    """
 
-    def __call__(self, word):
-        pair, k, cache = self.pair, self.k, self.cache
-        if not word:
-            return ExactMatrix.identity(pair.N, k)
-        M = cache.get(word)
+    __slots__ = ("N", "span", "names", "shifts", "mask", "X", "c", "cache",
+                 "powers")
+
+    def __init__(self, pair, span):
+        mats = (pair.R, pair.S)
+        self.N, self.span = pair.N, span
+        self.names = sorted(set().union(*map(_variables, mats)))
+        width = (span * max(map(_degree_bound, mats))).bit_length()
+        self.shifts = [i * width for i in range(len(self.names))]
+        self.mask = (1 << width) - 1
+        shift = dict(zip(self.names, self.shifts))
+        (R, cR), (S, cS) = (_clear(M, shift) for M in mats)
+        self.X, self.c = {"r": R, "s": S}, {"r": cR, "s": cS}
+        self.cache, self.powers = {}, {(0, 0): {0: 1}}
+
+    def _letter(self, sym, i, k):
+        """I^(i-1) (x) X~ (x) I^(k-i-1): row r reads X~'s row a, the letters
+        i, i+1 of r's word, and moves each column b of it to r + (b - a) lo."""
+        if not 1 <= i <= k - 1:
+            raise ValueError("position %d out of range for level %d" % (i, k))
+        X, N = self.X[sym], self.N
+        lo, NN = N ** (i - 1), N * N
+        out = []
+        for r in range(N ** k):
+            a = r // lo % NN
+            base = r - a * lo
+            out.append({base + b * lo: f for b, f in X[a].items()})
+        return out
+
+    def image(self, word, k):
+        """The level-k image of a word in the cleared letters, built from
+        the cached image of its suffix, else of its prefix, else its
+        suffix first."""
+        cache = self.cache
+        M = cache.get((k, word))
         if M is not None:
             return M
-        if len(word) == 1:
-            (sym, i), = word
-            M = pair.R if sym == "r" else pair.S
-            if (k, i) != (2, 1):
-                M = embed_at(M, i, k)
-        elif word[1:] in cache:
-            M = self(word[:1]) * cache[word[1:]]
-        elif word[:-1] in cache:
-            M = cache[word[:-1]] * self(word[-1:])
+        if not word:
+            M = [{r: {0: 1}} for r in range(self.N ** k)]
+        elif len(word) == 1:
+            M = self._letter(*word[0], k)
+        elif (k, word[1:]) in cache:
+            M = _matmul(self.image(word[:1], k), cache[k, word[1:]])
+        elif (k, word[:-1]) in cache:
+            M = _matmul(cache[k, word[:-1]], self.image(word[-1:], k))
         else:
-            M = self(word[:1]) * self(word[1:])
-        cache[word] = M
+            M = _matmul(self.image(word[:1], k), self.image(word[1:], k))
+        cache[k, word] = M
         return M
 
+    def _power(self, a, b):
+        """c_R^a c_S^b."""
+        f = self.powers.get((a, b))
+        if f is None:
+            f = _pmul(self._power(a - 1, b), self.c["r"]) if a \
+                else _pmul(self._power(0, b - 1), self.c["s"])
+            self.powers[a, b] = f
+        return f
 
-def _first_difference(A, B):
-    """(row word, col word, A - B entry) at the first entry, rows first, where
-    A and B differ, or None."""
-    diff = A.first_difference(B)
-    if diff is None:
+    def residual(self, lhs, rhs, k):
+        """(entries, c): the nonzero entries (i, j, f) of the level-k
+        residual lhs - rhs times c = c_R^A c_S^B, rows first, A and B being
+        the most letters r and s on either side.  Each side is its cleared
+        image times the powers of c_R and c_S that its letters lack, so the
+        entries are polynomials and vanish exactly where the residual does."""
+        (A, B), sides = _letters(lhs, rhs), []
+        if A + B > self.span:
+            raise InvariantError("%d letters exceed the span %d of the "
+                                 "exponent fields" % (A + B, self.span))
+        for word in (lhs, rhs):
+            a, b = _letters(word)
+            f = self._power(A - a, B - b)
+            M = self.image(word, k)
+            sides.append(M if f == {0: 1} else
+                         [{j: _pmul(g, f) for j, g in row.items()}
+                          for row in M])
+        return _differences(*sides), self._power(A, B)
+
+    def witness(self, lhs, rhs, k):
+        """(row word, col word, value) at the first nonzero entry of the
+        level-k residual lhs - rhs, or None."""
+        entries, c = self.residual(lhs, rhs, k)
+        for i, j, f in entries:
+            ws = words(self.N, k)
+            return ws[i], ws[j], self.box(f, c)
         return None
-    i, j, e = diff
-    ws = words(A.N, A.rows_level)
-    return ws[i], ws[j], e
+
+    def box(self, f, c):
+        """The canonical RF f / c."""
+        return RF(self._unpack(f), self._unpack(c))
+
+    def _unpack(self, f):
+        names, shifts, mask = self.names, self.shifts, self.mask
+        return Poly({tuple((x, key >> s & mask) for x, s in zip(names, shifts)
+                           if key >> s & mask): v for key, v in f.items()})
+
+
+def _variables(M):
+    if M._ints is not None:
+        return set()
+    return set().union(*(e.variables() for row in M._rows for e in row))
+
+
+def _top(p):
+    """The largest exponent of any parameter in p."""
+    return max((e for m in p.terms for _, e in m), default=0)
+
+
+def _degree_bound(M):
+    """A bound on the exponent of any parameter in an entry of the cleared
+    matrix and in its c: the largest in a numerator plus the sum over the
+    distinct denominators."""
+    if M._ints is not None:
+        return 0
+    entries = [e for row in M._rows for e in row]
+    return (max((_top(e.num) for e in entries), default=0)
+            + sum(map(_top, {e.den for e in entries})))
+
+
+def _coeff_den(p):
+    """The lcm of the denominators of p's rational coefficients and of both
+    components of its cyclotomic ones."""
+    out = 1
+    for v in p.terms.values():
+        if isinstance(v, Cyc):
+            out = lcm(out, v.a.denominator, v.b.denominator)
+        else:
+            out = lcm(out, v.denominator)
+    return out
+
+
+def _pack(p, shift, scale):
+    """scale * p as a packed polynomial; scale clears p's coefficient
+    denominators, so rational coefficients become ints."""
+    return {sum(e << shift[x] for x, e in m):
+            v * scale if isinstance(v, Cyc)
+            else v.numerator * (scale // v.denominator)
+            for m, v in p.terms.items()}
+
+
+def _clear(M, shift):
+    """(rows, c) with M = rows / c and polynomial rows.  Each distinct
+    denominator d is cleared to l_d d with integer coefficients, l_d being
+    ``_coeff_den(d)``, and L is that lcm over all numerators: c is L times
+    the cleared denominators, and an entry n / d becomes L n times l_d and
+    the other cleared denominators."""
+    if M._ints is not None:
+        return ([{j: {0: a} for j, a in enumerate(row) if a}
+                 for row in M._ints], {0: M._den})
+    entries = [e for row in M._rows for e in row if not e.is_zero()]
+    dens = list(dict.fromkeys(e.den for e in entries))
+    L = lcm(*(_coeff_den(e.num) for e in entries))
+    cleared = [_pack(d, shift, _coeff_den(d)) for d in dens]
+    cofactor = {}
+    for d, dc in zip(dens, cleared):
+        f = {0: _coeff_den(d)}
+        for g in cleared:
+            if g is not dc:
+                f = _pmul(f, g)
+        cofactor[d] = f
+    c = {0: L}
+    for g in cleared:
+        c = _pmul(c, g)
+    rows = [{j: _pmul(_pack(e.num, shift, L), cofactor[e.den])
+             for j, e in enumerate(row) if not e.is_zero()}
+            for row in M._rows]
+    return rows, c
+
+
+def _addmul(h, f, g):
+    """h + f * g into h, zero coefficients kept."""
+    for e1, v1 in f.items():
+        for e2, v2 in g.items():
+            e = e1 + e2
+            h[e] = h.get(e, 0) + v1 * v2
+    return h
+
+
+def _nonzero(h):
+    return {e: v for e, v in h.items() if v}
+
+
+def _pmul(f, g):
+    return _nonzero(_addmul({}, f, g))
+
+
+def _matmul(A, B):
+    """Product of sparse polynomial matrices."""
+    out = []
+    for arow in A:
+        acc = {}
+        for l, f in arow.items():
+            for j, g in B[l].items():
+                _addmul(acc.setdefault(j, {}), f, g)
+        out.append({j: h for j, h in zip(acc, map(_nonzero, acc.values()))
+                    if h})
+    return out
+
+
+def _differences(A, B):
+    """(i, j, A[i][j] - B[i][j]) at each entry where A and B differ, rows
+    first."""
+    for i, (ra, rb) in enumerate(zip(A, B)):
+        if ra == rb:
+            continue
+        for j in sorted(ra.keys() | rb.keys()):
+            f = dict(ra.get(j, ()))
+            for e, v in rb.get(j, {}).items():
+                f[e] = f.get(e, 0) - v
+            f = _nonzero(f)
+            if f:
+                yield i, j, f
+
+
+def _letters(*ws):
+    """(A, B): the most letters r, and the most letters s, in any of the
+    words."""
+    return (max(sum(sym == "r" for sym, _ in w) for w in ws),
+            max(sum(sym == "s" for sym, _ in w) for w in ws))
 
 
 def _is_far(lhs, rhs):
@@ -188,29 +397,35 @@ def verify(pair, relset, n):
     computed once.  With the first letter of a word varying fastest, the
     first nonzero entry of the level-n residual is that of res_k, its row and
     column words padded with lo-1 leading and n-lo-k+1 trailing letters 1.
-    Far commutations hold identically and take no matrix work."""
+    Far commutations hold identically and take no matrix work.
+
+    res_k is computed over the cleared pair (see ``_Cleared``).  Braid and
+    mixed relations have as many letters r, and as many letters s, on each
+    side, so lhs = rhs iff lhs~ = rhs~ and the first differing entry is at
+    the same place; an involution compares R~R~ with c_R^2 I.  The witness
+    value is boxed once per distinct failing res_k, as the canonical RF of
+    the residual entry over c_R^A c_S^B, so a passing pair takes no gcd."""
     if n < 2:
         raise ValueError("level must be >= 2")
     if pair.R.nrows != pair.S.nrows:
         raise ValueError("R and S have mismatched dimensions")
-    images = {}
-    residuals = {}
+    rels = [(rel_id, None if _is_far(lhs, rhs) else _window(lhs, rhs))
+            for rel_id, lhs, rhs in relset.relations(n)]
+    images = _Cleared(pair, max((sum(_letters(*win[2:])) for _, win in rels
+                                 if win), default=0))
+    witnesses = {}
     out = []
-    for rel_id, lhs, rhs in relset.relations(n):
-        if _is_far(lhs, rhs):
-            out.append(AnomalyReport(rel_id, n, None))
-            continue
-        lo, k, lhs_k, rhs_k = _window(lhs, rhs)
-        key = (lhs_k, rhs_k)
-        if key not in residuals:
-            if k not in images:
-                images[k] = _WordImages(pair, k)
-            image = images[k]
-            residuals[key] = _first_difference(image(lhs_k), image(rhs_k))
-        w = residuals[key]
-        if w is not None:
-            lead, trail = (1,) * (lo - 1), (1,) * (n - lo - k + 1)
-            w = (lead + w[0] + trail, lead + w[1] + trail, w[2])
+    for rel_id, win in rels:
+        w = None
+        if win is not None:
+            lo, k, lhs_k, rhs_k = win
+            key = (lhs_k, rhs_k)
+            if key not in witnesses:
+                witnesses[key] = images.witness(lhs_k, rhs_k, k)
+            w = witnesses[key]
+            if w is not None:
+                lead, trail = (1,) * (lo - 1), (1,) * (n - lo - k + 1)
+                w = (lead + w[0] + trail, lead + w[1] + trail, w[2])
         out.append(AnomalyReport(rel_id, n, w))
     return out
 
@@ -232,10 +447,16 @@ _ANOMALY_WORDS = {
 
 def anomaly(pair, kind, n=3):
     """The named relation residual (e.g. SRR = S1 R2 R1 - R2 R1 S2) at level n
-    as a single exact matrix."""
+    as a single exact matrix, its entries boxed from the residual of the
+    cleared pair as in ``verify``."""
     if kind not in _ANOMALY_WORDS:
         raise ValueError("unknown anomaly kind %r (have %s)"
                          % (kind, sorted(_ANOMALY_WORDS)))
     lhs, rhs = _ANOMALY_WORDS[kind]
-    image = _WordImages(pair, n)
-    return image(lhs) - image(rhs)
+    images = _Cleared(pair, sum(_letters(lhs, rhs)))
+    entries, c = images.residual(lhs, rhs, n)
+    d = pair.N ** n
+    rows = [[RF_ZERO] * d for _ in range(d)]
+    for i, j, f in entries:
+        rows[i][j] = images.box(f, c)
+    return ExactMatrix.from_rows(rows, pair.N, n, n)

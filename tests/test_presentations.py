@@ -1,14 +1,17 @@
+import json
 import random
+from collections import Counter
 
 import pytest
 
-from mdreps.catalog import (ALL_CASES, make_involutive_braid, make_manji,
-                            make_md_pair)
+from mdreps import scalar
+from mdreps.catalog import (ALL_CASES, Transform, apply_transform,
+                            make_involutive_braid, make_manji, make_md_pair)
 from mdreps.matrix import ExactMatrix, RepPair, embed_at, words
 from mdreps.presentations import (BRAID, LOOP_BRAID, MIXED_DOUBLES, SYM,
-                                  VIRTUAL_BRAID, RelationSet, anomaly, passes,
-                                  verify)
-from mdreps.scalar import NonVanishing, param, rf
+                                  VIRTUAL_BRAID, AnomalyReport, RelationSet,
+                                  anomaly, passes, verify)
+from mdreps.scalar import RF, NonVanishing, Poly, param, rf, zeta
 
 p = param("p")
 
@@ -176,10 +179,17 @@ _RELSETS = (SYM, BRAID, VIRTUAL_BRAID, LOOP_BRAID, MIXED_DOUBLES)
 _CONIC = ("case6a", "case6b", "case6c")
 
 
+# the anomaly kinds as the relations at position 1
+_ANOMALY_RELATIONS = {"RRR": "braid_r[1]", "SSS": "braid_s[1]",
+                      "SRR": "mixed_srr[1]", "SSR": "mixed_rss[1]",
+                      "RR1": "invol_r[1]", "SS1": "invol_s[1]"}
+
+
 def _dense_reports(pair, n):
     """(relation, level, is_zero, witness) of every MixedDoubles relation
     at level n, each from the first nonzero entry of the full N^n x N^n
-    residual lhs - rhs.  Every other relation set is a subset of these."""
+    residual lhs - rhs, and the residuals by relation.  Every other
+    relation set is a subset of these."""
     imgs = {}
     for i in range(1, n):
         imgs[("r", i)] = embed_at(pair.R, i, n)
@@ -192,23 +202,32 @@ def _dense_reports(pair, n):
         return M
 
     ws = words(pair.N, n)
-    out = {}
+    out, residuals = {}, {}
     for rel_id, lhs, rhs in MIXED_DOUBLES.relations(n):
-        res = word_matrix(lhs) - word_matrix(rhs)
+        res = residuals[rel_id] = word_matrix(lhs) - word_matrix(rhs)
         wit = next(((ws[i], ws[j], e) for i, row in enumerate(res.rows)
                     for j, e in enumerate(row) if not e.is_zero()), None)
         out[rel_id] = (rel_id, n, wit is None, wit)
-    return out
+    return out, residuals
 
 
 def _assert_matches_dense(pair, n):
-    """Returns the number of failing MixedDoubles relations."""
-    dense = _dense_reports(pair, n)
+    """Returns the number of failing MixedDoubles relations.  Also checks
+    each anomaly kind against the dense residual of its relation."""
+    dense, residuals = _dense_reports(pair, n)
     for relset in _RELSETS:
-        got = [(r.relation, r.level, r.is_zero, r.witness)
-               for r in verify(pair, relset, n)]
+        reports = verify(pair, relset, n)
+        got = [(r.relation, r.level, r.is_zero, r.witness) for r in reports]
         want = [dense[rel_id] for rel_id, _, _ in relset.relations(n)]
         assert got == want, (pair.provenance, relset.name, n)
+        assert json.dumps([r.to_json() for r in reports]) == json.dumps(
+            [AnomalyReport(rel_id, n, w).to_json()
+             for rel_id, _, _, w in want])
+    for kind, rel_id in _ANOMALY_RELATIONS.items():
+        if rel_id in residuals:
+            An, res = anomaly(pair, kind, n), residuals[rel_id]
+            assert An == res, (pair.provenance, kind, n)
+            assert json.dumps(An.to_json()) == json.dumps(res.to_json())
     return sum(not ok for _, _, ok, _ in dense.values())
 
 
@@ -236,6 +255,37 @@ def test_verify_matches_dense_on_catalog():
         _assert_matches_dense(pair, 5)
     for pair in _catalog_pairs(_CONIC):
         _assert_matches_dense(pair, 3)
+    # cyclotomic coefficients next to symbolic ones
+    A = ExactMatrix.from_rows([[zeta(3), 0], [1, 1]])
+    for pair in _catalog_pairs(("case2", "case4", "case6a")):
+        conj = apply_transform(Transform("local_conj", A), pair)
+        assert not _assert_matches_dense(conj, 3)
+
+
+def _high_degree_pair():
+    """A failing pair with exponents of p above 2^16 in its entries and
+    residuals, next to a second parameter q: a 16-bit exponent field for p
+    would carry into q's."""
+    g = rf(Poly({(("p", 70001),): 1}))
+    R = ExactMatrix.from_rows([[1, 0, 0, g], [0, 0, 1, 0], [0, 1, 0, 0],
+                               [0, 0, 0, 1]])
+    S = ExactMatrix.from_rows([[1, 0, 0, "q"], [0, 0, 1, 0], [0, 1, 0, 0],
+                               [0, 0, 0, -1]])
+    return RepPair(R, S, provenance="p^70001")
+
+
+def _n3_pair():
+    """A pair over N = 3: the flip with a symbolic corner and a
+    denominator, and the flip with one entry scaled."""
+    def flip():
+        return [[rf(int(j == i % 3 * 3 + i // 3)) for j in range(9)]
+                for i in range(9)]
+    R, S = flip(), flip()
+    R[0][8] = p
+    R[4][4] = rf(1) / (p - 1)
+    S[1][3] = rf(2)
+    return RepPair(ExactMatrix.from_rows(R, N=3),
+                   ExactMatrix.from_rows(S, N=3), provenance="N=3")
 
 
 def test_verify_matches_dense_on_broken_pairs():
@@ -248,6 +298,11 @@ def test_verify_matches_dense_on_broken_pairs():
     for pair in _catalog_pairs(("case6a",)):
         for bad in _broken_variants(pair, rng):
             failing += _assert_matches_dense(bad, 3)
+    for pair in _catalog_pairs(("case2", "case4", "case6a")):
+        bad = RepPair(pair.R, pair.S.scale(zeta(3)), provenance="S*zeta(3)")
+        failing += _assert_matches_dense(bad, 3)
+    failing += _assert_matches_dense(_n3_pair(), 3)
+    failing += _assert_matches_dense(_high_degree_pair(), 3)
     assert failing
 
 
@@ -264,3 +319,38 @@ def test_verify_matches_dense_on_random_pair_at_level5():
     R, S = sparse(), sparse()
     assert R * S != S * R
     assert _assert_matches_dense(RepPair(R, S), 5)
+
+
+def test_verify_boxes_only_failing_residuals(monkeypatch):
+    """The conic cases case6b and case6c pass at n = 4 with no poly_gcd
+    call and no RF made; a failing symbolic pair makes one RF, its witness
+    value, per distinct failing residual."""
+    passing = [make_md_pair(case, eps=eps, check=False)
+               for case in ("case6b", "case6c") for eps in (1, -1)]
+    base = passing[0]
+    R = base.R.copy()
+    R.rows[0][0] = rf(1) / (param("t") + 1)
+    failing = RepPair(R, base.S, provenance="case6b, R[0][0] = 1/(t+1)")
+    calls = Counter()
+    gcd, init = scalar.poly_gcd, RF.__init__
+
+    def counted_gcd(f, g):
+        calls["poly_gcd"] += 1
+        return gcd(f, g)
+
+    def counted_init(self, *args, **kwargs):
+        calls["RF"] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(scalar, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(RF, "__init__", counted_init)
+    for pair in passing:
+        reports = verify(pair, MIXED_DOUBLES, 4)
+        assert len(reports) == 18 and all(r.is_zero for r in reports)
+    assert calls == {}
+    reports = verify(failing, MIXED_DOUBLES, 4)
+    # the instances of one relation share one residual at level 3 or 2
+    residuals = {r.relation.split("[")[0] for r in reports if not r.is_zero}
+    assert residuals == {"braid_r", "invol_r", "mixed_rss", "mixed_srr"}
+    assert calls["RF"] == len(residuals)
+    assert any(not r.witness[2].den.is_constant() for r in reports
+               if not r.is_zero)
