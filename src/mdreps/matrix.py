@@ -23,8 +23,8 @@ from math import gcd, lcm
 from operator import add, sub
 
 from .scalar import (_ONE, RF, RF_ONE, RF_ZERO, BranchAmbiguity,
-                     InvariantError, NonVanishing, Poly, as_fraction, rf,
-                     rf_from_json, rf_to_json, unity_order)
+                     InvariantError, NonVanishing, Poly, _div, _q,
+                     as_fraction, rf, rf_from_json, rf_to_json, unity_order)
 from .upoly import UnsupportedSpectrum, _clear, _roots_in_tower
 
 
@@ -76,7 +76,8 @@ class ExactMatrix:
       constructor, and for any operation with an RF-form operand.
 
     An entry a / D is boxed into an RF only at the boundary, as the value
-    and coefficient type (a Fraction over 1) that RF arithmetic gives it.
+    and coefficient type that RF arithmetic gives it: an int, or a Fraction
+    when it is not integral, over the polynomial 1.
     ``entry``, ``M[i, j]``, ``trace``, ``to_json`` and operations with an
     RF-form operand box what they need and leave the matrix as it is.
     Reading ``rows`` boxes the whole matrix once and keeps it in the RF form
@@ -271,7 +272,7 @@ class ExactMatrix:
         if self._ints is not None:
             return self.copy()
         vals = [[e.evaluate(assignment) for e in row] for row in self._rows]
-        if all(type(v) is Fraction for row in vals for v in row):
+        if all(isinstance(v, (int, Fraction)) for row in vals for v in row):
             return _fraction_matrix(self.N, self.rows_level, self.cols_level,
                                     vals)
         return ExactMatrix(self.N, self.rows_level, self.cols_level,
@@ -433,8 +434,9 @@ def _require_square(M, what):
 
 
 def _fraction_matrix(N, rows_level, cols_level, rows):
-    """The constant-form matrix of Fraction rows: over the lcm of their
-    denominators the entries are already prime to it."""
+    """The constant-form matrix of rows of rationals (ints or Fractions):
+    over the lcm of their denominators the entries are already prime to
+    it."""
     D = lcm(*(x.denominator for row in rows for x in row))
     return _const(N, rows_level, cols_level,
                   [[x.numerator * (D // x.denominator) for x in row]
@@ -442,10 +444,11 @@ def _fraction_matrix(N, rows_level, cols_level, rows):
 
 
 def _box(a, D):
-    """The RF of the rational a / D, a Fraction over the polynomial 1."""
+    """The RF of the rational a / D over the polynomial 1, its coefficient
+    an int when D divides a."""
     if not a:
         return RF_ZERO
-    return RF(Poly({_ONE: Fraction(a, D)}, False), _UNIT, _canonical=True)
+    return RF(Poly({_ONE: _div(a, D)}, False), _UNIT, _canonical=True)
 
 
 def _rf_rows(M):
@@ -457,30 +460,30 @@ def _rf_rows(M):
     return [[_box(a, D) for a in row] for row in M._ints]
 
 
-def _fraction_coeff(terms):
-    """The value of a constant polynomial's terms when its coefficient is a
-    Fraction (0 for no terms), else None."""
+def _rational_coeff(terms):
+    """The value of a constant polynomial's terms when its coefficient is
+    rational (0 for no terms), else None."""
     if not terms:
-        return Fraction(0)
+        return 0
     if len(terms) == 1:
         c = terms.get(_ONE)
-        if type(c) is Fraction:
+        if type(c) is int or type(c) is Fraction:
             return c
     return None
 
 
 def _rational(x):
-    """x as a Fraction when it is a rational constant: an int, a Fraction,
-    or a Poly or RF whose only coefficient is a Fraction (over the
-    denominator 1); None for anything symbolic or cyclotomic."""
+    """x under the coefficient rule when it is a rational constant: an
+    int, a Fraction, or a Poly or RF whose only coefficient is rational
+    (over the denominator 1); None for anything symbolic or cyclotomic."""
     if isinstance(x, RF):
-        if _fraction_coeff(x.den.terms) != 1:
+        if _rational_coeff(x.den.terms) != 1:
             return None
         x = x.num
     if isinstance(x, Poly):
-        return _fraction_coeff(x.terms)
+        return _rational_coeff(x.terms)
     if isinstance(x, (int, Fraction)):
-        return Fraction(x)
+        return _q(x)
     return None
 
 

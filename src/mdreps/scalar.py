@@ -4,11 +4,19 @@ polynomials and rational functions with canonical forms.
 Everything here is immutable and exact; there is no floating point anywhere.
 Rational functions are kept reduced (numerator/denominator coprime, denominator
 with leading coefficient 1 under graded-lex on alphabetically sorted names).
+
+One coefficient rule holds for every rational that the tower stores (a
+polynomial coefficient, either component of a ``Cyc``): an integral value
+is a Python ``int``, any other value a ``Fraction`` whose denominator is
+greater than 1.  Equal values then have one type and one hash, integer work
+never builds a Fraction, and every quotient is exact (``_div``).  The values
+handed out at the boundary keep their Fraction type: ``as_fraction``,
+``Poly.const_value``, ``RF.const_value`` and ``evaluate`` return a Fraction
+for a rational value.
 """
 
 import re
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd, lcm
 
 
@@ -32,6 +40,34 @@ class InvariantError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# the coefficient rule
+
+def _q(c):
+    """The rational c under the coefficient rule: an int when it is
+    integral, else a Fraction with denominator > 1."""
+    if type(c) is not int:
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
+def _coeff(c):
+    """A coefficient (rational or Cyc) under the coefficient rule."""
+    return c if type(c) is int or type(c) is Cyc else _q(c)
+
+
+def _div(n, d):
+    """The exact quotient n / d of rationals under the coefficient rule
+    (ZeroDivisionError for d = 0); never a float."""
+    if type(n) is int and type(d) is int:
+        q, r = divmod(n, d)
+        return q if not r else Fraction(n, d)
+    return _q(Fraction(n, d))
+
+
+# ---------------------------------------------------------------------------
 # cyclotomic numbers
 
 # minimal polynomials x^2 + P x + Q of zeta_m for the supported m with phi(m)=2
@@ -40,9 +76,10 @@ SUPPORTED_CYC = (1, 2, 3, 4, 6)
 
 
 class Cyc:
-    """Element a + b*zeta_m of Q(zeta_m), m in {3, 4, 6}.
+    """Element a + b*zeta_m of Q(zeta_m), m in {3, 4, 6}, with rational
+    components a and b under the coefficient rule (ints when integral).
 
-    For m in {1, 2} use plain Fractions (zeta is rational there).
+    For m in {1, 2} use plain rationals (zeta is rational there).
     """
 
     __slots__ = ("m", "a", "b")
@@ -51,8 +88,8 @@ class Cyc:
         if m not in _CYC_PQ:
             raise ValueError("unsupported cyclotomic order: %r" % (m,))
         self.m = m
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = _q(a)
+        self.b = _q(b)
 
     def _coerce(self, other):
         if isinstance(other, Cyc):
@@ -68,6 +105,8 @@ class Cyc:
         return None
 
     def __add__(self, other):
+        if type(other) is int or type(other) is Fraction:
+            return Cyc(self.m, self.a + other, self.b)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -88,6 +127,8 @@ class Cyc:
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is int or type(other) is Fraction:
+            return Cyc(self.m, self.a * other, self.b * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -105,7 +146,7 @@ class Cyc:
         norm = a * a - a * b * p + b * b * q
         if norm == 0:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        return Cyc(self.m, (a - b * p) / norm, -b / norm)
+        return Cyc(self.m, _div(a - b * p, norm), _div(-b, norm))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -176,7 +217,7 @@ def unity_order(v, bound=12):
 def _inv(coeff):
     if isinstance(coeff, Cyc):
         return coeff.inverse()
-    return 1 / Fraction(coeff)
+    return _div(1, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -201,25 +242,17 @@ def _mono_deg(m):
     return sum(e for _, e in m)
 
 
-def _mono_cmp_lex(m1, m2):
-    # lex with alphabetically-earlier names more significant; missing
-    # variables count as exponent 0
-    d1, d2 = dict(m1), dict(m2)
-    for x in sorted(set(d1) | set(d2)):
-        e1, e2 = d1.get(x, 0), d2.get(x, 0)
-        if e1 != e2:
-            return 1 if e1 > e2 else -1
-    return 0
+def _grlex_key(terms):
+    """Sort key of graded lex on the monomials of ``terms``: the total
+    degree, then the exponents in alphabetical order of the names that
+    occur, an earlier name being more significant and a missing one
+    counting as exponent 0."""
+    names = sorted({x for m in terms for x, _ in m})
 
-
-def _mono_grlex_cmp(m1, m2):
-    d1, d2 = _mono_deg(m1), _mono_deg(m2)
-    if d1 != d2:
-        return 1 if d1 > d2 else -1
-    return _mono_cmp_lex(m1, m2)
-
-
-_MONO_SORT = cmp_to_key(_mono_grlex_cmp)
+    def key(m):
+        d = dict(m)
+        return (sum(d.values()), *[d.get(x, 0) for x in names])
+    return key
 
 
 def _mono_divides(m1, m2):
@@ -237,7 +270,8 @@ def _mono_div(m1, m2):
 
 class Poly:
     """Multivariate polynomial: dict {monomial: coefficient}, coefficients
-    Fraction or Cyc, zero coefficients never stored."""
+    rational (an int when integral, else a Fraction) or Cyc, zero
+    coefficients never stored."""
 
     __slots__ = ("terms",)
 
@@ -247,8 +281,7 @@ class Poly:
         elif _clean:
             self.terms = {}
             for m, c in terms.items():
-                if not isinstance(c, Cyc):
-                    c = Fraction(c)
+                c = _coeff(c)
                 if c != 0:
                     self.terms[m] = c
         else:
@@ -256,13 +289,12 @@ class Poly:
 
     @classmethod
     def const(cls, c):
-        if not isinstance(c, Cyc):
-            c = Fraction(c)
+        c = _coeff(c)
         return cls({} if c == 0 else {_ONE: c}, False)
 
     @classmethod
     def var(cls, name):
-        return cls({((name, 1),): Fraction(1)}, False)
+        return cls({((name, 1),): 1}, False)
 
     def is_zero(self):
         return not self.terms
@@ -271,9 +303,11 @@ class Poly:
         return not self.terms or (len(self.terms) == 1 and _ONE in self.terms)
 
     def const_value(self):
+        """The constant term's value: a Fraction when it is rational."""
         if not self.terms:
             return Fraction(0)
-        return self.terms[_ONE]
+        c = self.terms[_ONE]
+        return Fraction(c) if type(c) is int else c
 
     def variables(self):
         vs = set()
@@ -289,8 +323,10 @@ class Poly:
 
     def lead(self):
         """Leading (monomial, coeff) under graded lex."""
-        m = max(self.terms, key=_MONO_SORT)
-        return m, self.terms[m]
+        terms = self.terms
+        m = next(iter(terms)) if len(terms) == 1 \
+            else max(terms, key=_grlex_key(terms))
+        return m, terms[m]
 
     def __add__(self, other):
         res = dict(self.terms)
@@ -299,7 +335,8 @@ class Poly:
             if v == 0:
                 res.pop(m, None)
             else:
-                res[m] = v
+                res[m] = v.numerator if (type(v) is Fraction
+                                         and v.denominator == 1) else v
         return Poly(res, False)
 
     def __sub__(self, other):
@@ -309,7 +346,8 @@ class Poly:
             if v == 0:
                 res.pop(m, None)
             else:
-                res[m] = v
+                res[m] = v.numerator if (type(v) is Fraction
+                                         and v.denominator == 1) else v
         return Poly(res, False)
 
     def __neg__(self):
@@ -326,13 +364,15 @@ class Poly:
                 if v == 0:
                     res.pop(m, None)
                 else:
-                    res[m] = v
+                    res[m] = v.numerator if (type(v) is Fraction
+                                             and v.denominator == 1) else v
         return Poly(res, False)
 
     def scale(self, c):
         if c == 0:
             return Poly()
-        return Poly({m: cc * c for m, cc in self.terms.items()}, False)
+        return Poly({m: _coeff(cc * c) for m, cc in self.terms.items()},
+                    False)
 
     def __pow__(self, k):
         out = Poly.const(1)
@@ -368,7 +408,8 @@ class Poly:
         if not self.terms:
             return "0"
         bits = []
-        for m in sorted(self.terms, key=_MONO_SORT, reverse=True):
+        for m in sorted(self.terms, key=_grlex_key(self.terms),
+                        reverse=True):
             c = self.terms[m]
             mono = "*".join(x if e == 1 else "%s^%d" % (x, e) for x, e in m)
             if mono:
@@ -391,7 +432,7 @@ def poly_divmod_exact(f, g):
         if not _mono_divides(gm, rm):
             return None
         m = _mono_div(rm, gm)
-        c = rc * gc_inv
+        c = _coeff(rc * gc_inv)
         q[m] = q.get(m, 0) + c
         rem = rem - Poly({m: c}, False) * g
     return Poly(q)
@@ -416,7 +457,7 @@ def _poly_from_univar(coeffs, x):
     for e, p in enumerate(coeffs):
         if p.is_zero():
             continue
-        xe = Poly({((x, e),): Fraction(1)}, False) if e else Poly.const(1)
+        xe = Poly({((x, e),): 1}, False) if e else Poly.const(1)
         out = out + p * xe
     return out
 
@@ -442,7 +483,7 @@ def _rat_rescale(coeffs):
                 den_lcm = lcm(den_lcm, r.denominator)
     if num_gcd == 0:
         return coeffs
-    scale = Fraction(den_lcm, num_gcd)
+    scale = _div(den_lcm, num_gcd)
     if scale == 1:
         return coeffs
     return [c.scale(scale) for c in coeffs]
@@ -544,13 +585,13 @@ def _univar_monic_gcd(f, g, x):
         if db < 0:
             break
         inv = _inv(b[db])
-        b = [v * inv for v in b]
+        b = [_coeff(v * inv) for v in b]
         da = deg(a)
         while da >= db:
             lead = a[da]
             if lead != 0:
                 for i in range(db + 1):
-                    a[da - db + i] = a[da - db + i] - lead * b[i]
+                    a[da - db + i] = _coeff(a[da - db + i] - lead * b[i])
             da -= 1
         a, b = b, a
     da = deg(a)
@@ -590,7 +631,7 @@ class RF:
       already canonical.  Two constants (constant numerators, both
       denominators 1) multiply as one coefficient product over the
       operand's own denominator 1: a nonzero constant over 1 is reduced
-      with a monic denominator, and the coefficient is the Fraction or
+      with a monic denominator, and the coefficient is the rational or
       Cyc that ``Poly.__mul__`` would store.  The test is on
       ``den.is_constant()``, since a denominator like ``p`` also has a
       single term.
@@ -744,8 +785,8 @@ def _henrici_mul(n1, d1, n2, d2):
         return RF_ZERO
     if (n1.is_constant() and n2.is_constant() and d1.is_constant()
             and d2.is_constant()):
-        return RF(Poly({_ONE: n1.terms[_ONE] * n2.terms[_ONE]}, False), d1,
-                  _canonical=True)
+        return RF(Poly({_ONE: _coeff(n1.terms[_ONE] * n2.terms[_ONE])}, False),
+                  d1, _canonical=True)
     n1, d2, _ = _cancel(n1, d2)
     n2, d1, _ = _cancel(n2, d1)
     if d1.is_constant():
@@ -784,7 +825,7 @@ def rf(x):
 
 RF_ZERO = rf(0)
 RF_ONE = rf(1)
-_UNIT_TERMS = {_ONE: Fraction(1)}  # the terms of the polynomial 1
+_UNIT_TERMS = {_ONE: 1}  # the terms of the polynomial 1
 
 
 def param(name):
@@ -893,7 +934,7 @@ def _rational_from_json(x):
 
 def _poly_to_json(p):
     out = []
-    for m in sorted(p.terms, key=_MONO_SORT):
+    for m in sorted(p.terms, key=_grlex_key(p.terms)):
         out.append([_coeff_to_json(p.terms[m]), {x: e for x, e in m}])
     return out
 
@@ -935,8 +976,12 @@ def as_fraction(f):
         num = f.num.terms
         if not num:
             return Fraction(0)
-        if len(num) == 1 and type(num.get(_ONE)) is Fraction:
-            return num[_ONE]
+        if len(num) == 1:
+            c = num.get(_ONE)
+            if type(c) is Fraction:
+                return c
+            if type(c) is int:
+                return Fraction(c)
     if not f.is_constant():
         raise ValueError("not a constant: %s" % (f,))
     n, d = f.num.const_value(), f.den.const_value()

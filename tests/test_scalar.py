@@ -1,6 +1,7 @@
 import operator
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -435,7 +436,7 @@ def test_rat_rescale_divides_cyclotomic_content():
               Poly({x: Fraction(2)})]
     out = _rat_rescale(coeffs)
     assert typed(out[0]) == {(): (Cyc, Cyc(3, 3, 2))}
-    assert typed(out[1]) == {x: (Fraction, Fraction(9))}
+    assert typed(out[1]) == {x: (int, 9)}
     assert _rat_rescale([Poly({x: Cyc(3, 0, 6)}), Poly({(): Fraction(4)})]) \
         == [Poly({x: Cyc(3, 0, 3)}), Poly({(): Fraction(2)})]
     # over Q as before; an already primitive list is returned as it is
@@ -470,3 +471,41 @@ def test_gcd_three_parameters_over_q_zeta3():
         g = poly_gcd(F * A, F * B)
         assert g == _monic(F) and g.lead()[1] == 1
         assert poly_gcd(F * B, F * A) == g
+
+
+# ---------------------------------------------------------------------------
+# the grlex key against the comparison it replaced
+
+def _reference_grlex_cmp(m1, m2):
+    # total degree, then lex with alphabetically-earlier names more
+    # significant, missing variables counting as exponent 0
+    d1, d2 = sum(e for _, e in m1), sum(e for _, e in m2)
+    if d1 != d2:
+        return 1 if d1 > d2 else -1
+    e1, e2 = dict(m1), dict(m2)
+    for x in sorted(set(e1) | set(e2)):
+        if e1.get(x, 0) != e2.get(x, 0):
+            return 1 if e1.get(x, 0) > e2.get(x, 0) else -1
+    return 0
+
+
+_MONO_SORT = cmp_to_key(_reference_grlex_cmp)
+
+
+def test_lead_and_term_order_match_the_grlex_comparison():
+    rng = random.Random(13)
+    names = ("a", "p", "q", "t", "x")
+    for _ in range(400):
+        # each monomial draws its own variables, so the sets differ
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            vs = rng.sample(names, rng.randint(0, 3))
+            mono = tuple(sorted((x, rng.randint(1, 3)) for x in vs))
+            terms[mono] = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        P = Poly(terms)
+        m = max(P.terms, key=_MONO_SORT)
+        assert P.lead() == (m, P.terms[m])
+        assert rf_to_json(RF(P))["num"] == [
+            rf_to_json(RF(Poly({mono: c})))["num"][0]
+            for mono, c in sorted(P.terms.items(),
+                                  key=lambda mc: _MONO_SORT(mc[0]))]
