@@ -9,6 +9,7 @@ Murnaghan-Nakayama rule) used for decomposing semisimple quotients.
 
 import itertools
 from fractions import Fraction
+from math import factorial, prod
 
 from .matrix import ExactMatrix, commutant_basis
 from .mdd import (all_permutations, perm_adjacent, perm_compose, perm_identity,
@@ -77,6 +78,13 @@ def mn_character(lam, mu):
 
 def partition_dim(lam):
     return mn_character(lam, (1,) * sum(lam))
+
+
+def centralizer_order(mu):
+    """z_mu = prod_i i^(a_i) a_i!, a_i being the number of parts i of mu: the
+    order of the centralizer of a permutation of cycle type mu, whose class
+    has n!/z_mu elements."""
+    return prod(i ** mu.count(i) * factorial(mu.count(i)) for i in set(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -390,18 +398,11 @@ def orbit_and_stabilizer(chi, bound=6):
         if key not in cosets:
             cosets[key] = w
     transversal = sorted(cosets.values(), key=_transversal_key)
-    if len(transversal) * len(stabset) != _factorial(n):
+    if len(transversal) * len(stabset) != factorial(n):
         raise InvariantError("%d cosets of a stabilizer of order %d do not "
                              "cover Sym_%d" % (len(transversal), len(stabset),
                                                n))
     return StabilizerData(stabset, transversal)
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 class InducedRep:
@@ -610,7 +611,7 @@ def classify_small_dims(n, d):
     coincide with boundary points of a family are flagged."""
     if n > 4 or d > 3:
         raise ValueError("classification implemented for n <= 4, d <= 3")
-    fact = _factorial(n)
+    fact = factorial(n)
     results = []
     for H in subgroups_up_to_conjugacy(n):
         index = fact // len(H)

@@ -58,21 +58,6 @@ def perm_sign(p):
             sign = -sign
     return sign
 
-def perm_cycle_type(p):
-    seen = [False] * len(p)
-    out = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        ln = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            ln += 1
-        out.append(ln)
-    return tuple(sorted(out, reverse=True))
-
 def perm_to_adjacent_word(p):
     """Indices i with p = product of sigma_i (applied right to left)."""
     p = list(p)

@@ -21,20 +21,24 @@ when neither applies.  The minimal polynomials, their roots and the CRT
 idempotents of the spectral projectors are computed in Q[x] with
 ``upoly``.  The certificates (local endomorphism ring, commutant shape)
 are exact.
+
+The semisimple quotient is decomposed from cycle-type traces: one trace per
+cycle length, once the glue projection passes the Sym relations at level 3.
 """
 
 import random
 from collections import Counter, deque
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .ccwg import is_ccwg, project_K
-from .clifford import mn_character, partition_dim, partitions
-from .matrix import (Echelon, ExactMatrix, UnsupportedSpectrum, _columns,
-                     _combine, _entries, _imul, _int_form, _scaled_product,
-                     _sparse_apply, char_poly, commutant_basis, eigen_data,
-                     embed_at, nullspace)
-from .mdd import all_permutations, perm_cycle_type, perm_to_adjacent_word
+from .clifford import (centralizer_order, mn_character, partition_dim,
+                       partitions)
+from .matrix import (Echelon, ExactMatrix, RepPair, UnsupportedSpectrum,
+                     _columns, _combine, _entries, _imul, _int_form,
+                     _scaled_product, _sparse_apply, char_poly,
+                     commutant_basis, eigen_data, embed_at, kron, nullspace)
+from .presentations import SYM, verify
 from .scalar import InvariantError, as_fraction
 from .upoly import (_clear, _pdivmod, _plcm, _pmul, _ppow, _pxgcd,
                     _roots_in_tower, _sqrt, _squarefree_part)
@@ -402,6 +406,8 @@ def decompose(pair, n, assignment=None, rng=None):
     'indecomposable' by spin certificates, with no Burnside closure unless
     they do not apply (see ``_leaf_status``).  At a point, the pair is
     evaluated before its generators are embedded at level n."""
+    if n < 2:
+        raise ValueError("decompose needs a level n >= 2, got %s" % (n,))
     at = pair.evaluate(assignment) if assignment else pair
     mats = [M for _, M in at.generator_images(n)]
     leaves = []
@@ -539,9 +545,14 @@ def _is_wangian(R, S):
 
 
 def semisimple_quotient_dims(pair, n):
-    """Multiset of irreducible dimensions of the semisimple quotient, computed
-    by projecting the glue away and decomposing the resulting symmetric-group
-    representation by exact character projectors."""
+    """Multiset of irreducible dimensions of the semisimple quotient: the glue
+    is projected away, the projection M is checked against the Sym relations
+    at level min(n, 3), and each isotypic multiplicity is the class sum
+    sum_mu chi_lam(mu) tr(mu) / z_mu, with tr(mu) the product of the traces
+    t(m) of the cycles g_1 ... g_{m-1} at level m over the parts m of mu."""
+    if n < 0:
+        raise ValueError("semisimple_quotient_dims needs a level n >= 0, "
+                         "got %s" % (n,))
     R, S = pair.R, pair.S
     if _is_wangian(R, S):
         M = R
@@ -552,33 +563,26 @@ def semisimple_quotient_dims(pair, n):
         if not _is_wangian(KR, KS):
             raise ValueError("glue projection is not Wangian")
         M = KR
-    gens = [embed_at(M, i, n) for i in range(1, n)]
-    # build the full symmetric-group image
-    images = {tuple(range(n)): ExactMatrix.identity(pair.N, n)}
-    for w in all_permutations(n):
-        if w in images:
-            continue
-        P = ExactMatrix.identity(pair.N, n)
-        for i in perm_to_adjacent_word(w):
-            P = P * gens[i - 1]
-        images[w] = P
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
+    if n >= 2:
+        failed = [rep.relation for rep in verify(RepPair(M, M), SYM, min(n, 3))
+                  if not rep.is_zero]
+        if failed:
+            raise ValueError("glue projection fails the Sym relation %s"
+                             % failed[0])
+    I1 = ExactMatrix.identity(pair.N, 1)
+    t, P = [None, Fraction(pair.N)], I1
+    for m in range(2, n + 1):
+        P = kron(P, I1) * embed_at(M, m - 1, m)
+        t.append(as_fraction(P.trace()))
+    weighted = {mu: Fraction(prod(t[k] for k in mu), centralizer_order(mu))
+                for mu in partitions(n)}
     dims = []
     for lam in partitions(n):
-        d_lam = partition_dim(lam)
-        tr_total = Fraction(0)
-        for w, P in images.items():
-            chi = mn_character(lam, perm_cycle_type(w))
-            if chi:
-                tr_total += chi * as_fraction(P.trace())
-        # trace of the isotypic projector is (multiplicity) * d_lam
-        mult = Fraction(d_lam, fact) * tr_total / d_lam
+        mult = sum(mn_character(lam, mu) * v for mu, v in weighted.items())
         if mult.denominator != 1 or mult < 0:
             raise InvariantError("multiplicity %s of %s is not a natural "
                                  "number" % (mult, lam))
-        dims.extend([d_lam] * int(mult))
+        dims.extend([partition_dim(lam)] * int(mult))
     if sum(dims) != pair.N ** n:
         raise InvariantError("isotypic dimensions do not add up")
     return sorted(dims)
@@ -623,6 +627,9 @@ def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None, tries=40):
     eigenspaces of a generic central element of the quotient.
     """
     if n is not None:
+        if n < 2:
+            raise ValueError("algebra_dims needs a level n >= 2, got %s"
+                             % (n,))
         pair = mats_or_pair
         if assignment:
             pair = pair.evaluate(assignment)

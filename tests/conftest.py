@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -8,16 +7,3 @@ import pytest
 def rng():
     return random.Random(20240817)
 
-
-def admissible_point(rng, names, constraints=None, lo=-9, hi=9, extra=()):
-    """Random rational point avoiding the declared constraints and any extra
-    coincidence polynomials."""
-    while True:
-        pt = {nm: Fraction(rng.randint(lo, hi)) for nm in names}
-        if any(v == 0 for v in pt.values()):
-            continue
-        if constraints is not None and not constraints.allows(pt):
-            continue
-        if any(poly.evaluate(pt) == 0 for poly in extra):
-            continue
-        return pt

@@ -61,7 +61,7 @@ def test_catch_all_scan_sees_each_form():
 
 
 _PROBES = '''
-from mdreps import catalog, clifford
+from mdreps import catalog, clifford, structure
 from mdreps.clifford import Character, _verify_induced, orbit_and_stabilizer
 from mdreps.matrix import ExactMatrix
 from mdreps.mdd import GroupElement
@@ -94,6 +94,7 @@ S, P, Q = m([[0, 1], [1, 0]]), m([[1, 1], [0, 1]]), m([[1, 0], [1, 1]])
 s1 = m([[-1, 1, 2], [0, 1, 0], [0, 0, 1]])
 s2 = m([[1, 0, 0], [1, -1, 1], [0, 0, 1]])
 s3 = m([[1, 0, 0], [0, 1, 0], [2, 1, -1]])
+aglue = catalog.analysis_pair("a-glue", p=2, q=5)
 
 
 def patched(owner, attr, value, call):
@@ -117,7 +118,7 @@ probes = [
         catalog, "satisfies_ybe", lambda M: False,
         lambda: catalog.make_involutive_braid("f-glue", 2, 5))),
     ("orbit count", lambda: patched(
-        clifford, "_factorial", lambda n: 0,
+        clifford, "factorial", lambda n: 0,
         lambda: orbit_and_stabilizer(Character(2, {(1, 2): -1})))),
     ("sigma involutive",
      lambda: _verify_induced(Rep(2, [S.scale(2)], {(1, 2): P}))),
@@ -129,6 +130,14 @@ probes = [
      lambda: _verify_induced(Rep(2, [S], {(1, 2): P, (2, 1): P}))),
     ("abelian",
      lambda: _verify_induced(Rep(2, [S], {(1, 2): P, (2, 1): Q}))),
+    # characters that make the multiplicity of (2) negative, then every
+    # multiplicity zero
+    ("quotient multiplicity", lambda: patched(
+        structure, "mn_character", lambda lam, mu: -1,
+        lambda: structure.semisimple_quotient_dims(aglue, 2))),
+    ("quotient dimensions", lambda: patched(
+        structure, "mn_character", lambda lam, mu: 0,
+        lambda: structure.semisimple_quotient_dims(aglue, 2))),
 ]
 for label, probe in probes:
     try:
@@ -148,4 +157,5 @@ def test_former_asserts_raise_under_python_O():
         "braid ybe: InvariantError", "orbit count: InvariantError",
         "sigma involutive: InvariantError", "braid relation: InvariantError",
         "far commutation: InvariantError", "conjugation: InvariantError",
-        "abelian: InvariantError"]
+        "abelian: InvariantError", "quotient multiplicity: InvariantError",
+        "quotient dimensions: InvariantError"]

@@ -3,14 +3,19 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from mdreps.catalog import analysis_pair, make_md_pair
-from mdreps.matrix import ExactMatrix, RepPair
-from mdreps.scalar import (InvariantError, NonVanishing, Poly, param, rf,
-                           zeta)
-from mdreps.structure import (_find_splitter, _leaf_status, _peval_matrix,
+from mdreps.catalog import ALL_CASES, analysis_pair, make_md_pair
+from mdreps.ccwg import is_ccwg, project_K
+from mdreps.clifford import mn_character, partition_dim, partitions
+from mdreps.matrix import ExactMatrix, RepPair, embed_at
+from mdreps.mdd import all_permutations, perm_to_adjacent_word
+from mdreps.scalar import (InvariantError, NonVanishing, Poly, as_fraction,
+                           param, rf, zeta)
+from mdreps.structure import (_find_splitter, _is_wangian, _leaf_status,
+                              _peval_matrix,
                               _rational_roots, algebra_dims, commutant,
                               decompose,
                               distinct_eigenvalue_count,
@@ -187,6 +192,148 @@ def test_semisimple_quotient_dims():
     antis = analysis_pair("antislash", z=Fraction(-1, 3), x=Fraction(-2, 3))
     with pytest.raises(ValueError):
         semisimple_quotient_dims(antis, 3)
+    # below level 2 there is no relation to check
+    assert semisimple_quotient_dims(pair, 0) == [1]
+    assert semisimple_quotient_dims(pair, 1) == [1, 1]
+
+
+# ---------------------------------------------------------------------------
+# semisimple quotient: the n!-image loop as the oracle of the class sum
+
+def admissible_point(rng, names, constraints):
+    """Random nonzero rational point avoiding the declared constraints."""
+    while True:
+        pt = {nm: Fraction(rng.randint(-9, 9)) for nm in names}
+        if all(pt.values()) and constraints.allows(pt):
+            return pt
+
+
+def _cycle_type(w):
+    seen = [False] * len(w)
+    out = []
+    for i in range(len(w)):
+        ln = 0
+        while not seen[i]:
+            seen[i] = True
+            i = w[i]
+            ln += 1
+        if ln:
+            out.append(ln)
+    return tuple(sorted(out, reverse=True))
+
+
+def _quotient_dims_by_permutations(pair, n):
+    """semisimple_quotient_dims by multiplying out all n! permutation images
+    of the glue projection, mult_lam = (1/n!) sum_w chi_lam(w) tr(w)."""
+    R, S = pair.R, pair.S
+    if _is_wangian(R, S):
+        M = R
+    else:
+        if not (is_ccwg(R) and is_ccwg(S)):
+            raise ValueError("pair is neither glue-patterned nor Wangian")
+        KR, KS = project_K(R), project_K(S)
+        if not _is_wangian(KR, KS):
+            raise ValueError("glue projection is not Wangian")
+        M = KR
+    gens = [embed_at(M, i, n) for i in range(1, n)]
+    images = {tuple(range(n)): ExactMatrix.identity(pair.N, n)}
+    for w in all_permutations(n):
+        if w in images:
+            continue
+        P = ExactMatrix.identity(pair.N, n)
+        for i in perm_to_adjacent_word(w):
+            P = P * gens[i - 1]
+        images[w] = P
+    dims = []
+    for lam in partitions(n):
+        d_lam = partition_dim(lam)
+        tr_total = Fraction(0)
+        for w, P in images.items():
+            chi = mn_character(lam, _cycle_type(w))
+            if chi:
+                tr_total += chi * as_fraction(P.trace())
+        mult = tr_total / factorial(n)
+        assert mult.denominator == 1 and mult >= 0
+        dims.extend([d_lam] * int(mult))
+    assert sum(dims) == pair.N ** n
+    return sorted(dims)
+
+
+_QUOTIENT_CASES = {"case1", "case2", "case3-wangian", "case3", "case4-glue",
+                   "case7-flip", "case7-fglue"}
+
+
+def test_quotient_dims_match_the_permutation_loop_on_the_catalog():
+    rng = random.Random(20240817)
+    accepted = set()
+    for case, kw in ALL_CASES:
+        pair = make_md_pair(case, check=False, **kw)
+        at = pair.evaluate(admissible_point(rng, pair.params,
+                                            pair.constraints))
+        for n in range(1, 6):
+            try:
+                got = semisimple_quotient_dims(at, n)
+            except ValueError as e:
+                with pytest.raises(ValueError) as info:
+                    _quotient_dims_by_permutations(at, n)
+                assert str(info.value) == str(e)
+                continue
+            accepted.add(case)
+            assert got == _quotient_dims_by_permutations(at, n), (case, kw, n)
+    assert accepted == _QUOTIENT_CASES
+
+
+def test_quotient_dims_match_the_permutation_loop_at_level_6():
+    pair = analysis_pair("a-glue", p=2, q=5)
+    assert (semisimple_quotient_dims(pair, 6)
+            == _quotient_dims_by_permutations(pair, 6))
+
+
+@pytest.mark.parametrize("family,dims", [
+    ("a-glue", [1, 1, 1, 1, 6, 6, 6, 6, 15, 15, 15, 15, 20, 20]),
+    ("f-glue", [1] * 8 + [6] * 6 + [14] * 6),
+])
+def test_quotient_dims_at_level_7_take_one_product_per_letter(monkeypatch,
+                                                              family, dims):
+    # the cycles g_1 ... g_{m-1}, m = 2..7, are the only level-n products
+    import mdreps.clifford as clifford
+    import mdreps.mdd as mdd
+    import mdreps.structure as structure
+    products = []
+    mul = ExactMatrix.__mul__
+
+    def counted(self, other):
+        products.append(self.nrows)
+        return mul(self, other)
+
+    def refused(n):
+        raise AssertionError("all_permutations(%d)" % n)
+    monkeypatch.setattr(ExactMatrix, "__mul__", counted)
+    for module in (mdd, clifford, structure):
+        monkeypatch.setattr(module, "all_permutations", refused,
+                            raising=False)
+    pair = analysis_pair(family, p=2, q=5)
+    assert semisimple_quotient_dims(pair, 7) == dims
+    assert len(products) <= 6
+
+
+def test_quotient_of_a_non_sym_projection_is_refused():
+    # Wangian, and an involution, but not a braid: the class sum would give
+    # the multiplicity 10/3 of (3,)
+    D = m([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(ValueError, match=r"Sym relation braid_s\[1\]"):
+        semisimple_quotient_dims(RepPair(D, D), 3)
+
+
+@pytest.mark.parametrize("run,n,least", [
+    (decompose, 1, 2), (decompose, 0, 2), (algebra_dims, 1, 2),
+    (algebra_dims, -1, 2), (semisimple_quotient_dims, -1, 0),
+])
+def test_levels_out_of_range_are_refused(run, n, least):
+    pair = analysis_pair("a-glue", p=2, q=5)
+    with pytest.raises(ValueError,
+                       match=r"needs a level n >= %d, got %d" % (least, n)):
+        run(pair, n)
 
 
 def test_algebra_dims_examples():
