@@ -3,12 +3,14 @@ braid transversal, the seven mixed-doubles cases (with subcases), the
 point-symmetric Yang-Baxter family, and the equivalence transforms.
 
 Every constructor re-verifies its defining relations symbolically on
-construction (involutivity and the Yang-Baxter equation for single matrices,
-the full mixed-doubles set at level 3 for pairs).
+construction: involutivity and the Yang-Baxter equation for single matrices,
+the full mixed-doubles set at level 3 for pairs.  The relations are those of
+``presentations.RelationSet`` (BRAID for the Yang-Baxter equation,
+MIXED_DOUBLES for pairs), checked by ``presentations.verify``.
 """
 
-from .matrix import ExactMatrix, RepPair, conjugate, embed_at, kron
-from .presentations import MIXED_DOUBLES, passes
+from .matrix import ExactMatrix, RepPair, kron
+from .presentations import BRAID, MIXED_DOUBLES, passes
 from .scalar import (RF_ONE, BranchAmbiguity, InvariantError, NonVanishing,
                      param, rf)
 
@@ -37,15 +39,10 @@ def is_involutive(M):
     return (M * M).is_identity()
 
 
-def ybe_residual(M):
-    """M1 M2 M1 - M2 M1 M2 at level 3."""
-    M1 = embed_at(M, 1, 3)
-    M2 = embed_at(M, 2, 3)
-    return M1 * M2 * M1 - M2 * M1 * M2
-
-
 def satisfies_ybe(M):
-    return ybe_residual(M).is_zero()
+    """M1 M2 M1 = M2 M1 M2 at level 3: the relation braid_r[1] of
+    ``presentations.BRAID``, checked by ``verify`` on the pair (M, M)."""
+    return passes(RepPair(M, M), BRAID, 3)
 
 
 # ---------------------------------------------------------------------------

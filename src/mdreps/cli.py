@@ -2,8 +2,10 @@
 with machine-readable JSON reports.
 
 Exit codes: 0 success, 1 mathematical failure (a relation or claim fails),
-2 usage or input error.  Identical invocations (including --seed) produce
-byte-identical reports.
+2 usage or input error.  ``analyze`` and ``mdd eval`` refuse a level n whose
+dense N^n x N^n matrices would have more than 2^20 entries (n > 10 at
+N = 2).  Identical invocations (including --seed) produce byte-identical
+reports.
 """
 
 import argparse
@@ -14,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog, ccwg, clifford, mdd, presentations, structure
-from .matrix import ExactMatrix, RepPair
+from .matrix import MAX_ENTRIES, ExactMatrix, RepPair
 from .scalar import BranchAmbiguity, RejectedPoint, param, rf, zeta
 
 EXIT_OK, EXIT_MATH_FAIL, EXIT_USAGE = 0, 1, 2
@@ -97,6 +99,14 @@ def _pair_from_args(args):
     raise UsageError("need --case or both --R and --S")
 
 
+def _check_level(pair, n):
+    """Refuse a level whose dense N^n x N^n images would exceed
+    MAX_ENTRIES, before any of them is built."""
+    if pair.N ** (2 * n) > MAX_ENTRIES:
+        raise UsageError("--n %d: the %d^%d x %d^%d level-n matrices have "
+                         "more than 2^20 entries" % (n, pair.N, n, pair.N, n))
+
+
 def cmd_verify(args):
     pair = _pair_from_args(args)
     relset = presentations.RelationSet(args.relations)
@@ -149,6 +159,7 @@ def cmd_analyze(args):
         pair = _call(catalog.analysis_pair, args.case, **kw)
     else:
         pair = _call(catalog.make_md_pair, args.case, False, **kw)
+    _check_level(pair, args.n)
     rep = structure.decompose(pair, args.n, assignment=at, rng=rng)
     out = rep.to_json()
     out["provenance"] = {"case": args.case, "n": args.n, "at": args.at,
@@ -275,6 +286,7 @@ def cmd_mdd(args):
         return EXIT_OK
     if args.action == "eval":
         pair = _pair_from_args(args)
+        _check_level(pair, args.n)
         at = _parse_assignment(args.at) if args.at else None
         if at:
             pair = pair.evaluate(at)

@@ -9,11 +9,14 @@ Murnaghan-Nakayama rule) used for decomposing semisimple quotients.
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 from math import factorial, prod
+from operator import mul
 
 from .matrix import ExactMatrix, commutant_basis
 from .mdd import (all_permutations, perm_adjacent, perm_compose, perm_identity,
                   perm_inverse, perm_sign, perm_to_adjacent_word)
+from .presentations import SYM
 from .scalar import RF, InvariantError, NonVanishing, param, rf, zeta
 
 
@@ -487,23 +490,17 @@ def induce(chi, tau, stab=None):
 
 
 def _verify_induced(rep):
+    """Raise InvariantError unless the induced matrices satisfy the defining
+    relations of the group: the sigma images those of ``SYM.relations(n)``
+    (an InvariantError names the failing relation id), the conjugation
+    action on the x_{kl}, and commutation of the abelian part."""
     n = rep.n
     I = ExactMatrix.identity(rep.dim, 1)
-    for i in range(1, n):
-        Si = rep.sigma(i)
-        if not (Si * Si - I).is_zero():
-            raise InvariantError("induced sigma_%d is not involutive" % i)
-    for i in range(1, n - 1):
-        a, b = rep.sigma(i), rep.sigma(i + 1)
-        if not (a * b * a - b * a * b).is_zero():
-            raise InvariantError("induced sigma_%d, sigma_%d fail the braid "
-                                 "relation" % (i, i + 1))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            a, b = rep.sigma(i), rep.sigma(j)
-            if not (a * b - b * a).is_zero():
-                raise InvariantError("induced sigma_%d, sigma_%d do not "
-                                     "commute" % (i, j))
+    for rel_id, lhs, rhs in SYM.relations(n):
+        lhs_M, rhs_M = (reduce(mul, [rep.sigma(i) for _, i in word] or [I])
+                        for word in (lhs, rhs))
+        if not (lhs_M - rhs_M).is_zero():
+            raise InvariantError("induced sigma images fail %s" % rel_id)
     # conjugation: sigma_i x_{kl} sigma_i = x_{sigma_i(k) sigma_i(l)}
     for i in range(1, n):
         g = perm_adjacent(n, i)

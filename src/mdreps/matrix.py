@@ -27,6 +27,11 @@ from .scalar import (_ONE, RF, RF_ONE, RF_ZERO, BranchAmbiguity,
                      as_fraction, rf, rf_from_json, rf_to_json, unity_order)
 from .upoly import UnsupportedSpectrum, _clear, _roots_in_tower
 
+# The most entries of a dense matrix that outside input may ask for: a matrix
+# read by ``ExactMatrix.from_json``, or an N^n x N^n level-n image that a
+# command-line level asks for.
+MAX_ENTRIES = 2 ** 20
+
 
 # ---------------------------------------------------------------------------
 # words
@@ -340,7 +345,7 @@ class ExactMatrix:
         N, rl, cl = (_json_int(obj, key, lo, hi) for key, lo, hi in
                      (("N", 1, 9), ("rows_level", 0, 20),
                       ("cols_level", 0, 20)))
-        if N ** (rl + cl) > 2 ** 20:
+        if N ** (rl + cl) > MAX_ENTRIES:
             raise ValueError("a %d x %d matrix has more than 2^20 entries"
                              % (N ** rl, N ** cl))
         entries = obj.get("entries")
@@ -983,9 +988,6 @@ class EigenData:
         self.eigenvalues = eigenvalues  # list of (value, alg mult, geo mult)
         self.diagonalizable = diagonalizable
         self.dim = dim
-
-    def spectrum(self):
-        return sorted(((str(v), a, g) for v, a, g in self.eigenvalues))
 
     def order(self, bound):
         """Multiplicative order of the matrix, or None if > bound / infinite.

@@ -299,29 +299,11 @@ def evaluate_in_rep(g_or_word, pair, n, check=True):
 
 
 def md_defining_relation_words(n):
-    """The defining relation words of the level-n group, each of which must
-    map to the identity normal form."""
-    rels = []
-    for i in range(1, n - 1):
-        rels.append(("braid_s[%d]" % i,
-                     "s%d s%d s%d s%d s%d s%d" % (i, i + 1, i, i + 1, i, i + 1)))
-        rels.append(("braid_r[%d]" % i,
-                     "r%d r%d r%d r%d r%d r%d" % (i, i + 1, i, i + 1, i, i + 1)))
-        # s_i r_{i+1} r_i s_{i+1} r_i r_{i+1} = 1  (mixed relation)
-        rels.append(("mixed_srr[%d]" % i,
-                     "s%d r%d r%d s%d r%d r%d" % (i, i + 1, i, i + 1, i, i + 1)))
-        # r_i s_{i+1} s_i r_{i+1} s_i s_{i+1} = 1
-        rels.append(("mixed_rss[%d]" % i,
-                     "r%d s%d s%d r%d s%d s%d" % (i, i + 1, i, i + 1, i, i + 1)))
-    for i in range(1, n):
-        rels.append(("invol_s[%d]" % i, "s%d s%d" % (i, i)))
-        rels.append(("invol_r[%d]" % i, "r%d r%d" % (i, i)))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            rels.append(("far_rr[%d,%d]" % (i, j), "r%d r%d r%d r%d" % (i, j, i, j)))
-            rels.append(("far_ss[%d,%d]" % (i, j), "s%d s%d s%d s%d" % (i, j, i, j)))
-            rels.append(("far_rs[%d,%d]" % (i, j), "r%d s%d r%d s%d" % (i, j, i, j)))
-    return rels
+    """(id, word) for each relation of ``MIXED_DOUBLES.relations(n)``, in
+    id order: lhs rhs^-1, which must map to the identity normal form.
+    Every generator is an involution, so rhs^-1 is rhs reversed."""
+    return [(rel_id, format_word([(letter, 1) for letter in lhs + rhs[::-1]]))
+            for rel_id, lhs, rhs in MIXED_DOUBLES.relations(n)]
 
 
 def random_element(n, rng, exp_bound=3):

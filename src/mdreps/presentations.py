@@ -4,6 +4,9 @@ mixed-doubles presentations, and symbolic verification of a candidate pair
 
 A relation is a pair of words in the formal generators r_i, s_i; a word is a
 tuple of ("r"|"s", i) letters, the empty word being the identity.
+``RelationSet.relations`` is the one place a relation is written down:
+``anomaly``, the Yang-Baxter check of ``catalog``, the relation words of
+``mdd`` and the induced-representation check of ``clifford`` read it.
 
 The relations are local, so ``verify`` checks each one where it lives: a
 braid or mixed relation on three strands at level 3, an involution at level
@@ -434,25 +437,23 @@ def passes(pair, relset, n):
     return all(rep.is_zero for rep in verify(pair, relset, n))
 
 
-_ANOMALY_WORDS = {
-    # named residual words at level 3, following the letters of the lhs
-    "RRR": ((("r", 1), ("r", 2), ("r", 1)), (("r", 2), ("r", 1), ("r", 2))),
-    "SSS": ((("s", 1), ("s", 2), ("s", 1)), (("s", 2), ("s", 1), ("s", 2))),
-    "SRR": ((("s", 1), ("r", 2), ("r", 1)), (("r", 2), ("r", 1), ("s", 2))),
-    "SSR": ((("r", 1), ("s", 2), ("s", 1)), (("s", 2), ("s", 1), ("r", 2))),
-    "RR1": ((("r", 1), ("r", 1)), ()),
-    "SS1": ((("s", 1), ("s", 1)), ()),
+_ANOMALY_KINDS = {
+    # each kind and the mixed-doubles relation whose level-3 residual it is
+    "RRR": "braid_r[1]", "SSS": "braid_s[1]", "SRR": "mixed_srr[1]",
+    "SSR": "mixed_rss[1]", "RR1": "invol_r[1]", "SS1": "invol_s[1]",
 }
 
 
 def anomaly(pair, kind, n=3):
     """The named relation residual (e.g. SRR = S1 R2 R1 - R2 R1 S2) at level n
     as a single exact matrix, its entries boxed from the residual of the
-    cleared pair as in ``verify``."""
-    if kind not in _ANOMALY_WORDS:
+    cleared pair as in ``verify``.  Each kind names a mixed-doubles relation
+    at level 3 (``_ANOMALY_KINDS``), whose words it reads."""
+    if kind not in _ANOMALY_KINDS:
         raise ValueError("unknown anomaly kind %r (have %s)"
-                         % (kind, sorted(_ANOMALY_WORDS)))
-    lhs, rhs = _ANOMALY_WORDS[kind]
+                         % (kind, sorted(_ANOMALY_KINDS)))
+    lhs, rhs = {rel_id: (lhs, rhs) for rel_id, lhs, rhs
+                in MIXED_DOUBLES.relations(3)}[_ANOMALY_KINDS[kind]]
     images = _Cleared(pair, sum(_letters(lhs, rhs)))
     entries, c = images.residual(lhs, rhs, n)
     d = pair.N ** n

@@ -439,7 +439,7 @@ def decompose(pair, n, assignment=None, rng=None):
     analyze(mats, mats[0].nrows, ())
     klass, order = (None, None)
     try:
-        klass, order = x_trichotomy(pair, assignment)
+        klass, order = x_trichotomy(at)
     except (UnsupportedSpectrum, ValueError):
         # X has a spectrum outside the scalar tower, or is not constant
         pass

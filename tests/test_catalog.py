@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from mdreps.catalog import (ALL_CASES, ConstraintViolation, Transform,
                             make_involutive_braid, make_manji, make_md_pair,
                             satisfies_ybe, w_conjugation_check,
                             w_conjugation_data)
-from mdreps.matrix import ExactMatrix, kron
+from mdreps.matrix import ExactMatrix, embed_at, kron
 from mdreps.presentations import BRAID, MIXED_DOUBLES, passes, verify
 from mdreps.scalar import NonVanishing, param, rf
 
@@ -23,6 +24,30 @@ def test_involutive_families_symbolic():
         M = make_involutive_braid(fam)
         assert is_involutive(M)
         assert satisfies_ybe(M)
+
+
+def _ybe_dense(M):
+    """M1 M2 M1 - M2 M1 M2 = 0 from dense level-3 products: the oracle for
+    ``satisfies_ybe``, which checks braid_r[1] over the cleared pair."""
+    M1, M2 = embed_at(M, 1, 3), embed_at(M, 2, 3)
+    return (M1 * M2 * M1 - M2 * M1 * M2).is_zero()
+
+
+def test_satisfies_ybe_matches_the_dense_oracle():
+    fams = ("trivial", "f-glue", "a-glue", "fa-slash", "anti-slash")
+    involutive = [make_involutive_braid(f, **kw) for f in fams
+                  for kw in ({}, {"p": 2, "q": Fraction(-3, 5)})]
+    manji = [make_manji(k, s) for k in ("P", "A", "N", "N'", "R")
+             for s in (1, -1)]
+    # a dense perturbation: a single entry often keeps the equation
+    rng = random.Random(15)
+    broken = [M + m([[rng.choice((-1, 0, 0, 1, Fraction(1, 2)))
+                      for _ in range(4)] for _ in range(4)])
+              for M in involutive + manji[-2:]]
+    for M in involutive + manji + broken:
+        assert satisfies_ybe(M) == _ybe_dense(M), M
+    assert all(map(satisfies_ybe, involutive))
+    assert not any(map(satisfies_ybe, broken))
 
 
 def test_fglue_first_row():

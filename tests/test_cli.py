@@ -174,6 +174,27 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--case", "a-glue", "--n", "40", "--at", "p=2,q=5"],
+    ["mdd", "eval", "--word", "r1 s1", "--case", "case2", "--n", "40"],
+    ["mdd", "eval", "--word", "s1", "--case", "case2", "--n", "11"],
+])
+def test_level_cap_exits_2_before_any_matrix_is_built(monkeypatch, capsys,
+                                                      argv):
+    # the level-n images would have N^(2n) > 2^20 entries: the level is
+    # refused before the generators are embedded
+    def refuse(*args):
+        raise RuntimeError("a level-n image was built")
+    monkeypatch.setattr("mdreps.matrix.embed_at", refuse)
+    monkeypatch.setattr("mdreps.mdd.embed_at", refuse)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    n = int(argv[argv.index("--n") + 1])
+    assert captured.out == ""
+    assert captured.err == ("error: --n %d: the 2^%d x 2^%d level-n matrices "
+                            "have more than 2^20 entries\n" % (n, n, n))
+
+
 def test_params_name_the_case_does_not_read(capsys):
     argv = ["verify", "--case", "case2", "--params", "pp=2", "--n", "2"]
     assert main(argv) == EXIT_USAGE

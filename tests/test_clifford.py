@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mdreps.clifford import (Character, classify_small_dims,
+from mdreps.clifford import (Character, _verify_induced, classify_small_dims,
                              dimension_formula_holds, induce,
                              irreps_of_subgroup, is_irreducible, mn_character,
                              orbit_and_stabilizer, partition_dim, partitions,
@@ -11,7 +11,8 @@ from mdreps.clifford import (Character, classify_small_dims,
                              symmetric_group_irreps)
 from mdreps.matrix import ExactMatrix
 from mdreps.mdd import perm_transposition
-from mdreps.scalar import NonVanishing, Poly, param, rf, zeta
+from mdreps.scalar import (InvariantError, NonVanishing, Poly, param, rf,
+                           zeta)
 
 a = param("a")
 GEN_NV = NonVanishing(["a", Poly.var("a") - Poly.const(1),
@@ -232,3 +233,35 @@ def test_classification_counts():
 
     with pytest.raises(ValueError):
         classify_small_dims(5, 2)
+
+
+class _SigmaImages:
+    """Just what _verify_induced reads of an induced representation whose
+    abelian part is trivial."""
+
+    def __init__(self, sigmas):
+        self.n, self.dim = len(sigmas) + 1, sigmas[0].nrows
+        self._sigma = sigmas
+        self.chi = Character(self.n, {})
+
+    def sigma(self, i):
+        return self._sigma[i - 1]
+
+
+def _m(rows):
+    return ExactMatrix.from_rows(rows, N=len(rows), rows_level=1,
+                                 cols_level=1)
+
+
+@pytest.mark.parametrize("sigmas,rel_id", [
+    ([_m([[0, 2], [2, 0]])], "invol_s[1]"),
+    ([_m([[0, 1], [1, 0]]), _m([[0, -1], [-1, 0]])], "braid_s[1]"),
+    # reflections of the Coxeter group with m12 = m23 = 3 and m13 = infinity
+    ([_m([[-1, 1, 2], [0, 1, 0], [0, 0, 1]]),
+      _m([[1, 0, 0], [1, -1, 1], [0, 0, 1]]),
+      _m([[1, 0, 0], [0, 1, 0], [2, 1, -1]])], "far_ss[1,3]"),
+])
+def test_verify_induced_names_the_failing_sym_relation(sigmas, rel_id):
+    with pytest.raises(InvariantError) as exc:
+        _verify_induced(_SigmaImages(sigmas))
+    assert str(exc.value) == "induced sigma images fail %s" % rel_id

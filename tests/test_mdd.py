@@ -9,6 +9,7 @@ from mdreps.mdd import (GroupElement, babeda_from_md,
                         md_defining_relation_words, parse_word, perm_compose,
                         perm_identity, perm_inverse, perm_sign,
                         perm_to_adjacent_word, random_element)
+from mdreps.presentations import MIXED_DOUBLES
 from mdreps.scalar import param, rf
 
 
@@ -60,6 +61,12 @@ def test_defining_relation_words_die():
         for rid, word in md_defining_relation_words(n):
             g = babeda_from_md(word, n)
             assert g.is_identity(), (n, rid)
+
+
+def test_defining_relation_words_are_the_mixed_doubles_relations():
+    for n in (2, 3, 4, 5):
+        assert [rid for rid, _ in md_defining_relation_words(n)] == \
+            [rid for rid, _, _ in MIXED_DOUBLES.relations(n)]
 
 
 def test_round_trip_on_seeded_elements():
