@@ -13,8 +13,8 @@ commutant of rational constants is found by spinning, with the basis of the
 d^2-unknown commutation system that symbolic commutants solve.
 
 Spectra: ``char_poly`` gives the characteristic polynomial as an ascending
-coefficient list, and ``eigen_data`` and ``matrix_order`` split it with the
-univariate-polynomial root finder of ``upoly``.
+coefficient list, and ``eigen_data`` and ``matrix_order`` split its integer
+multiple with the univariate-polynomial root finder of ``upoly``.
 """
 
 from collections import Counter
@@ -25,7 +25,7 @@ from operator import add, sub
 from .scalar import (_ONE, RF, RF_ONE, RF_ZERO, BranchAmbiguity,
                      InvariantError, NonVanishing, Poly, _div, _q,
                      as_fraction, rf, rf_from_json, rf_to_json, unity_order)
-from .upoly import UnsupportedSpectrum, _clear, _roots_in_tower
+from .upoly import UnsupportedSpectrum, _clear, _monic, _roots_in_tower
 
 # The most entries of a dense matrix that outside input may ask for: a matrix
 # read by ``ExactMatrix.from_json``, or an N^n x N^n level-n image that a
@@ -544,7 +544,13 @@ def _scaled_product(A, DA, B, DB):
 def _combine(weights, mats):
     """(Z, D) with Z / D the sum of w * A / DA over the rational weights and
     the (A, DA) pairs, D being the lcm of the denominators of the w / DA."""
-    cs, D = _clear([Fraction(w) / DA for w, (_, DA) in zip(weights, mats)])
+    parts = []
+    for w, (_, DA) in zip(weights, mats):
+        den = w.denominator * DA
+        g = gcd(w.numerator, den)
+        parts.append((w.numerator // g, den // g))
+    D = lcm(*(den for _, den in parts))
+    cs = [a * (D // den) for a, den in parts]
     A0 = mats[0][0]
     Z = [[0] * len(A0[0]) for _ in A0]
     for c, (A, _) in zip(cs, mats):
@@ -686,11 +692,6 @@ def embed_at(M, i, n):
     return ExactMatrix(N, n, n, out)
 
 
-def conjugate(U, M, constraints=None):
-    """U M U^-1."""
-    return U * M * U.inverse(constraints)
-
-
 # ---------------------------------------------------------------------------
 # representation pairs
 
@@ -794,6 +795,30 @@ class Echelon:
         column order, with 1 at its free column and 0 at the others."""
         return _kernel(self.rows, ncols, Fraction(0), Fraction(1),
                        lambda v, pv: Fraction(-v, pv))
+
+    def int_nullspace(self, ncols):
+        """The ``nullspace`` basis with each vector scaled to its least
+        integer multiple, read from the stored rows: the vector of free
+        column f is scaled by the lcm of pv / gcd(pv, v) over the rows with
+        pivot entry pv and entry v at f."""
+        rows = self.rows
+        if rows and max(rows) >= ncols:
+            raise InvariantError("pivot column beyond the %d columns" % ncols)
+        cols = {f: [] for f in range(ncols) if f not in rows}
+        for p, row in rows.items():
+            pv = row[p]
+            for c, v in row.items():
+                if c != p and c < ncols:
+                    cols[c].append((p, pv, v))
+        out = []
+        for f, entries in cols.items():
+            L = lcm(*(pv // gcd(pv, v) for _, pv, v in entries))
+            vec = [0] * ncols
+            vec[f] = L
+            for p, pv, v in entries:
+                vec[p] = -v * L // pv
+            out.append(vec)
+        return out
 
 
 def _kernel(rows, ncols, zero, one, coordinate):
@@ -948,11 +973,18 @@ def rank(A, constraints=None):
 
 def char_poly(A):
     """Characteristic polynomial coefficients [c_0 .. c_n] of A (monic,
-    det(xI - A)), by the Faddeev-LeVerrier recursion; entries must be
-    constant (ValueError otherwise).  A rational A = B / D runs on the
-    integer rows B, whose coefficients e_k are integers, so each -tr/k
-    divides exactly, and the coefficient of x^(n-k) of A is e_k / D^k.  A
-    cyclotomic A runs on its Fraction and Cyc entries, dividing by k."""
+    det(xI - A), Fractions and Cycs); entries must be constant (ValueError
+    otherwise)."""
+    return _monic(_char_poly(A))
+
+
+def _char_poly(A):
+    """det(xI - A) times a nonzero rational, ascending, by the
+    Faddeev-LeVerrier recursion.  A rational A = B / D runs on the integer
+    rows B, whose coefficients e_k are integers, so each -tr/k divides
+    exactly; the result is the integer list D^n det(xI - A), whose
+    coefficient of x^(n-k) is e_k D^(n-k).  A cyclotomic A runs on its
+    Fraction and Cyc entries, dividing by k, and gives the monic list."""
     _require_square(A, "char_poly")
     try:
         B, D = _int_form(A)
@@ -962,7 +994,7 @@ def char_poly(A):
         B, D = [[e.const_value() for e in row] for row in A._rows], None
     n = len(B)
     M = [[int(i == j) for j in range(n)] for i in range(n)]
-    coeffs = [Fraction(1)]
+    coeffs = [1] if D is not None else [Fraction(1)]
     for k in range(1, n + 1):
         M = _imul(B, M)
         t = -sum(M[i][i] for i in range(n))
@@ -977,7 +1009,10 @@ def char_poly(A):
         for i in range(n):
             M[i][i] += c
     if D is not None:
-        coeffs = [Fraction(e, D ** k) for k, e in enumerate(coeffs)]
+        Dk = 1
+        for k in range(n, -1, -1):
+            coeffs[k] *= Dk
+            Dk *= D
     return coeffs[::-1]
 
 
@@ -1015,7 +1050,7 @@ def eigen_data(A, assignment=None, constraints=None):
     """
     _require_square(A, "eigen_data")
     B = A.evaluate(assignment, constraints) if assignment is not None else A
-    mult = Counter(_roots_in_tower(char_poly(B)))
+    mult = Counter(_roots_in_tower(_char_poly(B)))
     eigs = []
     diag = True
     n = B.nrows
@@ -1203,7 +1238,7 @@ class _Spin:
     def settle(self):
         """Replace the unknowns by a basis of the solutions of the
         relations so far."""
-        sols = [_clear(v)[0] for v in self.relations.nullspace(self.unknowns)]
+        sols = self.relations.int_nullspace(self.unknowns)
         self.images = [{t: _sparse_sum([(z[u], x) for u, x in image.items()
                                         if z[u]])
                         for t, z in enumerate(sols)}

@@ -17,10 +17,10 @@ works in the regular representation of the commutant (m x m for an
 m-dimensional commutant), so no d x d matrix is formed per candidate.  A
 leaf with a scalar commutant is labelled by spin certificates (a proper
 invariant subspace, or Norton's criterion); the Burnside closure runs only
-when neither applies.  The minimal polynomials, their roots and the CRT
-idempotents of the spectral projectors are computed in Q[x] with
-``upoly``.  The certificates (local endomorphism ring, commutant shape)
-are exact.
+when neither applies.  The minimal polynomials (primitive integer lists)
+and their roots, and the CRT idempotents of the spectral projectors, are
+computed in Q[x] with ``upoly``.  The certificates (local endomorphism
+ring, commutant shape) are exact.
 
 The semisimple quotient is decomposed from cycle-type traces: one trace per
 cycle length, once the glue projection passes the Sym relations at level 3.
@@ -35,13 +35,14 @@ from .ccwg import is_ccwg, project_K
 from .clifford import (centralizer_order, mn_character, partition_dim,
                        partitions)
 from .matrix import (Echelon, ExactMatrix, RepPair, UnsupportedSpectrum,
-                     _columns, _combine, _entries, _imul, _int_form,
-                     _scaled_product, _sparse_apply, char_poly,
+                     _char_poly, _columns, _combine, _entries, _imul,
+                     _int_form, _scaled_product, _sparse_apply, char_poly,
                      commutant_basis, eigen_data, embed_at, kron, nullspace)
 from .presentations import SYM, verify
 from .scalar import InvariantError, as_fraction
-from .upoly import (_clear, _pdivmod, _plcm, _pmul, _ppow, _pxgcd,
-                    _roots_in_tower, _sqrt, _squarefree_part)
+from .upoly import (_clear, _monic, _pexquo, _plcm, _pmul, _ppow,
+                    _primitive, _pxgcd, _roots_in_tower, _sqrt,
+                    _squarefree_part)
 
 
 class CommutantBasis:
@@ -79,7 +80,7 @@ def _peval_matrix(coeffs, M):
 def distinct_eigenvalue_count(M):
     """Number of distinct eigenvalues over the algebraic closure: degree of
     the squarefree part of the characteristic polynomial."""
-    return len(_squarefree_part(char_poly(M))) - 1
+    return len(_squarefree_part(_char_poly(M))) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +151,8 @@ def find_idempotents(com, constraints=None, rng=None, tries=25):
 
 
 def _annihilator(A, D, v):
-    """Monic annihilator (ascending Fraction coefficients) of the integer
-    vector v under M = A / D: the least-degree p with p(M) v = 0.  The
+    """The annihilator of the integer vector v under M = A / D, as a
+    primitive integer list: the least-degree p with p(M) v = 0.  The
     Krylov chain runs on the integer rows A, marker column d+j tagging
     A^j v; a relation sum r_j A^j v = 0 is the relation
     sum r_j D^j M^j v = 0."""
@@ -167,24 +168,23 @@ def _annihilator(A, D, v):
             break
         v = [sum(a * v[k] for k, a in arow) for arow in nz]
         j += 1
-    poly = [rel.get(d + k, 0) * D ** k for k in range(j + 1)]
-    return [Fraction(c, poly[-1]) for c in poly]
+    return _primitive([rel.get(d + k, 0) * D ** k for k in range(j + 1)])
 
 
 def minimal_polynomial(M):
     """Minimal polynomial of a constant exact matrix (ascending Fraction
     coefficients, monic): the lcm of the annihilators of the standard basis
-    vectors."""
+    vectors, taken over primitive integer lists."""
     A, D = _int_form(M)
     d = len(A)
-    mp = [Fraction(1)]
+    mp = [1]
     for start in range(d):
         if len(mp) - 1 == d:
             break
         poly = _annihilator(A, D, [int(i == start) for i in range(d)])
-        if any(_pdivmod(mp, poly)[1]):
+        if _pexquo(mp, poly) is None:
             mp = _plcm(mp, poly)
-    return mp
+    return _monic(mp)
 
 
 def _rational_roots(coeffs):
@@ -297,10 +297,11 @@ def _candidate(basis, forms, k, c):
 def _spectral_idempotents(T, mult):
     """Exact projectors onto the generalized eigenspaces of T via CRT in Q[x]
     against the minimal-polynomial factorization (x-lam)^m."""
-    factors = {lam: _ppow([-lam, Fraction(1)], m) for lam, m in mult.items()}
+    factors = {lam: _ppow([-lam.numerator, lam.denominator], m)
+               for lam, m in mult.items()}
     out = []
     for lam in sorted(mult):
-        other = [Fraction(1)]
+        other = [1]
         for mu, f in factors.items():
             if mu != lam:
                 other = _pmul(other, f)
@@ -487,7 +488,7 @@ def _int_kernel(K):
     ech = Echelon()
     for row in K:
         ech.insert(dict(enumerate(row)))
-    return [_clear(v)[0] for v in ech.nullspace(len(K[0]))]
+    return ech.int_nullspace(len(K[0]))
 
 
 def _spin_dim(v, gens):

@@ -61,7 +61,9 @@ def test_catch_all_scan_sees_each_form():
 
 
 _PROBES = '''
-from mdreps import catalog, clifford, structure
+from fractions import Fraction
+
+from mdreps import catalog, clifford, structure, upoly
 from mdreps.clifford import Character, _verify_induced, orbit_and_stabilizer
 from mdreps.matrix import ExactMatrix
 from mdreps.mdd import GroupElement
@@ -138,6 +140,14 @@ probes = [
     ("quotient dimensions", lambda: patched(
         structure, "mn_character", lambda lam, mu: 0,
         lambda: structure.semisimple_quotient_dims(aglue, 2))),
+    # a reconstruction that does not reduce to the lifted root 6, then a
+    # Horner test that passes the lifts of sqrt(2) (2 = 8^2 mod 31)
+    ("rational reconstruction", lambda: patched(
+        upoly, "_reconstruct", lambda r, M, lead: Fraction(1),
+        lambda: upoly._roots_in_tower([-6, 1]))),
+    ("root deflation", lambda: patched(
+        upoly, "_qhorner", lambda a, p, q: 0,
+        lambda: upoly._roots_in_tower([-2, 0, 1]))),
 ]
 for label, probe in probes:
     try:
@@ -158,4 +168,6 @@ def test_former_asserts_raise_under_python_O():
         "sigma involutive: InvariantError", "braid relation: InvariantError",
         "far commutation: InvariantError", "conjugation: InvariantError",
         "abelian: InvariantError", "quotient multiplicity: InvariantError",
-        "quotient dimensions: InvariantError"]
+        "quotient dimensions: InvariantError",
+        "rational reconstruction: InvariantError",
+        "root deflation: InvariantError"]

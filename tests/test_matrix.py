@@ -14,6 +14,7 @@ from mdreps.matrix import (Echelon, ExactMatrix, RepPair, RFEchelon,
                            sparse_nullspace, words)
 from mdreps.scalar import (RF, RF_ONE, RF_ZERO, BranchAmbiguity, Cyc,
                            NonVanishing, Poly, param, rf, zeta)
+from mdreps.upoly import _clear
 
 p, q = param("p"), param("q")
 
@@ -495,6 +496,20 @@ def test_echelon_rows_are_primitive_and_reduced(rng):
             assert math.gcd(*row.values()) == 1
             for q0 in ech.rows:
                 assert q0 == p or q0 not in row
+
+
+def test_echelon_int_nullspace_is_the_cleared_fraction_basis(rng):
+    # the vectors _clear made of the Fraction basis, read from the rows
+    for rows, ncols in _systems(rng):
+        ech = Echelon()
+        for r in rows:
+            if r:
+                ech.insert(dict(zip(r, _clear(list(r.values()))[0])))
+        got = ech.int_nullspace(ncols)
+        assert got == [_clear(v)[0] for v in ech.nullspace(ncols)]
+        for vec in got:
+            assert all(type(x) is int for x in vec)
+            assert math.gcd(*vec) == 1
 
 
 def test_echelon_markers_never_pivot():

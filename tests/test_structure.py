@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from fraction_upoly import _plcm
 
 from mdreps.catalog import ALL_CASES, analysis_pair, make_md_pair
 from mdreps.ccwg import is_ccwg, project_K
@@ -23,7 +24,6 @@ from mdreps.structure import (_find_splitter, _is_wangian, _leaf_status,
                               generated_algebra, minimal_polynomial,
                               restrict_to_subspace, semisimple_quotient_dims,
                               x_trichotomy)
-from mdreps.upoly import _plcm
 
 p, q = param("p"), param("q")
 NV_FG = NonVanishing(["p", "q", Poly.var("q") - Poly.var("p"),

@@ -1,18 +1,31 @@
 """The univariate polynomial helpers of ``upoly`` over Q and Q(zeta_3),
-against the loops they replaced (kept here as oracles), the defining
-identities of division and the extended gcd, and, when installed, sympy."""
+against the loops they replaced (kept here as oracles, and run on the
+inputs as Fractions), the defining identities of division and the extended
+gcd, and, when installed, sympy.  Over Q the helpers return primitive
+integer lists, which the oracles' monic Fraction results are compared
+with through ``_primitive``."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 
+import fraction_upoly as fu
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_coefficient_rule import rule_violations
+from test_structure import _minimal_polynomial_fraction
 
+from mdreps import upoly
+from mdreps.catalog import analysis_pair
+from mdreps.matrix import char_poly, eigen_data
 from mdreps.scalar import Cyc, InvariantError
-from mdreps.upoly import (UnsupportedSpectrum, _deflate, _pdivmod, _pgcd,
-                          _plcm, _pmul, _ppow, _psub, _ptrim, _pxgcd,
-                          _roots_in_tower, _sqrt, _squarefree_part)
+from mdreps.structure import (algebra_dims, commutant, decompose,
+                              find_idempotents, minimal_polynomial)
+from mdreps.upoly import (UnsupportedSpectrum, _deflate, _is_cyc, _monic,
+                          _pdivmod, _pgcd, _plcm, _pmul, _ppow, _primitive,
+                          _psub, _ptrim, _pxgcd, _roots_in_tower, _sqrt,
+                          _squarefree_part)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +116,20 @@ def typed(p):
     return [(type(c), c) for c in p]
 
 
+def fractions(p):
+    """p with its rational entries as Fractions, the oracles' input."""
+    return [c if isinstance(c, Cyc) else Fraction(c) for c in p]
+
+
+def assert_matches_oracle(got, want, *inputs):
+    """got is the oracle's result want on the inputs: its primitive integer
+    list over Q, the same values, and no float, over Q(zeta_3)."""
+    if any(_is_cyc(a) for a in inputs):
+        assert got == want and _floats(got) == []
+    else:
+        assert typed(got) == typed(_primitive(want))
+
+
 def _add(a, b):
     return _psub(a, [-x for x in b])
 
@@ -121,7 +148,8 @@ def test_gcd_matches_the_loop_it_replaced(field, data):
     c = data.draw(_proper(field, 2))
     a = _pmul(data.draw(_polys(field)), c)
     b = _pmul(data.draw(_polys(field)), c)
-    assert typed(_pgcd(a, b)) == typed(_frac_poly_gcd(a, b))
+    assert_matches_oracle(_pgcd(a, b),
+                          _frac_poly_gcd(fractions(a), fractions(b)), a, b)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -143,7 +171,7 @@ def test_xgcd_bezout(field, data):
     b = _pmul(data.draw(_polys(field)), c)
     assume(any(a) or any(b))
     u, v, g = _pxgcd(a, b)
-    assert g == _pgcd(a, b) and g[-1] == 1
+    assert g == _monic(_pgcd(a, b)) and g[-1] == 1
     assert _add(_pmul(u, a), _pmul(v, b)) == g
 
 
@@ -157,25 +185,34 @@ def test_lcm_is_divided_by_both(field, data):
     assert len(m) - 1 == len(a) + len(b) - len(_pgcd(a, b)) - 1
 
 
+def test_lcm_whose_product_drops_the_cyc_entries():
+    # a zero Cyc entry leaves no Cyc in the product, whose entries are then
+    # not all integers: the quotient by the gcd is a field division
+    m = _plcm([Fraction(1, 2)], [Cyc(3, 0), Fraction(1)])
+    assert m == [0, Fraction(1, 2)]
+
+
 @pytest.mark.parametrize("field", FIELDS)
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_squarefree_part_matches_the_loop_it_replaced(field, data):
     a, b = data.draw(_proper(field, 2)), data.draw(_proper(field, 2))
     p = _pmul(_ppow(a, data.draw(st.integers(1, 3))), b)
-    assert typed(_squarefree_part(p)) == typed(_squarefree_part_loop(p))
+    assert_matches_oracle(_squarefree_part(p),
+                          _squarefree_part_loop(fractions(p)), p)
 
 
 @given(_proper("Q"), _RATS)
 @settings(max_examples=150, deadline=None)
 def test_deflate_matches_synthetic_division(p, root):
     f = _pmul(p, [-root, Fraction(1)])
-    assert typed(_deflate(f, root)) == typed(_deflate_synthetic(f, root))
+    assert typed(_deflate(_primitive(f), root)) == \
+        typed(_primitive(_deflate_synthetic(fractions(f), root)))
     g = _add(f, [Fraction(1)])
     with pytest.raises(InvariantError):
-        _deflate(g, root)
+        _deflate(_primitive(g), root)
     with pytest.raises(InvariantError):
-        _deflate_synthetic(g, root)
+        _deflate_synthetic(fractions(g), root)
 
 
 def test_sqrt():
@@ -271,7 +308,252 @@ def test_gcd_and_squarefree_part_agree_with_sympy(a, b, c, k):
     a, b = _pmul(a, _ppow(c, k)), _pmul(b, c)
     assume(any(a) and any(b))
     g = sp.gcd(_to_sympy(sp, x, a), _to_sympy(sp, x, b))
-    assert _pgcd(a, b) == _from_sympy(g)
-    sf = _squarefree_part(a)
-    assert [y / sf[-1] for y in sf] == \
+    assert _monic(_pgcd(a, b)) == _from_sympy(g)
+    assert _monic(_squarefree_part(a)) == \
         _from_sympy(sp.sqf_part(_to_sympy(sp, x, a)))
+
+
+# ---------------------------------------------------------------------------
+# the integer root search against the Fraction implementation it replaced
+
+def _oracle_roots(coeffs):
+    """Counter of the Fraction implementation's roots, or the
+    UnsupportedSpectrum it raises."""
+    try:
+        return Counter(fu._roots_in_tower(fractions(coeffs)))
+    except UnsupportedSpectrum as exc:
+        return exc
+
+
+def _new_roots(coeffs):
+    try:
+        roots = _roots_in_tower(coeffs)
+    except UnsupportedSpectrum as exc:
+        return exc
+    assert all(type(r) in (Fraction, Cyc) for r in roots)
+    return Counter(roots)
+
+
+def assert_roots_match_oracle(coeffs):
+    want, got = _oracle_roots(coeffs), _new_roots(coeffs)
+    if isinstance(want, UnsupportedSpectrum):
+        assert isinstance(got, UnsupportedSpectrum), (coeffs, got)
+    else:
+        assert got == want, coeffs
+        assert Counter(map(_key, got)) == Counter(map(_key, want))
+
+
+def assert_squarefree_part_matches_oracle(coeffs):
+    assert_matches_oracle(_squarefree_part(coeffs),
+                          fu._squarefree_part(fractions(coeffs)), coeffs)
+
+
+def _criterion_6_inputs(monkeypatch):
+    """The inputs of every root search and squarefree part, and the
+    matrices of every spectrum, that the numeric criterion-6 analyses
+    reach: the a-glue decompositions at n = 3 and 4 and their algebra
+    data, the f-glue commutants at n = 3 and 4, and the antislash
+    decomposition at n = 3."""
+    import mdreps.matrix as matrix
+    import mdreps.structure as structure
+    seen = {"roots": [], "sf": [], "eigen": []}
+
+    def recorder(fn, key):
+        def record(arg, *rest):
+            seen[key].append(arg)
+            return fn(arg, *rest)
+        return record
+    for mod in (matrix, structure):
+        monkeypatch.setattr(mod, "_roots_in_tower",
+                            recorder(_roots_in_tower, "roots"))
+    monkeypatch.setattr(structure, "_squarefree_part",
+                        recorder(_squarefree_part, "sf"))
+    monkeypatch.setattr(structure, "eigen_data",
+                        recorder(matrix.eigen_data, "eigen"))
+    agp = analysis_pair("a-glue", p=2, q=5)
+    for n, seed in ((3, 99), (4, 7)):
+        for s in decompose(agp, n, rng=random.Random(seed)).summands:
+            algebra_dims(s["generators"])
+    fgp = analysis_pair("f-glue", p=2, q=5).evaluate({"p": 2, "q": 5})
+    for n in (3, 4):
+        find_idempotents(commutant([M for _, M in fgp.generator_images(n)]),
+                         rng=random.Random(n))
+    asp = analysis_pair("antislash", z=Fraction(-1, 3), x=Fraction(-2, 3))
+    decompose(asp, 3, rng=random.Random(4))
+    monkeypatch.undo()
+    return seen
+
+
+def test_criterion_6_polynomials_match_the_fraction_oracle(monkeypatch):
+    seen = _criterion_6_inputs(monkeypatch)
+    assert len(seen["roots"]) >= 20 and len(seen["sf"]) >= 50
+    assert len(seen["eigen"]) >= 4
+    for coeffs in seen["roots"]:
+        assert_roots_match_oracle(coeffs)
+    for coeffs in seen["sf"]:
+        assert_squarefree_part_matches_oracle(coeffs)
+    for M in seen["eigen"]:
+        want = Counter(fu._roots_in_tower(char_poly(M)))
+        assert {lam: alg for lam, alg, _ in eigen_data(M).eigenvalues} == want
+        assert minimal_polynomial(M) == _minimal_polynomial_fraction(M)
+
+
+def _linear_factor_products(rng, count, size):
+    """(coeffs, expected roots or None): seeded products lead * prod
+    (q x - p)^k of rational linear factors with multiplicities 1..3 (1..2
+    for a non-integral root, which keeps the oracle's divisor search
+    short), some times cyclotomic quadratics, some times a factor that does
+    not split over the tower (expected None), as Fraction lists."""
+    for _ in range(count):
+        roots, f = [], [Fraction(rng.choice((1, -1)) * rng.randint(1, size),
+                                 rng.randint(1, size))]
+        for _ in range(rng.randint(0, 4)):
+            x = Fraction(rng.randint(-size, size), rng.randint(1, size))
+            k = rng.randint(1, 2) if x.denominator > 1 else rng.randint(1, 3)
+            f = _pmul(f, _ppow([-x.numerator, x.denominator], k))
+            roots += [x] * k
+        for m in rng.sample((3, 4, 6), rng.randint(0, 2)):
+            quad, zs = _CYC_FACTORS[m]
+            f = _pmul(f, quad)
+            roots += zs
+        if rng.random() < 0.2:
+            f = _pmul(f, rng.choice(([-2, 0, 1], [3, 0, 1], [-2, 0, 0, 1],
+                                     [1, 0, 0, 0, 1])))
+            roots = None
+        yield fractions(f), roots
+
+
+def test_seeded_products_match_the_fraction_oracle():
+    rng = random.Random(1606)
+    for coeffs, roots in _linear_factor_products(rng, 250, 6):
+        assert_roots_match_oracle(coeffs)
+        assert_squarefree_part_matches_oracle(coeffs)
+        got = _new_roots(coeffs)
+        if roots is None:
+            assert isinstance(got, UnsupportedSpectrum)
+        else:
+            assert got == Counter(roots)
+
+
+def test_cyclotomic_lists_match_the_fraction_oracle():
+    # over Q(zeta_m) only zero roots, a linear factor and the cyclotomic
+    # quadratics are split off; a rational root of a Cyc list is not
+    # searched for, so such lists raise as before
+    rng = random.Random(1607)
+    for _ in range(200):
+        m = rng.choice((3, 4, 6))
+        f = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+             for _ in range(rng.randint(1, 3))]
+        if not any(f):
+            f = [Fraction(1)]
+        for _ in range(rng.randint(0, 2)):
+            r = Cyc(m, rng.randint(-2, 2), rng.randint(-2, 2))
+            f = fu._pmul(f, [-r, Fraction(1)])
+        for _ in range(rng.randint(0, 2)):
+            f = fu._pmul(f, fractions(_CYC_FACTORS[m][0]))
+        f = fu._pmul(f, [Fraction(0)] * rng.randint(0, 1) + [Fraction(1)])
+        if not _is_cyc(f):
+            f[-1] = Cyc(m, f[-1])
+        assert_roots_match_oracle(f)
+        if f[-1]:
+            assert_squarefree_part_matches_oracle(f)
+
+
+def _large_products(rng, count):
+    """(coeffs, roots or None) with coefficients of 39 to 64 bits whose
+    leading and lowest coefficients exceed 10^12, the Fraction root
+    search's cap."""
+    while count:
+        f, roots = [1], []
+        for _ in range(rng.randint(2, 5)):
+            x = Fraction(rng.choice((1, -1)) * rng.randint(2, 2 ** 16),
+                         rng.randint(1, 2 ** 12))
+            f = _pmul(f, [-x.numerator, x.denominator])
+            roots.append(x)
+        if rng.random() < 0.25:
+            f = _pmul(f, [1, 1, 1])
+            roots += _CYC_FACTORS[3][1]
+        if rng.random() < 0.25:
+            f = _pmul(f, [-rng.randint(2, 2 ** 20) * 2 - 1, 0, 2])
+            roots = None
+        f = _primitive(f)
+        bits = max(abs(c).bit_length() for c in f)
+        if 39 <= bits <= 64 and min(abs(f[0]), f[-1]) > 10 ** 12:
+            count -= 1
+            yield f, roots
+
+
+def test_large_coefficients_have_their_roots():
+    for f, roots in _large_products(random.Random(1608), 60):
+        with pytest.raises(UnsupportedSpectrum, match="too large"):
+            fu._roots_in_tower(fractions(f))
+        got = _new_roots(f)
+        if roots is None:
+            assert isinstance(got, UnsupportedSpectrum)
+        else:
+            assert got == Counter(roots)
+        assert_squarefree_part_matches_oracle(f)
+
+
+def test_large_root_search_is_bounded_by_a_count(monkeypatch):
+    # a degree-8 polynomial with 64-bit coefficients: one Horner test per
+    # residue and per division, each lift no longer than the bound needs
+    f, roots = [1], []
+    for p, q in ((251, 127), (-241, 113), (239, 109), (-233, 107),
+                 (229, 103), (-227, 101), (223, 97), (-211, 89)):
+        f = _pmul(f, [-p, q])
+        roots.append(Fraction(p, q))
+    assert max(abs(c).bit_length() for c in f) == 63
+    with pytest.raises(UnsupportedSpectrum, match="too large"):
+        fu._roots_in_tower(fractions(f))
+    horner, lifts = [], []
+    qhorner, lift = upoly._qhorner, upoly._lift
+
+    def counted_horner(*args):
+        horner.append(args)
+        return qhorner(*args)
+
+    def counted_lift(f, df, r, p, bound):
+        out = lift(f, df, r, p, bound)
+        lifts.append((p, bound, out[1]))
+        return out
+    monkeypatch.setattr(upoly, "_qhorner", counted_horner)
+    monkeypatch.setattr(upoly, "_lift", counted_lift)
+    assert Counter(_roots_in_tower(f)) == Counter(roots)
+    assert len(lifts) <= 8 and len(horner) <= 3 * 8
+    for p, bound, M in lifts:
+        assert p < 100 and bound < M <= bound * bound
+
+
+# each upoly function on integer and on Fraction lists
+_NO_FLOAT_CALLS = [
+    ("_psub", ([1, 2], [3, 4, 5])), ("_pmul", ([-2, 1], [2, 1])),
+    ("_ppow", ([-1, 2], 3)), ("_pdivmod", ([-4, 0, 1], [-2, 1])),
+    ("_pdivmod", ([1, 0, 1], [1, 2])), ("_pgcd", ([4, -4, 1], [-2, 1])),
+    ("_pxgcd", ([-1, 2], [1, 3])), ("_plcm", ([2, -3, 1], [-1, 1])),
+    ("_squarefree_part", ([4, -4, 1],)), ("_squarefree_part", ([2, 1],)),
+    ("_roots_in_tower", ([2, -3, 1],)), ("_roots_in_tower", ([4, 0, -9],)),
+    ("_roots_in_tower", ([1, 0, 1],)), ("_roots_in_tower", ([0, 3, 2],)),
+]
+
+
+def _floats(x):
+    if isinstance(x, (list, tuple)):
+        return [y for z in x for y in _floats(z)]
+    if isinstance(x, Counter):
+        return _floats(list(x))
+    if isinstance(x, Cyc):
+        return _floats([x.a, x.b])
+    return [x] if isinstance(x, float) else []
+
+
+@pytest.mark.parametrize("name, args", _NO_FLOAT_CALLS)
+@pytest.mark.parametrize("kind", ("int", "Fraction"))
+def test_no_upoly_function_returns_a_float(name, args, kind):
+    if kind == "Fraction":
+        args = tuple(fractions(a) if isinstance(a, list) else a
+                     for a in args)
+    out = getattr(upoly, name)(*args)
+    assert _floats(out) == []
+    if name != "_roots_in_tower":
+        assert rule_violations(out) == []
