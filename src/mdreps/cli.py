@@ -43,18 +43,13 @@ def _parse_assignment(text):
 
 
 def _parse_params(text):
-    """name=value pairs; values Fraction, or +-1 for sign/eps.  ``check``
-    is refused: it is not a family parameter."""
+    """name=value pairs; integral values become ints, the others stay
+    Fractions.  ``check`` is refused: it is not a family parameter."""
     kw = {}
     for name, val in _parse_assignment(text).items():
         if name == "check":
             raise UsageError("bad --params: check is not a family parameter")
-        if name in ("sign", "eps", "p") and val in (1, -1):
-            kw[name] = int(val)
-        elif val.denominator == 1:
-            kw[name] = int(val)
-        else:
-            kw[name] = val
+        kw[name] = int(val) if val.denominator == 1 else val
     return kw
 
 

@@ -929,7 +929,7 @@ def _rf_eliminate(row, prow, p):
 
 
 # ---------------------------------------------------------------------------
-# linear algebra: nullspace, rank, spectra
+# linear algebra: nullspace, spectra
 
 def nullspace(A, constraints=None):
     """Exact basis of the right kernel of A, as lists of RF entries.
@@ -965,10 +965,6 @@ def sparse_nullspace(rows, ncols, constraints=None):
 
 def _rf_vectors(vecs):
     return [[rf(x) if x else RF_ZERO for x in vec] for vec in vecs]
-
-
-def rank(A, constraints=None):
-    return A.ncols - len(nullspace(A, constraints))
 
 
 def char_poly(A):

@@ -12,12 +12,14 @@ solving the d^2-unknown commutation system, with the same basis.  The
 minimal polynomials, spins, algebra closures, subspace restrictions (each
 image summed over nonzero entries only) and quotient coordinates eliminate
 fraction-free on the integer rows through ``matrix.Echelon``, and the
-spectral projectors are integer Horner evaluations.  The splitter search
-works in the regular representation of the commutant (m x m for an
-m-dimensional commutant), so no d x d matrix is formed per candidate.  A
-leaf with a scalar commutant is labelled by spin certificates (a proper
-invariant subspace, or Norton's criterion); the Burnside closure runs only
-when neither applies.  The minimal polynomials (primitive integer lists)
+spectral projectors are integer Horner evaluations.  Coordinates in a span
+are read as integers over one denominator, (c, den), and the matrices made
+of them as integer rows over their lcm.  The splitter search works in the
+regular representation of the commutant (m x m for an m-dimensional
+commutant), so no d x d matrix is formed per candidate.  A leaf with a
+scalar commutant is labelled by spin certificates (a proper invariant
+subspace, or Norton's criterion); the Burnside closure runs only when
+neither applies.  The minimal polynomials (primitive integer lists)
 and their roots, and the CRT idempotents of the spectral projectors, are
 computed in Q[x] with ``upoly``.  The certificates (local endomorphism
 ring, commutant shape) are exact.
@@ -219,20 +221,17 @@ def _regular_representation(forms):
         row = _flat(A)
         row[dd + m] = D
         try:
-            return _solve_in_span(span, row, m)
+            return _span_coords(span, row, m)
         except InvariantError:
             raise ValueError("%s is not in the span of the basis"
                              % what) from None
 
-    L = []
-    for i, (Ai, Di) in enumerate(forms):
-        cols = [coords(*_scaled_product(Ai, Di, Aj, Dj),
-                       "B[%d]*B[%d]" % (i, j))
-                for j, (Aj, Dj) in enumerate(forms)]
-        L.append(_int_form(ExactMatrix.from_rows(
-            [list(r) for r in zip(*cols)], N=m, rows_level=1, cols_level=1)))
+    L = [_coord_matrix([coords(*_scaled_product(Ai, Di, Aj, Dj),
+                               "B[%d]*B[%d]" % (i, j))
+                        for j, (Aj, Dj) in enumerate(forms)])
+         for i, (Ai, Di) in enumerate(forms)]
     ident = [[int(i == j) for j in range(d)] for i in range(d)]
-    return L, _clear(coords(ident, 1, "the identity"))[0]
+    return L, coords(ident, 1, "the identity")[0]
 
 
 def _find_splitter(basis, rng=None, tries=25):
@@ -329,16 +328,21 @@ def _span_coords(span, row, k):
     return [-res.get(b + j, 0) for j in range(k)], res[b + k]
 
 
-def _solve_in_span(span, row, k):
-    """The coordinates of ``_span_coords`` as Fractions."""
-    c, den = _span_coords(span, row, k)
-    return [Fraction(x, den) for x in c]
+def _coord_matrix(cols):
+    """(A, D) with column j of A / D the coordinates c_j / den_j, D the lcm
+    of the den_j.  Each (c_j, den_j) from ``_span_coords`` has content 1,
+    so for every prime p dividing D, the column whose den_j holds the most
+    factors p has an entry prime to p in D / den_j * c_j: A / D is in
+    lowest terms."""
+    D = lcm(*(den for _, den in cols))
+    return [[c[i] * (D // den) for c, den in cols]
+            for i in range(len(cols[0][0]))], D
 
 
 def restrict_to_subspace(mats, basis_vectors):
     """Restrict matrices preserving span(basis_vectors) to that subspace;
-    vectors are length-d Fraction lists.  Each image A v is summed over the
-    nonzero entries of v and of A's columns."""
+    the vectors are rational (ints or Fractions) of length d.  Each image
+    A v is summed over the nonzero entries of v and of A's columns."""
     d = len(basis_vectors[0])
     k = len(basis_vectors)
     vecs = [_clear(v) for v in basis_vectors]
@@ -358,22 +362,20 @@ def restrict_to_subspace(mats, basis_vectors):
             row = _sparse_apply(cols, v)
             row[d + k] = DM * D
             coords.append(_span_coords(span, row, k))
-        L = lcm(*(den for _, den in coords))
-        out.append(ExactMatrix.from_ints([[c[i] * (L // den)
-                                           for c, den in coords]
-                                          for i in range(k)], L, N=k,
+        out.append(ExactMatrix.from_ints(*_coord_matrix(coords), N=k,
                                          rows_level=1, cols_level=1))
     return out
 
 
 def _matrix_column_space(P):
-    """Independent columns of an exact constant matrix, as Fraction vectors."""
-    A, D = _int_form(P)
+    """Independent columns of an exact constant matrix P = A / D, as the
+    integer columns of A: they span P's column space."""
+    A, _ = _int_form(P)
     span = Echelon()
     basis = []
     for col in zip(*A):
         if span.insert(dict(enumerate(col))) is None:
-            basis.append([Fraction(x, D) for x in col])
+            basis.append(list(col))
     return basis
 
 
@@ -671,20 +673,20 @@ def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None, tries=40):
                              "rank is %d" % (s, ss_dim))
 
     def qcoords(A, D):
-        """Coordinates of the class of A / D in the quotient basis."""
+        """Coordinates (c, den) of the class of A / D in the quotient
+        basis."""
         row = _flat(A)
         row[dd + s] = D
-        return _solve_in_span(span, row, s)
+        return _span_coords(span, row, s)
 
     # center of the quotient: sum_i c_i [B_i, G] = 0 (mod radical) for all
     # G, i.e. sum_i c_i (coordinates of [B_i, G])_l = 0 for every l
     center = Echelon()
     for G, DG in qbasis:
-        coords = [qcoords(_commutator(B, G), DB * DG) for B, DB in qbasis]
-        for l in range(s):
-            col = [c[l] for c in coords]
-            ints, _ = _clear(col)
-            center.insert(dict(enumerate(ints)))
+        C, _ = _coord_matrix([qcoords(_commutator(B, G), DB * DG)
+                              for B, DB in qbasis])
+        for row in C:
+            center.insert(dict(enumerate(row)))
     center_coords = center.nullspace(s)
     center_dim = len(center_coords)
     # simple block dims from eigenspaces of a generic central element acting
@@ -702,10 +704,10 @@ def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None, tries=40):
                                                           center_coords))
                        for k in range(s)]
             Z, DZ = _combine(weights, qbasis)
-            cols = [qcoords(_imul(Z, B), DZ * DB) for B, DB in qbasis]
-            Zm = ExactMatrix.from_rows([[col[i] for col in cols]
-                                        for i in range(s)],
-                                       N=s, rows_level=1, cols_level=1)
+            Zm = ExactMatrix.from_ints(
+                *_coord_matrix([qcoords(_imul(Z, B), DZ * DB)
+                                for B, DB in qbasis]),
+                N=s, rows_level=1, cols_level=1)
             counts = _rational_roots(char_poly(Zm))
             if counts is None or len(counts) != center_dim:
                 continue

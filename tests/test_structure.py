@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from fraction_upoly import _plcm
@@ -11,19 +11,25 @@ from fraction_upoly import _plcm
 from mdreps.catalog import ALL_CASES, analysis_pair, make_md_pair
 from mdreps.ccwg import is_ccwg, project_K
 from mdreps.clifford import mn_character, partition_dim, partitions
-from mdreps.matrix import ExactMatrix, RepPair, embed_at
+from mdreps.matrix import (Echelon, ExactMatrix, RepPair, _columns, _combine,
+                           _imul, _int_form, _scaled_product, _sparse_apply,
+                           char_poly, embed_at)
 from mdreps.mdd import all_permutations, perm_to_adjacent_word
 from mdreps.scalar import (InvariantError, NonVanishing, Poly, as_fraction,
                            param, rf, zeta)
-from mdreps.structure import (_find_splitter, _is_wangian, _leaf_status,
-                              _peval_matrix,
-                              _rational_roots, algebra_dims, commutant,
+from mdreps.structure import (_commutator, _find_splitter, _flat,
+                              _is_wangian, _leaf_status, _matrix_column_space,
+                              _peval_matrix, _rational_roots,
+                              _regular_representation, _span_coords,
+                              _spectral_idempotents, _trace_product,
+                              algebra_dims, commutant,
                               decompose,
                               distinct_eigenvalue_count,
                               fglue_commutant_shape_ok, find_idempotents,
                               generated_algebra, minimal_polynomial,
                               restrict_to_subspace, semisimple_quotient_dims,
                               x_trichotomy)
+from mdreps.upoly import _clear, _primitive, _sqrt
 
 p, q = param("p"), param("q")
 NV_FG = NonVanishing(["p", "q", Poly.var("q") - Poly.var("p"),
@@ -556,6 +562,9 @@ def test_restrict_to_subspace_coordinates():
     (sub,) = restrict_to_subspace([flip], basis)
     assert [[e.const_value() for e in row] for row in sub.rows] == \
         [[1, 0, 0], [0, -1, 0], [0, 0, Fraction(1, 2)]]
+    # the basis times 15, as integer vectors: the same matrix
+    assert restrict_to_subspace([flip], [[15, 15, 0, 0], [5, -5, 0, 0],
+                                         [0, 0, 0, -6]]) == [sub]
     with pytest.raises(InvariantError):
         restrict_to_subspace([flip], [basis[0], basis[0]])
 
@@ -695,8 +704,19 @@ def _splitter_bases():
 
 def test_find_splitter_combinations_match_rf_combinations():
     # the regular-representation search against the RF combinations and
-    # d x d minimal polynomials of every candidate
+    # d x d minimal polynomials of every candidate; on a rational basis, the
+    # regular representation from integer (c, den) coordinates against the
+    # Fraction route, its identity vector up to a positive scale
+    rational = 0
     for basis in _splitter_bases():
+        forms = _rational_forms(basis)
+        if forms is not None:
+            L, e = _regular_representation(forms)
+            want_L, want_e = _regular_representation_fraction(forms)
+            assert L == want_L
+            assert all(type(x) is int for x in e)
+            assert _primitive(e) == _primitive(want_e)
+            rational += 1
         for seed in range(8):
             got = _find_splitter(basis, random.Random(seed))
             want = _find_splitter_reference([_rf_twin(B) for B in basis],
@@ -708,6 +728,7 @@ def test_find_splitter_combinations_match_rf_combinations():
                 if all(B._ints is not None for B in basis):
                     assert got[0]._ints is not None
                 assert got[0] == want[0] and got[1] == want[1]
+    assert rational == 18
 
 
 def test_find_splitter_forms_no_candidate_on_a_rational_basis(monkeypatch):
@@ -747,6 +768,258 @@ def test_splitter_basis_must_span_a_unital_algebra_under_python_O():
     assert out.stdout.splitlines() == [
         "B[1]*B[2] is not in the span of the basis",
         "the identity is not in the span of the basis"]
+
+
+# ---------------------------------------------------------------------------
+# integer (c, den) coordinates against the Fraction route they replace: the
+# coordinates as Fractions, the Fraction matrix of the regular
+# representation cleared again, and Fraction column-space vectors
+
+def _solve_in_span(span, row, k):
+    c, den = _span_coords(span, row, k)
+    return [Fraction(x, den) for x in c]
+
+
+def _regular_representation_fraction(forms):
+    m, d = len(forms), len(forms[0][0])
+    dd = d * d
+    span = Echelon(dd)
+    for k, (A, D) in enumerate(forms):
+        row = _flat(A)
+        row[dd + k] = D
+        span.insert(row)
+
+    def coords(A, D):
+        row = _flat(A)
+        row[dd + m] = D
+        return _solve_in_span(span, row, m)
+
+    L = []
+    for Ai, Di in forms:
+        cols = [coords(*_scaled_product(Ai, Di, Aj, Dj)) for Aj, Dj in forms]
+        L.append(_int_form(ExactMatrix.from_rows(
+            [list(r) for r in zip(*cols)], N=m, rows_level=1, cols_level=1)))
+    ident = [[int(i == j) for j in range(d)] for i in range(d)]
+    return L, _clear(coords(ident, 1))[0]
+
+
+def _matrix_column_space_fraction(P):
+    A, D = _int_form(P)
+    span = Echelon()
+    basis = []
+    for col in zip(*A):
+        if span.insert(dict(enumerate(col))) is None:
+            basis.append([Fraction(x, D) for x in col])
+    return basis
+
+
+def _restrict_fraction(mats, basis_vectors):
+    d = len(basis_vectors[0])
+    k = len(basis_vectors)
+    vecs = [_clear(v) for v in basis_vectors]
+    span = Echelon(d)
+    for j, (v, D) in enumerate(vecs):
+        row = dict(enumerate(v))
+        row[d + j] = D
+        span.insert(row)
+    vecs = [({i: x for i, x in enumerate(v) if x}, D) for v, D in vecs]
+    out = []
+    for M in mats:
+        A, DM = _int_form(M)
+        cols = _columns(A)
+        coords = []
+        for v, D in vecs:
+            row = _sparse_apply(cols, v)
+            row[d + k] = DM * D
+            coords.append(_span_coords(span, row, k))
+        L = lcm(*(den for _, den in coords))
+        out.append(ExactMatrix.from_ints([[c[i] * (L // den)
+                                           for c, den in coords]
+                                          for i in range(k)], L, N=k,
+                                         rows_level=1, cols_level=1))
+    return out
+
+
+def _algebra_dims_fraction(mats, rng, tries=40):
+    d = mats[0].nrows
+    basis = []
+    for B in generated_algebra(mats):
+        flat, D = _clear([x for row in B for x in row])
+        basis.append(([flat[i:i + d] for i in range(0, d * d, d)], D))
+    m, dd = len(basis), d * d
+    L = lcm(*(D for _, D in basis))
+    gram = Echelon()
+    for A, _ in basis:
+        gram.insert({j: _trace_product(A, B) * (L // DB)
+                     for j, (B, DB) in enumerate(basis)})
+    rad_coords = gram.nullspace(m)
+    ss_dim = m - len(rad_coords)
+    span = Echelon(dd)
+    for vec in rad_coords:
+        span.insert(_flat(_combine(vec, basis)[0]))
+    qbasis = []
+    for A, D in basis:
+        row = _flat(A)
+        row[dd + len(qbasis)] = D
+        if span.insert(row) is None:
+            qbasis.append((A, D))
+    s = len(qbasis)
+
+    def qcoords(A, D):
+        row = _flat(A)
+        row[dd + s] = D
+        return _solve_in_span(span, row, s)
+
+    center = Echelon()
+    for G, DG in qbasis:
+        coords = [qcoords(_commutator(B, G), DB * DG) for B, DB in qbasis]
+        for l in range(s):
+            center.insert(dict(enumerate(_clear([c[l] for c in coords])[0])))
+    center_coords = center.nullspace(s)
+    center_dim = len(center_coords)
+    simples = None
+    if center_dim == 1:
+        simples = [_sqrt(ss_dim)]
+    else:
+        for _ in range(tries):
+            coeffs = [rng.randint(-5, 5) for _ in range(center_dim)]
+            if not any(coeffs):
+                continue
+            weights = [sum(c * cvec[k] for c, cvec in zip(coeffs,
+                                                          center_coords))
+                       for k in range(s)]
+            Z, DZ = _combine(weights, qbasis)
+            cols = [qcoords(_imul(Z, B), DZ * DB) for B, DB in qbasis]
+            Zm = ExactMatrix.from_rows([[col[i] for col in cols]
+                                        for i in range(s)],
+                                       N=s, rows_level=1, cols_level=1)
+            counts = _rational_roots(char_poly(Zm))
+            if counts is None or len(counts) != center_dim:
+                continue
+            blocks = [_sqrt(c0) for _, c0 in sorted(counts.items())]
+            if None not in blocks:
+                simples = sorted(blocks, reverse=True)
+                break
+    return {"dim": m, "radical": len(rad_coords), "ss": ss_dim,
+            "center_ss": center_dim, "simples": simples}
+
+
+def _criterion_6_pairs():
+    """The exact points of criterion 6, with their levels."""
+    agp = analysis_pair("a-glue", p=2, q=5)
+    asp = make_md_pair("case6a", eps=-1, z=Fraction(-1, 3),
+                       x=Fraction(-2, 3), check=False)
+    fgp = analysis_pair("f-glue", p=2, q=5).evaluate({"p": 2, "q": 5})
+    return [(agp, 3), (agp, 4), (asp, 3), (fgp, 3), (fgp, 4)]
+
+
+def _aglue_summands3():
+    return [s["generators"] for s in decompose(
+        analysis_pair("a-glue", p=2, q=5), 3, rng=random.Random(99)).summands]
+
+
+def _rational_forms(basis):
+    try:
+        return [_int_form(B) for B in basis]
+    except ValueError:  # a symbolic or cyclotomic basis
+        return None
+
+
+def _same_matrices(got, want):
+    assert len(got) == len(want)
+    for G, W in zip(got, want):
+        assert G._ints is not None
+        assert (G._ints, G._den) == (W._ints, W._den)
+
+
+def _check_column_spaces(mats, P):
+    """The integer columns of P against its Fraction columns, and the
+    restrictions to them against the Fraction route's."""
+    cols = _matrix_column_space(P)
+    want = _matrix_column_space_fraction(P)
+    assert all(type(x) is int for col in cols for x in col)
+    _, D = _int_form(P)
+    assert [[Fraction(x, D) for x in col] for col in cols] == want
+    _same_matrices(restrict_to_subspace(mats, cols),
+                   _restrict_fraction(mats, want))
+
+
+def test_restrict_to_subspace_matches_the_fraction_route(monkeypatch):
+    import mdreps.structure as structure
+    # each projector of a decomposition with the generators restricted to
+    # its image
+    seen = []
+    column_space, restrict = (structure._matrix_column_space,
+                              structure.restrict_to_subspace)
+
+    def recorded_columns(P):
+        seen.append(P)
+        return column_space(P)
+
+    def recorded_restrict(mats, cols):
+        seen[-1] = (mats, seen[-1])
+        return restrict(mats, cols)
+    monkeypatch.setattr(structure, "_matrix_column_space", recorded_columns)
+    monkeypatch.setattr(structure, "restrict_to_subspace", recorded_restrict)
+    for pair, n in _criterion_6_pairs():
+        decompose(pair, n, rng=random.Random(7))
+    monkeypatch.undo()
+    assert len(seen) == 8
+    for mats, P in seen:
+        _check_column_spaces(mats, P)
+    # the splitter of each rational splitter basis and its spectral
+    # projectors, restricted to each projector's image
+    checked = 0
+    for basis in _splitter_bases():
+        if _rational_forms(basis) is None:
+            continue
+        split = _find_splitter(basis, random.Random(3))
+        if split is None:
+            continue
+        T, mult = split
+        idems = _spectral_idempotents(T, mult)
+        for P in idems:
+            _check_column_spaces([T] + idems, P)
+        checked += 1
+    assert checked == 15
+
+
+def test_algebra_dims_matches_the_fraction_route():
+    inputs = [[M for _, M in pair.generator_images(n)]
+              for pair, n in _criterion_6_pairs()]
+    inputs += _aglue_summands3()
+    inputs += [b for b in _splitter_bases() if _rational_forms(b)]
+    for k, mats in enumerate(inputs):
+        got = algebra_dims(mats, rng=random.Random(k))
+        assert got == _algebra_dims_fraction(mats, random.Random(k))
+    assert len(inputs) == 25
+
+
+def test_decompose_and_algebra_dims_build_no_fraction_matrix(monkeypatch):
+    import mdreps.structure as structure
+    agp = analysis_pair("a-glue", p=2, q=5)
+    summands = _aglue_summands3()
+    calls, columns = [], []
+    from_rows, column_space = (ExactMatrix.from_rows.__func__,
+                               structure._matrix_column_space)
+
+    def counted(cls, *args, **kw):
+        calls.append(args)
+        return from_rows(cls, *args, **kw)
+
+    def recorded(P):
+        cols = column_space(P)
+        columns.extend(cols)
+        return cols
+    monkeypatch.setattr(ExactMatrix, "from_rows", classmethod(counted))
+    monkeypatch.setattr(structure, "_matrix_column_space", recorded)
+    rep = decompose(agp, 4, rng=random.Random(5))
+    dims = [algebra_dims(gens) for gens in summands]
+    assert rep.dims() == [8, 8]
+    assert [(d["dim"], d["radical"]) for d in dims] == [(9, 3), (9, 3)]
+    assert calls == []
+    assert len(columns) == 16
+    assert all(type(x) is int for col in columns for x in col)
 
 
 def _closure_status(mats):
