@@ -126,6 +126,8 @@ def cmd_catalog(args):
         _emit(fams, args.out)
         return EXIT_OK
     if args.action == "make":
+        if args.family is None:
+            raise UsageError("catalog make needs a family (see catalog list)")
         kw = _parse_params(args.params or "")
         if args.family in ("trivial", "f-glue", "a-glue", "fa-slash",
                            "anti-slash"):
@@ -246,6 +248,8 @@ def cmd_irreps(args):
 
 
 def cmd_ccwg(args):
+    if args.action in ("check", "project") and args.matrix is None:
+        raise UsageError("ccwg %s needs a matrix path" % args.action)
     if args.action == "check":
         M = _load_matrix(args.matrix)
         ok = ccwg.is_ccwg(M)

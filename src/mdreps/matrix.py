@@ -875,6 +875,11 @@ class RFEchelon:
     ``bound`` whose entry is certified nonzero: a nonzero constant, or a
     numerator covered by ``constraints``.  If no entry there is certified,
     BranchAmbiguity names the numerator of the least one.
+
+    When every stored row pivots on its least column, the rows are the
+    reduced row echelon form of the rows inserted, whatever their order.
+    A new row is back-eliminated from the stored rows that hold its pivot
+    column only.
     """
 
     __slots__ = ("constraints", "bound", "rows")
@@ -904,7 +909,8 @@ class RFEchelon:
         row = {c: v / pv for c, v in row.items()}
         row[piv] = RF_ONE
         for prow in rows.values():
-            _rf_eliminate(prow, row, piv)
+            if piv in prow:
+                _rf_eliminate(prow, row, piv)
         rows[piv] = row
         return None
 
@@ -1089,11 +1095,15 @@ def _order_by_powers(A, bound):
 def commutant_basis(mats, constraints=None):
     """Exact basis of {T : T M = M T for all M in mats}, as matrices of the
     same shape: the basis the nullspace of the d^2-unknown commutation
-    system gives (one matrix per free column, in column order).  Symbolic
-    and cyclotomic matrices solve that system through ``RFEchelon``.
-    Rational constants M = A / D commute with T iff A does, and their
-    commutant is found by spinning (``_spin_commutant``) on the integer
-    rows A, in the constant form."""
+    system gives (one matrix per free column, in column order).
+
+    Symbolic and cyclotomic matrices solve that system through
+    ``RFEchelon`` (``_d2_echelon``): its rows go in shortest first, and the
+    result is kept when that pass is the reduced row echelon form, which is
+    unique; otherwise the rows go in again in generator order.  Rational
+    constants M = A / D commute with T iff A does, and their commutant is
+    found by spinning (``_spin_commutant``) on the integer rows A, in the
+    constant form."""
     if not mats:
         raise ValueError("commutant of an empty list of matrices")
     d = mats[0].nrows
@@ -1105,38 +1115,62 @@ def commutant_basis(mats, constraints=None):
     try:
         gens = [_int_form(M)[0] for M in mats]
     except ValueError:  # a symbolic or cyclotomic entry
-        ech = RFEchelon(constraints)
-        for M in mats:
-            for r in _commutation_rows(_rf_rows(M), RF_ZERO):
-                ech.insert(r)
+        rows = [r for M in mats
+                for r in _commutation_rows(_rf_rows(M), RF_ZERO)]
+        ech = _d2_echelon(rows, constraints)
         return [ExactMatrix(N, lvl, lvl, [vec[i * d:(i + 1) * d]
                                           for i in range(d)])
                 for vec in ech.nullspace(d * d)]
     return [_const(N, lvl, lvl, A, D) for A, D in _spin_commutant(gens)]
 
 
+def _d2_echelon(rows, constraints):
+    """The ``RFEchelon`` of the commutation rows, inserted shortest first
+    (a stable sort, so ties keep generator order; Markowitz 1957).  That
+    pass is kept when it raised no BranchAmbiguity and every stored row
+    pivots on its least column: it is then the reduced row echelon form,
+    which is unique, and so it is the generator-order pass's form whenever
+    that one is too.  Otherwise the rows go in again in generator order,
+    which gives that pass's form or its BranchAmbiguity."""
+    for order in (sorted(rows, key=len), rows):
+        ech = RFEchelon(constraints)
+        try:
+            for r in order:
+                ech.insert(r)
+        except BranchAmbiguity:
+            if order is rows:
+                raise
+            continue
+        if order is rows or all(p == min(r) for p, r in ech.rows.items()):
+            return ech
+
+
 def _commutation_rows(M, zero):
     """The nonzero rows of T M - M T = 0 in the entries of T (row-major),
-    for a square matrix M given by its rows; ``zero`` is its zero entry."""
+    for a square matrix M given by its rows; ``zero`` is its zero entry.
+    Row (i, j) has M[k][j] at i*d + k and -M[i][k] at k*d + j; the two
+    sums meet only at k = j, resp. k = i, where it has M[j][j] - M[i][i],
+    one difference per pair of distinct diagonal values."""
     d = len(M)
     col_support = [[] for _ in range(d)]
-    row_support = [[] for _ in range(d)]
+    row_support = [[] for _ in range(d)]  # (k, -M[i][k])
     for i, mrow in enumerate(M):
         for j, x in enumerate(mrow):
-            if x != zero:
+            if x != zero and i != j:
                 col_support[j].append(i)
-                row_support[i].append(j)
+                row_support[i].append((j, -x))
+    index = {}  # distinct diagonal value -> its position
+    which = [index.setdefault(M[i][i], len(index)) for i in range(d)]
+    diffs = [[a - b for b in index] for a in index]
     out = []
     for i in range(d):
         for j in range(d):
-            row = {}
-            for k in col_support[j]:
-                t = i * d + k
-                row[t] = row.get(t, zero) + M[k][j]
-            for k in row_support[i]:
-                t = k * d + j
-                row[t] = row.get(t, zero) - M[i][k]
-            row = {t: v for t, v in row.items() if v != zero}
+            row = {i * d + k: M[k][j] for k in col_support[j]}
+            for k, x in row_support[i]:
+                row[k * d + j] = x
+            x = diffs[which[j]][which[i]]
+            if x != zero:
+                row[i * d + j] = x
             if row:
                 out.append(row)
     return out

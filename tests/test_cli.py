@@ -166,6 +166,9 @@ def test_mdd_commands(capsys):
      "p=2,q=5"],
     ["mdd", "eval", "--word", "r1", "--case", "case2", "--n", "2", "--at",
      "p=x"],
+    ["ccwg", "check"],
+    ["ccwg", "project"],
+    ["catalog", "make"],
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert main(argv) == EXIT_USAGE
@@ -193,6 +196,17 @@ def test_level_cap_exits_2_before_any_matrix_is_built(monkeypatch, capsys,
     assert captured.out == ""
     assert captured.err == ("error: --n %d: the 2^%d x 2^%d level-n matrices "
                             "have more than 2^20 entries\n" % (n, n, n))
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["ccwg", "check"], "error: ccwg check needs a matrix path\n"),
+    (["ccwg", "project"], "error: ccwg project needs a matrix path\n"),
+    (["catalog", "make"],
+     "error: catalog make needs a family (see catalog list)\n"),
+])
+def test_a_missing_positional_is_named(capsys, argv, err):
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == err
 
 
 def test_params_name_the_case_does_not_read(capsys):

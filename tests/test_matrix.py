@@ -612,11 +612,56 @@ def _inverse_gauss_jordan(M, constraints=None):
                        [row[n:] for row in a])
 
 
+def _commutation_rows_summed(M, zero):
+    """The loop ``_commutation_rows`` replaced: each row summed entry by
+    entry, with no use of where the two sums meet."""
+    d = len(M)
+    col_support = [[] for _ in range(d)]
+    row_support = [[] for _ in range(d)]
+    for i, mrow in enumerate(M):
+        for j, x in enumerate(mrow):
+            if x != zero:
+                col_support[j].append(i)
+                row_support[i].append(j)
+    out = []
+    for i in range(d):
+        for j in range(d):
+            row = {}
+            for k in col_support[j]:
+                t = i * d + k
+                row[t] = row.get(t, zero) + M[k][j]
+            for k in row_support[i]:
+                t = k * d + j
+                row[t] = row.get(t, zero) - M[i][k]
+            row = {t: v for t, v in row.items() if v != zero}
+            if row:
+                out.append(row)
+    return out
+
+
 def _commutant_oracle(mats, constraints=None):
+    """The commutant as it was solved before the rows were sorted: the
+    commutation rows in generator order through the row-by-row loop."""
     d = mats[0].nrows
-    rows = [r for M in mats for r in _commutation_rows(M.rows, RF_ZERO)]
+    rows = [r for M in mats for r in _commutation_rows_summed(M.rows, RF_ZERO)]
     basis = _nullspace_rf(rows, d * d, constraints)
     return [[vec[i * d:(i + 1) * d] for i in range(d)] for vec in basis]
+
+
+def test_commutation_rows_match_the_summed_loop(rng):
+    pool = [0, 0, 0, 1, -1, 2, 7]
+    rf_pool = [RF_ZERO, RF_ZERO, rf(1), rf(-1), p, q, p - q, 1 / p,
+               rf(zeta(3))]
+    for _ in range(60):
+        d = rng.choice((1, 2, 3, 4, 8))
+        M = [[rng.choice(pool) for _ in range(d)] for _ in range(d)]
+        if rng.random() < 0.3:  # a scalar diagonal
+            for i in range(d):
+                M[i][i] = M[0][0]
+        assert _commutation_rows(M, 0) == _commutation_rows_summed(M, 0)
+        R = [[rng.choice(rf_pool) for _ in range(d)] for _ in range(d)]
+        assert (_commutation_rows(R, RF_ZERO)
+                == _commutation_rows_summed(R, RF_ZERO))
 
 
 def test_constant_commutant_matches_symbolic_path(rng):
@@ -687,22 +732,94 @@ def test_rf_echelon_nullspace_matches_the_loop_it_replaced(rng):
     assert seen == {list, tuple}
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_symbolic_commutants_match_the_loop_they_replaced(n):
+def _workload_commutants():
+    """The symbolic f-glue, a-glue and antislash pairs of the
+    decompose-point workload, with their constraints."""
     from mdreps.catalog import analysis_pair, make_md_pair
     t = Poly.var("t")
     one = Poly.const(1)
-    cases = [(analysis_pair("f-glue"), NonVanishing(["p", "q", Q - P, P + Q])),
-             (analysis_pair("a-glue"), NonVanishing(["p", "q", Q - P])),
-             (make_md_pair("case6a", eps=-1, t="t", check=False),
-              NonVanishing(["t", t - one, t + one]))]
+    return [(analysis_pair("f-glue"), NonVanishing(["p", "q", Q - P, P + Q])),
+            (analysis_pair("a-glue"), NonVanishing(["p", "q", Q - P])),
+            (make_md_pair("case6a", eps=-1, t="t", check=False),
+             NonVanishing(["t", t - one, t + one]))]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_symbolic_commutants_match_the_loop_they_replaced(n):
+    from mdreps.catalog import Transform, apply_transform, make_md_pair
+    cases = _workload_commutants()
+    if n == 3:
+        # a cyclotomic pair: the shortest-first pass raises, the generator
+        # order answers
+        A = m([[zeta(3), 0], [1, 1]])
+        one = Poly.const(1)
+        cases.append((apply_transform(Transform("local_conj", A),
+                                      make_md_pair("case2", check=False)),
+                      NonVanishing(["p", "q", P - Q, P + Q, P - one,
+                                    P - one - one])))
     dims = []
     for pair, nv in cases:
         mats = [M for _, M in pair.generator_images(n)]
         got = [T.rows for T in commutant_basis(mats, nv)]
         assert got == _commutant_oracle(mats, nv)
         dims.append(len(got))
-    assert dims == {3: [6, 4, 6], 4: [7, 4, 7]}[n]
+    assert dims == {3: [6, 4, 6, 4], 4: [7, 4, 7]}[n]
+
+
+def test_symbolic_commutants_match_the_generator_order(rng):
+    """Seeded symbolic and Q(zeta_3) sets of 1-3 matrices of size 1, 2 or
+    4, under each constraint set, against the generator-order oracle: the
+    same basis wherever the oracle answers, the same BranchAmbiguity
+    wherever the shortest-first path raises; where only that path answers,
+    its basis commutes with every input."""
+    pool = [1, -1, 2, Fraction(1, 3), p, q, p - q, p + q, p * q, 1 / p,
+            p / q, q * q - 1, zeta(3), p * zeta(3)]
+    seen = Counter()
+    for _ in range(400):
+        d = rng.choice((1, 2, 2, 4, 4))
+        mats = []
+        for _ in range(rng.randint(1, 3)):
+            zeros = [0] * rng.choice((7, 28, 56))
+            mats.append(m([[rng.choice(pool + zeros) for _ in range(d)]
+                           for _ in range(d)], N=1 if d == 1 else 2))
+        while all(M._ints is not None for M in mats):
+            M = rng.choice(mats)
+            M.rows[rng.randrange(d)][rng.randrange(d)] = rng.choice(
+                (p, rf(zeta(3)), q - p))
+        nv = rng.choice(_NV_SETS)
+        got = _outcome(commutant_basis, mats, nv)
+        want = _outcome(_commutant_oracle, mats, nv)
+        if isinstance(got, tuple):
+            assert got == want
+            seen["both raise"] += 1
+        elif isinstance(want, list):
+            assert [T.rows for T in got] == want
+            seen["both answer"] += 1
+        else:
+            assert all(T * M == M * T for T in got for M in mats)
+            seen["only the new path answers"] += 1
+    assert len(seen) == 3, seen
+
+
+def test_symbolic_commutants_take_fewer_gcds(monkeypatch):
+    # the workload commutants at n = 3: 655 poly_gcd calls against 1 289
+    # through the generator-order oracle
+    import mdreps.scalar as scalar
+    calls = Counter()
+    gcd = scalar.poly_gcd
+
+    def counted(*args):
+        calls[path] += 1
+        return gcd(*args)
+    cases = [([M for _, M in pair.generator_images(3)], nv)
+             for pair, nv in _workload_commutants()]
+    monkeypatch.setattr(scalar, "poly_gcd", counted)
+    for path, solve in (("new", lambda *a: [T.rows
+                                            for T in commutant_basis(*a)]),
+                        ("oracle", _commutant_oracle)):
+        for mats, nv in cases:
+            solve(mats, nv)
+    assert calls["new"] <= 0.7 * calls["oracle"], calls
 
 
 def test_rf_echelon_markers_never_pivot():
