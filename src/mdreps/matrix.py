@@ -871,7 +871,9 @@ class RFEchelon:
     """Incremental, fully reduced row echelon form over rational functions,
     with ``Echelon``'s interface: every elimination on symbolic or
     cyclotomic entries runs here.  Rows are sparse ``{col: RF}`` dicts, and
-    each stored row has pivot entry 1.  The pivot is the least column below
+    each stored row has pivot entry 1: a new row is divided through by its
+    pivot entry, which is set to ``RF_ONE`` instead of being divided by
+    itself.  The pivot is the least column below
     ``bound`` whose entry is certified nonzero: a nonzero constant, or a
     numerator covered by ``constraints``.  If no entry there is certified,
     BranchAmbiguity names the numerator of the least one.
@@ -906,8 +908,7 @@ class RFEchelon:
         if piv is None:
             raise BranchAmbiguity(row[cols[0]].num)
         pv = row[piv]
-        row = {c: v / pv for c, v in row.items()}
-        row[piv] = RF_ONE
+        row = {c: RF_ONE if c == piv else v / pv for c, v in row.items()}
         for prow in rows.values():
             if piv in prow:
                 _rf_eliminate(prow, row, piv)

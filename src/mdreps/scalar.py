@@ -419,10 +419,29 @@ class Poly:
         return " + ".join(bits)
 
 
+def _ratio(a, b):
+    """The constant r with b = r*a, or None: a and b have the same
+    monomials and one coefficient ratio on every term."""
+    ta, tb = a.terms, b.terms
+    if len(ta) != len(tb) or not ta:
+        return None
+    terms = iter(ta.items())
+    m, c = next(terms)
+    if m not in tb:
+        return None
+    r = _coeff(tb[m] * _inv(c))
+    return r if all(tb.get(m) == r * c for m, c in terms) else None
+
+
 def poly_divmod_exact(f, g):
-    """Exact multivariate division f = q*g; returns q or None."""
+    """Exact multivariate division f = q*g; returns q or None.  When f is a
+    constant multiple r*g the quotient is the constant r, read off by
+    ``_ratio`` without a division loop."""
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
+    r = _ratio(g, f)
+    if r is not None:
+        return Poly.const(r)
     q = {}
     rem = f
     gm, gc = g.lead()
@@ -521,13 +540,17 @@ def _prem(f, g):
 
 def poly_gcd(f, g):
     """GCD in K[x1..xk], K the base field; result defined up to a constant
-    (normalized monic in its grlex leading coefficient)."""
+    (normalized monic in its grlex leading coefficient).  The monic gcd is
+    unique, so when g is a constant multiple of f (``_ratio``) it is monic
+    f, and no pseudo-remainder sequence is run."""
     if f.is_zero():
         return _monic(g)
     if g.is_zero():
         return _monic(f)
     if f.is_constant() or g.is_constant():
         return Poly.const(1)
+    if _ratio(f, g) is not None:
+        return _monic(f)
     vf, vg = f.variables(), g.variables()
     common = sorted(vf & vg)
     if not common:
@@ -747,9 +770,15 @@ class RF:
 
 def _cancel(a, b):
     """(a/g, b/g, g) for g = gcd(a, b); a/g and b/g are monic when a and b
-    are.  No gcd is taken when either is constant."""
+    are.  No gcd is taken when either is constant, nor when b = r*a for a
+    constant r: then g is monic a, and the cofactors are the constants
+    lc(a) and r*lc(a), the coefficient of b at a's leading monomial."""
     if a.is_constant() or b.is_constant():
         return a, b, Poly.const(1)
+    if _ratio(a, b) is not None:
+        m, lc = a.lead()
+        return (Poly.const(lc), Poly.const(b.terms[m]),
+                a if lc == 1 else a.scale(_inv(lc)))
     g = poly_gcd(a, b)
     if g.is_constant():
         return a, b, g

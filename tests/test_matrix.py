@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from mdreps.matrix import (Echelon, ExactMatrix, RepPair, RFEchelon,
                            UnsupportedSpectrum, _certified, _commutation_rows,
-                           _dot, char_poly, commutant_basis, eigen_data,
-                           embed_at, kron, matrix_order, nullspace,
-                           sparse_nullspace, words)
+                           _dot, _rf_eliminate, char_poly, commutant_basis,
+                           eigen_data, embed_at, kron, matrix_order,
+                           nullspace, sparse_nullspace, words)
 from mdreps.scalar import (RF, RF_ONE, RF_ZERO, BranchAmbiguity, Cyc,
                            NonVanishing, Poly, param, rf, zeta)
 from mdreps.upoly import _clear
@@ -801,9 +801,9 @@ def test_symbolic_commutants_match_the_generator_order(rng):
     assert len(seen) == 3, seen
 
 
-def test_symbolic_commutants_take_fewer_gcds(monkeypatch):
-    # the workload commutants at n = 3: 655 poly_gcd calls against 1 289
-    # through the generator-order oracle
+def _count_gcds(monkeypatch, solvers):
+    """The poly_gcd calls each solver makes on the workload commutants at
+    n = 3."""
     import mdreps.scalar as scalar
     calls = Counter()
     gcd = scalar.poly_gcd
@@ -814,12 +814,71 @@ def test_symbolic_commutants_take_fewer_gcds(monkeypatch):
     cases = [([M for _, M in pair.generator_images(3)], nv)
              for pair, nv in _workload_commutants()]
     monkeypatch.setattr(scalar, "poly_gcd", counted)
-    for path, solve in (("new", lambda *a: [T.rows
-                                            for T in commutant_basis(*a)]),
-                        ("oracle", _commutant_oracle)):
+    for path, solve in solvers.items():
         for mats, nv in cases:
             solve(mats, nv)
+    return calls
+
+
+def test_symbolic_commutants_take_fewer_gcds(monkeypatch):
+    # 165 poly_gcd calls against 492 through the generator-order oracle
+    calls = _count_gcds(monkeypatch, {"new": commutant_basis,
+                                      "oracle": _commutant_oracle})
     assert calls["new"] <= 0.7 * calls["oracle"], calls
+
+
+def test_workload_commutants_take_no_gcd_with_a_known_answer(monkeypatch):
+    # 165 calls; 655 when every gcd of proportional polynomials ran the PRS
+    calls = _count_gcds(monkeypatch, {"new": commutant_basis})
+    assert calls["new"] <= 200, calls
+
+
+class _DividingEchelon(RFEchelon):
+    """RFEchelon with the insert that divided the pivot entry by itself:
+    every entry of a new row is divided by the pivot entry."""
+
+    __slots__ = ()
+
+    def insert(self, row):
+        row = dict(row)
+        rows = self.rows
+        for p in sorted(set(row) & set(rows)):
+            _rf_eliminate(row, rows[p], p)
+        row = {c: v for c, v in row.items() if not v.is_zero()}
+        bound = self.bound
+        cols = sorted(c for c in row if bound is None or c < bound)
+        if not cols:
+            return row
+        piv = next((c for c in cols if _certified(row[c], self.constraints)),
+                   None)
+        if piv is None:
+            raise BranchAmbiguity(row[cols[0]].num)
+        pv = row[piv]
+        row = {c: v / pv for c, v in row.items()}
+        for prow in rows.values():
+            if piv in prow:
+                _rf_eliminate(prow, row, piv)
+        rows[piv] = row
+        return None
+
+
+def test_rf_echelon_stores_the_rows_of_dividing_the_pivot_by_itself(rng):
+    pool = [rf(1), rf(-1), rf(Fraction(2, 3)), p, q, p - q, p + q, p * q,
+            1 / p, p / q, q * q - 1, (p * p - p * q) / q, rf(zeta(3)),
+            p * zeta(3)]
+    pivots = 0
+    for _ in range(120):
+        ncols = rng.randint(1, 7)
+        nv = rng.choice(_NV_SETS)
+        bound = rng.choice((None, ncols))
+        got, want = RFEchelon(nv, bound), _DividingEchelon(nv, bound)
+        for _ in range(rng.randint(1, 7)):
+            row = {j: rng.choice(pool) for j in range(ncols)
+                   if rng.random() < 0.6}
+            assert _outcome(got.insert, row) == _outcome(want.insert, row)
+            assert got.rows == want.rows
+        pivots += len(got.rows)
+    assert pivots > 200, pivots
 
 
 def test_rf_echelon_markers_never_pivot():

@@ -1,16 +1,19 @@
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 
+import prs_scalar
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdreps.scalar import (RF, RF_ZERO, Cyc, NonVanishing, Poly,
-                           RejectedPoint, _monic, _rat_rescale, as_fraction,
-                           param, poly_divmod_exact, poly_gcd, rf, rf_from_json,
-                           rf_to_json, unity_order, zeta)
+                           RejectedPoint, _cancel, _monic, _rat_rescale,
+                           _ratio, as_fraction, param, poly_divmod_exact,
+                           poly_gcd, rf, rf_from_json, rf_to_json,
+                           unity_order, zeta)
 
 p, q, t = param("p"), param("q"), param("t")
 
@@ -471,6 +474,69 @@ def test_gcd_three_parameters_over_q_zeta3():
         g = poly_gcd(F * A, F * B)
         assert g == _monic(F) and g.lead()[1] == 1
         assert poly_gcd(F * B, F * A) == g
+
+
+# ---------------------------------------------------------------------------
+# gcds and quotients with a known answer against the PRS they skip
+
+def _random_poly(rng, names, cyclotomic):
+    """A nonzero polynomial of degree <= 3 in ``names`` with int and
+    Fraction coefficients, and over Q(zeta_3) also Cyc ones."""
+    pool = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        mono = {}
+        for _ in range(rng.randint(0, 3)):
+            x = rng.choice(names)
+            mono[x] = mono.get(x, 0) + 1
+        c = rng.choice(pool)
+        if cyclotomic and rng.random() < 0.5:
+            c = Cyc(3, rng.randint(-2, 2), rng.choice((-1, 1, 2)))
+        key = tuple(sorted(mono.items()))
+        terms[key] = terms.get(key, 0) + c
+    P = Poly(terms)
+    return P if not P.is_zero() else Poly.var(names[0])
+
+
+_MULTIPLES = (2, -1, -3, Fraction(3, 4), Fraction(-1, 5), Cyc(3, 0, 1),
+              Cyc(3, 1, 2), Cyc(3, Fraction(1, 2), -1))
+
+
+def test_known_answer_paths_match_the_prs():
+    """poly_gcd, _cancel and poly_divmod_exact against their bodies from
+    before the ``_ratio`` short-circuit (tests/prs_scalar.py), in both
+    orders, on constant multiples, on same-support pairs that are not
+    proportional, and on constant operands.  The values are equal; a
+    coefficient on the rational line may be an int where the PRS left a
+    Cyc, or the reverse, which compares and hashes equal."""
+    rng = random.Random(19)
+    seen = Counter()
+    for _ in range(240):
+        names = ("p", "q", "t")[:rng.randint(1, 3)]
+        cyclotomic = rng.random() < 0.5
+        a = _random_poly(rng, names, cyclotomic)
+        kind = rng.choice(("multiple", "same support", "constant"))
+        r = rng.choice(_MULTIPLES[:5] if not cyclotomic else _MULTIPLES)
+        if kind == "multiple":
+            b = a.scale(r)
+            assert _ratio(a, b) == r and _ratio(b, a) * r == 1
+        elif kind == "same support":
+            if len(a.terms) < 2:
+                a = a + Poly.var(names[-1]) ** 4
+            m = rng.choice(list(a.terms))
+            b = a.scale(r) + Poly({m: rng.choice((1, Fraction(1, 3)))})
+            if set(b.terms) != set(a.terms):
+                b = b + Poly({m: 1})
+            assert _ratio(a, b) is None and _ratio(b, a) is None
+        else:
+            b = Poly.const(r)
+        seen[kind] += 1
+        for f, g in ((a, b), (b, a)):
+            assert poly_gcd(f, g) == prs_scalar.poly_gcd(f, g)
+            assert _cancel(f, g) == prs_scalar._cancel(f, g)
+            assert poly_divmod_exact(f, g) \
+                == prs_scalar.poly_divmod_exact(f, g)
+    assert len(seen) == 3, seen
 
 
 # ---------------------------------------------------------------------------
