@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 
-from .scalar import (_ONE, RF, RF_ONE, RF_ZERO, BranchAmbiguity,
+from .scalar import (_ONE, _UNIT, RF, RF_ONE, RF_ZERO, BranchAmbiguity,
                      InvariantError, NonVanishing, Poly, _div, _q,
                      as_fraction, rf, rf_from_json, rf_to_json, unity_order)
 from .upoly import UnsupportedSpectrum, _clear, _monic, _roots_in_tower
@@ -368,9 +368,6 @@ class ExactMatrix:
 # ---------------------------------------------------------------------------
 # the constant form
 
-_UNIT = RF_ONE.den  # the polynomial 1, shared by every boxed constant
-
-
 def _const(N, rows_level, cols_level, A, D=1):
     """The constant-form matrix A / D (D > 0), cancelled so that gcd(D,
     entries of A) = 1.  A is taken over, not copied; no constant-form rows
@@ -690,6 +687,37 @@ def embed_at(M, i, n):
     if M._ints is not None:
         return _const(N, n, n, out, M._den)
     return ExactMatrix(N, n, n, out)
+
+
+def _site_of(M):
+    """(X, i) with M = embed_at(X, i, n) for the least such site i, when
+    the square M is a single-site image at level n >= 3; None for any
+    other M, and at level 2.  X is read from the rows and columns whose
+    spectator letters are all 1; every row of M is then compared with the
+    row that X gives it, stopping at the first mismatch."""
+    N, n = M.N, M.rows_level
+    if n < 3:
+        return None
+    rows, zero = _entries(M)
+    d, N2 = N ** n, N * N
+    for i in range(1, n):
+        lo = N ** (i - 1)
+        # row and column I * lo of M carry the site letters of the level-2
+        # index I and spectator letters 1
+        X = [[rows[I * lo][J * lo] for J in range(N2)] for I in range(N2)]
+        for r in range(d):
+            I = r // lo % N2
+            u = r - I * lo
+            want = [zero] * d
+            for J, x in enumerate(X[I]):
+                want[u + J * lo] = x
+            if rows[r] != want:
+                break
+        else:
+            if M._ints is not None:
+                return _const(N, 2, 2, X, M._den), i
+            return ExactMatrix(N, 2, 2, X), i
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1099,12 +1127,15 @@ def commutant_basis(mats, constraints=None):
     system gives (one matrix per free column, in column order).
 
     Symbolic and cyclotomic matrices solve that system through
-    ``RFEchelon`` (``_d2_echelon``): its rows go in shortest first, and the
-    result is kept when that pass is the reduced row echelon form, which is
-    unique; otherwise the rows go in again in generator order.  Rational
-    constants M = A / D commute with T iff A does, and their commutant is
-    found by spinning (``_spin_commutant``) on the integer rows A, in the
-    constant form."""
+    ``RFEchelon``.  When every input is a single-site image at level
+    n >= 3, the system is built from copies of level-2 systems
+    (``_local_echelon``) and kept when it is the reduced row echelon form,
+    which is unique.  Otherwise, and for any other input, ``_d2_echelon``
+    solves the raw rows: shortest first, and in generator order when that
+    pass is not the reduced row echelon form.  Rational constants
+    M = A / D commute with T iff A does, and their commutant is found by
+    spinning (``_spin_commutant``) on the integer rows A, in the constant
+    form."""
     if not mats:
         raise ValueError("commutant of an empty list of matrices")
     d = mats[0].nrows
@@ -1116,23 +1147,26 @@ def commutant_basis(mats, constraints=None):
     try:
         gens = [_int_form(M)[0] for M in mats]
     except ValueError:  # a symbolic or cyclotomic entry
-        rows = [r for M in mats
-                for r in _commutation_rows(_rf_rows(M), RF_ZERO)]
-        ech = _d2_echelon(rows, constraints)
+        ech = _local_echelon(mats, constraints)
+        if ech is None:
+            ech = _d2_echelon(mats, constraints)
         return [ExactMatrix(N, lvl, lvl, [vec[i * d:(i + 1) * d]
                                           for i in range(d)])
                 for vec in ech.nullspace(d * d)]
     return [_const(N, lvl, lvl, A, D) for A, D in _spin_commutant(gens)]
 
 
-def _d2_echelon(rows, constraints):
-    """The ``RFEchelon`` of the commutation rows, inserted shortest first
-    (a stable sort, so ties keep generator order; Markowitz 1957).  That
-    pass is kept when it raised no BranchAmbiguity and every stored row
-    pivots on its least column: it is then the reduced row echelon form,
-    which is unique, and so it is the generator-order pass's form whenever
-    that one is too.  Otherwise the rows go in again in generator order,
-    which gives that pass's form or its BranchAmbiguity."""
+def _d2_echelon(mats, constraints):
+    """The ``RFEchelon`` of the commutation rows of ``mats``, inserted
+    shortest first (a stable sort, so ties keep generator order; Markowitz
+    1957).  That pass is kept when it raised no BranchAmbiguity and every
+    stored row pivots on its least column: it is then the reduced row
+    echelon form, which is unique, and so it is the generator-order pass's
+    form whenever that one is too.  Otherwise the rows go in again in
+    generator order, which gives that pass's form or its BranchAmbiguity.
+    It solves the level-2 systems of ``_local_echelon``, and every
+    commutant that path does not take."""
+    rows = [r for M in mats for r in _commutation_rows(_rf_rows(M), RF_ZERO)]
     for order in (sorted(rows, key=len), rows):
         ech = RFEchelon(constraints)
         try:
@@ -1144,6 +1178,57 @@ def _d2_echelon(rows, constraints):
             continue
         if order is rows or all(p == min(r) for p, r in ech.rows.items()):
             return ech
+
+
+def _local_echelon(mats, constraints):
+    """The reduced row echelon form of the commutation system of
+    single-site images (``_site_of``), from copies of level-2 systems;
+    None when an input is not such an image, or when the copies raise
+    BranchAmbiguity or give a stored row that does not pivot on its least
+    column.
+
+    Row (r, c) of T G - G T for G = embed_at(X, i, n) involves only the
+    unknowns T[x][y] whose spectator letters (those off the site i, i+1)
+    are those of r and of c, and its coefficients are those of the level-2
+    row of X at the site letters.  So a site's rows are copies of the
+    level-2 system of its X's, one per pair of spectator parts (u, v) of
+    the row and column indices, under the relabelling of the level-2
+    unknown (I, J) to (u + I*lo, v + J*lo), lo = N^(i-1), which keeps the
+    order of the unknowns.  Each site's level-2 system is solved once by
+    ``_d2_echelon`` (once for all sites with the same X's), and the copies
+    of its stored rows go into one level-n ``RFEchelon``.  Its stored rows
+    span the raw rows' space over Q(params), so when every one pivots on
+    its least column they are the reduced row echelon form of the raw
+    system, which is unique: the form ``_d2_echelon`` gives whenever its
+    shortest-first pass is kept."""
+    sites = {}  # site -> its X's, in input order
+    for M in mats:
+        site = _site_of(M)
+        if site is None:
+            return None
+        sites.setdefault(site[1], []).append(site[0])
+    N, n = mats[0].N, mats[0].rows_level
+    d, N2 = N ** n, N * N
+    ech = RFEchelon(constraints)
+    solved = []  # (X's, their level-2 RFEchelon)
+    try:
+        for i, xs in sites.items():
+            small = next((e for ys, e in solved if ys == xs), None)
+            if small is None:
+                small = _d2_echelon(xs, constraints)
+                solved.append((xs, small))
+            lo = N ** (i - 1)
+            spectators = [u for u in range(d) if u // lo % N2 == 0]
+            for u in spectators:
+                for v in spectators:
+                    for row in small.rows.values():
+                        ech.insert({(u + c // N2 * lo) * d + v + c % N2 * lo: x
+                                    for c, x in row.items()})
+    except BranchAmbiguity:
+        return None
+    if all(p == min(r) for p, r in ech.rows.items()):
+        return ech
+    return None
 
 
 def _commutation_rows(M, zero):

@@ -419,6 +419,11 @@ class Poly:
         return " + ".join(bits)
 
 
+# The polynomial 1, shared by every constant gcd and denominator 1 that the
+# scalar layer makes: a Poly's terms are written only by its constructor.
+_UNIT = Poly({_ONE: 1}, False)
+
+
 def _ratio(a, b):
     """The constant r with b = r*a, or None: a and b have the same
     monomials and one coefficient ratio on every term."""
@@ -548,13 +553,13 @@ def poly_gcd(f, g):
     if g.is_zero():
         return _monic(f)
     if f.is_constant() or g.is_constant():
-        return Poly.const(1)
+        return _UNIT
     if _ratio(f, g) is not None:
         return _monic(f)
     vf, vg = f.variables(), g.variables()
     common = sorted(vf & vg)
     if not common:
-        return Poly.const(1)
+        return _UNIT
     x = common[0]
     if vf == {x} and vg == {x}:
         return _univar_monic_gcd(f, g, x)
@@ -675,7 +680,7 @@ class RF:
 
     def __init__(self, num, den=None, _canonical=False):
         if den is None:
-            den = Poly.const(1)
+            den = _UNIT
         if _canonical:
             self.num, self.den = num, den
             return
@@ -763,7 +768,7 @@ class RF:
         return self.num.evaluate(assignment) * _inv(d)
 
     def __repr__(self):
-        if self.den == Poly.const(1):
+        if self.den == _UNIT:
             return repr(self.num)
         return "(%s)/(%s)" % (self.num, self.den)
 
@@ -774,7 +779,7 @@ def _cancel(a, b):
     constant r: then g is monic a, and the cofactors are the constants
     lc(a) and r*lc(a), the coefficient of b at a's leading monomial."""
     if a.is_constant() or b.is_constant():
-        return a, b, Poly.const(1)
+        return a, b, _UNIT
     if _ratio(a, b) is not None:
         m, lc = a.lead()
         return (Poly.const(lc), Poly.const(b.terms[m]),
@@ -827,7 +832,7 @@ def _henrici_mul(n1, d1, n2, d2):
 
 def _reduce(num, den):
     if num.is_zero():
-        return num, Poly.const(1)
+        return num, _UNIT
     if not den.is_constant():
         g = poly_gcd(num, den)
         if not g.is_constant():
@@ -854,7 +859,6 @@ def rf(x):
 
 RF_ZERO = rf(0)
 RF_ONE = rf(1)
-_UNIT_TERMS = {_ONE: 1}  # the terms of the polynomial 1
 
 
 def param(name):
@@ -1001,7 +1005,7 @@ def rf_from_json(obj):
 
 def as_fraction(f):
     """Constant RF as a Fraction (raises on symbolic or cyclotomic input)."""
-    if f.den.terms == _UNIT_TERMS:
+    if f.den.terms == _UNIT.terms:
         num = f.num.terms
         if not num:
             return Fraction(0)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from mdreps.matrix import (Echelon, ExactMatrix, RepPair, RFEchelon,
                            UnsupportedSpectrum, _certified, _commutation_rows,
-                           _dot, _rf_eliminate, char_poly, commutant_basis,
+                           _d2_echelon, _dot, _local_echelon, _rf_eliminate,
+                           _site_of, char_poly, commutant_basis,
                            eigen_data, embed_at, kron, matrix_order,
                            nullspace, sparse_nullspace, words)
 from mdreps.scalar import (RF, RF_ONE, RF_ZERO, BranchAmbiguity, Cyc,
@@ -801,9 +802,9 @@ def test_symbolic_commutants_match_the_generator_order(rng):
     assert len(seen) == 3, seen
 
 
-def _count_gcds(monkeypatch, solvers):
+def _count_gcds(monkeypatch, solvers, n=3):
     """The poly_gcd calls each solver makes on the workload commutants at
-    n = 3."""
+    level n, and the dimensions of the last solver's commutants."""
     import mdreps.scalar as scalar
     calls = Counter()
     gcd = scalar.poly_gcd
@@ -811,26 +812,186 @@ def _count_gcds(monkeypatch, solvers):
     def counted(*args):
         calls[path] += 1
         return gcd(*args)
-    cases = [([M for _, M in pair.generator_images(3)], nv)
+    cases = [([M for _, M in pair.generator_images(n)], nv)
              for pair, nv in _workload_commutants()]
     monkeypatch.setattr(scalar, "poly_gcd", counted)
     for path, solve in solvers.items():
-        for mats, nv in cases:
-            solve(mats, nv)
-    return calls
+        dims = [len(solve(mats, nv)) for mats, nv in cases]
+    return calls, dims
 
 
 def test_symbolic_commutants_take_fewer_gcds(monkeypatch):
-    # 165 poly_gcd calls against 492 through the generator-order oracle
-    calls = _count_gcds(monkeypatch, {"new": commutant_basis,
-                                      "oracle": _commutant_oracle})
+    # 25 poly_gcd calls against 492 through the generator-order oracle
+    calls, _ = _count_gcds(monkeypatch, {"new": commutant_basis,
+                                         "oracle": _commutant_oracle})
     assert calls["new"] <= 0.7 * calls["oracle"], calls
 
 
 def test_workload_commutants_take_no_gcd_with_a_known_answer(monkeypatch):
-    # 165 calls; 655 when every gcd of proportional polynomials ran the PRS
-    calls = _count_gcds(monkeypatch, {"new": commutant_basis})
+    # 25 calls; 655 when every gcd of proportional polynomials ran the PRS
+    calls, _ = _count_gcds(monkeypatch, {"new": commutant_basis})
     assert calls["new"] <= 200, calls
+
+
+@pytest.mark.parametrize("n, dims, most", [(3, [6, 4, 6], 60),
+                                           (4, [7, 4, 7], 100),
+                                           (5, [8, 4, 8], 120)])
+def test_workload_commutants_from_level_2_copies_take_few_gcds(monkeypatch, n,
+                                                               dims, most):
+    # 25 calls at each level: the level-2 systems of {R, S} are reduced
+    # once; solving the raw d^2 rows took 165, 938 and 4 857 calls
+    calls, got = _count_gcds(monkeypatch, {"new": commutant_basis}, n)
+    assert got == dims
+    assert calls["new"] <= most, calls
+
+
+def _random_site_image(rng, pool, n):
+    return embed_at(m([[rng.choice(pool) for _ in range(4)]
+                       for _ in range(4)]), rng.randint(1, n - 1), n)
+
+
+def test_site_of_recognises_single_site_images(rng):
+    pool = [0, 0, 1, -1, 2, Fraction(1, 3), p, q, p - q, 1 / p, zeta(3)]
+    X4 = [m([[rng.choice(pool) for _ in range(4)] for _ in range(4)])
+          for _ in range(6)]
+    X4.append(m([[1, 2, 0, 0], [0, 3, 0, 0], [0, 0, 1, 0], [5, 0, 0, 3]]))
+    # the identity, and a (x) I (a on the site's first letter, so also
+    # I (x) a at the site before), are images at more than one site; they
+    # are read at the least one
+    I4, a = ExactMatrix.identity(2, 2), m([[1, 2], [0, 3]])
+    shared = [(I4, lambda i: 1), (kron(a, I2), lambda i: max(i - 1, 1))]
+    for n in (2, 3, 4):
+        for i in range(1, n):
+            for X in X4:
+                got = _site_of(embed_at(X, i, n))
+                assert got == (None if n == 2 else (X, i)), (n, i)
+                if got is not None:
+                    assert (got[0]._ints is None) == (X._ints is None)
+            for X, site in shared:
+                M = embed_at(X, i, n)
+                got = _site_of(M)
+                assert got is None if n == 2 else got[1] == site(i)
+                assert got is None or embed_at(*got, n) == M
+    # R = S: both generator images at each site read as R
+    pair = RepPair(X4[0], X4[0].copy())
+    for n in (3, 4):
+        assert [_site_of(M) for _, M in pair.generator_images(n)] == [
+            (X4[0], i) for i in range(1, n) for _ in "rs"]
+
+
+def test_site_of_refuses_other_matrices(rng):
+    pool = [0, 0, 1, -1, 2, p, q, p - q, zeta(3)]
+    R, S = (m([[rng.choice(pool) for _ in range(4)] for _ in range(4)])
+            for _ in range(2))
+    perm = list(range(8))
+    rng.shuffle(perm)
+    P = m([[int(perm[i] == j) for j in range(8)] for i in range(8)])
+    r1 = embed_at(R, 1, 3)
+    others = [r1 * embed_at(S, 2, 3),
+              P * r1 * P.transpose(),
+              m([[rng.choice(pool) for _ in range(8)] for _ in range(8)]),
+              R, S]
+    nv = NonVanishing(["p", "q"])
+    for M in others:
+        assert _site_of(M) is None
+        # one such input sends the whole set to the raw rows
+        assert _local_echelon([r1, M] if M.nrows == 8 else [M], nv) is None
+
+
+def _raw_commutant(mats, constraints=None):
+    """The commutant from ``_d2_echelon`` on the raw commutation rows of
+    the inputs, as it was solved before the level-2 copies."""
+    d = mats[0].nrows
+    basis = _d2_echelon(mats, constraints).nullspace(d * d)
+    return [[vec[i * d:(i + 1) * d] for i in range(d)] for vec in basis]
+
+
+def test_copies_that_pivot_past_an_uncertified_column_go_to_the_raw_rows():
+    # the level-2 rows of X keep p + q, which p alone does not certify, at
+    # their least column, so the copies pivot past it: their pass is not
+    # the reduced row echelon form, and the raw rows decide the basis
+    X = m([[0, 0, 0, -1], [0, 0, -1, q], [1, 0, q, 0], [0, p + q, 0, 0]])
+    mats = [embed_at(X, 2, 3)]
+    nv = NonVanishing(["p"])
+    assert _local_echelon(mats, nv) is None
+    assert [T.rows for T in commutant_basis(mats, nv)] == \
+        _raw_commutant(mats, nv)
+
+
+def _local_conj_cases():
+    """Every symbolic catalog pair, untransformed and under local_conj by
+    four 2x2 matrices, one of them over Q(zeta_3)."""
+    from mdreps.catalog import (ALL_CASES, Transform, apply_transform,
+                                make_md_pair)
+    conj = [None, m([[zeta(3), 0], [1, 1]]), m([[2, 0], [1, 1]]),
+            m([[1, 1], [0, 1]]), m([[1, 2], [-1, 1]])]
+    for case, kw in ALL_CASES:
+        pair = make_md_pair(case, check=False, **kw)
+        if pair.R._ints is not None and pair.S._ints is not None:
+            continue
+        for A in conj:
+            yield (case, A), (pair if A is None else apply_transform(
+                Transform("local_conj", A), pair))
+
+
+def test_local_commutants_match_the_raw_rows(rng):
+    """Sets of single-site images against ``_d2_echelon`` on their raw
+    rows: the generator images of seeded symbolic and Q(zeta_3) 4x4 pairs
+    at n = 3 and 4, seeded sets of 1-3 such matrices at random sites, and
+    the generator images at n = 3 of the catalog pairs of
+    ``_local_conj_cases`` (case3-wangian untransformed only: each of its
+    conjugates takes seconds on either path).  The same basis wherever
+    both answer, the same BranchAmbiguity wherever the new path raises;
+    where only the new path answers, its basis commutes with every
+    input."""
+    pool = [1, -1, 2, Fraction(1, 3), p, q, p - q, p + q, p * q, 1 / p,
+            p / q, q * q - 1, zeta(3), p * zeta(3)]
+
+    def draw():
+        return pool + [0] * rng.choice((7, 28, 56))
+    inputs = []
+    for k in range(44):
+        R, S = (m([[rng.choice(pool_z) for _ in range(4)] for _ in range(4)])
+                for pool_z in (draw(), draw()))
+        n = 4 if k >= 40 else 3
+        inputs.append(([M for _, M in RepPair(R, S).generator_images(n)],
+                       rng.choice(_NV_SETS)))
+    for k in range(20):
+        # mostly rational pairs with one symbolic or cyclotomic entry
+        R, S = (m([[rng.choice(pool[:4] + [0] * 6) for _ in range(4)]
+                   for _ in range(4)]) for _ in range(2))
+        R.rows[rng.randrange(4)][rng.randrange(4)] = rng.choice(
+            (p, rf(zeta(3)), q - p))
+        inputs.append(([M for _, M in RepPair(R, S).generator_images(3)],
+                       rng.choice(_NV_SETS)))
+    for k in range(20):
+        n = 4 if k % 5 == 0 else 3
+        inputs.append(([_random_site_image(rng, draw(), n)
+                        for _ in range(rng.randint(1, 3))],
+                       rng.choice(_NV_SETS)))
+    for (case, A), pair in _local_conj_cases():
+        if case == "case3-wangian" and A is not None:
+            continue
+        mats = [M for _, M in pair.generator_images(3)]
+        inputs.append((mats, rng.choice(_NV_SETS)))
+        if case == "case2" and A is not None:
+            # under the widest set the raw rows raise on a (p - 1)(p - 2)
+            # multiple for two of these conjugates
+            inputs.append((mats, _NV_SETS[-1]))
+    seen = Counter()
+    for mats, nv in inputs:
+        got = _outcome(commutant_basis, mats, nv)
+        want = _outcome(_raw_commutant, mats, nv)
+        if isinstance(got, tuple):
+            assert got == want
+            seen["both raise"] += 1
+        elif isinstance(want, list):
+            assert [T.rows for T in got] == want
+            seen["both answer"] += 1
+        else:
+            assert all(T * M == M * T for T in got for M in mats)
+            seen["only the new path answers"] += 1
+    assert len(seen) == 3, seen
 
 
 class _DividingEchelon(RFEchelon):
