@@ -12,6 +12,10 @@ from .scalar import InvariantError
 
 CC, GLUE, FORBIDDEN = "cc", "glue", "forbidden"
 
+# The most words of length n + m that ``split_lemma_check`` enumerates (it
+# compares all their pairs).
+_SPLIT_WORDS_BOUND = 10 ** 5
+
 
 def f(word):
     """Letter-count vector of a word; length inferred as max letter unless the
@@ -238,7 +242,7 @@ def _prefix_suffix(w, n):
     return w[:n], w[n:]
 
 
-def split_lemma_check(N, n, m, bound=10 ** 5):
+def split_lemma_check(N, n, m):
     """Exhaustively verify the prefix/suffix comparison clauses over all word
     pairs of length n+m:
 
@@ -247,7 +251,7 @@ def split_lemma_check(N, n, m, bound=10 ** 5):
           opposite directions;
     (III) f(v) > f(w)  ->  a strict > holds on the prefixes or the suffixes.
     """
-    if N ** (n + m) > bound:
+    if N ** (n + m) > _SPLIT_WORDS_BOUND:
         raise ValueError("bound exceeded: N^(n+m) = %d" % N ** (n + m))
     ws = words(N, n + m)
     checked = 0

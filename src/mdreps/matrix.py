@@ -32,6 +32,10 @@ from .upoly import UnsupportedSpectrum, _clear, _monic, _roots_in_tower
 # command-line level asks for.
 MAX_ENTRIES = 2 ** 20
 
+# The largest multiplicative order that ``matrix_order`` and
+# ``structure.x_trichotomy`` report; a larger one reads as infinite (None).
+_ORDER_BOUND = 1000
+
 
 # ---------------------------------------------------------------------------
 # words
@@ -1097,15 +1101,15 @@ def eigen_data(A, assignment=None, constraints=None):
     return EigenData(eigs, diag, n)
 
 
-def matrix_order(A, bound=1000):
-    """Multiplicative order of a constant matrix, or None if > bound /
-    infinite: from its spectrum, or by powers when the spectrum is outside
-    the scalar tower."""
+def matrix_order(A):
+    """Multiplicative order of a constant matrix, or None if >
+    ``_ORDER_BOUND`` / infinite: from its spectrum, or by powers when the
+    spectrum is outside the scalar tower."""
     try:
         ed = eigen_data(A)
     except UnsupportedSpectrum:
-        return _order_by_powers(A, bound)
-    return ed.order(bound)
+        return _order_by_powers(A, _ORDER_BOUND)
+    return ed.order(_ORDER_BOUND)
 
 
 def _order_by_powers(A, bound):

@@ -201,13 +201,18 @@ def zeta(m):
     return Cyc(m, 0, 1)
 
 
-def unity_order(v, bound=12):
+# The largest order ``unity_order`` tries; the roots of unity of the tower
+# have orders 1, 2, 3, 4 and 6.
+_UNITY_BOUND = 12
+
+
+def unity_order(v):
     """Multiplicative order of a base-field element if it is a root of unity
-    with order <= bound, else None."""
+    with order <= ``_UNITY_BOUND``, else None."""
     if v == 0:
         return None
     acc = v
-    for k in range(1, bound + 1):
+    for k in range(1, _UNITY_BOUND + 1):
         if acc == 1:
             return k
         acc = acc * v
@@ -547,7 +552,9 @@ def poly_gcd(f, g):
     """GCD in K[x1..xk], K the base field; result defined up to a constant
     (normalized monic in its grlex leading coefficient).  The monic gcd is
     unique, so when g is a constant multiple of f (``_ratio``) it is monic
-    f, and no pseudo-remainder sequence is run."""
+    f, and no pseudo-remainder sequence is run.  Operands in one variable
+    take ``upoly._pgcd`` on their dense coefficient lists; the rest run a
+    primitive pseudo-remainder sequence on the least common variable."""
     if f.is_zero():
         return _monic(g)
     if g.is_zero():
@@ -562,7 +569,11 @@ def poly_gcd(f, g):
         return _UNIT
     x = common[0]
     if vf == {x} and vg == {x}:
-        return _univar_monic_gcd(f, g, x)
+        from .upoly import _pgcd  # not at the top: upoly imports scalar
+        n = max(f.degree(), g.degree())
+        mono = [_ONE] + [((x, e),) for e in range(1, n + 1)]
+        a, b = ([p.terms.get(m, 0) for m in mono] for p in (f, g))
+        return _monic(Poly(dict(zip(mono, _pgcd(a, b)))))
     fc = _poly_univar_coeffs(f, x)
     gc = _poly_univar_coeffs(g, x)
     fp, contf = _prim(fc)
@@ -587,47 +598,6 @@ def poly_gcd(f, g):
         a, b = b, r
     g, _ = _prim(g)
     return _monic(cont * _poly_from_univar(g, x))
-
-
-def _univar_monic_gcd(f, g, x):
-    """Ordinary monic Euclid for univariate polynomials over the base field
-    (no pseudo-division growth)."""
-    def coeffs(p):
-        n = p.degree()
-        out = [0] * (n + 1)
-        for m, c in p.terms.items():
-            out[dict(m).get(x, 0)] = c
-        return out
-
-    def deg(a):
-        d = len(a) - 1
-        while d >= 0 and a[d] == 0:
-            d -= 1
-        return d
-
-    a, b = coeffs(f), coeffs(g)
-    if deg(a) < deg(b):
-        a, b = b, a
-    while True:
-        db = deg(b)
-        if db < 0:
-            break
-        inv = _inv(b[db])
-        b = [_coeff(v * inv) for v in b]
-        da = deg(a)
-        while da >= db:
-            lead = a[da]
-            if lead != 0:
-                for i in range(db + 1):
-                    a[da - db + i] = _coeff(a[da - db + i] - lead * b[i])
-            da -= 1
-        a, b = b, a
-    da = deg(a)
-    terms = {}
-    for e in range(da + 1):
-        if a[e] != 0:
-            terms[((x, e),) if e else _ONE] = a[e]
-    return _monic(Poly(terms))
 
 
 def _monic(p):
@@ -1004,7 +974,8 @@ def rf_from_json(obj):
 
 
 def as_fraction(f):
-    """Constant RF as a Fraction (raises on symbolic or cyclotomic input)."""
+    """Constant RF as a Fraction (raises on symbolic or cyclotomic input;
+    a ``Cyc`` with zeta part 0 is rational)."""
     if f.den.terms == _UNIT.terms:
         num = f.num.terms
         if not num:
@@ -1017,7 +988,9 @@ def as_fraction(f):
                 return Fraction(c)
     if not f.is_constant():
         raise ValueError("not a constant: %s" % (f,))
-    n, d = f.num.const_value(), f.den.const_value()
-    if isinstance(n, Cyc) or isinstance(d, Cyc):
-        raise ValueError("cyclotomic constant, not rational: %s" % (f,))
-    return Fraction(n, 1) / Fraction(d, 1)
+    v = f.const_value()
+    if type(v) is Cyc:
+        if v.b != 0:
+            raise ValueError("cyclotomic constant, not rational: %s" % (f,))
+        v = v.a
+    return Fraction(v)

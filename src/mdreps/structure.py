@@ -36,15 +36,25 @@ from math import lcm, prod
 from .ccwg import is_ccwg, project_K
 from .clifford import (centralizer_order, mn_character, partition_dim,
                        partitions)
-from .matrix import (Echelon, ExactMatrix, RepPair, UnsupportedSpectrum,
-                     _char_poly, _columns, _combine, _entries, _imul,
-                     _int_form, _scaled_product, _sparse_apply, char_poly,
-                     commutant_basis, eigen_data, embed_at, kron, nullspace)
+from .matrix import (_ORDER_BOUND, Echelon, ExactMatrix, RepPair,
+                     UnsupportedSpectrum, _char_poly, _columns, _combine,
+                     _entries, _imul, _int_form, _scaled_product,
+                     _sparse_apply, char_poly, commutant_basis, eigen_data,
+                     embed_at, kron, nullspace)
 from .presentations import SYM, verify
 from .scalar import InvariantError, as_fraction
 from .upoly import (_clear, _monic, _pexquo, _plcm, _pmul, _ppow,
                     _primitive, _pxgcd, _roots_in_tower, _sqrt,
                     _squarefree_part)
+
+# Seeded random combinations of a commutant basis that ``_find_splitter``
+# tries after the basis itself.
+_SPLIT_TRIES = 25
+# Seeded random central elements that ``algebra_dims`` tries for the simple
+# block dimensions.
+_CENTER_TRIES = 40
+# The largest algebra dimension ``generated_algebra`` closes.
+_ALGEBRA_BOUND = 4096
 
 
 class CommutantBasis:
@@ -124,7 +134,7 @@ def _shape_certificate(basis):
                            "nilpotent, leaving only 0 and I" % (half + 1, half)}
 
 
-def find_idempotents(com, constraints=None, rng=None, tries=25):
+def find_idempotents(com, constraints=None, rng=None):
     """Nontrivial exact idempotents in the span of a commutant basis, or an
     indecomposability certificate, or an 'undecided' report.  The basis must
     span a unital algebra, as every commutant does: a rational basis whose
@@ -137,7 +147,7 @@ def find_idempotents(com, constraints=None, rng=None, tries=25):
     if shape is not None:
         return shape
     # search for a basis combination with >= 2 distinct rational eigenvalues
-    split = _find_splitter(basis, rng, tries)
+    split = _find_splitter(basis, rng)
     if split is not None:
         T, mult = split
         idems = _spectral_idempotents(T, mult)
@@ -234,11 +244,11 @@ def _regular_representation(forms):
     return L, coords(ident, 1, "the identity")[0]
 
 
-def _find_splitter(basis, rng=None, tries=25):
+def _find_splitter(basis, rng=None):
     """(T, multiplicities) for the candidate T with the most distinct
     rational eigenvalues, at least two, or None.  The candidates are the
-    basis and ``tries`` seeded combinations of it with coefficients in
-    -3..3; the first candidate with the most wins.  On a rational basis,
+    basis and ``_SPLIT_TRIES`` seeded combinations of it with coefficients
+    in -3..3; the first candidate with the most wins.  On a rational basis,
     which must span a unital algebra, each minimal polynomial is one
     annihilator in the regular representation (m x m for m basis
     elements), and only the winner is formed as a matrix.  Otherwise every
@@ -247,7 +257,8 @@ def _find_splitter(basis, rng=None, tries=25):
     m = len(basis)
     cands = [[int(i == k) for i in range(m)] for k in range(m)]
     if rng is not None:
-        cands += [[rng.randint(-3, 3) for _ in basis] for _ in range(tries)]
+        cands += [[rng.randint(-3, 3) for _ in basis]
+                  for _ in range(_SPLIT_TRIES)]
     try:
         forms = [_int_form(B) for B in basis]
     except ValueError:  # a symbolic or cyclotomic basis
@@ -524,17 +535,17 @@ def _x_spectrum(gen_mats):
     return [(str(v), a, g) for v, a, g in ed.eigenvalues]
 
 
-def x_trichotomy(pair, assignment=None, order_bound=1000):
+def x_trichotomy(pair, assignment=None):
     """('a'|'b'|'c', order): 'a' finite image of the abelian subgroup (X of
-    finite order), 'b' diagonalizable of infinite order, 'c' not
-    diagonalizable."""
+    finite order, at most ``matrix._ORDER_BOUND``), 'b' diagonalizable of
+    infinite order, 'c' not diagonalizable."""
     X = pair.R * pair.S
     if assignment:
         X = X.evaluate(assignment, pair.constraints)
     ed = eigen_data(X)
     if not ed.diagonalizable:
         return "c", None
-    order = ed.order(order_bound)
+    order = ed.order(_ORDER_BOUND)
     if order is not None:
         return "a", order
     return "b", None
@@ -599,10 +610,11 @@ def _flat(A):
     return {i * d + j: A[i][j] for i in range(d) for j in range(d) if A[i][j]}
 
 
-def generated_algebra(mats, bound=4096):
+def generated_algebra(mats):
     """Basis (as Fraction row-lists) of the unital algebra generated by the
-    given constant matrices, by span closure under products.  The closure
-    multiplies (integer matrix, denominator) pairs."""
+    given constant matrices, by span closure under products (ValueError past
+    ``_ALGEBRA_BOUND`` elements).  The closure multiplies (integer matrix,
+    denominator) pairs."""
     d = mats[0].nrows
     gens = [_int_form(M) for M in mats]
     span = Echelon()
@@ -613,7 +625,7 @@ def generated_algebra(mats, bound=4096):
         A, D = queue.popleft()
         if span.insert(_flat(A)) is None:
             basis.append([[Fraction(x, D) for x in row] for row in A])
-            if len(basis) > bound:
+            if len(basis) > _ALGEBRA_BOUND:
                 raise ValueError("algebra closure exceeds bound")
             for G, DG in gens:
                 queue.append(_scaled_product(A, D, G, DG))
@@ -621,7 +633,7 @@ def generated_algebra(mats, bound=4096):
     return basis
 
 
-def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None, tries=40):
+def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None):
     """{dim, radical, ss, center_ss, simples} for the matrix algebra generated
     by the generator images at an exact rational point.
 
@@ -696,7 +708,7 @@ def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None, tries=40):
         simples = [_sqrt(ss_dim)]
     else:
         rgen = rng if rng is not None else random.Random(12345)
-        for _ in range(tries):
+        for _ in range(_CENTER_TRIES):
             coeffs = [rgen.randint(-5, 5) for _ in range(center_dim)]
             if not any(coeffs):
                 continue

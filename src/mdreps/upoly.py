@@ -114,20 +114,18 @@ def _ppow(p, k):
 
 def _pdivmod(a, b):
     """(q, r) with a = q*b + r and deg r < deg b, by long division over
-    the field of the coefficients; b must have a nonzero leading
-    coefficient."""
-    a = list(a)
-    q = [0] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        k = len(a) - len(b)
-        c = _fdiv(a[-1], b[-1])
-        q[k] = c
-        for i, y in enumerate(b):
-            a[i + k] -= c * y
-        a.pop()
+    the field of the coefficients with one inverse of lead(b); b must have
+    a nonzero leading coefficient."""
+    a, m = list(a), len(b) - 1
+    inv = _fdiv(1, b[-1])
+    q = [0] * max(1, len(a) - m)
+    while len(a) > m:
+        c = a.pop()
+        if c != 0:
+            k = len(a) - m
+            c = q[k] = c * inv
+            for i in range(m):
+                a[i + k] -= c * b[i]
     return _ptrim(_rule(q)), _ptrim(_rule(a or [0]))
 
 
@@ -196,8 +194,10 @@ def _pgcd(a, b):
         return _zgcd(_primitive(a), _primitive(b))
     while any(b):
         a, b = b, _pdivmod(a, b)[1]
-    lc = a[-1]
-    return [_fdiv(x, lc) for x in a] if lc != 0 else a
+    if a[-1] == 0:
+        return a
+    inv = _fdiv(1, a[-1])
+    return _rule([x * inv for x in a])
 
 
 def _pxgcd(a, b):

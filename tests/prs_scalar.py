@@ -8,7 +8,7 @@ are copied so that the recursion stays inside the oracle.
 
 from mdreps.scalar import (Poly, _coeff, _inv, _mono_div, _mono_divides,
                            _monic, _poly_from_univar, _poly_univar_coeffs,
-                           _prem, _rat_rescale, _udeg, _univar_monic_gcd)
+                           _prem, _rat_rescale, _udeg)
 
 
 def poly_divmod_exact(f, g):
@@ -60,8 +60,6 @@ def poly_gcd(f, g):
     if not common:
         return Poly.const(1)
     x = common[0]
-    if vf == {x} and vg == {x}:
-        return _univar_monic_gcd(f, g, x)
     fc = _poly_univar_coeffs(f, x)
     gc = _poly_univar_coeffs(g, x)
     fp, contf = _prim(fc)

@@ -1,5 +1,8 @@
 import operator
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdreps
 from mdreps.scalar import (RF, RF_ZERO, Cyc, NonVanishing, Poly,
                            RejectedPoint, _cancel, _monic, _rat_rescale,
                            _ratio, as_fraction, param, poly_divmod_exact,
@@ -16,6 +20,7 @@ from mdreps.scalar import (RF, RF_ZERO, Cyc, NonVanishing, Poly,
                            unity_order, zeta)
 
 p, q, t = param("p"), param("q"), param("t")
+_SRC = os.path.dirname(os.path.dirname(mdreps.__file__))
 
 
 def test_inverse_pair():
@@ -202,6 +207,16 @@ def test_as_fraction():
     assert as_fraction(rf(6) / rf(4)) == Fraction(3, 2)
     with pytest.raises(ValueError):
         as_fraction(p)
+
+
+def test_as_fraction_of_a_rational_cyc():
+    # a rational value may be stored as a Cyc with zeta part 0
+    for m in (3, 4, 6):
+        for a in (0, 1, -2, Fraction(3, 5)):
+            v = as_fraction(rf(Cyc(m, a, 0)))
+            assert v == a and type(v) is Fraction
+        with pytest.raises(ValueError, match="cyclotomic"):
+            as_fraction(rf(Cyc(m, 1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +552,76 @@ def test_known_answer_paths_match_the_prs():
             assert poly_divmod_exact(f, g) \
                 == prs_scalar.poly_divmod_exact(f, g)
     assert len(seen) == 3, seen
+
+
+def _random_univar(rng, m, degree):
+    """A polynomial in x of the given degree over Q (m None) or Q(zeta_m):
+    int and Fraction coefficients, and over Q(zeta_m) Cycs, some of them
+    with zeta part 0."""
+    pool = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    terms = {}
+    for e in range(degree + 1):
+        c = rng.choice(pool + [0])
+        if m is not None and rng.random() < 0.5:
+            c = Cyc(m, rng.randint(-2, 2), rng.choice((0, -1, 1, 2)))
+        terms[((("x", e),) if e else ())] = c
+    terms[(("x", degree),)] = rng.choice(pool)
+    return Poly(terms)
+
+
+def test_univariate_gcd_matches_the_prs():
+    """poly_gcd of one-variable operands (upoly's gcd) against the primitive
+    pseudo-remainder sequence of tests/prs_scalar.py over Q, Q(zeta_3),
+    Q(zeta_4) and Q(zeta_6): a common factor, coprime pairs (A = B*C + 1),
+    constant multiples and a zero operand, in both orders.  The gcd is
+    monic."""
+    rng = random.Random(21)
+    seen = Counter()
+    for m in (None, 3, 4, 6):
+        for _ in range(40):
+            kind = rng.choice(("common factor", "coprime", "multiple",
+                               "zero"))
+            a = _random_univar(rng, m, rng.randint(1, 3))
+            if kind == "common factor":
+                F = _random_univar(rng, m, rng.randint(1, 2))
+                a, b = F * a, F * _random_univar(rng, m, rng.randint(1, 3))
+            elif kind == "coprime":
+                b = _random_univar(rng, m, rng.randint(1, 2))
+                a = b * a + Poly.const(rng.choice((1, Fraction(-1, 2))))
+            elif kind == "multiple":
+                b = a.scale(rng.choice(_MULTIPLES if m == 3
+                                       else _MULTIPLES[:5]))
+            else:
+                b = Poly()
+            seen[kind] += 1
+            for f, g in ((a, b), (b, a)):
+                got = poly_gcd(f, g)
+                assert got == prs_scalar.poly_gcd(f, g)
+                assert got.lead()[1] == 1
+                if kind == "coprime":
+                    assert got == Poly.const(1)
+                elif kind == "common factor":
+                    assert got.degree() >= F.degree()
+    assert len(seen) == 4, seen
+
+
+_IMPORT_ORDER = """
+import %s
+from mdreps.scalar import Poly, poly_gcd
+x, c = Poly.var("x"), Poly.const
+print(poly_gcd((x - c(1)) * (x + c(2)), (x - c(1)) * (x + c(3))))
+"""
+
+
+@pytest.mark.parametrize("first", ["mdreps.upoly", "mdreps.scalar"])
+def test_univariate_gcd_after_either_import_order(first):
+    # scalar calls upoly's gcd, and upoly imports scalar: a fresh
+    # interpreter that asks for either one first takes a univariate gcd
+    # (the package's __init__ loads scalar before both)
+    out = subprocess.run([sys.executable, "-c", _IMPORT_ORDER % first],
+                         capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=_SRC), check=True)
+    assert out.stdout.strip() == str(Poly.var("x") - Poly.const(1))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from math import factorial, lcm
 import pytest
 from fraction_upoly import _plcm
 
-from mdreps.catalog import ALL_CASES, analysis_pair, make_md_pair
+from mdreps.catalog import (ALL_CASES, Transform, analysis_pair,
+                            apply_transform, make_md_pair)
 from mdreps.ccwg import is_ccwg, project_K
 from mdreps.clifford import mn_character, partition_dim, partitions
 from mdreps.matrix import (Echelon, ExactMatrix, RepPair, _columns, _combine,
@@ -143,6 +144,22 @@ def test_trivial_pair_decomposes_into_lines():
     rep = decompose(pair, 2, rng=random.Random(1))
     assert rep.dims() == [1, 1, 1, 1]
     assert all(s["status"] == "irreducible" for s in rep.summands)
+
+
+@pytest.mark.parametrize("case", ["case1", "case7-flip"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cyclotomic_conjugates_decompose_like_their_pairs(case, sign):
+    # conjugation by [[zeta_3, 0], [1, 1]] leaves rational values stored as
+    # Cycs with zeta part 0 in the restricted generators, which
+    # restrict_to_subspace reads through as_fraction
+    A = ExactMatrix.from_rows([[zeta(3), 0], [1, 1]])
+    pair = make_md_pair(case, sign=sign)
+    conj = apply_transform(Transform("local_conj", A), pair)
+    want, got = decompose(pair, 3), decompose(conj, 3)
+    assert got.dims() == want.dims() and got.klass == want.klass == "a"
+    assert [s["status"] for s in got.summands] \
+        == [s["status"] for s in want.summands]
+    assert got.dims() == ([1] * 8 if case == "case1" else [1, 1, 1, 1, 2, 2])
 
 
 def test_antislash_decomposition_and_x_spectrum():
