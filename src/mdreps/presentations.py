@@ -16,15 +16,17 @@ the level-3 (or level-2) witness with its row and column words padded by
 letters 1, exactly the first nonzero entry of the dense level-n residual.
 
 The word images are products of the cleared pair R~ = c_R R, S~ = c_S S,
-whose entries are polynomials with packed exponents (``_Cleared``).  Each
-side of a relation is scaled to c_R^A c_S^B, A and B being the most letters
-r and s on either side; braid and mixed relations are homogeneous in r and
-in s, so only an involution's identity side is scaled (R~R~ against
-c_R^2 I).  The residual vanishes where the true one does, so a passing pair
-makes no RF and takes no gcd; a witness value is boxed once, as the
-canonical RF of the residual entry over c_R^A c_S^B.
+whose rows are flat dicts keyed by the column above the packed exponent,
+which no product carries into (``_Cleared``).  Each side of a relation is
+scaled to c_R^A c_S^B, A and B being the most letters r and s on either
+side; braid and mixed relations are homogeneous in r and in s, so only an
+involution's identity side is scaled (R~R~ against c_R^2 I).  The residual
+vanishes where the true one does, so a passing pair makes no RF and takes
+no gcd; a witness value is boxed once, as the canonical RF of the residual
+entry over c_R^A c_S^B.
 """
 
+from functools import reduce
 from math import lcm
 
 from .matrix import ExactMatrix, word_to_str, words
@@ -138,20 +140,22 @@ class _Cleared:
 
     c_X is an integer times the product of X's distinct entry denominators,
     so X~ has polynomial entries and no gcd is ever needed: any nonzero
-    common multiple of the denominators would do.  A matrix is a list of
-    sparse rows {column: polynomial}, and a polynomial a dict {packed
-    exponent: coefficient}.  The exponent of the i-th parameter (sorted by
-    name) fills bits i*w to (i+1)*w - 1 of the packed int, so a product of
-    monomials is the sum of their packed ints (Monagan & Pearce 2007).  The
-    field width w holds ``span`` times the largest exponent that an entry of
-    R~ or S~, or c_R or c_S, can have, so no product of at most ``span``
-    letters carries into the next field.  Coefficients are ints when they
-    are rational and stay Cyc when they are cyclotomic.  A constant-form
+    common multiple of the denominators would do.  The exponent of the
+    i-th parameter (sorted by name) fills bits i*w to (i+1)*w - 1 of a
+    packed int e, so a product of monomials is the sum of their packed ints
+    (Monagan & Pearce 2007).  The field width w holds ``span`` times the
+    largest exponent that an entry of R~ or S~, or c_R or c_S, can have, so
+    a product of at most ``span`` letters carries into no other field and
+    has e < 2^bits, bits being w times the number of parameters.  A matrix
+    is a list of flat rows {(column << bits) + e: coefficient} (bits = 0 for
+    a constant pair), so a key plus another entry's e is their product's
+    key (``_matmul``); c_X is a dict {e: coefficient}.  Coefficients are
+    ints when rational and stay Cyc when cyclotomic.  A constant-form
     matrix is read from its integer rows, with c_X its denominator.
     """
 
-    __slots__ = ("N", "span", "names", "shifts", "mask", "X", "c", "cache",
-                 "powers")
+    __slots__ = ("N", "span", "names", "shifts", "mask", "bits", "X", "c",
+                 "cache", "powers")
 
     def __init__(self, pair, span):
         mats = (pair.R, pair.S)
@@ -160,8 +164,9 @@ class _Cleared:
         width = (span * max(map(_degree_bound, mats))).bit_length()
         self.shifts = [i * width for i in range(len(self.names))]
         self.mask = (1 << width) - 1
+        self.bits = width * len(self.names)
         shift = dict(zip(self.names, self.shifts))
-        (R, cR), (S, cS) = (_clear(M, shift) for M in mats)
+        (R, cR), (S, cS) = (_clear(M, shift, self.bits) for M in mats)
         self.X, self.c = {"r": R, "s": S}, {"r": cR, "s": cS}
         self.cache, self.powers = {}, {(0, 0): {0: 1}}
 
@@ -170,13 +175,14 @@ class _Cleared:
         i, i+1 of r's word, and moves each column b of it to r + (b - a) lo."""
         if not 1 <= i <= k - 1:
             raise ValueError("position %d out of range for level %d" % (i, k))
-        X, N = self.X[sym], self.N
-        lo, NN = N ** (i - 1), N * N
+        X, N, bits = self.X[sym], self.N, self.bits
+        lo, NN, mask = N ** (i - 1), N * N, (1 << bits) - 1
         out = []
         for r in range(N ** k):
             a = r // lo % NN
             base = r - a * lo
-            out.append({base + b * lo: f for b, f in X[a].items()})
+            out.append({(base + (key >> bits) * lo << bits) + (key & mask): v
+                        for key, v in X[a].items()})
         return out
 
     def image(self, word, k):
@@ -188,15 +194,14 @@ class _Cleared:
         if M is not None:
             return M
         if not word:
-            M = [{r: {0: 1}} for r in range(self.N ** k)]
+            M = [{r << self.bits: 1} for r in range(self.N ** k)]
         elif len(word) == 1:
             M = self._letter(*word[0], k)
-        elif (k, word[1:]) in cache:
-            M = _matmul(self.image(word[:1], k), cache[k, word[1:]])
-        elif (k, word[:-1]) in cache:
-            M = _matmul(cache[k, word[:-1]], self.image(word[-1:], k))
         else:
-            M = _matmul(self.image(word[:1], k), self.image(word[1:], k))
+            cut = -1 if ((k, word[:-1]) in cache
+                         and (k, word[1:]) not in cache) else 1
+            M = _matmul(self.image(word[:cut], k), self.image(word[cut:], k),
+                        self.bits)
         cache[k, word] = M
         return M
 
@@ -209,29 +214,26 @@ class _Cleared:
             self.powers[a, b] = f
         return f
 
-    def residual(self, lhs, rhs, k):
+    def residual(self, lhs, rhs, k, letters):
         """(entries, c): the nonzero entries (i, j, f) of the level-k
-        residual lhs - rhs times c = c_R^A c_S^B, rows first, A and B being
-        the most letters r and s on either side.  Each side is its cleared
-        image times the powers of c_R and c_S that its letters lack, so the
+        residual lhs - rhs times c = c_R^A c_S^B, rows first, A and B the
+        most letters r and s in the sides' ``letters`` (a, b).  Each side is
+        its cleared image times the c_R^(A-a) c_S^(B-b) it lacks, so the
         entries are polynomials and vanish exactly where the residual does."""
-        (A, B), sides = _letters(lhs, rhs), []
+        (A, B), sides = map(max, *letters), []
         if A + B > self.span:
             raise InvariantError("%d letters exceed the span %d of the "
                                  "exponent fields" % (A + B, self.span))
-        for word in (lhs, rhs):
-            a, b = _letters(word)
+        for word, (a, b) in zip((lhs, rhs), letters):
             f = self._power(A - a, B - b)
             M = self.image(word, k)
-            sides.append(M if f == {0: 1} else
-                         [{j: _pmul(g, f) for j, g in row.items()}
-                          for row in M])
-        return _differences(*sides), self._power(A, B)
+            sides.append(M if f == {0: 1} else [_pmul(row, f) for row in M])
+        return _differences(*sides, self.bits), self._power(A, B)
 
-    def witness(self, lhs, rhs, k):
+    def witness(self, lhs, rhs, k, letters):
         """(row word, col word, value) at the first nonzero entry of the
         level-k residual lhs - rhs, or None."""
-        entries, c = self.residual(lhs, rhs, k)
+        entries, c = self.residual(lhs, rhs, k, letters)
         for i, j, f in entries:
             ws = words(self.N, k)
             return ws[i], ws[j], self.box(f, c)
@@ -290,31 +292,26 @@ def _pack(p, shift, scale):
             for m, v in p.terms.items()}
 
 
-def _clear(M, shift):
-    """(rows, c) with M = rows / c and polynomial rows.  Each distinct
+def _clear(M, shift, bits):
+    """(rows, c) with M = rows / c and flat polynomial rows.  Each distinct
     denominator d is cleared to l_d d with integer coefficients, l_d being
     ``_coeff_den(d)``, and L is that lcm over all numerators: c is L times
     the cleared denominators, and an entry n / d becomes L n times l_d and
     the other cleared denominators."""
     if M._ints is not None:
-        return ([{j: {0: a} for j, a in enumerate(row) if a}
+        return ([{j << bits: a for j, a in enumerate(row) if a}
                  for row in M._ints], {0: M._den})
     entries = [e for row in M._rows for e in row if not e.is_zero()]
     dens = list(dict.fromkeys(e.den for e in entries))
     L = lcm(*(_coeff_den(e.num) for e in entries))
     cleared = [_pack(d, shift, _coeff_den(d)) for d in dens]
-    cofactor = {}
-    for d, dc in zip(dens, cleared):
-        f = {0: _coeff_den(d)}
-        for g in cleared:
-            if g is not dc:
-                f = _pmul(f, g)
-        cofactor[d] = f
-    c = {0: L}
-    for g in cleared:
-        c = _pmul(c, g)
-    rows = [{j: _pmul(_pack(e.num, shift, L), cofactor[e.den])
-             for j, e in enumerate(row) if not e.is_zero()}
+    cofactor = {d: reduce(_pmul, (g for g in cleared if g is not dc),
+                          {0: _coeff_den(d)})
+                for d, dc in zip(dens, cleared)}
+    c = reduce(_pmul, cleared, {0: L})
+    rows = [{(j << bits) + e: v for j, x in enumerate(row) if not x.is_zero()
+             for e, v in _pmul(_pack(x.num, shift, L),
+                               cofactor[x.den]).items()}
             for row in M._rows]
     return rows, c
 
@@ -336,39 +333,41 @@ def _pmul(f, g):
     return _nonzero(_addmul({}, f, g))
 
 
-def _matmul(A, B):
-    """Product of sparse polynomial matrices."""
+def _matmul(A, B, bits):
+    """Product of flat matrices (``_Cleared``): the entry at key ka of a row
+    of A times row ka >> bits of B adds ka's exponent to each key there."""
+    mask = (1 << bits) - 1
     out = []
     for arow in A:
         acc = {}
-        for l, f in arow.items():
-            for j, g in B[l].items():
-                _addmul(acc.setdefault(j, {}), f, g)
-        out.append({j: h for j, h in zip(acc, map(_nonzero, acc.values()))
-                    if h})
+        for ka, va in arow.items():
+            e = ka & mask
+            for kb, vb in B[ka >> bits].items():
+                kb += e
+                acc[kb] = acc.get(kb, 0) + va * vb
+        out.append(_nonzero(acc))
     return out
 
 
-def _differences(A, B):
-    """(i, j, A[i][j] - B[i][j]) at each entry where A and B differ, rows
-    first."""
+def _differences(A, B, bits):
+    """(i, j, A[i][j] - B[i][j]) at each entry where the flat matrices A and
+    B differ, rows first and columns ascending, each a packed polynomial."""
+    mask = (1 << bits) - 1
     for i, (ra, rb) in enumerate(zip(A, B)):
         if ra == rb:
             continue
-        for j in sorted(ra.keys() | rb.keys()):
-            f = dict(ra.get(j, ()))
-            for e, v in rb.get(j, {}).items():
-                f[e] = f.get(e, 0) - v
-            f = _nonzero(f)
-            if f:
-                yield i, j, f
+        cols = {}
+        for key, v in _addmul(dict(ra), rb, {0: -1}).items():
+            if v:
+                cols.setdefault(key >> bits, {})[key & mask] = v
+        for j in sorted(cols):
+            yield i, j, cols[j]
 
 
-def _letters(*ws):
-    """(A, B): the most letters r, and the most letters s, in any of the
-    words."""
-    return (max(sum(sym == "r" for sym, _ in w) for w in ws),
-            max(sum(sym == "s" for sym, _ in w) for w in ws))
+def _letters(word):
+    """(a, b): the letters r and the letters s of a word."""
+    a = sum(sym == "r" for sym, _ in word)
+    return a, len(word) - a
 
 
 def _is_far(lhs, rhs):
@@ -414,21 +413,19 @@ def verify(pair, relset, n):
         raise ValueError("R and S have mismatched dimensions")
     rels = [(rel_id, None if _is_far(lhs, rhs) else _window(lhs, rhs))
             for rel_id, lhs, rhs in relset.relations(n)]
-    images = _Cleared(pair, max((sum(_letters(*win[2:])) for _, win in rels
-                                 if win), default=0))
-    witnesses = {}
+    windows = {win[2:]: win[1] for _, win in rels if win}
+    letters = {w: (_letters(w[0]), _letters(w[1])) for w in windows}
+    images = _Cleared(pair, max((sum(map(max, *ab)) for ab in
+                                 letters.values()), default=0))
+    witnesses = {w: images.witness(*w, k, letters[w])
+                 for w, k in windows.items()}
     out = []
     for rel_id, win in rels:
-        w = None
-        if win is not None:
-            lo, k, lhs_k, rhs_k = win
-            key = (lhs_k, rhs_k)
-            if key not in witnesses:
-                witnesses[key] = images.witness(lhs_k, rhs_k, k)
-            w = witnesses[key]
-            if w is not None:
-                lead, trail = (1,) * (lo - 1), (1,) * (n - lo - k + 1)
-                w = (lead + w[0] + trail, lead + w[1] + trail, w[2])
+        w = witnesses[win[2:]] if win else None
+        if w is not None:
+            lo, k = win[:2]
+            lead, trail = (1,) * (lo - 1), (1,) * (n - lo - k + 1)
+            w = (lead + w[0] + trail, lead + w[1] + trail, w[2])
         out.append(AnomalyReport(rel_id, n, w))
     return out
 
@@ -454,8 +451,9 @@ def anomaly(pair, kind, n=3):
                          % (kind, sorted(_ANOMALY_KINDS)))
     lhs, rhs = {rel_id: (lhs, rhs) for rel_id, lhs, rhs
                 in MIXED_DOUBLES.relations(3)}[_ANOMALY_KINDS[kind]]
-    images = _Cleared(pair, sum(_letters(lhs, rhs)))
-    entries, c = images.residual(lhs, rhs, n)
+    letters = (_letters(lhs), _letters(rhs))
+    images = _Cleared(pair, sum(map(max, *letters)))
+    entries, c = images.residual(lhs, rhs, n, letters)
     d = pair.N ** n
     rows = [[RF_ZERO] * d for _ in range(d)]
     for i, j, f in entries:

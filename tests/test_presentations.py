@@ -4,14 +4,17 @@ from collections import Counter
 
 import pytest
 
-from mdreps import scalar
+from mdreps import presentations, scalar
 from mdreps.catalog import (ALL_CASES, Transform, apply_transform,
                             make_involutive_braid, make_manji, make_md_pair)
 from mdreps.matrix import ExactMatrix, RepPair, embed_at, words
 from mdreps.presentations import (BRAID, LOOP_BRAID, MIXED_DOUBLES, SYM,
                                   VIRTUAL_BRAID, AnomalyReport, RelationSet,
-                                  anomaly, passes, verify)
+                                  _clear, _Cleared, _is_far, _letters,
+                                  _window, anomaly, passes, verify)
 from mdreps.scalar import RF, NonVanishing, Poly, param, rf, zeta
+from nested_cleared import _differences as nested_differences
+from nested_cleared import image, nested, scaled
 
 p = param("p")
 
@@ -354,3 +357,91 @@ def test_verify_boxes_only_failing_residuals(monkeypatch):
     assert calls["RF"] == len(residuals)
     assert any(not r.witness[2].den.is_constant() for r in reports
                if not r.is_zero)
+
+
+# ---------------------------------------------------------------------------
+# differential test: flat word images against the nested-dict oracle
+
+_WIDE = 256  # a column shift far above any exponent the inputs reach
+
+
+def _top_field_pair():
+    """A failing pair whose last-sorted parameter q has the largest
+    exponent: braid_r's image reaches q^21, which fills the top bit of a
+    5-bit field, so a carry out of it would land in the column bits."""
+    q = param("q")
+    R = ExactMatrix.from_rows([[q ** 7, 0, 0, 0], [0, 0, p, 0], [0, 1, 0, 0],
+                               [0, 0, 0, 1]])
+    S = ExactMatrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0],
+                               [0, 0, 0, -1]])
+    return RepPair(R, S, provenance="q^7")
+
+
+def _constant_pair():
+    """The a-glue R at p = 2, q = 5 next to an S with denominator 3, so the
+    involution's identity side is scaled by c_S^2 at bits = 0."""
+    R = make_involutive_braid("a-glue", p=2, q=5)
+    S = ExactMatrix.from_ints([[3, 0, 0, 0], [0, 0, 1, 0], [0, 2, 0, 0],
+                               [0, 0, 0, 3]], den=3)
+    return RepPair(R, S, provenance="a-glue(2, 5), S/3")
+
+
+def _assert_matches_nested(pair):
+    """Every level-3 and level-2 word image that verify builds, and every
+    residual entry (i, j, polynomial), equal the nested-dict products.
+    Returns the cleared images."""
+    images = _Cleared(pair, 3)
+    shift = dict(zip(images.names, images.shifts))
+    X = {sym: nested(_clear(M, shift, _WIDE)[0], _WIDE)
+         for sym, M in (("r", pair.R), ("s", pair.S))}
+    windows = {_window(lhs, rhs)[1:] for _, lhs, rhs
+               in MIXED_DOUBLES.relations(3) if not _is_far(lhs, rhs)}
+    for k, lhs, rhs in sorted(windows):
+        letters = (_letters(lhs), _letters(rhs))
+        entries, c = images.residual(lhs, rhs, k, letters)
+        A, B = map(max, *letters)
+        sides = [scaled(image(X, pair.N, word, k),
+                        images._power(A - a, B - b))
+                 for word, (a, b) in zip((lhs, rhs), letters)]
+        assert list(entries) == list(nested_differences(*sides)), \
+            (pair.provenance, lhs, rhs)
+        assert c == images._power(A, B)
+    for (k, word), M in images.cache.items():
+        assert nested(M, images.bits) == image(X, pair.N, word, k), \
+            (pair.provenance, word, k)
+    return images
+
+
+def test_flat_images_match_the_nested_oracle():
+    A = ExactMatrix.from_rows([[zeta(3), 0], [1, 1]])
+    for pair in _catalog_pairs([c for c, _ in ALL_CASES]):
+        _assert_matches_nested(pair)
+        _assert_matches_nested(apply_transform(Transform("local_conj", A),
+                                               pair))
+    _assert_matches_nested(_n3_pair())
+    assert _assert_matches_nested(_constant_pair()).bits == 0
+    images = _assert_matches_nested(_top_field_pair())
+    assert images.names == ["p", "q"]
+    top = max(key >> images.shifts[-1] & images.mask
+              for M in images.cache.values() for row in M for key in row)
+    assert top.bit_length() == images.bits - images.shifts[-1]
+    assert not passes(_top_field_pair(), MIXED_DOUBLES, 3)
+
+
+def test_verify_product_count(monkeypatch):
+    """A MixedDoubles verify multiplies 12 pairs of images at every level:
+    each distinct level-3 or level-2 word is built once, from cached
+    factors."""
+    calls = Counter()
+    matmul = presentations._matmul
+
+    def counted(*args):
+        calls["matmul"] += 1
+        return matmul(*args)
+    monkeypatch.setattr(presentations, "_matmul", counted)
+    for case, kw in (("case2", {}), ("case6a", {"eps": 1})):
+        pair = make_md_pair(case, check=False, **kw)
+        for n in (3, 4, 5):
+            calls.clear()
+            assert passes(pair, MIXED_DOUBLES, n)
+            assert calls["matmul"] == 12, (case, n)
