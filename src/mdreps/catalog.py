@@ -5,12 +5,13 @@ point-symmetric Yang-Baxter family, and the equivalence transforms.
 Every constructor re-verifies its defining relations symbolically on
 construction: involutivity and the Yang-Baxter equation for single matrices,
 the full mixed-doubles set at level 3 for pairs.  The relations are those of
-``presentations.RelationSet`` (BRAID for the Yang-Baxter equation,
-MIXED_DOUBLES for pairs), checked by ``presentations.verify``.
+``presentations.RelationSet`` (SYM for the involution, BRAID for the
+Yang-Baxter equation, MIXED_DOUBLES for pairs), checked by
+``presentations.verify``.
 """
 
 from .matrix import ExactMatrix, RepPair, kron
-from .presentations import BRAID, MIXED_DOUBLES, passes
+from .presentations import BRAID, MIXED_DOUBLES, SYM, passes
 from .scalar import (RF_ONE, BranchAmbiguity, InvariantError, NonVanishing,
                      param, rf)
 
@@ -36,7 +37,9 @@ def antislash_matrix():
 
 
 def is_involutive(M):
-    return (M * M).is_identity()
+    """M M = I at level 2: the relation invol_s[1] of ``presentations.SYM``,
+    checked by ``verify`` on the pair (M, M)."""
+    return passes(RepPair(M, M), SYM, 2)
 
 
 def satisfies_ybe(M):
@@ -48,9 +51,13 @@ def satisfies_ybe(M):
 # ---------------------------------------------------------------------------
 # involutive rank-2 braid transversal
 
+INVOLUTIVE_BRAID_FAMILIES = ("trivial", "f-glue", "a-glue", "fa-slash",
+                             "anti-slash")
+
+
 def make_involutive_braid(family, p=None, q=None, sign=1, check=True):
-    """One of the five involutive braid families: trivial, f-glue, a-glue,
-    fa-slash, anti-slash.  Unsupplied parameters stay symbolic."""
+    """One of the five ``INVOLUTIVE_BRAID_FAMILIES``.  Unsupplied parameters
+    stay symbolic."""
     if sign not in (1, -1):
         raise ConstraintViolation("sign must be +-1")
     if family == "trivial":
@@ -112,25 +119,23 @@ def _manji_basis(sign):
     return P, A, Nn, Np
 
 
+MANJI_KINDS = ("P", "A", "N", "N'", "R")
+
+
 def make_manji(kind, sign=1, a=None, b=None, c=None, d=None):
-    """The basis matrices P, A, N, N' (kind in {"P","A","N","N'"}) or their
-    combination R = a P + d A + c N + b N' (kind "R")."""
+    """The basis matrices P, A, N, N' (the first four ``MANJI_KINDS``) or
+    their combination R = a P + d A + c N + b N' (kind "R")."""
     if sign not in (1, -1):
         raise ConstraintViolation("sign must be +-1")
-    P, A, Nn, Np = _manji_basis(sign)
-    if kind == "P":
-        return P
-    if kind == "A":
-        return A
-    if kind == "N":
-        return Nn
-    if kind == "N'":
-        return Np
-    if kind == "R":
-        aa, bb = _sym(a, "a"), _sym(b, "b")
-        cc, dd = _sym(c, "c"), _sym(d, "d")
-        return P.scale(aa) + A.scale(dd) + Nn.scale(cc) + Np.scale(bb)
-    raise ConstraintViolation("unknown kind %r" % (kind,))
+    if kind not in MANJI_KINDS:
+        raise ConstraintViolation("unknown kind %r" % (kind,))
+    basis = _manji_basis(sign)
+    if kind != "R":
+        return basis[MANJI_KINDS.index(kind)]
+    P, A, Nn, Np = basis
+    aa, bb = _sym(a, "a"), _sym(b, "b")
+    cc, dd = _sym(c, "c"), _sym(d, "d")
+    return P.scale(aa) + A.scale(dd) + Nn.scale(cc) + Np.scale(bb)
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +383,14 @@ def iter_all_cases(check=True):
 
 
 # analysis-oriented aliases (parameter roles as used in the structure results)
+ANALYSIS_FAMILIES = ("a-glue", "f-glue", "antislash")
+
+
 def analysis_pair(family, **kw):
-    """Families as analysed for all n: 'a-glue' has R with glue q and S with
-    glue p; 'f-glue' is the equal-shape pair (R(q), S(p)); 'antislash' is the
-    eps=-1 case6a pair.  A keyword that the family does not read is
-    refused."""
+    """The ``ANALYSIS_FAMILIES`` as analysed for all n: 'a-glue' has R with
+    glue q and S with glue p; 'f-glue' is the equal-shape pair (R(q),
+    S(p)); 'antislash' is the eps=-1 case6a pair.  A keyword that the
+    family does not read is refused."""
     if family in ("a-glue", "f-glue"):
         unread = set(kw).difference(("p", "q"))
         if unread:
@@ -436,17 +444,13 @@ def apply_transform(t, pair):
         Ui = U.inverse()
         R, S = U * R * Ui, U * S * Ui
     elif t.kind == "antidiagonal":
-        J = kron(_mat2([[0, 1], [1, 0]]), _mat2([[0, 1], [1, 0]]))
+        J = kron(_mat([[0, 1], [1, 0]]), _mat([[0, 1], [1, 0]]))
         R = J * R.transpose() * J
         S = J * S.transpose() * J
     else:
         raise ValueError("unknown transform %r" % (t.kind,))
     return RepPair(R, S, params=pair.params, constraints=pair.constraints,
                    provenance=pair.provenance + "+" + t.kind)
-
-
-def _mat2(rows):
-    return ExactMatrix.from_rows(rows, N=2)
 
 
 def check_ds_equivalence(A, pair):
@@ -481,7 +485,7 @@ def w_conjugation_data(lam=None):
     """The conjugation between the (flip, slash(lam)) pair and the eps=-1
     anti-slash pair at z = -(lam^2-2lam+1)/(4lam), x = (lam^2-1)/(4lam)."""
     lam = param("lam") if lam is None else rf(lam)
-    W = kron(_mat2([[1, 1], [1, -1]]), _mat2([[1, -1], [1, 1]]))
+    W = kron(_mat([[1, 1], [1, -1]]), _mat([[1, -1], [1, 1]]))
     z = -(lam * lam - 2 * lam + 1) / (4 * lam)
     x = (lam * lam - 1) / (4 * lam)
     Rp, Sp = braid_pair_from_fslash(lam)

@@ -17,14 +17,8 @@ CC, GLUE, FORBIDDEN = "cc", "glue", "forbidden"
 _SPLIT_WORDS_BOUND = 10 ** 5
 
 
-def f(word):
-    """Letter-count vector of a word; length inferred as max letter unless the
-    alphabet size is passed via f_over."""
-    N = max(word)
-    return f_over(word, N)
-
-
 def f_over(word, N):
+    """Letter-count vector of a word over {1..N}."""
     out = [0] * N
     for letter in word:
         out[letter - 1] += 1
@@ -176,8 +170,8 @@ def check_closure(A, B):
     return report
 
 
-def random_ccwg(N, n, rng, density=0.7, bound=5):
-    """Seeded random CCwg matrix with small integer entries."""
+def random_ccwg(N, n, rng, density=0.7):
+    """Seeded random CCwg matrix with integer entries in [-5, 5]."""
     kinds = glue_mask(N, n).kinds
     rows = [[0] * len(krow) for krow in kinds]
     for row, krow in zip(rows, kinds):
@@ -185,7 +179,7 @@ def random_ccwg(N, n, rng, density=0.7, bound=5):
             if kind == FORBIDDEN:
                 continue
             if rng.random() < density:
-                row[j] = rng.randint(-bound, bound)
+                row[j] = rng.randint(-5, 5)
     return ExactMatrix.from_ints(rows, N=N, rows_level=n, cols_level=n)
 
 

@@ -117,11 +117,10 @@ def cmd_verify(args):
 def cmd_catalog(args):
     if args.action == "list":
         fams = {
-            "involutive_braid": ["trivial", "f-glue", "a-glue", "fa-slash",
-                                 "anti-slash"],
+            "involutive_braid": catalog.INVOLUTIVE_BRAID_FAMILIES,
             "md_cases": sorted({c for c, _ in catalog.ALL_CASES}),
-            "manji": ["P", "A", "N", "N'", "R"],
-            "analysis": ["a-glue", "f-glue", "antislash"],
+            "manji": catalog.MANJI_KINDS,
+            "analysis": catalog.ANALYSIS_FAMILIES,
         }
         _emit(fams, args.out)
         return EXIT_OK
@@ -129,12 +128,11 @@ def cmd_catalog(args):
         if args.family is None:
             raise UsageError("catalog make needs a family (see catalog list)")
         kw = _parse_params(args.params or "")
-        if args.family in ("trivial", "f-glue", "a-glue", "fa-slash",
-                           "anti-slash"):
+        if args.family in catalog.INVOLUTIVE_BRAID_FAMILIES:
             M = _call(catalog.make_involutive_braid, args.family, **kw)
             _emit(M.to_json(), args.out)
             return EXIT_OK
-        if args.family in ("P", "A", "N", "N'", "R"):
+        if args.family in catalog.MANJI_KINDS:
             M = _call(catalog.make_manji, args.family, **kw)
             _emit(M.to_json(), args.out)
             return EXIT_OK
@@ -152,7 +150,7 @@ def cmd_analyze(args):
     rng = random.Random(args.seed)
     at = _parse_assignment(args.at) if args.at else None
     kw = _parse_params(args.params or "")
-    if args.case in ("a-glue", "f-glue", "antislash"):
+    if args.case in catalog.ANALYSIS_FAMILIES:
         pair = _call(catalog.analysis_pair, args.case, **kw)
     else:
         pair = _call(catalog.make_md_pair, args.case, False, **kw)
@@ -165,15 +163,10 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-_CHAR_TOKEN = {"1": rf(1), "-1": rf(-1)}
-
-
 def _parse_char_token(tok):
     tok = tok.strip()
     if not tok:
         raise UsageError("empty --char entry")
-    if tok in _CHAR_TOKEN:
-        return _CHAR_TOKEN[tok]
     try:
         if "/" in tok or tok.lstrip("-").isdigit():
             return rf(Fraction(tok))

@@ -255,8 +255,7 @@ def _one_dim_characters(H, n):
             if m > o:
                 continue
             for v in rs:
-                ok = v ** o == 1 if not isinstance(v, Fraction) else v ** o == 1
-                if ok and v not in vals:
+                if v ** o == 1 and v not in vals:
                     vals.append(v)
         candidate_values.append(vals)
     chars = []
@@ -383,18 +382,18 @@ def _transversal_key(t):
     return (len(moved), moved, t)
 
 
+def _stabilizer(chi):
+    """The permutations w of Sym_n with chi^w = chi."""
+    return frozenset(w for w in all_permutations(chi.n) if chi.acted(w) == chi)
+
+
 def orbit_and_stabilizer(chi, bound=6):
     """Stabilizer subgroup and a canonical coset transversal (representatives
     moving as few points as possible, smallest moved points first)."""
     n = chi.n
     if n > bound:
         raise ValueError("rank %d exceeds enumeration bound %d" % (n, bound))
-    stab = []
-    orbit_map = {}
-    for w in all_permutations(n):
-        if chi.acted(w) == chi:
-            stab.append(w)
-    stabset = frozenset(stab)
+    stabset = _stabilizer(chi)
     cosets = {}
     for w in sorted(all_permutations(n), key=_transversal_key):
         key = frozenset(perm_compose(w, h) for h in stabset)
@@ -444,13 +443,12 @@ class InducedRep:
         return gens
 
 
-def induce(chi, tau, stab=None):
-    """Induce the character chi twisted by the stabilizer irrep tau up to the
-    full semidirect product; verifies the defining relations of the group on
-    the resulting matrices."""
+def induce(chi, tau, stab):
+    """Induce the character chi twisted by the irrep tau of its stabilizer
+    (``stab``, from ``orbit_and_stabilizer``) up to the full semidirect
+    product; verifies the defining relations of the group on the resulting
+    matrices."""
     n = chi.n
-    if stab is None:
-        stab = orbit_and_stabilizer(chi)
     H = stab.subgroup
     T = stab.transversal
     dt = tau.dim
@@ -597,10 +595,6 @@ def _pattern_character(orbits, orbit_of, n, sign_choice, free_names):
     return Character(n, values)
 
 
-def _exact_stabilizer_size(chi, n):
-    return len([w for w in all_permutations(n) if chi.acted(w) == chi])
-
-
 def classify_small_dims(n, d):
     """Families of d-dimensional irreducibles (d <= 3, n <= 4) organized by
     stabilizer type via the dimension formula.  Entries carry kind 'family'
@@ -627,7 +621,7 @@ def classify_small_dims(n, d):
         for combo in itertools.product((1, -1), repeat=len(signed)):
             sign_choice = dict(zip(signed, combo))
             chi = _pattern_character(orbits, orbit_of, n, sign_choice, free_names)
-            if _exact_stabilizer_size(chi, n) == len(H):
+            if len(_stabilizer(chi)) == len(H):
                 branches.append((sign_choice, chi))
         if not branches:
             continue

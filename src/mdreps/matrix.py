@@ -677,17 +677,15 @@ def embed_at(M, i, n):
                          % (M.rows_level, M.cols_level))
     N = M.N
     src, zero = _entries(M)
-    d = N ** n
+    d, N2, lo = N ** n, N * N, N ** (i - 1)
     out = [[zero] * d for _ in range(d)]
-    lo = N ** (i - 1)
-    # column offset of each level-2 column word (a, b) within a row
-    offs = [(vp % N) * lo + (vp // N) * lo * N for vp in range(N * N)]
-    for w_idx, w in enumerate(words(N, n)):
-        mrow = src[(w[i - 1] - 1) + (w[i] - 1) * N]
-        orow = out[w_idx]
-        base = w_idx - (w[i - 1] - 1) * lo - (w[i] - 1) * lo * N
-        for off, e in zip(offs, mrow):
-            orow[base + off] = e
+    # row r reads M's row a, the letters i, i+1 of r's word, and puts each
+    # column b of it at base + b lo
+    for r, orow in enumerate(out):
+        a = r // lo % N2
+        base = r - a * lo
+        for b, e in enumerate(src[a]):
+            orow[base + b * lo] = e
     if M._ints is not None:
         return _const(N, n, n, out, M._den)
     return ExactMatrix(N, n, n, out)
@@ -1076,21 +1074,20 @@ class EigenData:
                                                      self.diagonalizable)
 
 
-def eigen_data(A, assignment=None, constraints=None):
+def eigen_data(A):
     """Spectrum with algebraic/geometric multiplicities and diagonalizability.
 
-    The matrix (after instantiating parameters via assignment) must have
-    constant entries, and the characteristic polynomial must split over the
-    scalar tower; otherwise UnsupportedSpectrum is raised.
+    The matrix must have constant entries, and the characteristic
+    polynomial must split over the scalar tower; otherwise
+    UnsupportedSpectrum is raised.
     """
     _require_square(A, "eigen_data")
-    B = A.evaluate(assignment, constraints) if assignment is not None else A
-    mult = Counter(_roots_in_tower(_char_poly(B)))
+    mult = Counter(_roots_in_tower(_char_poly(A)))
     eigs = []
     diag = True
-    n = B.nrows
+    n = A.nrows
     for lam, alg in sorted(mult.items(), key=lambda kv: str(kv[0])):
-        shifted = B - ExactMatrix.identity(B.N, B.rows_level).scale(rf(lam))
+        shifted = A - ExactMatrix.identity(A.N, A.rows_level).scale(rf(lam))
         geo = len(nullspace(shifted))
         eigs.append((lam, alg, geo))
         if geo != alg:

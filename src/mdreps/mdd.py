@@ -8,7 +8,9 @@ right factor first: (p*q)(i) = p[q(i)].  Group indices i, j in x_{ij} are
 1-based with i < j; the exponent of x_{ji} is minus that of x_{ij}.
 """
 
+from functools import reduce
 from itertools import permutations as _itperms
+from operator import mul
 
 from .matrix import ExactMatrix, embed_at
 from .presentations import MIXED_DOUBLES, passes
@@ -136,7 +138,7 @@ class GroupElement:
         if self.n != other.n:
             raise ValueError("rank mismatch: %d and %d" % (self.n, other.n))
         exps = dict(self.exps)
-        for pair, e in GroupElement(other.n, other.exps, other.perm).act(self.perm).items():
+        for pair, e in other.act(self.perm).items():
             exps[pair] = exps.get(pair, 0) + e
         return GroupElement(self.n, exps, perm_compose(self.perm, other.perm))
 
@@ -198,8 +200,11 @@ def format_word(word):
 
 
 def _x_word(n, i, j):
-    """Word over {s_k, r_k} for x_{ij} (i < j): conjugate r_i s_i by the
-    chain s_{j-1} ... s_{i+1}."""
+    """Word over {s_k, r_k} for x_{ij}: for i < j, r_i s_i conjugated by the
+    chain s_{j-1} ... s_{i+1}; for i > j, x_{ji}^-1, which is x_{ji}'s word
+    reversed, r and s being involutions."""
+    if i > j:
+        return _x_word(n, j, i)[::-1]
     chain = [("s", k) for k in range(j - 1, i, -1)]
     core = [("r", i), ("s", i)]
     return chain + core + chain[::-1]
@@ -212,11 +217,8 @@ def babeda_to_md(g, n=None):
     n = g.n if n is None else n
     word = []
     for (i, j), e in sorted(g.exps.items()):
-        block = _x_word(n, i, j)
-        if e < 0:
-            block = [(sym, k) for sym, k in block[::-1]]  # r,s involutive
-        for _ in range(abs(e)):
-            word.extend(block)
+        word.extend((_x_word(n, i, j) if e > 0 else _x_word(n, j, i))
+                    * abs(e))
     for i in perm_to_adjacent_word(g.perm):
         word.append(("s", i))
     return [(letter, 1) for letter in word]
@@ -254,7 +256,9 @@ def babeda_from_md(word, n):
 def evaluate_in_rep(g_or_word, pair, n, check=True):
     """Image matrix of a group element or generator word under the level-n
     representation defined by the pair; the pair must satisfy the
-    mixed-doubles relations at level n, which check=True verifies."""
+    mixed-doubles relations at level n, which check=True verifies.  As in
+    ``babeda_to_md``, x_{ij}^-1 is x_{ji}'s word (``_x_word``), so no
+    matrix is inverted."""
     if check and not passes(pair, MIXED_DOUBLES, n):
         raise ValueError("pair %r fails the relations at level %d"
                          % (pair.provenance, n))
@@ -278,18 +282,11 @@ def evaluate_in_rep(g_or_word, pair, n, check=True):
     for letter, exp in word:
         if letter[0] == "x":
             i, j, e = letter[1], letter[2], exp
-            if i > j:
+            if e < 0:
                 i, j, e = j, i, -e
             if e == 0:
                 continue
-            factors = [image(l) for l in _x_word(n, i, j)]
-            base = factors[0]
-            for F in factors[1:]:
-                base = base * F
-            if e < 0:
-                base = base.inverse(pair.constraints)
-                e = -e
-            F = base.power(e)
+            F = reduce(mul, map(image, _x_word(n, i, j))).power(e)
         elif exp % 2 == 1:
             F = image(letter)
         else:

@@ -5,8 +5,9 @@ mixed-doubles presentations, and symbolic verification of a candidate pair
 A relation is a pair of words in the formal generators r_i, s_i; a word is a
 tuple of ("r"|"s", i) letters, the empty word being the identity.
 ``RelationSet.relations`` is the one place a relation is written down:
-``anomaly``, the Yang-Baxter check of ``catalog``, the relation words of
-``mdd`` and the induced-representation check of ``clifford`` read it.
+``anomaly``, the involution and Yang-Baxter checks of ``catalog``, the
+relation words of ``mdd`` and the induced-representation check of
+``clifford`` read it.
 
 The relations are local, so ``verify`` checks each one where it lives: a
 braid or mixed relation on three strands at level 3, an involution at level

@@ -585,9 +585,6 @@ def poly_gcd(f, g):
         a, b = b, a
     while True:
         db = _udeg(b)
-        if db < 0:
-            g = a
-            break
         if db == 0:
             return _monic(cont)
         r = _prem(a, b)
@@ -852,9 +849,6 @@ class NonVanishing:
                 continue
             out.append(_monic(p))
         self.constraints = tuple(out)
-
-    def __or__(self, other):
-        return NonVanishing(self.constraints + other.constraints)
 
     def covers(self, poly):
         """True iff poly equals a constant times a product of powers of the

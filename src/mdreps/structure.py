@@ -691,10 +691,12 @@ def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None):
         row[dd + s] = D
         return _span_coords(span, row, s)
 
-    # center of the quotient: sum_i c_i [B_i, G] = 0 (mod radical) for all
-    # G, i.e. sum_i c_i (coordinates of [B_i, G])_l = 0 for every l
+    # center of the quotient: sum_i c_i [B_i, G] = 0 (mod radical) for each
+    # generator G, i.e. sum_i c_i (coordinates of [B_i, G])_l = 0 for every
+    # l; the quotient is generated by I and the generators, so an element
+    # commuting with each generator is central
     center = Echelon()
-    for G, DG in qbasis:
+    for G, DG in map(_int_form, mats):
         C, _ = _coord_matrix([qcoords(_commutator(B, G), DB * DG)
                               for B, DB in qbasis])
         for row in C:

@@ -17,7 +17,7 @@ of those roots is simple, each Hensel-lifted past 2 |lead| |low|, read
 back as the rational s / lead for the residue s of lead * root, and kept
 when the integer Horner value q^n f(p/q) is 0.  Each root found is divided
 out of the polynomial as often as it divides.  Then come every cyclotomic
-quadratic factor and a last quadratic with rational roots.  Roots are
+quadratic factor and, over Q(zeta_m), a last linear factor.  Roots are
 Fractions and Cycs.
 """
 
@@ -349,19 +349,15 @@ _CYC_QUADS = {(1, 1): 3, (0, 1): 4, (-1, 1): 6}
 def _roots_in_tower(coeffs):
     """All roots, with multiplicity, of an ascending-coefficient polynomial
     over the tower, as Fractions/Cycs; raises UnsupportedSpectrum if it
-    does not split over the tower.  Over Q(zeta_m) only a linear factor
-    and the cyclotomic quadratics are split off."""
+    does not split over the tower.  Over Q(zeta_m) only the cyclotomic
+    quadratics and a linear factor are split off."""
     coeffs = _ptrim(coeffs)
     roots = []
     # strip zero roots
     while len(coeffs) > 1 and coeffs[0] == 0:
         roots.append(Fraction(0))
         coeffs = coeffs[1:]
-    if _is_cyc(coeffs):
-        if len(coeffs) == 2:
-            roots.append(-coeffs[0] / coeffs[1])
-            coeffs = coeffs[1:]
-    elif len(coeffs) > 1:
+    if not _is_cyc(coeffs) and len(coeffs) > 1:
         coeffs = _primitive(coeffs)
         # the roots of the squarefree part, each divided out of the
         # polynomial as often as it divides
@@ -377,16 +373,15 @@ def _roots_in_tower(coeffs):
                 break
             roots += [Cyc(m, 0, 1), Cyc(m, -_CYC_PQ[m][0], -1)]
             coeffs = quo
+    # over Q no linear factor is left, its root being rational; over
+    # Q(zeta_m) no quadratic left splits over the tower.  A rational root
+    # is a Fraction, as every other one
+    if len(coeffs) == 2:
+        roots.append(Fraction(-1) * coeffs[0] / coeffs[1])
     if len(coeffs) == 3:
         a0, a1, a2 = coeffs
-        b, c = _fdiv(a1, a2), _fdiv(a0, a2)
-        disc = b * b - 4 * c
-        s = _sqrt(disc) if type(disc) is not Cyc and disc >= 0 else None
-        if s is None:
-            raise UnsupportedSpectrum("x^2 + (%s)x + (%s)" % (b, c))
-        roots.append((s - b) / Fraction(2))
-        roots.append((-s - b) / Fraction(2))
-        coeffs = coeffs[2:]
+        raise UnsupportedSpectrum("x^2 + (%s)x + (%s)"
+                                  % (_fdiv(a1, a2), _fdiv(a0, a2)))
     if len(coeffs) > 3:
         raise UnsupportedSpectrum("degree-%d factor %s"
                                   % (len(coeffs) - 1, coeffs))

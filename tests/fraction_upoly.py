@@ -213,10 +213,8 @@ def _roots_in_tower(coeffs):
                 changed = True
             if len(coeffs) <= 2:
                 break
-    if len(coeffs) == 2:
-        roots.append(-coeffs[0] / coeffs[1])
-        coeffs = coeffs[1:]
-    # split off the cyclotomic quadratics, each as often as it divides
+    # split off the cyclotomic quadratics, each as often as it divides,
+    # then a linear factor left before or after them
     for (b, c), m in _CYC_QUADS.items():
         while len(coeffs) >= 3:
             quo, rem = _pdivmod(coeffs, [c, b, Fraction(1)])
@@ -224,6 +222,9 @@ def _roots_in_tower(coeffs):
                 break
             roots += [Cyc(m, 0, 1), Cyc(m, -_CYC_PQ[m][0], -1)]
             coeffs = quo
+    if len(coeffs) == 2:
+        roots.append(-coeffs[0] / coeffs[1])
+        coeffs = coeffs[1:]
     if len(coeffs) == 3:
         a2, a1, a0 = coeffs[2], coeffs[1], coeffs[0]
         b, c = a1 / a2, a0 / a2

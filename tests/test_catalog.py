@@ -46,6 +46,7 @@ def test_satisfies_ybe_matches_the_dense_oracle():
               for M in involutive + manji[-2:]]
     for M in involutive + manji + broken:
         assert satisfies_ybe(M) == _ybe_dense(M), M
+        assert is_involutive(M) == (M * M).is_identity(), M
     assert all(map(satisfies_ybe, involutive))
     assert not any(map(satisfies_ybe, broken))
 
@@ -109,6 +110,23 @@ def test_case2_shape():
     assert pr.R.rows[3][3] == rf(-1)
     with pytest.raises(ConstraintViolation):
         make_md_pair("case2", p=0, q=1)
+
+
+@pytest.mark.parametrize("make,family,kw", [
+    (make_involutive_braid, "fa-slash", {"q": 0}),
+    (make_md_pair, "case2", {"p": 0, "q": 1}),
+    (make_md_pair, "case3", {"q": 0, "s": 1}),
+    (make_md_pair, "case4", {"p": 0, "s": 1}),
+    (make_md_pair, "case4", {"p": 1, "s": 0}),
+    (make_md_pair, "case5", {"p": 0, "s": 1}),
+    (make_md_pair, "case5", {"p": 1, "s": 0}),
+    (make_md_pair, "case5-antidiag", {"s": 0}),
+    (make_md_pair, "case7-aslash", {"s": 0}),
+])
+def test_a_zero_parameter_is_refused(make, family, kw):
+    with pytest.raises(ConstraintViolation,
+                       match="^%s needs [a-z, ]+ != 0$" % family):
+        make(family, **kw)
 
 
 def test_case3_both_glue_parameters():

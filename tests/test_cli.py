@@ -69,6 +69,23 @@ def test_catalog_list_and_make(capsys):
     code, out = run(capsys, "catalog", "make", "case2", "--params", "p=2,q=5")
     assert code == EXIT_OK
     assert "R" in json.loads(out)
+    from mdreps.catalog import make_manji
+    for argv, want in ((["P"], make_manji("P")),
+                       (["R", "--params", "a=1"], make_manji("R", a=1))):
+        code, out = run(capsys, "catalog", "make", *argv)
+        assert code == EXIT_OK
+        assert ExactMatrix.from_json(json.loads(out)) == want
+
+
+def test_out_writes_the_bytes_of_stdout(tmp_path, capsys):
+    argv = ["mdd", "eval", "--word", "r1 s2", "--case", "case2", "--n", "3",
+            "--at", "p=2,q=5"]
+    code, out = run(capsys, *argv)
+    assert code == EXIT_OK
+    path = tmp_path / "report.json"
+    code, rest = run(capsys, *argv, "--out", str(path))
+    assert code == EXIT_OK and rest == ""
+    assert path.read_text() == out
 
 
 def test_analyze_reports_summands(capsys):
@@ -138,6 +155,22 @@ def test_mdd_commands(capsys):
     assert len(glue) == 1
 
 
+def test_mdd_eval_inverts_x_without_at(capsys):
+    # x_13^-1 (also written x_31) is x_13's word reversed, so a symbolic
+    # pair needs no --at
+    mats = {}
+    for word in ("x13^-1", "x31", "x13"):
+        code, out = run(capsys, "mdd", "eval", "--word", word, "--case",
+                        "case6b", "--n", "3")
+        assert code == EXIT_OK
+        mats[word] = ExactMatrix.from_json(json.loads(out))
+    assert (mats["x13^-1"] * mats["x13"]).is_identity()
+    assert mats["x31"] == mats["x13^-1"]
+    code, _ = run(capsys, "mdd", "eval", "--word", "x13^-1 s2", "--case",
+                  "case6b", "--n", "3")
+    assert code == EXIT_OK
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--case", "a-glue", "--n", "3"],
     ["irreps", "--n", "3", "--char", "a,b"],
@@ -169,6 +202,7 @@ def test_mdd_commands(capsys):
     ["ccwg", "check"],
     ["ccwg", "project"],
     ["catalog", "make"],
+    ["mdd", "normal", "--word", "x14", "--n", "3"],
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert main(argv) == EXIT_USAGE

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -74,6 +75,25 @@ def test_embed_at_brute_force_oracle():
             assert (not entry.is_zero()) == (v == target)
             if v == target:
                 assert entry == rf(1)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_embed_at_matches_the_kron_oracle(N):
+    # I_(i-1) (x) M (x) I_(n-i-1) at every site, for a constant M and a
+    # symbolic one
+    rng = random.Random(N)
+    d = N * N
+    const = m([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)], N=N)
+    sym = m([[rng.choice((0, 1, p, q - 1)) for _ in range(d)]
+             for _ in range(d)], N=N)
+    for M in (const, sym):
+        for n in range(2, 5):
+            for i in range(1, n):
+                want = kron(kron(ExactMatrix.identity(N, i - 1), M),
+                            ExactMatrix.identity(N, n - i - 1))
+                got = embed_at(M, i, n)
+                assert got == want, (N, n, i)
+                assert (got._ints is None) == (M._ints is None)
 
 
 def test_embed_functorial_at_fixed_slot():
@@ -190,6 +210,23 @@ def test_matrix_order():
     assert matrix_order(ExactMatrix.identity(2, 1)) == 1
     X = m([[1, 0], [0, 2]], N=2)
     assert matrix_order(X) is None
+    # spectra outside the tower: the order comes from powers
+    C5 = m([[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]])
+    assert matrix_order(C5) == 5
+    assert matrix_order(m([[2, 1], [1, 1]])) is None
+
+
+def test_spectrum_of_a_cyclotomic_conjugate_keeps_its_linear_factor():
+    # P diag(-1) (+) companion(x^2 + x + 1) P^-1 with P over Q(zeta_3): the
+    # characteristic polynomial is a Cyc list (x + 1)(x^2 + x + 1), whose
+    # linear factor is left after the quadratic
+    z = rf(zeta(3))
+    P = m([[-1, 0, 0], [-z, -1, z], [z, -z, -1]], N=3)
+    M = m([[-1, 0, 0], [0, 0, -1], [0, 1, -1]], N=3)
+    ed = eigen_data(P * M * P.inverse())
+    assert ed.diagonalizable
+    assert Counter({lam: a for lam, a, _ in ed.eigenvalues}) == Counter(
+        {Fraction(-1): 1, Cyc(3, 0, 1): 1, Cyc(3, -1, -1): 1})
 
 
 def test_inverse_and_symbolic_pivoting():

@@ -126,6 +126,16 @@ def test_commutant_of_scalars_has_idempotents():
         assert not P.is_zero() and not P.is_identity()
 
 
+def test_a_field_commutant_is_undecided():
+    # the commutant of a rotation of order 3 is Q(zeta_3): a field, so no
+    # rational splitter, and its trace-form radical (zero) has corank 2,
+    # not the 1 of a local ring
+    rot3 = ExactMatrix.from_rows([[0, -1], [1, -1]], N=2)
+    com = commutant([rot3])
+    assert com.dim == 2
+    assert find_idempotents(com, rng=random.Random(2)) == {"kind": "undecided"}
+
+
 def test_aglue_decomposition_levels_3_4():
     rng = random.Random(99)
     pair = analysis_pair("a-glue", p=2, q=5)

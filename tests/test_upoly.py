@@ -436,9 +436,10 @@ def test_seeded_products_match_the_fraction_oracle():
 
 
 def test_cyclotomic_lists_match_the_fraction_oracle():
-    # over Q(zeta_m) only zero roots, a linear factor and the cyclotomic
-    # quadratics are split off; a rational root of a Cyc list is not
-    # searched for, so such lists raise as before
+    # over Q(zeta_m) only zero roots, the cyclotomic quadratics and a
+    # linear factor are split off; a rational root of a Cyc list is not
+    # searched for, so such lists raise as before.  A list that does not
+    # raise has as many roots as its degree
     rng = random.Random(1607)
     for _ in range(200):
         m = rng.choice((3, 4, 6))
@@ -455,6 +456,9 @@ def test_cyclotomic_lists_match_the_fraction_oracle():
         if not _is_cyc(f):
             f[-1] = Cyc(m, f[-1])
         assert_roots_match_oracle(f)
+        got = _new_roots(f)
+        if not isinstance(got, UnsupportedSpectrum):
+            assert sum(got.values()) == len(_ptrim(f)) - 1, f
         if f[-1]:
             assert_squarefree_part_matches_oracle(f)
 
