@@ -17,7 +17,7 @@ from .matrix import ExactMatrix, commutant_basis
 from .mdd import (all_permutations, perm_adjacent, perm_compose, perm_identity,
                   perm_inverse, perm_sign, perm_to_adjacent_word)
 from .presentations import SYM
-from .scalar import RF, InvariantError, NonVanishing, param, rf, zeta
+from .scalar import RF, InvariantError, param, rf, zeta
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +345,6 @@ class Character:
             return self.values[(i, j)]
         return self.values[(j, i)].inverse()
 
-    def nonvanishing(self):
-        """Constraints making every value invertible on the parameter variety."""
-        polys = []
-        for v in self.values.values():
-            polys.append(v.num)
-            polys.append(v.den)
-        return NonVanishing(polys)
-
     def acted(self, w):
         """chi^w with chi^w(x_{ij}) = chi(x_{w^-1(i) w^-1(j)})."""
         wi = perm_inverse(w)
@@ -411,14 +403,13 @@ class InducedRep:
     """Induced representation: matrices for the x_{ij} and the adjacent
     transpositions, of dimension [Sym_n : H_chi] * dim tau."""
 
-    __slots__ = ("n", "chi", "tau", "stab", "dim", "constraints", "_x", "_sigma")
+    __slots__ = ("n", "chi", "tau", "stab", "dim", "_x", "_sigma")
 
     def __init__(self, n, chi, tau, stab, x_images, sigma_images):
         self.n = n
         self.chi = chi
         self.tau = tau
         self.stab = stab
-        self.constraints = chi.nonvanishing()
         self._x = x_images
         self._sigma = sigma_images
         self.dim = next(iter(x_images.values())).nrows
@@ -426,7 +417,7 @@ class InducedRep:
     def x(self, i, j):
         if i < j:
             return self._x[(i, j)]
-        return self._x[(j, i)].inverse(self.constraints)
+        return _x_image(self.chi, self.stab.transversal, self.tau.dim, i, j)
 
     def sigma(self, i):
         return self._sigma[i]
@@ -443,6 +434,20 @@ class InducedRep:
         return gens
 
 
+def _x_image(chi, T, dt, i, j):
+    """The block-diagonal image of x_{ij}, either order of i and j, over
+    the transversal T: block b is chi(x_{t^-1(i) t^-1(j)}) times the
+    dt x dt identity, for the b-th t in T.  For i > j it is the inverse
+    of x_{ji}'s, as ``Character.value`` inverts an out-of-order pair."""
+    M = ExactMatrix.zeros(len(T) * dt, 1)
+    for b, t in enumerate(T):
+        ti = perm_inverse(t)
+        val = chi.value(ti[i - 1] + 1, ti[j - 1] + 1)
+        for r in range(dt):
+            M.rows[b * dt + r][b * dt + r] = val
+    return M
+
+
 def induce(chi, tau, stab):
     """Induce the character chi twisted by the irrep tau of its stabilizer
     (``stab``, from ``orbit_and_stabilizer``) up to the full semidirect
@@ -453,17 +458,7 @@ def induce(chi, tau, stab):
     T = stab.transversal
     dt = tau.dim
     dim = len(T) * dt
-    # abelian generators: block diagonal
-    x_images = {}
-    for (i, j) in sorted(chi.values):
-        M = ExactMatrix.zeros(dim, 1)
-        for b, t in enumerate(T):
-            ti = perm_inverse(t)
-            a, bb = ti[i - 1] + 1, ti[j - 1] + 1
-            val = chi.value(a, bb)
-            for r in range(dt):
-                M.rows[b * dt + r][b * dt + r] = val
-        x_images[(i, j)] = M
+    x_images = {ij: _x_image(chi, T, dt, *ij) for ij in sorted(chi.values)}
     # symmetric-group generators: permuted blocks with tau cocycles
     sigma_images = {}
     for i in range(1, n):

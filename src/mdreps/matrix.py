@@ -136,7 +136,8 @@ class ExactMatrix:
     @classmethod
     def from_rows(cls, entries, N=2, rows_level=None, cols_level=None):
         """Matrix of the given entries (int, Fraction, Cyc, Poly, RF or a
-        parameter name), in the constant form when all are rational."""
+        parameter name), in the constant form when all are rational; a Cyc
+        is never rational, a + b*zeta with b = 0 being built as a."""
         rows_level, cols_level = _levels(entries, N, rows_level, cols_level)
         vals = [[_rational(x) for x in row] for row in entries]
         if all(None not in row for row in vals):

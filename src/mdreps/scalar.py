@@ -8,11 +8,12 @@ with leading coefficient 1 under graded-lex on alphabetically sorted names).
 One coefficient rule holds for every rational that the tower stores (a
 polynomial coefficient, either component of a ``Cyc``): an integral value
 is a Python ``int``, any other value a ``Fraction`` whose denominator is
-greater than 1.  Equal values then have one type and one hash, integer work
-never builds a Fraction, and every quotient is exact (``_div``).  The values
-handed out at the boundary keep their Fraction type: ``as_fraction``,
-``Poly.const_value``, ``RF.const_value`` and ``evaluate`` return a Fraction
-for a rational value.
+greater than 1.  A value a + b*zeta_m with b = 0 is that rational a, never
+a ``Cyc``: the ``Cyc`` constructor returns it.  Equal values then have one
+type and one hash, integer work never builds a Fraction, and every quotient
+is exact (``_div``).  The values handed out at the boundary keep their
+Fraction type: ``as_fraction``, ``Poly.const_value``, ``RF.const_value``
+and ``evaluate`` return a Fraction for a rational value.
 """
 
 import re
@@ -77,40 +78,44 @@ SUPPORTED_CYC = (1, 2, 3, 4, 6)
 
 class Cyc:
     """Element a + b*zeta_m of Q(zeta_m), m in {3, 4, 6}, with rational
-    components a and b under the coefficient rule (ints when integral).
+    components a and b under the coefficient rule (ints when integral) and
+    b != 0.  A value whose zeta part is 0 is never a Cyc: the constructor
+    returns the rational a under the coefficient rule, so equal values have
+    one type and one hash, and a Cyc is never zero.
 
     For m in {1, 2} use plain rationals (zeta is rational there).
     """
 
     __slots__ = ("m", "a", "b")
 
-    def __init__(self, m, a, b=0):
+    def __new__(cls, m, a, b=0):
         if m not in _CYC_PQ:
             raise ValueError("unsupported cyclotomic order: %r" % (m,))
+        if b == 0:
+            return _q(a)
+        self = object.__new__(cls)
         self.m = m
         self.a = _q(a)
         self.b = _q(b)
+        return self
 
-    def _coerce(self, other):
-        if isinstance(other, Cyc):
+    def _parts(self, other):
+        """(a, b) with other = a + b*zeta_m for a rational or a Cyc of this
+        order (ValueError for another order), None for any other type."""
+        if type(other) is Cyc:
             if other.m != self.m:
-                if other.b == 0:
-                    return Cyc(self.m, other.a)
-                if self.b == 0:
-                    return None  # handled by caller swapping
-                raise ValueError("mixed cyclotomic orders %d and %d" % (self.m, other.m))
-            return other
+                raise ValueError("mixed cyclotomic orders %d and %d"
+                                 % (self.m, other.m))
+            return other.a, other.b
         if isinstance(other, (int, Fraction)):
-            return Cyc(self.m, other)
+            return other, 0
         return None
 
     def __add__(self, other):
-        if type(other) is int or type(other) is Fraction:
-            return Cyc(self.m, self.a + other, self.b)
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return Cyc(self.m, self.a + o.a, self.b + o.b)
+        return Cyc(self.m, self.a + o[0], self.b + o[1])
 
     __radd__ = __add__
 
@@ -118,66 +123,57 @@ class Cyc:
         return Cyc(self.m, -self.a, -self.b)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return Cyc(self.m, self.a - o.a, self.b - o.b)
+        return Cyc(self.m, self.a - o[0], self.b - o[1])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if type(other) is int or type(other) is Fraction:
-            return Cyc(self.m, self.a * other, self.b * other)
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
         p, q = _CYC_PQ[self.m]
         # (a1 + b1 z)(a2 + b2 z) with z^2 = -p z - q
-        a1, b1, a2, b2 = self.a, self.b, o.a, o.b
+        a1, b1, (a2, b2) = self.a, self.b, o
         zz = b1 * b2
         return Cyc(self.m, a1 * a2 - q * zz, a1 * b2 + b1 * a2 - p * zz)
 
     __rmul__ = __mul__
 
     def inverse(self):
+        # the norm a^2 - p a b + q b^2 of a nonzero element is nonzero
         p, q = _CYC_PQ[self.m]
         a, b = self.a, self.b
         norm = a * a - a * b * p + b * b * q
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
         return Cyc(self.m, _div(a - b * p, norm), _div(-b, norm))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if type(other) is Cyc:
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return Cyc(self.m, _div(self.a, other), _div(self.b, other))
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
     def __eq__(self, other):
-        if isinstance(other, Cyc):
-            if other.m != self.m:
-                return self.b == 0 and other.b == 0 and self.a == other.a
-            return self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        return NotImplemented
+        # a rational is never equal: int and Fraction give NotImplemented
+        # too, which makes == compare identity
+        if type(other) is not Cyc:
+            return NotImplemented
+        return self.m == other.m and self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
         return hash((self.m, self.a, self.b))
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
 
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = Cyc(self.m, 1)
+        out = 1
         base = self
         while k:
             if k & 1:
@@ -187,8 +183,6 @@ class Cyc:
         return out
 
     def __repr__(self):
-        if self.b == 0:
-            return str(self.a)
         return "(%s + %s*z%d)" % (self.a, self.b, self.m)
 
 
@@ -894,8 +888,6 @@ class NonVanishing:
 
 def _coeff_to_json(c):
     if isinstance(c, Cyc):
-        if c.b == 0:
-            return {"q": str(c.a)}
         return {"cyc": {"m": c.m, "coeffs": [str(c.a), str(c.b)]}}
     return {"q": str(Fraction(c))}
 
@@ -968,8 +960,8 @@ def rf_from_json(obj):
 
 
 def as_fraction(f):
-    """Constant RF as a Fraction (raises on symbolic or cyclotomic input;
-    a ``Cyc`` with zeta part 0 is rational)."""
+    """Constant RF as a Fraction (ValueError on symbolic or cyclotomic
+    input, a ``Cyc`` value never being rational)."""
     if f.den.terms == _UNIT.terms:
         num = f.num.terms
         if not num:
@@ -982,9 +974,5 @@ def as_fraction(f):
                 return Fraction(c)
     if not f.is_constant():
         raise ValueError("not a constant: %s" % (f,))
-    v = f.const_value()
-    if type(v) is Cyc:
-        if v.b != 0:
-            raise ValueError("cyclotomic constant, not rational: %s" % (f,))
-        v = v.a
-    return Fraction(v)
+    # a constant has the denominator 1, so its value is a Cyc
+    raise ValueError("cyclotomic constant, not rational: %s" % (f,))

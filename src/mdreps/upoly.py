@@ -6,9 +6,11 @@ of content 1 and a positive leading coefficient, the one such multiple of
 its rational coefficients (``_primitive``).  Its gcd (a pseudo-remainder
 sequence, the content divided out at each step), squarefree part, lcm and
 exact quotients (``divmod`` on each leading coefficient) stay primitive
-integer lists.  A list with a ``Cyc`` entry is a polynomial over
-Q(zeta_m) and keeps field arithmetic.  Every quotient is exact under the
-coefficient rule (an int when integral, else a Fraction; never a float).
+integer lists.  A list with a ``Cyc`` entry, whose zeta part is never 0,
+is a polynomial over Q(zeta_m) and keeps field arithmetic; a list whose
+values are all rational is over Q, however it was computed.  Every
+quotient is exact under the coefficient rule (an int when integral, else
+a Fraction; never a float).
 
 Rational roots come from one modular search, with no bound on the size of
 the coefficients: the roots of the squarefree part modulo the first prime
@@ -43,6 +45,7 @@ def _clear(fracs):
 
 
 def _is_cyc(a):
+    """True iff some coefficient of a is not rational."""
     return any(type(c) is Cyc for c in a)
 
 
@@ -377,7 +380,8 @@ def _roots_in_tower(coeffs):
     # Q(zeta_m) no quadratic left splits over the tower.  A rational root
     # is a Fraction, as every other one
     if len(coeffs) == 2:
-        roots.append(Fraction(-1) * coeffs[0] / coeffs[1])
+        r = _fdiv(-coeffs[0], coeffs[1])
+        roots.append(r if type(r) is Cyc else Fraction(r))
     if len(coeffs) == 3:
         a0, a1, a2 = coeffs
         raise UnsupportedSpectrum("x^2 + (%s)x + (%s)"

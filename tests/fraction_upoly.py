@@ -1,9 +1,15 @@
 """The Fraction implementation of ``mdreps.upoly`` that the integer one
-replaced, kept as the oracle of the differential tests (unchanged, but for
-raising the package's UnsupportedSpectrum): monic Fraction gcds, squarefree
-parts and quotients, and roots from the candidates of the rational root
-theorem (which refuses coefficients above 10^12), then every cyclotomic
-quadratic factor, then a last quadratic.
+replaced, kept as the oracle of the differential tests: monic Fraction
+gcds, squarefree parts and quotients, and roots from the candidates of the
+rational root theorem (which refuses coefficients above 10^12), then every
+cyclotomic quadratic factor, then a last quadratic.
+
+It is unchanged but for three points.  It raises the package's
+UnsupportedSpectrum.  ``_exact`` keeps each quotient exact: a Cyc sum or
+product whose zeta part is 0 is a rational, an int when integral.  For the
+same reason the squarefree part of a list over Q(zeta_m) may be a list
+over Q, so the roots of the squarefree part are hunted only when the input
+itself is over Q; over Q(zeta_m) no rational root is searched for.
 """
 
 from fractions import Fraction
@@ -22,6 +28,12 @@ def _clear(fracs):
 
 # ---------------------------------------------------------------------------
 # arithmetic
+
+def _exact(x):
+    """x with an int as a Fraction: a Cyc sum or product whose zeta part
+    is 0 is an int when integral, and int / int would be a float."""
+    return Fraction(x) if type(x) is int else x
+
 
 def _ptrim(a):
     """a without zero leading coefficients, keeping at least one entry."""
@@ -67,7 +79,7 @@ def _pdivmod(a, b):
             a.pop()
             continue
         k = len(a) - len(b)
-        c = a[-1] / b[-1]
+        c = _exact(a[-1]) / b[-1]
         q[k] = c
         for i, y in enumerate(b):
             a[i + k] -= c * y
@@ -81,7 +93,7 @@ def _pgcd(a, b):
     while any(b):
         a, b = b, _pdivmod(a, b)[1]
     if a[-1] != 0:
-        a = [x / a[-1] for x in a]
+        a = [_exact(x) / a[-1] for x in a]
     return a
 
 
@@ -96,7 +108,8 @@ def _pxgcd(a, b):
         s0, s1 = s1, _psub(s0, _pmul(q, s1))
         t0, t1 = t1, _psub(t0, _pmul(q, t1))
     lc = r0[-1]
-    return ([x / lc for x in s0], [x / lc for x in t0], [x / lc for x in r0])
+    return ([_exact(x) / lc for x in s0], [_exact(x) / lc for x in t0],
+            [_exact(x) / lc for x in r0])
 
 
 def _plcm(a, b):
@@ -194,7 +207,7 @@ def _roots_in_tower(coeffs):
     while len(coeffs) > 1 and coeffs[0] == 0:
         roots.append(Fraction(0))
         coeffs = coeffs[1:]
-    if len(coeffs) > 3:
+    if len(coeffs) > 3 and not any(isinstance(c, Cyc) for c in coeffs):
         # hunt roots on the squarefree part (much smaller coefficients),
         # then recover multiplicities by deflating the original
         sf = _squarefree_part(coeffs)
@@ -223,11 +236,11 @@ def _roots_in_tower(coeffs):
             roots += [Cyc(m, 0, 1), Cyc(m, -_CYC_PQ[m][0], -1)]
             coeffs = quo
     if len(coeffs) == 2:
-        roots.append(-coeffs[0] / coeffs[1])
+        roots.append(-_exact(coeffs[0]) / coeffs[1])
         coeffs = coeffs[1:]
     if len(coeffs) == 3:
         a2, a1, a0 = coeffs[2], coeffs[1], coeffs[0]
-        b, c = a1 / a2, a0 / a2
+        b, c = _exact(a1) / a2, _exact(a0) / a2
         disc = b * b - 4 * c
         s = _sqrt(disc) if isinstance(disc, Fraction) and disc >= 0 else None
         if s is None:

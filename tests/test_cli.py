@@ -49,6 +49,32 @@ def test_verify_failure_from_matrix_files(tmp_path, capsys):
                if not r["ok"])
 
 
+def test_a_zeta_power_that_is_rational_mixes_with_any_order(capsys):
+    # w3^3 is the rational 1, so it stands next to w4 as 1 does; w6 and w3
+    # are two orders of one field, which stay refused
+    code, out = run(capsys, "irreps", "--n", "3", "--char=w3^3,w4,1")
+    assert code == EXIT_OK
+    assert run(capsys, "irreps", "--n", "3", "--char=1,w4,1") == (code, out)
+    code, _ = run(capsys, "irreps", "--n", "3", "--char=w6^2,w3,w3^2")
+    assert code == EXIT_USAGE
+
+
+def test_verify_of_matrix_files_over_two_cyclotomic_orders(tmp_path,
+                                                           capsys):
+    # R's entry written as the Q(zeta_3) value 1 + 0*zeta_3 is the rational
+    # 1, so R is the flip over Q and S = zeta_4 * flip fails a relation
+    from mdreps.catalog import flip_matrix
+    from mdreps.scalar import zeta
+    R = flip_matrix().to_json()
+    R["entries"][0][2]["num"][0][0] = {"cyc": {"m": 3, "coeffs": ["1", "0"]}}
+    paths = [tmp_path / "R.json", tmp_path / "S.json"]
+    for path, obj in zip(paths, (R, flip_matrix().scale(zeta(4)).to_json())):
+        path.write_text(json.dumps(obj))
+    code, out = run(capsys, "verify", "--R", str(paths[0]), "--S",
+                    str(paths[1]), "--n", "3")
+    assert code == EXIT_MATH_FAIL and not json.loads(out)["ok"]
+
+
 def test_usage_errors(capsys):
     code, _ = run(capsys, "verify", "--n", "3")
     assert code == EXIT_USAGE
@@ -404,9 +430,9 @@ _ASSIGNMENTS = st.lists(st.tuples(st.sampled_from(["p", "q", "t", "eps",
                                                    "sign", ""]), _VALUES),
                         max_size=3).map(
     lambda kv: ",".join("%s=%s" % item for item in kv))
-_CHARS = st.lists(st.sampled_from(["1", "-1", "a", "a^-1", "w3", "w5", "0",
-                                   "1/0", ""]), min_size=1, max_size=4).map(
-    ",".join)
+_CHARS = st.lists(st.sampled_from(["1", "-1", "a", "a^-1", "w3", "w4", "w5",
+                                   "w6", "w3^3", "w4^2", "0", "1/0", ""]),
+                  min_size=1, max_size=4).map(",".join)
 _WORDS = st.lists(st.sampled_from(["r1", "s1", "r2", "s2^-1", "x12", "x21",
                                    "x13", "r0", "q"]), min_size=1,
                   max_size=3).map(" ".join)

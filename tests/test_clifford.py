@@ -107,6 +107,27 @@ def test_induction_2d_family_reproduces_display():
     assert off_values == {str(rf(1)), str(rf(omege)), str(rf(omege ** 2))}
 
 
+def test_x_ij_for_i_above_j_is_built_without_an_inverse(monkeypatch):
+    # x_ji = x_ij^-1 is the block diagonal of the inverse character values,
+    # built by the loop that builds x_ij; induce, whose relation check
+    # reads x_ji, inverts no matrix
+    calls = []
+    inverse = ExactMatrix.inverse
+
+    def counted(self, *args):
+        calls.append(self)
+        return inverse(self, *args)
+    monkeypatch.setattr(ExactMatrix, "inverse", counted)
+    for chi in (Character.from_vector(3, [a, a.inverse(), a]),
+                Character.from_vector(3, [a, a, -1])):
+        st = orbit_and_stabilizer(chi)
+        for tau in irreps_of_subgroup(st.subgroup, 3):
+            rep = induce(chi, tau, st)
+            for i, j in ((1, 2), (1, 3), (2, 3)):
+                assert (rep.x(j, i) * rep.x(i, j)).is_identity()
+    assert calls == []
+
+
 def test_induction_3d_family_reproduces_display():
     for pm in (1, -1):
         chi = Character.from_vector(3, [a, a, pm])

@@ -1,16 +1,18 @@
 """The coefficient rule of the scalar tower: every stored rational (a
 polynomial coefficient, a component of a Cyc) is an int when it is
-integral and otherwise a Fraction with denominator > 1, and no float or
-bool is ever stored.  ``rule_violations`` walks values and lists what
-breaks the rule; the tests run it over the operators, the constant form and
-the symbolic commutants."""
+integral and otherwise a Fraction with denominator > 1, no float or bool
+is ever stored, and a value a + b*zeta with b = 0 is the rational a, never
+a Cyc.  ``rule_violations`` walks values and lists what breaks the rule;
+the tests run it over the operators, the constant form and the symbolic
+commutants."""
 
 import hashlib
 import json
 import operator
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_constant_form import _VALUES, _pairs
 from test_scalar import constant_pairs, rf_operands
@@ -19,7 +21,7 @@ from mdreps.catalog import (analysis_pair, apply_transform, make_md_pair,
                             Transform)
 from mdreps.matrix import ExactMatrix, RepPair, commutant_basis, kron
 from mdreps.presentations import MIXED_DOUBLES, verify
-from mdreps.scalar import RF, Cyc, NonVanishing, Poly, rf, zeta
+from mdreps.scalar import _CYC_PQ, RF, Cyc, NonVanishing, Poly, rf, zeta
 
 
 def _rational_ok(v):
@@ -52,7 +54,7 @@ def rule_violations(x, where="value"):
                 for bad in rule_violations(c, "%s%r" % (where, m))]
     if isinstance(x, Cyc):
         return [(where + "." + part, v) for part, v in (("a", x.a), ("b", x.b))
-                if not _rational_ok(v)]
+                if not _rational_ok(v) or part == "b" and v == 0]
     return [] if _rational_ok(x) else [(where, x)]
 
 
@@ -65,8 +67,10 @@ def test_the_checker_rejects_what_breaks_the_rule():
     m = (("p", 1),)
     odd = Cyc(3, 1, 2)
     odd.b = Fraction(2)
+    on_line = Cyc(3, 1, 2)
+    on_line.b = 0
     for value in (Poly({m: 0.5}, False), Poly({m: True}, False),
-                  Poly({m: Fraction(3)}, False), rf(odd),
+                  Poly({m: Fraction(3)}, False), rf(odd), rf(on_line),
                   [rf(1), Poly({(): Fraction(-4, 1)}, False)],
                   ExactMatrix.from_ints([[Fraction(1), 0], [0, 1]])):
         assert rule_violations(value), value
@@ -89,6 +93,85 @@ def test_constructors_normalize_what_they_are_given():
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
         "/": operator.truediv}
+
+
+def test_a_rational_built_as_a_cyc_mixes_with_any_order():
+    # Cyc(3, 1) is the int 1, so it meets a Q(zeta_4) value in either order
+    one, i = Cyc(3, 1), Cyc(4, 0, 1)
+    assert type(one) is int and one == 1
+    want = {"+": Cyc(4, 1, 1), "-": Cyc(4, 1, -1), "*": i, "/": Cyc(4, 0, -1)}
+    back = {"+": Cyc(4, 1, 1), "-": Cyc(4, -1, 1), "*": i, "/": i}
+    for op, f in _OPS.items():
+        assert f(one, i) == want[op] and f(i, one) == back[op], op
+    # two genuine values of different orders stay refused
+    with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+        zeta(3) + i
+
+
+_RATIONALS = st.one_of(st.integers(-3, 3),
+                       st.builds(Fraction, st.integers(-4, 4),
+                                 st.integers(1, 4)))
+
+
+def _pair(v):
+    """(a, b) with v = a + b*zeta, as Fractions."""
+    if type(v) is Cyc:
+        return Fraction(v.a), Fraction(v.b)
+    return Fraction(v), Fraction(0)
+
+
+def _pair_op(op, m, x, y):
+    """x op y on (a, b) pairs of Q(zeta_m), zeta^2 = -P zeta - Q."""
+    (a1, b1), (a2, b2) = x, y
+    P, Q = _CYC_PQ[m]
+    if op == "+":
+        return a1 + a2, b1 + b2
+    if op == "-":
+        return a1 - a2, b1 - b2
+    if op == "/":
+        norm = a2 * a2 - P * a2 * b2 + Q * b2 * b2
+        a2, b2 = (a2 - P * b2) / norm, -b2 / norm
+    zz = b1 * b2
+    return a1 * a2 - Q * zz, a1 * b2 + b1 * a2 - P * zz
+
+
+def _pair_pow(m, x, k):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        out = _pair_op("*", m, out, x)
+    return _pair_op("/", m, (Fraction(1), Fraction(0)), out) if k < 0 else out
+
+
+@given(m=st.sampled_from((3, 4, 6)), ab=st.tuples(_RATIONALS, _RATIONALS),
+       other=st.one_of(_RATIONALS, st.tuples(_RATIONALS, _RATIONALS)),
+       op=st.sampled_from("+-*/"), k=st.integers(-3, 4))
+@settings(max_examples=300, deadline=None)
+def test_a_zeta_part_of_0_is_stored_as_its_rational(m, ab, other, op, k):
+    """Over one m: a value whose zeta part is 0, built by the constructor,
+    an operator (forward or reflected, with a Cyc or a rational operand) or
+    a power, is an int or a Fraction under the coefficient rule, never a
+    Cyc or a float, and hashes like the rational; any other value is a Cyc
+    of that m.  The expected (a, b) comes from arithmetic on pairs."""
+    x = Cyc(m, *ab)
+    y = Cyc(m, *other) if isinstance(other, tuple) else other
+    assume(type(x) is Cyc or type(y) is Cyc)
+    got = [(x, _pair(x))]
+    if isinstance(other, tuple):
+        got.append((y, _pair(y)))
+    for u, v in ((x, y), (y, x)):
+        if not (op == "/" and v == 0):
+            got.append((_OPS[op](u, v), _pair_op(op, m, _pair(u), _pair(v))))
+    for u in (x, y):
+        if type(u) is Cyc:
+            got.append((u ** k, _pair_pow(m, _pair(u), k)))
+    for value, (a, b) in got:
+        check(value)
+        if b == 0:
+            assert type(value) in (int, Fraction) and value == a
+            assert hash(value) == hash(a)
+        else:
+            assert type(value) is Cyc and value.m == m
+            assert (value.a, value.b) == (a, b)
 
 
 @given(ab=rf_operands(), op=st.sampled_from("*+-/"), k=st.integers(-2, 3))

@@ -169,21 +169,28 @@ def test_json_round_trip_picks_the_form():
 
 
 def test_cyclotomic_and_symbolic_inputs_stay_rf():
-    on_line = Cyc(3, Fraction(2, 3))  # a Cyc with rational value
+    # a + b*zeta with b = 0 is the rational a, so it gives the constant form
+    on_line = Cyc(3, Fraction(2, 3))
+    assert type(on_line) is Fraction
     for entries in ([[1, 0], [0, on_line]], [[1, 0], [0, rf(on_line)]],
-                    [[1, 0], [0, Poly.const(on_line)]], [[1, 0], [0, zeta(4)]],
+                    [[1, 0], [0, Poly.const(on_line)]]):
+        M = ExactMatrix.from_rows(entries)
+        assert M._ints is not None
+        assert typed(M[1, 1].num) == {(): (Fraction, Fraction(2, 3))}
+    for entries in ([[1, 0], [0, zeta(4)]],
                     [[1, "p"], [0, 1]], [[1, Poly.var("q")], [0, 1]],
                     [[rf(1) / (param("p") + 1), 0], [0, 1]]):
         M = ExactMatrix.from_rows(entries)
         assert M._ints is None
-    M = ExactMatrix.from_rows([[1, 0], [0, rf(on_line)]])
-    assert typed(M[1, 1].num) == {(): (Cyc, on_line)}
+    cyc = Cyc(3, Fraction(2, 3), 1)
+    M = ExactMatrix.from_rows([[1, 0], [0, rf(cyc)]])
+    assert typed(M[1, 1].num) == {(): (Cyc, cyc)}
     # an RF-form operand keeps the result in the RF form, types included
     A = ExactMatrix.from_rows([[1, 2], [3, 4]])
     for X in (A * M, M * A, A + M, A - M, kron(A, M), A.scale(zeta(3)),
               A.scale("p")):
         assert X._ints is None
-    assert typed((A * M)[1, 1].num) == {(): (Cyc, Cyc(3, Fraction(8, 3)))}
+    assert typed((A * M)[1, 1].num) == {(): (Cyc, Cyc(3, Fraction(8, 3), 4))}
     # a point with a cyclotomic value evaluates into the RF form
     S = ExactMatrix.from_rows([[1, "p"], [0, 1]])
     assert S.evaluate({"p": 2})._ints is not None

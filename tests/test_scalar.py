@@ -210,7 +210,7 @@ def test_as_fraction():
 
 
 def test_as_fraction_of_a_rational_cyc():
-    # a rational value may be stored as a Cyc with zeta part 0
+    # a + b*zeta with b = 0 is built as the rational a
     for m in (3, 4, 6):
         for a in (0, 1, -2, Fraction(3, 5)):
             v = as_fraction(rf(Cyc(m, a, 0)))
@@ -397,15 +397,15 @@ def test_rf_operators_against_sympy_cancel(ab, op):
 
 
 def typed(P):
-    """The terms of P with the type of each coefficient: a Cyc on the
-    rational line equals a Fraction but is not stored as one."""
+    """The terms of P with the type of each coefficient, so that equal
+    values stored with different types compare unequal."""
     return {mono: (type(c), c) for mono, c in P.terms.items()}
 
 
 @st.composite
 def constants(draw, m):
     """0, +-1 or a small fraction, over Q(zeta_m) sometimes as a + b*zeta
-    (b may be 0, a Cyc on the rational line)."""
+    (b may be 0, which builds the rational a)."""
     if draw(st.booleans()):
         v = Fraction(draw(st.sampled_from((0, 1, -1))))
     else:
@@ -521,9 +521,7 @@ def test_known_answer_paths_match_the_prs():
     """poly_gcd, _cancel and poly_divmod_exact against their bodies from
     before the ``_ratio`` short-circuit (tests/prs_scalar.py), in both
     orders, on constant multiples, on same-support pairs that are not
-    proportional, and on constant operands.  The values are equal; a
-    coefficient on the rational line may be an int where the PRS left a
-    Cyc, or the reverse, which compares and hashes equal."""
+    proportional, and on constant operands.  The values are equal."""
     rng = random.Random(19)
     seen = Counter()
     for _ in range(240):
@@ -556,8 +554,8 @@ def test_known_answer_paths_match_the_prs():
 
 def _random_univar(rng, m, degree):
     """A polynomial in x of the given degree over Q (m None) or Q(zeta_m):
-    int and Fraction coefficients, and over Q(zeta_m) Cycs, some of them
-    with zeta part 0."""
+    int and Fraction coefficients, and over Q(zeta_m) Cycs, drawn with a
+    zeta part that may be 0, which builds a rational."""
     pool = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
     terms = {}
     for e in range(degree + 1):

@@ -156,12 +156,25 @@ def test_trivial_pair_decomposes_into_lines():
     assert all(s["status"] == "irreducible" for s in rep.summands)
 
 
+def test_cyclotomic_conjugates_keep_their_x_trichotomy():
+    # X = R_1 S_1 of the conjugate by [[zeta_3, 0], [1, 1]] has the char
+    # poly of the pair's X, whose coefficients are rational and so stored
+    # as rationals: each of the 26 catalog pairs keeps its class
+    A = ExactMatrix.from_rows([[zeta(3), 0], [1, 1]])
+    at = {"p": 2, "q": 5, "s": 2, "t": 2}
+    for case, kw in ALL_CASES:
+        pair = make_md_pair(case, **kw)
+        point = {x: at[x] for x in pair.params} or None
+        conj = apply_transform(Transform("local_conj", A), pair)
+        assert x_trichotomy(conj, point) == x_trichotomy(pair, point), case
+
+
 @pytest.mark.parametrize("case", ["case1", "case7-flip"])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_cyclotomic_conjugates_decompose_like_their_pairs(case, sign):
-    # conjugation by [[zeta_3, 0], [1, 1]] leaves rational values stored as
-    # Cycs with zeta part 0 in the restricted generators, which
-    # restrict_to_subspace reads through as_fraction
+    # conjugation by [[zeta_3, 0], [1, 1]]: a value of the conjugate whose
+    # zeta part cancels is a rational, so restrict_to_subspace reads the
+    # restricted generators through as_fraction
     A = ExactMatrix.from_rows([[zeta(3), 0], [1, 1]])
     pair = make_md_pair(case, sign=sign)
     conj = apply_transform(Transform("local_conj", A), pair)

@@ -19,7 +19,7 @@ from test_structure import _minimal_polynomial_fraction
 from mdreps import upoly
 from mdreps.catalog import analysis_pair
 from mdreps.matrix import char_poly, eigen_data
-from mdreps.scalar import Cyc, InvariantError
+from mdreps.scalar import Cyc, InvariantError, zeta
 from mdreps.structure import (algebra_dims, commutant, decompose,
                               find_idempotents, minimal_polynomial)
 from mdreps.upoly import (UnsupportedSpectrum, _deflate, _is_cyc, _monic,
@@ -29,7 +29,8 @@ from mdreps.upoly import (UnsupportedSpectrum, _deflate, _is_cyc, _monic,
 
 
 # ---------------------------------------------------------------------------
-# oracles: the loops that lived in matrix.py before upoly
+# oracles: the loops that lived in matrix.py before upoly, each quotient
+# made exact by ``fu._exact``
 
 def _frac_poly_gcd(a, b):
     a, b = list(a), list(b)
@@ -46,14 +47,14 @@ def _frac_poly_gcd(a, b):
             if r[-1] == 0:
                 r.pop()
                 continue
-            c = r[-1] / b[-1]
+            c = fu._exact(r[-1]) / b[-1]
             k = len(r) - len(b)
             for i, y in enumerate(b):
                 r[i + k] -= c * y
             r.pop()
         a, b = b, trim(r or [Fraction(0)])
     if a[-1] != 0:
-        a = [x / a[-1] for x in a]
+        a = [fu._exact(x) / a[-1] for x in a]
     return a
 
 
@@ -71,7 +72,7 @@ def _squarefree_part_loop(coeffs):
         if r[-1] == 0:
             r.pop()
             continue
-        c = r[-1] / g[-1]
+        c = fu._exact(r[-1]) / g[-1]
         k = len(r) - len(g)
         q.append((k, c))
         for i, y in enumerate(g):
@@ -186,10 +187,13 @@ def test_lcm_is_divided_by_both(field, data):
 
 
 def test_lcm_whose_product_drops_the_cyc_entries():
-    # a zero Cyc entry leaves no Cyc in the product, whose entries are then
-    # not all integers: the quotient by the gcd is a field division
-    m = _plcm([Fraction(1, 2)], [Cyc(3, 0), Fraction(1)])
-    assert m == [0, Fraction(1, 2)]
+    # a + b*zeta with b = 0 is the rational a, so a zero Cyc entry cannot
+    # exist: Cyc(3, 0) is the int 0, the lists are over Q and their lcm is
+    # the primitive integer list
+    assert Cyc(3, 0) == 0 and type(Cyc(3, 0)) is int
+    a, b = [Fraction(1, 2)], [Cyc(3, 0), Fraction(1)]
+    assert not (_is_cyc(a) or _is_cyc(b))
+    assert typed(_plcm(a, b)) == [(int, 0), (int, 1)]
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -437,10 +441,14 @@ def test_seeded_products_match_the_fraction_oracle():
 
 def test_cyclotomic_lists_match_the_fraction_oracle():
     # over Q(zeta_m) only zero roots, the cyclotomic quadratics and a
-    # linear factor are split off; a rational root of a Cyc list is not
-    # searched for, so such lists raise as before.  A list that does not
-    # raise has as many roots as its degree
+    # linear factor are split off, and a rational root is not searched
+    # for.  A root a + b*zeta_m drawn with b = 0 is rational, so some
+    # products are over Q: each of those is checked as it is, where it
+    # splits as any list over Q, and times x - zeta_m, a genuine
+    # cyclotomic list.  A list that does not raise has as many roots as
+    # its degree
     rng = random.Random(1607)
+    seen = Counter()
     for _ in range(200):
         m = rng.choice((3, 4, 6))
         f = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
@@ -453,14 +461,17 @@ def test_cyclotomic_lists_match_the_fraction_oracle():
         for _ in range(rng.randint(0, 2)):
             f = fu._pmul(f, fractions(_CYC_FACTORS[m][0]))
         f = fu._pmul(f, [Fraction(0)] * rng.randint(0, 1) + [Fraction(1)])
-        if not _is_cyc(f):
-            f[-1] = Cyc(m, f[-1])
-        assert_roots_match_oracle(f)
-        got = _new_roots(f)
-        if not isinstance(got, UnsupportedSpectrum):
-            assert sum(got.values()) == len(_ptrim(f)) - 1, f
-        if f[-1]:
-            assert_squarefree_part_matches_oracle(f)
+        for g in [f] if _is_cyc(f) else [f, fu._pmul(f, [-zeta(m), 1])]:
+            assert_roots_match_oracle(g)
+            got = _new_roots(g)
+            split = not isinstance(got, UnsupportedSpectrum)
+            if split:
+                assert sum(got.values()) == len(_ptrim(g)) - 1, g
+            if g[-1]:
+                assert_squarefree_part_matches_oracle(g)
+            seen["cyc" if _is_cyc(g) else "Q", split] += 1
+    assert seen == {("Q", True): 67, ("Q", False): 21,
+                    ("cyc", True): 55, ("cyc", False): 145}
 
 
 def _large_products(rng, count):
