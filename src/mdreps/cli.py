@@ -233,7 +233,9 @@ def cmd_irreps(args):
                          for i in range(1, args.n)}}
         _emit(out, args.out)
         return EXIT_OK
-    if args.dims:
+    if args.dims is not None:
+        if args.dims < 1:
+            raise UsageError("--dims must be >= 1")
         out = clifford.classify_small_dims(args.n, args.dims)
         _emit({"n": args.n, "dim": args.dims, "entries": out}, args.out)
         return EXIT_OK
@@ -288,15 +290,31 @@ def cmd_mdd(args):
     raise UsageError("unknown mdd action %r" % (args.action,))
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="mdreps",
-        description="exact verification and analysis of rank-2 local "
-                    "representations of the involutive loop-braid quotient")
-    ap.add_argument("--seed", type=int, default=0, help="RNG seed")
-    sub = ap.add_subparsers(dest="command", required=True)
+class _Command(argparse.ArgumentParser):
+    """A command's sub-parser, whose arguments are added on its first parse.
 
-    v = sub.add_parser("verify", help="check defining relations for a pair")
+    argparse calls ``parse_known_args`` only on the sub-parser that the
+    command line names, and the top-level help reads the commands' help
+    strings from the sub-parsers action, so one invocation builds one
+    command's parser, not all six."""
+
+    def __init__(self, add_arguments, **kwargs):
+        self._add_arguments = add_arguments
+        self._kwargs = kwargs
+        self._built = False
+
+    def _build(self):
+        argparse.ArgumentParser.__init__(self, **self._kwargs)
+        self._add_arguments(self)
+        self._built = True
+
+    def parse_known_args(self, args=None, namespace=None):
+        if not self._built:
+            self._build()
+        return super().parse_known_args(args, namespace)
+
+
+def _verify_arguments(v):
     v.add_argument("--case")
     v.add_argument("--params", default="")
     v.add_argument("--R")
@@ -306,14 +324,16 @@ def build_parser():
     v.add_argument("--out")
     v.set_defaults(func=cmd_verify)
 
-    c = sub.add_parser("catalog", help="list families or emit matrices")
+
+def _catalog_arguments(c):
     c.add_argument("action", choices=["list", "make"])
     c.add_argument("family", nargs="?")
     c.add_argument("--params", default="")
     c.add_argument("--out")
     c.set_defaults(func=cmd_catalog)
 
-    a = sub.add_parser("analyze", help="decompose a representation")
+
+def _analyze_arguments(a):
     a.add_argument("--case", required=True)
     a.add_argument("--params", default="")
     a.add_argument("--n", type=int, default=3)
@@ -321,7 +341,8 @@ def build_parser():
     a.add_argument("--out")
     a.set_defaults(func=cmd_analyze)
 
-    i = sub.add_parser("irreps", help="induced irreducibles and classification")
+
+def _irreps_arguments(i):
     i.add_argument("--n", type=int, required=True)
     i.add_argument("--char")
     i.add_argument("--tau", type=int, default=0)
@@ -329,7 +350,8 @@ def build_parser():
     i.add_argument("--out")
     i.set_defaults(func=cmd_irreps)
 
-    g = sub.add_parser("ccwg", help="charge-conservation-with-glue tools")
+
+def _ccwg_arguments(g):
     g.add_argument("action", choices=["check", "project", "order"])
     g.add_argument("matrix", nargs="?")
     g.add_argument("--part", choices=["cc", "glue"], default="cc")
@@ -338,7 +360,8 @@ def build_parser():
     g.add_argument("--out")
     g.set_defaults(func=cmd_ccwg)
 
-    m = sub.add_parser("mdd", help="group-element words and evaluation")
+
+def _mdd_arguments(m):
     m.add_argument("action", choices=["normal", "eval"])
     m.add_argument("--word", required=True)
     m.add_argument("--n", type=int, default=3)
@@ -349,6 +372,28 @@ def build_parser():
     m.add_argument("--at", default="")
     m.add_argument("--out")
     m.set_defaults(func=cmd_mdd)
+
+
+def build_parser():
+    ap = argparse.ArgumentParser(
+        prog="mdreps",
+        description="exact verification and analysis of rank-2 local "
+                    "representations of the involutive loop-braid quotient")
+    ap.add_argument("--seed", type=int, default=0, help="RNG seed")
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=_Command)
+    sub.add_parser("verify", help="check defining relations for a pair",
+                   add_arguments=_verify_arguments)
+    sub.add_parser("catalog", help="list families or emit matrices",
+                   add_arguments=_catalog_arguments)
+    sub.add_parser("analyze", help="decompose a representation",
+                   add_arguments=_analyze_arguments)
+    sub.add_parser("irreps", help="induced irreducibles and classification",
+                   add_arguments=_irreps_arguments)
+    sub.add_parser("ccwg", help="charge-conservation-with-glue tools",
+                   add_arguments=_ccwg_arguments)
+    sub.add_parser("mdd", help="group-element words and evaluation",
+                   add_arguments=_mdd_arguments)
     return ap
 
 
@@ -366,7 +411,7 @@ def main(argv=None):
     except BranchAmbiguity as exc:
         print("error: %s; pass --at" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError,
+    except (OSError, json.JSONDecodeError, KeyError, ValueError,
             RejectedPoint, catalog.ConstraintViolation) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -1,13 +1,15 @@
 import contextlib
 import io
 import json
+import os
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdreps.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
+import eager_parser
+from mdreps.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, build_parser, main
 from mdreps.matrix import ExactMatrix
 from mdreps.scalar import rf
 
@@ -235,6 +237,25 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "list", "--out", "{dir}"],
+    ["verify", "--R", "{dir}", "--S", "{dir}"],
+    ["ccwg", "check", "{dir}"],
+])
+def test_a_path_that_cannot_be_read_or_written_exits_2(tmp_path, capsys,
+                                                       argv):
+    assert main([a.format(dir=tmp_path) for a in argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("dims", ["0", "-1"])
+def test_dims_below_1_is_a_usage_error(capsys, dims):
+    assert main(["irreps", "--n", "3", "--dims", dims]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: --dims must be >= 1\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -466,7 +487,8 @@ def _matrix_files(draw):
 
 @st.composite
 def _argvs(draw, paths):
-    """(argv, matrix files) from the CLI grammar, with bad values mixed in."""
+    """(argv, matrix files) from the CLI grammar, with bad values mixed in;
+    --out is a file next to the matrix files or their directory."""
     files = [draw(_matrix_files()) for _ in paths]
     opt = lambda flag, values: ([flag, draw(values)]  # noqa: E731
                                 if draw(st.booleans()) else [])
@@ -505,6 +527,9 @@ def _argvs(draw, paths):
         else:
             argv += ["--R", paths[0], "--S", paths[1]]
         argv += opt("--at", _ASSIGNMENTS) + opt("--params", _ASSIGNMENTS)
+    folder = os.path.dirname(paths[0])
+    argv += opt("--out", st.sampled_from([os.path.join(folder, "out.json"),
+                                          folder]))
     return opt("--seed", st.sampled_from(["0", "3", "x"])) + argv, files
 
 
@@ -524,5 +549,18 @@ def test_exit_code_contract_over_the_argv_grammar(tmp_path):
         assert code in (EXIT_OK, EXIT_MATH_FAIL, EXIT_USAGE), argv
         if code == EXIT_USAGE and err.getvalue().startswith("error: "):
             assert err.getvalue().count("\n") == 1, argv
+
+    check()
+
+
+def test_lazy_parser_matches_the_eager_one_over_the_argv_grammar(tmp_path):
+    paths = [str(tmp_path / "R.json"), str(tmp_path / "S.json")]
+
+    @given(_argvs(paths))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def check(case):
+        argv, _ = case
+        assert eager_parser.parse(build_parser, argv) == \
+            eager_parser.parse(eager_parser.build_parser, argv), argv
 
     check()
