@@ -28,12 +28,38 @@ def _sym(x, name):
     return param(name) if x is None else rf(x)
 
 
+# the four 4x4 shapes that the classified matrices are built from; g is an RF
+
+def _slash(g, corner):
+    return _mat([[1, 0, 0, 0], [0, 0, g, 0], [0, g.inverse(), 0, 0],
+                 [0, 0, 0, corner]])
+
+
+def _antislash(g, middle):
+    return _mat([[0, 0, 0, g], [0, middle, 0, 0], [0, 0, middle, 0],
+                 [g.inverse(), 0, 0, 0]])
+
+
+def _aglue(g, middle):
+    return _mat([[1, 0, 0, g], [0, 0, middle, 0], [0, middle, 0, 0],
+                 [0, 0, 0, -1]])
+
+
+def _fglue(p, q):
+    return _mat([[1, -p, p, p * q], [0, 0, 1, q], [0, 1, 0, -q], [0, 0, 0, 1]])
+
+
+def _fglue_diag(g):
+    # the f-glue shape with equal glue parameter: first row (1, g, -g, -g^2)
+    return _fglue(-g, g)
+
+
 def flip_matrix():
-    return _mat([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    return _slash(RF_ONE, 1)
 
 
 def antislash_matrix():
-    return _mat([[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]])
+    return _antislash(RF_ONE, 1)
 
 
 def is_involutive(M):
@@ -63,25 +89,14 @@ def make_involutive_braid(family, p=None, q=None, sign=1, check=True):
     if family == "trivial":
         M = ExactMatrix.identity(2, 2)
     elif family == "f-glue":
-        pp, qq = _sym(p, "p"), _sym(q, "q")
-        M = _mat([[1, -pp, pp, pp * qq],
-                  [0, 0, 1, qq],
-                  [0, 1, 0, -qq],
-                  [0, 0, 0, 1]])
+        M = _fglue(_sym(p, "p"), _sym(q, "q"))
     elif family == "a-glue":
-        pp = _sym(p, "p")
-        M = _mat([[1, 0, 0, pp],
-                  [0, 0, 1, 0],
-                  [0, 1, 0, 0],
-                  [0, 0, 0, -1]])
+        M = _aglue(_sym(p, "p"), 1)
     elif family == "fa-slash":
         qq = _sym(q, "q")
         if qq.is_zero():
             raise ConstraintViolation("fa-slash needs q != 0")
-        M = _mat([[1, 0, 0, 0],
-                  [0, 0, qq, 0],
-                  [0, qq.inverse(), 0, 0],
-                  [0, 0, 0, sign]])
+        M = _slash(qq, sign)
     elif family == "anti-slash":
         M = antislash_matrix()
     else:
@@ -112,8 +127,7 @@ def known_coincidences():
 
 def _manji_basis(sign):
     s = sign
-    P = _mat([[1, 0, 0, 0], [0, 0, s, 0], [0, s, 0, 0], [0, 0, 0, 1]])
-    A = _mat([[0, 0, 0, s], [0, 1, 0, 0], [0, 0, 1, 0], [s, 0, 0, 0]])
+    P, A = _slash(rf(s), 1), _antislash(rf(s), 1)
     Nn = _mat([[0, 0, 1, 0], [s, 0, 0, 0], [0, 0, 0, s], [0, 1, 0, 0]])
     Np = _mat([[0, 1, 0, 0], [0, 0, 0, s], [s, 0, 0, 0], [0, 0, 1, 0]])
     return P, A, Nn, Np
@@ -141,40 +155,6 @@ def make_manji(kind, sign=1, a=None, b=None, c=None, d=None):
 # ---------------------------------------------------------------------------
 # the classified pairs
 
-def _aglue(g):
-    return _mat([[1, 0, 0, g], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]])
-
-
-def _fglue_diag(g):
-    # the f-glue shape with equal glue parameter: first row (1, g, -g, -g^2)
-    return _mat([[1, g, -g, -(g * g)], [0, 0, 1, g], [0, 1, 0, -g], [0, 0, 0, 1]])
-
-
-def _slash(g, corner):
-    return _mat([[1, 0, 0, 0], [0, 0, g, 0], [0, g.inverse(), 0, 0],
-                 [0, 0, 0, corner]])
-
-
-def _conic_point_a(eps, t):
-    # x^2 = z^2 + eps*z through (z, x) = (0, 0): z = eps/(t^2-1), x = t*z
-    den = t * t - 1
-    z = rf(eps) / den
-    return z, t * z
-
-
-def _conic_point_b(eps, t):
-    # 2r^2 - 2y^2 + 2 eps y - 1 = 0 through (y, r) = (eps/2, 1/2)
-    u = rf(1) / (t * t - 1)
-    return rf(eps) / 2 + t * u, rf(1) / 2 + u  # (y, r)
-
-
-def _conic_point_c(eps, t):
-    # r^2 - y^2 + eps*r = 0 through (r, y) = (0, 0)
-    den = t * t - 1
-    r = rf(eps) / den
-    return r, t * r  # (r, y)
-
-
 def _case6a_S(eps, z, x):
     w = -eps - z
     return _mat([[z, -x, x, w],
@@ -199,10 +179,28 @@ def _case6c_S(eps, r, y):
                  [w, y, y, -r]])
 
 
-def _check_conic(value_lhs, value_rhs, label):
-    if not (value_lhs - value_rhs).is_zero():
-        raise ConstraintViolation("conic constraint not satisfied for %s" % label)
+def _origin_point(eps, t, u):
+    # the second point on a line of slope t through a conic's origin point
+    z = eps * u
+    return z, t * z
 
+
+# The conic cases: the coordinate names of S's point, the point at the
+# parameter t given u = 1/(t^2 - 1), S at a point, and the conic's value at
+# a point, which is zero on the conic.
+_CONICS = {
+    # x^2 = z^2 + eps*z through (z, x) = (0, 0)
+    "case6a": (("z", "x"), _origin_point, _case6a_S,
+               lambda eps, z, x: x * x - (z * z + z * eps)),
+    # 2r^2 - 2y^2 + 2 eps y - 1 = 0 through (y, r) = (eps/2, 1/2)
+    "case6b": (("y", "r"),
+               lambda eps, t, u: (rf(eps) / 2 + t * u, rf(1) / 2 + u),
+               _case6b_S,
+               lambda eps, y, r: r * r * 2 - y * y * 2 + y * (2 * eps) - 1),
+    # r^2 - y^2 + eps*r = 0 through (r, y) = (0, 0)
+    "case6c": (("r", "y"), _origin_point, _case6c_S,
+               lambda eps, r, y: r * r + r * eps - y * y),
+}
 
 # the keywords each case reads, besides the conic cases' parameter t or
 # point coordinates
@@ -216,30 +214,28 @@ _CASE_KEYWORDS = {
     "case7-aslash": {"sign", "s"}, "case7-fglue": {"sign", "s"},
 }
 
-_CONIC_POINTS = {"case6a": ("z", "x"), "case6b": ("y", "r"),
-                 "case6c": ("r", "y")}
+
+def _refuse_unread(name, kw, reads):
+    unread = set(kw).difference(reads)
+    if unread:
+        raise ConstraintViolation("%s does not take %s"
+                                  % (name, ", ".join(sorted(unread))))
 
 
 def make_md_pair(case, check=True, **kw):
-    """Construct the (R, S) pair of a classification case or subcase.
-
-    Cases: case1, case2, case3, case3-wangian, case4, case4-glue, case5,
-    case5-antidiag, case6a, case6b, case6c, case7-flip, case7-antislash,
-    case7-aslash, case7-fglue.  Sign choices are explicit keyword arguments;
-    unsupplied continuous parameters stay symbolic.  A conic case takes its
-    point coordinates or the conic parameter t.  A keyword that the case
-    does not read is refused.  Construction re-verifies the mixed-doubles
-    relations at level 3.
+    """Construct the (R, S) pair of a classification case or subcase, one
+    of the case names in ``ALL_CASES``.  Sign choices are explicit keyword
+    arguments; unsupplied continuous parameters stay symbolic.  A conic case
+    takes its point coordinates or the conic parameter t, t != +-1.  A
+    keyword that the case does not read is refused.  Construction
+    re-verifies the mixed-doubles relations at level 3.
     """
     if case not in _CASE_KEYWORDS:
         raise ConstraintViolation("unknown case %r" % (case,))
-    point = _CONIC_POINTS.get(case, ())
+    point = _CONICS[case][0] if case in _CONICS else ()
     if point and not set(kw) & set(point):
         point = ("t",)
-    unread = set(kw).difference(_CASE_KEYWORDS[case], point)
-    if unread:
-        raise ConstraintViolation("%s does not take %s"
-                                  % (case, ", ".join(sorted(unread))))
+    _refuse_unread(case, kw, _CASE_KEYWORDS[case].union(point))
     sign = kw.get("sign", 1)
     eps = kw.get("eps", 1)
     if sign not in (1, -1) or eps not in (1, -1):
@@ -262,11 +258,11 @@ def make_md_pair(case, check=True, **kw):
         p, q = grab("p"), grab("q")
         if p.is_zero():
             raise ConstraintViolation("case2 needs p != 0")
-        R, S = _aglue(p), _aglue(q).scale(sign)
+        R, S = _aglue(p, 1), _aglue(q, 1).scale(sign)
         nv = NonVanishing([p])
     elif case == "case3-wangian":
         p, q = grab("p"), grab("q")
-        R = _mat([[1, -p, p, p * q], [0, 0, 1, q], [0, 1, 0, -q], [0, 0, 0, 1]])
+        R = _fglue(p, q)
         S = R.scale(sign)
         nv = NonVanishing([q])
     elif case == "case3":
@@ -279,60 +275,43 @@ def make_md_pair(case, check=True, **kw):
         p, s = grab("p"), grab("s")
         if p.is_zero() or s.is_zero():
             raise ConstraintViolation("case4 needs p, s != 0")
-        R = _mat([[1, 0, 0, 0], [0, 0, p, 0], [0, p.inverse(), 0, 0],
-                  [0, 0, 0, -1]])
-        S = _slash(s, rf(sign))
+        R, S = _slash(p, -1), _slash(s, sign)
         nv = NonVanishing([p, s])
     elif case == "case4-glue":
         pm = kw.get("p", 1)
         if pm not in (1, -1):
             raise ConstraintViolation("case4-glue needs p = +-1")
-        s = grab("s")
-        R = _mat([[1, 0, 0, 0], [0, 0, pm, 0], [0, pm, 0, 0], [0, 0, 0, -1]])
         # the middle sign of S is forced to equal p by the relations
-        S = _mat([[1, 0, 0, s], [0, 0, pm, 0], [0, pm, 0, 0], [0, 0, 0, -1]])
+        R, S = _aglue(0, pm), _aglue(grab("s"), pm)
     elif case == "case5":
         p, s = grab("p"), grab("s")
         if p.is_zero() or s.is_zero():
             raise ConstraintViolation("case5 needs p, s != 0")
-        R = _slash(p, RF_ONE)
-        S = _slash(s, rf(sign))
+        R, S = _slash(p, 1), _slash(s, sign)
         nv = NonVanishing([p, s])
     elif case == "case5-antidiag":
         s = grab("s")
         if s.is_zero():
             raise ConstraintViolation("case5-antidiag needs s != 0")
-        R = _slash(rf(-1), RF_ONE)
-        S = _mat([[0, 0, 0, s], [0, sign, 0, 0], [0, 0, sign, 0],
-                  [s.inverse(), 0, 0, 0]])
+        R, S = _slash(rf(-1), 1), _antislash(s, sign)
         nv = NonVanishing([s])
-    elif case in _CONIC_POINTS:
+    elif case in _CONICS:
+        _, point_at, make_S, conic = _CONICS[case]
         R = antislash_matrix()
         if point == ("t",):
             t = grab("t")
+            den = t * t - 1
+            if den.is_zero():
+                raise ConstraintViolation("%s needs t != +-1" % case)
             nv = NonVanishing([t, t - 1, t + 1])
-            if case == "case6a":
-                z, x = _conic_point_a(eps, t)
-                S = _case6a_S(eps, z, x)
-            elif case == "case6b":
-                y, r = _conic_point_b(eps, t)
-                S = _case6b_S(eps, y, r)
-            else:
-                r, y = _conic_point_c(eps, t)
-                S = _case6c_S(eps, r, y)
+            S = make_S(eps, *point_at(eps, t, rf(1) / den))
         else:
             # a coordinate left out stays symbolic and fails the conic
             a, b = (grab(name) for name in point)
-            if case == "case6a":
-                _check_conic(b * b, a * a + a * eps, "case6a")
-                S = _case6a_S(eps, a, b)
-            elif case == "case6b":
-                _check_conic(b * b * 2 - a * a * 2 + a * (2 * eps), rf(1),
-                             "case6b")
-                S = _case6b_S(eps, a, b)
-            else:
-                _check_conic(a * a + a * eps, b * b, "case6c")
-                S = _case6c_S(eps, a, b)
+            if not conic(eps, a, b).is_zero():
+                raise ConstraintViolation("conic constraint not satisfied "
+                                          "for %s" % case)
+            S = make_S(eps, a, b)
     elif case == "case7-flip":
         R = flip_matrix()
         S = flip_matrix().scale(sign)
@@ -343,14 +322,11 @@ def make_md_pair(case, check=True, **kw):
         s = grab("s")
         if s.is_zero():
             raise ConstraintViolation("case7-aslash needs s != 0")
-        R = flip_matrix()
-        S = _mat([[1, 0, 0, 0], [0, 0, s, 0], [0, s.inverse(), 0, 0],
-                  [0, 0, 0, -1]]).scale(sign)
+        R, S = flip_matrix(), _slash(s, -1).scale(sign)
         nv = NonVanishing([s])
     elif case == "case7-fglue":
-        s = grab("s")
         R = flip_matrix()
-        S = _fglue_diag(s).scale(sign)
+        S = _fglue_diag(grab("s")).scale(sign)
 
     pair = RepPair(R, S, params=params, constraints=nv, provenance=case)
     if check and not passes(pair, MIXED_DOUBLES, 3):
@@ -392,13 +368,13 @@ def analysis_pair(family, **kw):
     S(p)); 'antislash' is the eps=-1 case6a pair.  A keyword that the
     family does not read is refused."""
     if family in ("a-glue", "f-glue"):
-        unread = set(kw).difference(("p", "q"))
-        if unread:
-            raise ConstraintViolation("%s does not take %s"
-                                      % (family, ", ".join(sorted(unread))))
+        _refuse_unread(family, kw, ("p", "q"))
         p, q = rf(kw.get("p", "p")), rf(kw.get("q", "q"))
-        glue = _aglue if family == "a-glue" else _fglue_diag
-        return RepPair(glue(q), glue(p), params=("p", "q"),
+        if family == "a-glue":
+            R, S = _aglue(q, 1), _aglue(p, 1)
+        else:
+            R, S = _fglue_diag(q), _fglue_diag(p)
+        return RepPair(R, S, params=("p", "q"),
                        constraints=NonVanishing([]), provenance=family)
     if family == "antislash":
         return make_md_pair("case6a", eps=-1, **kw)
@@ -419,10 +395,8 @@ class Transform:
     def inverse(self):
         if self.kind in ("transpose", "global_sign", "swap_rs", "antidiagonal"):
             return self
-        if self.kind == "local_conj":
-            return Transform("local_conj", self.matrix.inverse())
-        if self.kind == "nonlocal_conj":
-            return Transform("nonlocal_conj", self.matrix.inverse())
+        if self.kind in ("local_conj", "nonlocal_conj"):
+            return Transform(self.kind, self.matrix.inverse())
         raise ValueError("unknown transform %r" % (self.kind,))
 
 
@@ -434,17 +408,13 @@ def apply_transform(t, pair):
         R, S = R.transpose(), S.transpose()
     elif t.kind == "global_sign":
         R, S = R.scale(-1), S.scale(-1)
-    elif t.kind == "local_conj":
-        A = t.matrix
-        U = kron(A, A)
-        Ui = U.inverse()
-        R, S = U * R * Ui, U * S * Ui
-    elif t.kind == "nonlocal_conj":
-        U = t.matrix
+    elif t.kind in ("local_conj", "nonlocal_conj"):
+        U = kron(t.matrix, t.matrix) if t.kind == "local_conj" else t.matrix
         Ui = U.inverse()
         R, S = U * R * Ui, U * S * Ui
     elif t.kind == "antidiagonal":
-        J = kron(_mat([[0, 1], [1, 0]]), _mat([[0, 1], [1, 0]]))
+        X = _mat([[0, 1], [1, 0]])
+        J = kron(X, X)
         R = J * R.transpose() * J
         S = J * S.transpose() * J
     else:

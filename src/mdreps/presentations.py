@@ -160,14 +160,16 @@ class _Cleared:
 
     def __init__(self, pair, span):
         mats = (pair.R, pair.S)
+        scans = [_scan(M) for M in mats]
         self.N, self.span = pair.N, span
-        self.names = sorted(set().union(*map(_variables, mats)))
-        width = (span * max(map(_degree_bound, mats))).bit_length()
+        self.names = sorted(set().union(*(names for names, *_ in scans)))
+        width = (span * max(bound for _, bound, *_ in scans)).bit_length()
         self.shifts = [i * width for i in range(len(self.names))]
         self.mask = (1 << width) - 1
         self.bits = width * len(self.names)
         shift = dict(zip(self.names, self.shifts))
-        (R, cR), (S, cS) = (_clear(M, shift, self.bits) for M in mats)
+        (R, cR), (S, cS) = (_clear(M, scan, shift, self.bits)
+                            for M, scan in zip(mats, scans))
         self.X, self.c = {"r": R, "s": S}, {"r": cR, "s": cS}
         self.cache, self.powers = {}, {(0, 0): {0: 1}}
 
@@ -250,26 +252,9 @@ class _Cleared:
                            if key >> s & mask): v for key, v in f.items()})
 
 
-def _variables(M):
-    if M._ints is not None:
-        return set()
-    return set().union(*(e.variables() for row in M._rows for e in row))
-
-
 def _top(p):
     """The largest exponent of any parameter in p."""
     return max((e for m in p.terms for _, e in m), default=0)
-
-
-def _degree_bound(M):
-    """A bound on the exponent of any parameter in an entry of the cleared
-    matrix and in its c: the largest in a numerator plus the sum over the
-    distinct denominators."""
-    if M._ints is not None:
-        return 0
-    entries = [e for row in M._rows for e in row]
-    return (max((_top(e.num) for e in entries), default=0)
-            + sum(map(_top, {e.den for e in entries})))
 
 
 def _coeff_den(p):
@@ -293,27 +278,48 @@ def _pack(p, shift, scale):
             for m, v in p.terms.items()}
 
 
-def _clear(M, shift, bits):
-    """(rows, c) with M = rows / c and flat polynomial rows.  Each distinct
-    denominator d is cleared to l_d d with integer coefficients, l_d being
-    ``_coeff_den(d)``, and L is that lcm over all numerators: c is L times
-    the cleared denominators, and an entry n / d becomes L n times l_d and
-    the other cleared denominators."""
+def _scan(M):
+    """One pass over M's entries: (its parameter names, the degree bound,
+    its distinct denominators, L, its nonzero entries as (row, column,
+    numerator, index of the denominator)).  The degree bound bounds the
+    exponent of any parameter in an entry of the cleared matrix and in its
+    c: the largest in a numerator plus the sum over the distinct
+    denominators.  L is the lcm of the numerators' ``_coeff_den``.  A
+    constant-form matrix has none of these; ``_clear`` reads its integer
+    rows."""
+    names, top, dens, L, entries = set(), 0, {}, 1, []
+    if M._ints is None:
+        for i, row in enumerate(M._rows):
+            for j, x in enumerate(row):
+                if x.is_zero():
+                    continue
+                names |= x.variables()
+                top = max(top, _top(x.num))
+                L = lcm(L, _coeff_den(x.num))
+                k = dens.setdefault(x.den, len(dens))
+                entries.append((i, j, x.num, k))
+    return names, top + sum(map(_top, dens)), list(dens), L, entries
+
+
+def _clear(M, scan, shift, bits):
+    """(rows, c) with M = rows / c and flat polynomial rows, from M's
+    ``_scan``.  Each distinct denominator d is cleared to l_d d with integer
+    coefficients, l_d being ``_coeff_den(d)``: c is L times the cleared
+    denominators, and an entry n / d becomes L n times l_d and the other
+    cleared denominators."""
     if M._ints is not None:
         return ([{j << bits: a for j, a in enumerate(row) if a}
                  for row in M._ints], {0: M._den})
-    entries = [e for row in M._rows for e in row if not e.is_zero()]
-    dens = list(dict.fromkeys(e.den for e in entries))
-    L = lcm(*(_coeff_den(e.num) for e in entries))
+    _, _, dens, L, entries = scan
     cleared = [_pack(d, shift, _coeff_den(d)) for d in dens]
-    cofactor = {d: reduce(_pmul, (g for g in cleared if g is not dc),
-                          {0: _coeff_den(d)})
-                for d, dc in zip(dens, cleared)}
+    cofactors = [reduce(_pmul, (g for g in cleared if g is not dc),
+                        {0: _coeff_den(d)})
+                 for d, dc in zip(dens, cleared)]
     c = reduce(_pmul, cleared, {0: L})
-    rows = [{(j << bits) + e: v for j, x in enumerate(row) if not x.is_zero()
-             for e, v in _pmul(_pack(x.num, shift, L),
-                               cofactor[x.den]).items()}
-            for row in M._rows]
+    rows = [{} for _ in M._rows]
+    for i, j, num, k in entries:
+        for e, v in _pmul(_pack(num, shift, L), cofactors[k]).items():
+            rows[i][(j << bits) + e] = v
     return rows, c
 
 

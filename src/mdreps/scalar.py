@@ -827,6 +827,12 @@ def param(name):
     return rf(name)
 
 
+def _divide_by_gcd(f, g):
+    """f / gcd(f, g), or None when that gcd is a constant."""
+    d = poly_gcd(f, g)
+    return None if d.is_constant() else poly_divmod_exact(f, d)
+
+
 class NonVanishing:
     """A set of polynomials asserted nonzero on the working variety."""
 
@@ -845,26 +851,31 @@ class NonVanishing:
         self.constraints = tuple(out)
 
     def covers(self, poly):
-        """True iff poly equals a constant times a product of powers of the
-        declared constraints (so it is invertible on the variety)."""
+        """True iff poly is nonzero wherever every declared constraint is
+        nonzero (so it is invertible on the variety): iff every irreducible
+        factor of poly divides a declared constraint.  poly is divided by
+        the declared constraints while they divide it exactly, then by its
+        gcd with each of them until nothing changes; it is covered iff a
+        nonzero constant is left."""
         if isinstance(poly, RF):
             poly = poly.num
         if poly.is_zero():
             return False
         p = poly
-        changed = True
-        while changed and not p.is_constant():
-            changed = False
-            for c in self.constraints:
-                q = poly_divmod_exact(p, c)
-                while q is not None:
-                    p = q
-                    changed = True
+        for divide in (poly_divmod_exact, _divide_by_gcd):
+            changed = True
+            while changed and not p.is_constant():
+                changed = False
+                for c in self.constraints:
+                    q = divide(p, c)
+                    while q is not None:
+                        p = q
+                        changed = True
+                        if p.is_constant():
+                            break
+                        q = divide(p, c)
                     if p.is_constant():
                         break
-                    q = poly_divmod_exact(p, c)
-                if p.is_constant():
-                    break
         return p.is_constant() and p.const_value() != 0
 
     def check(self, assignment):

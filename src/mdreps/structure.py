@@ -429,26 +429,25 @@ def decompose(pair, n, assignment=None, rng=None):
 
     def analyze(gen_mats, dim, chain):
         com = commutant(gen_mats)
+        cert = {}  # a leaf with a scalar commutant has no certificate key
         if com.dim == 1:
             status = "irreducible" if dim == 1 else _leaf_status(gen_mats)
-            leaves.append({"dim": dim, "status": status,
-                           "chain": chain, "generators": gen_mats,
-                           "x_spectrum": _x_spectrum(gen_mats)})
-            return
-        res = find_idempotents(com, rng=rng)
-        if res["kind"] != "decomposable":  # indecomposable or undecided
-            leaves.append({"dim": dim, "status": res["kind"], "chain": chain,
-                           "certificate": res.get("certificate"),
-                           "generators": gen_mats,
-                           "x_spectrum": _x_spectrum(gen_mats)})
-            return
-        idems = res["idempotents"]
-        if not chain:
-            projectors.extend(idems)
-        for P in idems:
-            cols = _matrix_column_space(P)
-            sub = restrict_to_subspace(gen_mats, cols)
-            analyze(sub, len(cols), chain + (len(cols),))
+        else:
+            res = find_idempotents(com, rng=rng)
+            if res["kind"] == "decomposable":
+                idems = res["idempotents"]
+                if not chain:
+                    projectors.extend(idems)
+                for P in idems:
+                    cols = _matrix_column_space(P)
+                    sub = restrict_to_subspace(gen_mats, cols)
+                    analyze(sub, len(cols), chain + (len(cols),))
+                return
+            # indecomposable or undecided
+            status, cert = res["kind"], {"certificate": res.get("certificate")}
+        leaves.append({"dim": dim, "status": status, "chain": chain, **cert,
+                       "generators": gen_mats,
+                       "x_spectrum": _x_spectrum(gen_mats)})
 
     analyze(mats, mats[0].nrows, ())
     klass, order = (None, None)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -300,3 +302,101 @@ def test_antislash_analysis_pair_keeps_t_symbolic():
     assert pair.S == make_md_pair("case6a", eps=-1, t="t", check=False).S
     at = analysis_pair("antislash", z=Fraction(-1, 3), x=Fraction(-2, 3))
     assert not at.params and at.S == pair.S.evaluate({"t": 2})
+
+
+# Every catalog output, one record each: the golden hash below pins them so a
+# rewrite of the constructors cannot change a byte.
+_GOLDEN_NUMERIC = ({"p": 2, "q": 5, "s": 3, "t": 2},
+                   {"p": Fraction(-3, 2), "q": Fraction(7, 3),
+                    "s": Fraction(-2, 5), "t": Fraction(1, 2)})
+# a conic case's point coordinates, on its conic and off it, by eps
+_GOLDEN_POINTS = {
+    "case6a": lambda eps: ({"z": 0, "x": 0}, {"z": 5, "x": 0}, {"z": 1}),
+    "case6b": lambda eps: ({"y": Fraction(eps, 2), "r": Fraction(1, 2)},
+                           {"y": 5, "r": Fraction(1, 2)}),
+    "case6c": lambda eps: ({"r": 0, "y": 0}, {"r": 5, "y": 0}),
+}
+_GOLDEN_READS = {
+    "case1": (), "case2": ("p", "q"), "case3-wangian": ("p", "q"),
+    "case3": ("q", "s"), "case4": ("p", "s"), "case4-glue": ("s",),
+    "case5": ("p", "s"), "case5-antidiag": ("s",), "case6a": ("t",),
+    "case6b": ("t",), "case6c": ("t",), "case7-flip": (),
+    "case7-antislash": (), "case7-aslash": ("s",), "case7-fglue": ("s",),
+}
+CATALOG_SHA256 = (
+    "9f581ccabde26df1a6664a62d89ab0232151b6e4f65474a199a53b31edd4b809")
+
+
+def _pair_record(label, pair):
+    return [label, pair.R.to_json(), pair.S.to_json(), list(pair.params),
+            repr(pair.constraints), pair.provenance]
+
+
+def _catalog_outputs():
+    def attempt(label, make):
+        try:
+            out = make()
+        except ConstraintViolation as exc:
+            return [label, "refused", str(exc)]
+        if isinstance(out, ExactMatrix):
+            return [label, out.to_json()]
+        return _pair_record(label, out)
+
+    def numeric(kw):
+        return {k: str(v) if isinstance(v, Fraction) else v
+                for k, v in kw.items()}
+
+    out = []
+    for case, kw in ALL_CASES:
+        sets = [{}] + [{k: vals[k] for k in _GOLDEN_READS[case]}
+                       for vals in _GOLDEN_NUMERIC]
+        if case in _GOLDEN_POINTS:
+            sets += [{"t": 3}, {"t": 0}, *_GOLDEN_POINTS[case](kw["eps"])]
+        for extra in sets:
+            args = dict(kw, **extra)
+            out.append(attempt(["md", case, numeric(args)],
+                               lambda: make_md_pair(case, **args)))
+    for case, args in (("case2", {"p": 0}), ("case4", {"s": 0}),
+                       ("case4-glue", {"p": 2}), ("case2", {"pp": 2}),
+                       ("case6a", {"eps": 2}), ("case8", {})):
+        out.append(attempt(["md", case, args],
+                           lambda: make_md_pair(case, **args)))
+    for fam in ("trivial", "f-glue", "a-glue", "fa-slash", "anti-slash"):
+        for args in ({}, {"p": 2, "q": 5}, {"q": Fraction(-3, 2), "sign": -1},
+                     {"p": 0, "q": 0}):
+            out.append(attempt(["braid", fam, numeric(args)],
+                               lambda: make_involutive_braid(fam, **args)))
+    for kind in ("P", "A", "N", "N'", "R"):
+        for sign in (1, -1):
+            out.append(attempt(["manji", kind, sign],
+                               lambda: make_manji(kind, sign)))
+    out.append(attempt(["manji", "R", "numeric"],
+                       lambda: make_manji("R", -1, 2, 3, Fraction(1, 2), -5)))
+    for fam, args in (("a-glue", {}), ("a-glue", {"p": 2, "q": 5}),
+                      ("f-glue", {}), ("f-glue", {"p": 2, "q": 5}),
+                      ("antislash", {}), ("antislash", {"t": 3}),
+                      ("f-glue", {"s": 2}), ("antislash", {"q": 2}),
+                      ("b-glue", {})):
+        out.append(attempt(["analysis", fam, args],
+                           lambda: analysis_pair(fam, **args)))
+    base = make_md_pair("case2")
+    A = m([[1, 2], [0, 1]])
+    U = kron(A, m([[2, 1], [1, 1]]))
+    ts = [Transform(kind) for kind in ("swap_rs", "transpose", "global_sign",
+                                       "antidiagonal")]
+    for kind, M in (("local_conj", A), ("nonlocal_conj", U)):
+        ts += [Transform(kind, M), Transform(kind, M).inverse()]
+    for t in ts:
+        out.append(_pair_record(["transform", t.kind],
+                                apply_transform(t, base)))
+    out.append(["coincidences", repr(known_coincidences())])
+    out.append(["flip", flip_matrix().to_json(), antislash_matrix().to_json()])
+    d = w_conjugation_data()
+    out.append(["w"] + [d[k].to_json() for k in ("W", "Rp", "Sp", "R", "S")]
+               + [str(d["z"]), str(d["x"])])
+    return out
+
+
+def test_catalog_outputs_match_the_golden_sha256():
+    text = json.dumps(_catalog_outputs(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256

@@ -239,6 +239,20 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,case", [
+    (["catalog", "make", "case6a", "--params", "t=1"], "case6a"),
+    (["catalog", "make", "case6b", "--params", "t=-1"], "case6b"),
+    (["verify", "--case", "case6c", "--params", "t=1"], "case6c"),
+    (["analyze", "--case", "antislash", "--params", "t=1", "--n", "2"],
+     "case6a"),
+])
+def test_conic_parameter_t_of_plus_minus_1_exits_2(capsys, argv, case):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s needs t != +-1\n" % case
+
+
 @pytest.mark.parametrize("argv", [
     ["catalog", "list", "--out", "{dir}"],
     ["verify", "--R", "{dir}", "--S", "{dir}"],
@@ -446,7 +460,8 @@ def test_malformed_entry_is_named():
 _CASE_NAMES = st.sampled_from(["case1", "case2", "case6a", "a-glue",
                                "f-glue", "antislash", "trivial", "nope"])
 _SMALL_N = st.sampled_from(["-1", "0", "1", "2", "3", "x"])
-_VALUES = st.sampled_from(["2", "5", "-1", "1/2", "0", "1/0", "x", ""])
+_VALUES = st.sampled_from(["2", "5", "-1", "1", "1/2", "0", "1/0", "x",
+                          ""])
 _ASSIGNMENTS = st.lists(st.tuples(st.sampled_from(["p", "q", "t", "eps",
                                                    "sign", ""]), _VALUES),
                         max_size=3).map(

@@ -11,7 +11,7 @@ from mdreps.matrix import ExactMatrix, RepPair, embed_at, words
 from mdreps.presentations import (BRAID, LOOP_BRAID, MIXED_DOUBLES, SYM,
                                   VIRTUAL_BRAID, AnomalyReport, RelationSet,
                                   _clear, _Cleared, _is_far, _letters,
-                                  _window, anomaly, passes, verify)
+                                  _scan, _window, anomaly, passes, verify)
 from mdreps.scalar import RF, NonVanishing, Poly, param, rf, zeta
 from nested_cleared import _differences as nested_differences
 from nested_cleared import image, nested, scaled
@@ -392,7 +392,7 @@ def _assert_matches_nested(pair):
     Returns the cleared images."""
     images = _Cleared(pair, 3)
     shift = dict(zip(images.names, images.shifts))
-    X = {sym: nested(_clear(M, shift, _WIDE)[0], _WIDE)
+    X = {sym: nested(_clear(M, _scan(M), shift, _WIDE)[0], _WIDE)
          for sym, M in (("r", pair.R), ("s", pair.S))}
     windows = {_window(lhs, rhs)[1:] for _, lhs, rhs
                in MIXED_DOUBLES.relations(3) if not _is_far(lhs, rhs)}

@@ -188,6 +188,45 @@ def test_nonvanishing_covers():
     assert not nv.covers(Poly())
 
 
+def _covers_oracle(declared, poly):
+    """poly divides (prod of declared)^deg(poly): every irreducible factor
+    of poly divides a declared polynomial, with room for its multiplicity."""
+    prod = Poly.const(1)
+    for c in declared:
+        prod = prod * c
+    return poly_divmod_exact(prod ** poly.degree(), poly) is not None
+
+
+def test_covers_accepts_products_of_declared_factors():
+    P, Q = Poly.var("p"), Poly.var("q")
+    declared = [P, Q, P * P - P * Q]
+    assert NonVanishing(declared).covers(P * P - P * Q)
+    assert NonVanishing(declared).covers((P - Q) ** 2 * Q)
+    # the factor p - q is declared only inside a product
+    assert NonVanishing([P * (P - Q), Q]).covers(P - Q)
+    rng = random.Random(26)
+    one = Poly.const(1)
+    pool = [P, Q, P - Q, P + Q, P * Q - one, P * P + Q + one + one,
+            Q - one.scale(3)]
+    for _ in range(60):
+        declared = [rng.choice(pool) * rng.choice(pool)
+                    for _ in range(rng.randint(1, 3))]
+        poly = Poly.const(rng.choice((1, -2, Fraction(3, 5))))
+        for _ in range(rng.randint(0, 3)):
+            poly = poly * rng.choice(pool)
+        nv = NonVanishing(declared)
+        assert nv.covers(poly) == _covers_oracle(nv.constraints, poly), (
+            declared, poly)
+
+
+def test_fglue_commutant_under_a_declared_product():
+    from mdreps.catalog import analysis_pair
+    from mdreps.structure import commutant
+    P, Q = Poly.var("p"), Poly.var("q")
+    mats = [M for _, M in analysis_pair("f-glue").generator_images(3)]
+    assert commutant(mats, NonVanishing([P, Q, P * P - P * Q])).dim == 6
+
+
 def test_gcd_multivariate():
     P, Q = Poly.var("p"), Poly.var("q")
     g = poly_gcd((P + Q) ** 3 * (P - Q), (P + Q) ** 2 * Q)
