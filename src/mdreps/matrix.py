@@ -793,13 +793,15 @@ class Echelon:
         self.rows = {}  # pivot column -> row
 
     def reduce(self, row):
-        """A positive multiple of ``row`` minus its components along the
-        stored rows, as a new primitive row: zero in every pivot column."""
+        """The primitive positive multiple of ``row`` minus its components
+        along the stored rows, as a new row: zero in every pivot column.
+        The eliminations scale the row by positive integers only, so its
+        content is divided out once, at the end."""
         row = {c: v for c, v in row.items() if v}
-        _divide_content(row)
         rows = self.rows
         for p in [c for c in row if c in rows]:
             _eliminate(row, rows[p], p)
+        _divide_content(row)
         return row
 
     def insert(self, row):
@@ -817,6 +819,7 @@ class Echelon:
         for prow in self.rows.values():
             if piv in prow:
                 _eliminate(prow, row, piv)
+                _divide_content(prow)
         self.rows[piv] = row
         return None
 
@@ -876,8 +879,9 @@ def _divide_content(row):
 
 
 def _eliminate(row, prow, p):
-    """row <- (a*row - b*prow) / content with a = prow[p] > 0 and b = row[p]
-    made coprime, which clears column p of row and keeps its signs."""
+    """row <- a*row - b*prow with a = prow[p] > 0 and b = row[p] made
+    coprime, which clears column p of row and keeps its signs.  The content
+    of the result is left to the caller."""
     b = row.pop(p)
     a = prow[p]
     g = gcd(a, b)
@@ -892,7 +896,6 @@ def _eliminate(row, prow, p):
                 row[c] = nv
             else:
                 del row[c]
-    _divide_content(row)
 
 
 # ---------------------------------------------------------------------------
@@ -1333,9 +1336,8 @@ class _Spin:
         d, k = self.d, len(self.basis)
         row = dict(y)
         row[d + k] = 1
-        res = self.span.reduce(row)
-        if any(c < d for c in res):
-            self.span.insert(res)
+        res = self.span.insert(row)
+        if res is None:
             self.basis.append(y)
             self.images.append(image)
             return

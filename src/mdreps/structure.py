@@ -275,8 +275,9 @@ def _find_splitter(basis, rng=None):
             except ValueError:  # not a rational constant matrix
                 continue
         # a candidate wins only with more distinct rational roots than the
-        # best so far, and it has at most its squarefree degree of them
-        if len(_squarefree_part(mp)) - 1 <= most:
+        # best so far, and it has at most its squarefree degree of them,
+        # which is at most its degree
+        if len(mp) - 1 <= most or len(_squarefree_part(mp)) - 1 <= most:
             continue
         mult = _rational_roots(mp)
         if mult is not None and len(mult) > most:

@@ -5,9 +5,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+import stepwise_echelon
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdreps.matrix as matrix
 from mdreps.matrix import (Echelon, ExactMatrix, RepPair, RFEchelon,
                            UnsupportedSpectrum, _certified, _commutation_rows,
                            _d2_echelon, _dot, _local_echelon, _rf_eliminate,
@@ -556,6 +558,71 @@ def test_echelon_markers_never_pivot():
     assert ech.insert({3: 5}) == {3: 1}
     assert ech.insert({0: 1, 1: 2, 3: 1}) == {2: -3, 3: 1}
     assert list(ech.rows) == [0]
+
+
+def _integer_systems(rng):
+    """(rows, bound, ncols): seeded sparse integer systems over ncols
+    columns, with common factors, big entries and combinations of earlier
+    rows.  A third have no bound; a third have bound ncols and give row i
+    a marker at column ncols + i."""
+    for k in range(150):
+        ncols = rng.randint(1, 10)
+        bound = None if k % 3 == 0 else ncols
+        size = 10 ** 12 if rng.random() < 0.2 else 9
+        rows = []
+        for _ in range(rng.randint(1, 2 * ncols)):
+            f = rng.choice((1, 1, 2, 6, 35))
+            row = {j: f * rng.randint(-size, size) for j in range(ncols)
+                   if rng.random() < rng.choice((0.3, 0.6, 0.9))}
+            if rows and rng.random() < 0.3:
+                a, b = rng.sample(range(-4, 5), 2)
+                for j, v in rng.choice(rows).items():
+                    if j < ncols:
+                        row[j] = row.get(j, 0) * a + b * v
+            if bound is not None and k % 3 == 2:
+                row[ncols + len(rows)] = rng.randint(1, 5)
+            rows.append(row)
+        yield rows, bound, ncols
+
+
+def test_echelon_matches_the_stepwise_kernel(rng):
+    # the kernel that divided the content after every elimination, on every
+    # reduction, residual, stored row and nullspace
+    residuals = nonprimitive = 0
+    for rows, bound, ncols in _integer_systems(rng):
+        got, want = Echelon(bound), stepwise_echelon.Echelon(bound)
+        for row in rows:
+            assert got.reduce(row) == want.reduce(row)
+            res = got.insert(row)
+            assert res == want.insert(row)
+            assert list(got.rows.items()) == list(want.rows.items())
+            residuals += res is not None
+            nonprimitive += math.gcd(*row.values()) > 1
+        assert got.nullspace(ncols) == want.nullspace(ncols)
+        assert got.int_nullspace(ncols) == want.int_nullspace(ncols)
+    assert residuals >= 100 and nonprimitive >= 100
+
+
+def test_echelon_divides_the_content_once_per_reduction(rng, monkeypatch):
+    calls = []
+    divide = matrix._divide_content
+
+    def counted(row):
+        calls.append(row)
+        divide(row)
+    monkeypatch.setattr(matrix, "_divide_content", counted)
+    eliminations = 0
+    for rows, bound, _ in _integer_systems(rng):
+        ech = Echelon(bound)
+        for row in rows[:-1]:
+            ech.insert(row)
+        for row in rows:
+            del calls[:]
+            ech.reduce(row)
+            assert len(calls) == 1
+            eliminations += sum(1 for c, v in row.items()
+                                if v and c in ech.rows)
+    assert eliminations >= 500
 
 
 # The two RF elimination loops that ``RFEchelon`` replaced, kept verbatim as

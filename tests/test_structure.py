@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -6,6 +8,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 import pytest
+import stepwise_echelon
 from fraction_upoly import _plcm
 
 from mdreps.catalog import (ALL_CASES, Transform, analysis_pair,
@@ -14,7 +17,7 @@ from mdreps.ccwg import is_ccwg, project_K
 from mdreps.clifford import mn_character, partition_dim, partitions
 from mdreps.matrix import (Echelon, ExactMatrix, RepPair, _columns, _combine,
                            _imul, _int_form, _scaled_product, _sparse_apply,
-                           char_poly, embed_at)
+                           _spin_commutant, char_poly, embed_at)
 from mdreps.mdd import all_permutations, perm_to_adjacent_word
 from mdreps.scalar import (InvariantError, NonVanishing, Poly, as_fraction,
                            param, rf, zeta)
@@ -1033,6 +1036,41 @@ def test_algebra_dims_matches_the_fraction_route():
         got = algebra_dims(mats, rng=random.Random(k))
         assert got == _algebra_dims_fraction(mats, random.Random(k))
     assert len(inputs) == 25
+
+
+def test_criterion_6_algebras_match_the_stepwise_kernel(monkeypatch):
+    # the spin commutants and generated algebras of the criterion-6 inputs,
+    # against the kernel that divided the content after every elimination
+    import mdreps.matrix as matrix
+    import mdreps.structure as structure
+    inputs = [[M for _, M in pair.generator_images(n)]
+              for pair, n in _criterion_6_pairs()]
+    inputs += _aglue_summands3()
+
+    def run():
+        return [(_spin_commutant([_int_form(M)[0] for M in mats]),
+                 generated_algebra(mats)) for mats in inputs]
+    got = run()
+    for mod in (matrix, structure):
+        monkeypatch.setattr(mod, "Echelon", stepwise_echelon.Echelon)
+    assert run() == got
+    assert [len(com) for com, _ in got] == [4, 4, 6, 6, 7, 1, 1]
+    assert [len(alg) for _, alg in got] == [11, 42, 19, 19, 69, 9, 9]
+
+
+# sha256 of the report of antislash at z = -1/3, x = -2/3 and n = 5 with
+# Random(1), written with the kernel of tests/stepwise_echelon.py:
+# json.dumps(to_json(), sort_keys=True) followed by repr(projectors)
+_ANTISLASH_N5_SHA256 = ("58c8780d1eb40a0a9f5b47d93601b868"
+                        "9180d4c232466d24aa7711ad7b33f400")
+
+
+def test_antislash_n5_report_matches_the_golden_sha256():
+    pair = analysis_pair("antislash", z=Fraction(-1, 3), x=Fraction(-2, 3))
+    rep = decompose(pair, 5, rng=random.Random(1))
+    text = json.dumps(rep.to_json(), sort_keys=True) + repr(rep.projectors)
+    assert hashlib.sha256(text.encode()).hexdigest() == _ANTISLASH_N5_SHA256
+    assert rep.dims() == [1, 1, 5, 5, 10, 10]
 
 
 def test_decompose_and_algebra_dims_build_no_fraction_matrix(monkeypatch):

@@ -353,11 +353,11 @@ def assert_squarefree_part_matches_oracle(coeffs):
 
 
 def _criterion_6_inputs(monkeypatch):
-    """The inputs of every root search and squarefree part, and the
-    matrices of every spectrum, that the numeric criterion-6 analyses
-    reach: the a-glue decompositions at n = 3 and 4 and their algebra
-    data, the f-glue commutants at n = 3 and 4, and the antislash
-    decomposition at n = 3."""
+    """The inputs of every root search and squarefree part, the
+    annihilators, which are squarefree-part inputs too, and the matrices of
+    every spectrum, that the numeric criterion-6 analyses reach: the a-glue
+    decompositions at n = 3 and 4 and their algebra data, the f-glue
+    commutants at n = 3 and 4, and the antislash decomposition at n = 3."""
     import mdreps.matrix as matrix
     import mdreps.structure as structure
     seen = {"roots": [], "sf": [], "eigen": []}
@@ -367,11 +367,20 @@ def _criterion_6_inputs(monkeypatch):
             seen[key].append(arg)
             return fn(arg, *rest)
         return record
+
+    def result_recorder(fn, key):
+        def record(*args):
+            out = fn(*args)
+            seen[key].append(out)
+            return out
+        return record
     for mod in (matrix, structure):
         monkeypatch.setattr(mod, "_roots_in_tower",
                             recorder(_roots_in_tower, "roots"))
     monkeypatch.setattr(structure, "_squarefree_part",
                         recorder(_squarefree_part, "sf"))
+    monkeypatch.setattr(structure, "_annihilator",
+                        result_recorder(structure._annihilator, "sf"))
     monkeypatch.setattr(structure, "eigen_data",
                         recorder(matrix.eigen_data, "eigen"))
     agp = analysis_pair("a-glue", p=2, q=5)
