@@ -7,6 +7,8 @@ vanishes, where f counts letters; positions with f(w) < f(v) are glue,
 positions with f(w) = f(v) are charge-conserving (CC).
 """
 
+from itertools import combinations
+
 from .matrix import ExactMatrix, _entries, _like, kron, word_to_str, words
 from .scalar import InvariantError
 
@@ -26,16 +28,14 @@ def f_over(word, N):
 
 
 def compositions(N, n):
-    """All of the N-part compositions of n, in ascending order."""
+    """All of the N-part compositions of n, in ascending order, by stars
+    and bars: the runs of stars between N - 1 bars among n + N - 1 slots."""
+    if N == 1:  # no bars; ``combinations`` would first copy all n slots
+        return [(n,)]
     out = []
-
-    def rec(prefix, remaining, parts):
-        if parts == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, parts - 1)
-    rec([], n, N)
+    for bars in combinations(range(n + N - 1), N - 1):
+        edges = (-1, *bars, n + N - 1)
+        out.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
     out.sort(key=lambda c: tuple(-x for x in c))
     return out
 
@@ -151,7 +151,7 @@ def _project(M, keep):
         for j in cols:
             out[j] = row[j]
         rows.append(out)
-    return _like(M, rows)
+    return _like(M, M.rows_level, M.cols_level, rows)
 
 
 def check_closure(A, B):

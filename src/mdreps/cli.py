@@ -261,6 +261,15 @@ def cmd_ccwg(args):
     if args.action == "order":
         if args.N < 1 or args.n < 0:
             raise UsageError("ccwg order needs --N >= 1 and --n >= 0")
+        # C(n + N - 1, j) compositions of N letters at j = min(n, N - 1);
+        # the count grows with j, so it stops once past the bound
+        count, j = 1, 0
+        while count * args.N <= MAX_ENTRIES and j < min(args.n, args.N - 1):
+            j += 1
+            count = count * (args.n + args.N - j) // j
+        if count * args.N > MAX_ENTRIES:
+            raise UsageError("ccwg order --N %d --n %d would list more than "
+                             "2^20 letters" % (args.N, args.n))
         comps = ccwg.compositions(args.N, args.n)
         _emit({"N": args.N, "n": args.n,
                "order": ["".join(str(x) for x in c) for c in comps]}, args.out)

@@ -12,9 +12,9 @@ Elimination: every nullspace, commutant and inverse runs through ``Echelon``
 commutant of rational constants is found by spinning, with the basis of the
 d^2-unknown commutation system that symbolic commutants solve.
 
-Spectra: ``char_poly`` gives the characteristic polynomial as an ascending
-coefficient list, and ``eigen_data`` and ``matrix_order`` split its integer
-multiple with the univariate-polynomial root finder of ``upoly``.
+Spectra: one Faddeev-LeVerrier recursion on integral rows over Z or
+Z[zeta_m], each division exact and checked, gives ``char_poly`` (monic) and
+the multiple that ``eigen_data`` and ``matrix_order`` split with ``upoly``.
 """
 
 from collections import Counter
@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 
-from .scalar import (_ONE, _UNIT, RF, RF_ONE, RF_ZERO, BranchAmbiguity,
-                     InvariantError, NonVanishing, Poly, _div, _q,
+from .scalar import (_ONE, _UNIT, RF, RF_ONE, RF_ZERO, BranchAmbiguity, Cyc,
+                     InvariantError, NonVanishing, Poly, _div, _rational,
                      as_fraction, rf, rf_from_json, rf_to_json, unity_order)
 from .upoly import UnsupportedSpectrum, _clear, _monic, _roots_in_tower
 
@@ -166,11 +166,9 @@ class ExactMatrix:
         return self._rows[i][j]
 
     def copy(self):
-        if self._ints is not None:
-            return _const(self.N, self.rows_level, self.cols_level,
-                          self._ints, self._den)
-        return ExactMatrix(self.N, self.rows_level, self.cols_level,
-                           [row[:] for row in self._rows])
+        rows, _ = _entries(self)
+        return _like(self, self.rows_level, self.cols_level,
+                     [row[:] for row in rows])
 
     def __eq__(self, other):
         if not (isinstance(other, ExactMatrix) and self.N == other.N
@@ -202,12 +200,9 @@ class ExactMatrix:
                             in zip(_rf_rows(self), _rf_rows(other))])
 
     def __neg__(self):
-        if self._ints is not None:
-            return _const(self.N, self.rows_level, self.cols_level,
-                          [[-a for a in row] for row in self._ints],
-                          self._den)
-        return ExactMatrix(self.N, self.rows_level, self.cols_level,
-                           [[-a for a in row] for row in self._rows])
+        rows, _ = _entries(self)
+        return _like(self, self.rows_level, self.cols_level,
+                     [[-a for a in row] for row in rows])
 
     def scale(self, c):
         v = _rational(c) if self._ints is not None else None
@@ -249,11 +244,9 @@ class ExactMatrix:
         return self.scale(c)
 
     def transpose(self):
-        if self._ints is not None:
-            return _const(self.N, self.cols_level, self.rows_level,
-                          [list(col) for col in zip(*self._ints)], self._den)
-        return ExactMatrix(self.N, self.cols_level, self.rows_level,
-                           [list(col) for col in zip(*self._rows)])
+        rows, _ = _entries(self)
+        return _like(self, self.cols_level, self.rows_level,
+                     [list(col) for col in zip(*rows)])
 
     def trace(self):
         _require_square(self, "trace")
@@ -281,12 +274,9 @@ class ExactMatrix:
             constraints.check(assignment)
         if self._ints is not None:
             return self.copy()
-        vals = [[e.evaluate(assignment) for e in row] for row in self._rows]
-        if all(isinstance(v, (int, Fraction)) for row in vals for v in row):
-            return _fraction_matrix(self.N, self.rows_level, self.cols_level,
-                                    vals)
-        return ExactMatrix(self.N, self.rows_level, self.cols_level,
-                           [[rf(v) for v in row] for row in vals])
+        return ExactMatrix.from_rows(
+            [[e.evaluate(assignment) for e in row] for row in self._rows],
+            self.N, self.rows_level, self.cols_level)
 
     def power(self, k):
         """self**k for k >= 0 by repeated squaring, with no product by the
@@ -441,13 +431,18 @@ def _require_square(M, what):
 
 
 def _fraction_matrix(N, rows_level, cols_level, rows):
-    """The constant-form matrix of rows of rationals (ints or Fractions):
-    over the lcm of their denominators the entries are already prime to
-    it."""
-    D = lcm(*(x.denominator for row in rows for x in row))
-    return _const(N, rows_level, cols_level,
-                  [[x.numerator * (D // x.denominator) for x in row]
-                   for row in rows], D)
+    """The constant-form matrix of rows of rationals (ints or Fractions)."""
+    return _const(N, rows_level, cols_level, *_integral_rows(rows))
+
+
+def _integral_rows(rows):
+    """(B, D) with rows = B / D for rows of rationals and Cycs: D is the lcm
+    of the denominators of the rationals and of the Cycs' components, the
+    least D that makes each entry of B an int or a Cyc with int components."""
+    D = lcm(*(r.denominator for row in rows for x in row
+              for r in ((x.a, x.b) if type(x) is Cyc else (x,))))
+    return [[x * D if type(x) is Cyc else x.numerator * (D // x.denominator)
+             for x in row] for row in rows], D
 
 
 def _box(a, D):
@@ -467,42 +462,13 @@ def _rf_rows(M):
     return [[_box(a, D) for a in row] for row in M._ints]
 
 
-def _rational_coeff(terms):
-    """The value of a constant polynomial's terms when its coefficient is
-    rational (0 for no terms), else None."""
-    if not terms:
-        return 0
-    if len(terms) == 1:
-        c = terms.get(_ONE)
-        if type(c) is int or type(c) is Fraction:
-            return c
-    return None
-
-
-def _rational(x):
-    """x under the coefficient rule when it is a rational constant: an
-    int, a Fraction, or a Poly or RF whose only coefficient is rational
-    (over the denominator 1); None for anything symbolic or cyclotomic."""
-    if isinstance(x, RF):
-        if _rational_coeff(x.den.terms) != 1:
-            return None
-        x = x.num
-    if isinstance(x, Poly):
-        return _rational_coeff(x.terms)
-    if isinstance(x, (int, Fraction)):
-        return _q(x)
-    return None
-
-
 def _int_form(M):
     """(A, D) with M = A / D for a matrix of rational constants: its constant
     form, or its RF rows converted (ValueError when an entry is symbolic or
     cyclotomic)."""
     if M._ints is not None:
         return M._ints, M._den
-    flat, D = _clear([as_fraction(e) for row in M._rows for e in row])
-    nc = M.ncols
-    return [flat[i:i + nc] for i in range(0, len(flat), nc)], D
+    return _integral_rows([[as_fraction(e) for e in row] for row in M._rows])
 
 
 def _entries(M):
@@ -514,12 +480,12 @@ def _entries(M):
     return M._rows, RF_ZERO
 
 
-def _like(M, rows):
-    """A matrix of M's shape and form from rows in that form (integer rows
-    over M's denominator, or RF rows)."""
+def _like(M, rows_level, cols_level, rows):
+    """The matrix of the given levels over M's N, in M's form, from rows in
+    that form: integer rows over M's denominator, or RF rows."""
     if M._ints is not None:
-        return _const(M.N, M.rows_level, M.cols_level, rows, M._den)
-    return ExactMatrix(M.N, M.rows_level, M.cols_level, rows)
+        return _const(M.N, rows_level, cols_level, rows, M._den)
+    return ExactMatrix(M.N, rows_level, cols_level, rows)
 
 
 def _imul(A, B):
@@ -687,9 +653,7 @@ def embed_at(M, i, n):
         base = r - a * lo
         for b, e in enumerate(src[a]):
             orow[base + b * lo] = e
-    if M._ints is not None:
-        return _const(N, n, n, out, M._den)
-    return ExactMatrix(N, n, n, out)
+    return _like(M, n, n, out)
 
 
 def _site_of(M):
@@ -717,9 +681,7 @@ def _site_of(M):
             if rows[r] != want:
                 break
         else:
-            if M._ints is not None:
-                return _const(N, 2, 2, X, M._den), i
-            return ExactMatrix(N, 2, 2, X), i
+            return _like(M, 2, 2, X), i
     return None
 
 
@@ -1016,41 +978,33 @@ def char_poly(A):
 
 
 def _char_poly(A):
-    """det(xI - A) times a nonzero rational, ascending, by the
-    Faddeev-LeVerrier recursion.  A rational A = B / D runs on the integer
-    rows B, whose coefficients e_k are integers, so each -tr/k divides
-    exactly; the result is the integer list D^n det(xI - A), whose
-    coefficient of x^(n-k) is e_k D^(n-k).  A cyclotomic A runs on its
-    Fraction and Cyc entries, dividing by k, and gives the monic list."""
+    """D^n det(xI - A), ascending, by the Faddeev-LeVerrier recursion on the
+    integral rows B = D A over Z or Z[zeta_m]: B's coefficients e_k are
+    algebraic integers, so each -tr/k divides exactly (checked,
+    componentwise for a Cyc), and x^(n-k) has the coefficient e_k D^(n-k)."""
     _require_square(A, "char_poly")
-    try:
-        B, D = _int_form(A)
-    except ValueError:  # a cyclotomic or symbolic entry
-        if not all(e.is_constant() for row in A._rows for e in row):
-            raise ValueError("char_poly needs constant entries")
-        B, D = [[e.const_value() for e in row] for row in A._rows], None
+    if A._ints is not None:
+        B, D = A._ints, A._den
+    elif all(e.is_constant() for row in A._rows for e in row):
+        B, D = _integral_rows([[e.const_value() for e in row]
+                               for row in A._rows])
+    else:
+        raise ValueError("char_poly needs constant entries")
     n = len(B)
     M = [[int(i == j) for j in range(n)] for i in range(n)]
-    coeffs = [1] if D is not None else [Fraction(1)]
+    coeffs = [1]
     for k in range(1, n + 1):
         M = _imul(B, M)
         t = -sum(M[i][i] for i in range(n))
-        if D is None:
-            c = t / Fraction(k)
-        else:
-            c, r = divmod(t, k)
-            if r:
-                raise InvariantError("Faddeev-LeVerrier trace %d of step %d "
-                                     "is not divisible by %d" % (-t, k, k))
+        parts = (t.a, t.b) if type(t) is Cyc else (t,)
+        if any(x % k for x in parts):
+            raise InvariantError("Faddeev-LeVerrier trace %s of step %d "
+                                 "is not divisible by %d" % (-t, k, k))
+        c = Cyc(t.m, t.a // k, t.b // k) if type(t) is Cyc else t // k
         coeffs.append(c)
         for i in range(n):
             M[i][i] += c
-    if D is not None:
-        Dk = 1
-        for k in range(n, -1, -1):
-            coeffs[k] *= Dk
-            Dk *= D
-    return coeffs[::-1]
+    return [c * D ** j for j, c in enumerate(reversed(coeffs))]
 
 
 class EigenData:

@@ -19,6 +19,7 @@ and ``evaluate`` return a Fraction for a rational value.
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 
 
 class RejectedPoint(Exception):
@@ -328,20 +329,15 @@ class Poly:
         return m, terms[m]
 
     def __add__(self, other):
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            v = res.get(m, 0) + c
-            if v == 0:
-                res.pop(m, None)
-            else:
-                res[m] = v.numerator if (type(v) is Fraction
-                                         and v.denominator == 1) else v
-        return Poly(res, False)
+        return self._sum(other, add)
 
     def __sub__(self, other):
+        return self._sum(other, sub)
+
+    def _sum(self, other, op):
         res = dict(self.terms)
         for m, c in other.terms.items():
-            v = res.get(m, 0) - c
+            v = op(res.get(m, 0), c)
             if v == 0:
                 res.pop(m, None)
             else:
@@ -970,19 +966,39 @@ def rf_from_json(obj):
     return RF(num, den)
 
 
+def _rational_coeff(terms):
+    """The value of a constant polynomial's terms when its coefficient is
+    rational (0 for no terms), else None."""
+    if not terms:
+        return 0
+    if len(terms) == 1:
+        c = terms.get(_ONE)
+        if type(c) is int or type(c) is Fraction:
+            return c
+    return None
+
+
+def _rational(x):
+    """x under the coefficient rule when it is a rational constant: an
+    int, a Fraction, or a Poly or RF whose only coefficient is rational
+    (over the denominator 1); None for anything symbolic or cyclotomic."""
+    if isinstance(x, RF):
+        if _rational_coeff(x.den.terms) != 1:
+            return None
+        x = x.num
+    if isinstance(x, Poly):
+        return _rational_coeff(x.terms)
+    if isinstance(x, (int, Fraction)):
+        return _q(x)
+    return None
+
+
 def as_fraction(f):
     """Constant RF as a Fraction (ValueError on symbolic or cyclotomic
     input, a ``Cyc`` value never being rational)."""
-    if f.den.terms == _UNIT.terms:
-        num = f.num.terms
-        if not num:
-            return Fraction(0)
-        if len(num) == 1:
-            c = num.get(_ONE)
-            if type(c) is Fraction:
-                return c
-            if type(c) is int:
-                return Fraction(c)
+    v = _rational(f)
+    if v is not None:
+        return v if type(v) is Fraction else Fraction(v)
     if not f.is_constant():
         raise ValueError("not a constant: %s" % (f,))
     # a constant has the denominator 1, so its value is a Cyc

@@ -14,12 +14,12 @@ image summed over nonzero entries only) and quotient coordinates eliminate
 fraction-free on the integer rows through ``matrix.Echelon``, and the
 spectral projectors are integer Horner evaluations.  Coordinates in a span
 are read as integers over one denominator, (c, den), and the matrices made
-of them as integer rows over their lcm.  The splitter search works in the
-regular representation of the commutant (m x m for an m-dimensional
-commutant), so no d x d matrix is formed per candidate.  A leaf with a
-scalar commutant is labelled by spin certificates (a proper invariant
-subspace, or Norton's criterion); the Burnside closure runs only when
-neither applies.  The minimal polynomials (primitive integer lists)
+of them as integer rows over their lcm.  On a rational basis the splitter
+search works in the regular representation of the commutant (m x m for
+an m-dimensional commutant), so no d x d matrix is formed per candidate.
+A leaf with a scalar commutant is labelled by spin certificates (a proper
+invariant subspace, or Norton's criterion); the Burnside closure runs only
+when neither applies.  The minimal polynomials (primitive integer lists)
 and their roots, and the CRT idempotents of the spectral projectors, are
 computed in Q[x] with ``upoly``.  The certificates (local endomorphism
 ring, commutant shape) are exact.

@@ -2,6 +2,8 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -40,6 +42,19 @@ def test_order_equivalence_exhaustive():
     for N in (1, 2, 3):
         for n in range(1, 6):
             assert order_by_first_instance(N, n) == compositions(N, n)
+
+
+def test_compositions_are_every_tuple_of_the_sum_once_in_order():
+    # the brute-force set of N-tuples in 0..n with sum n, in descending
+    # lexicographic order, and the stars-and-bars count
+    for N in range(1, 6):
+        for n in range(0, 7):
+            want = sorted((c for c in product(range(n + 1), repeat=N)
+                           if sum(c) == n), reverse=True)
+            assert compositions(N, n) == want
+            assert len(want) == comb(n + N - 1, N - 1)
+    assert compositions(1, 10 ** 9) == [(10 ** 9,)]
+    assert compositions(998, 0) == [(0,) * 998]
 
 
 def test_revlex_table_start():

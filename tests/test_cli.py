@@ -384,6 +384,32 @@ def test_ccwg_project_of_a_non_square_matrix_exits_2(capsys, tmp_path):
         and "Traceback" not in err
 
 
+def test_ccwg_order_of_998_parts_lists_its_one_composition(capsys):
+    # 998 parts: deeper than Python's default recursion limit allows
+    code, out = run(capsys, "ccwg", "order", "--N", "998", "--n", "0")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"N": 998, "n": 0, "order": ["0" * 998]}
+
+
+@pytest.mark.parametrize("N, n", [(20, 20), (2, 2 ** 19), (2 ** 20 + 1, 0),
+                                  (10 ** 9, 10 ** 9)])
+def test_ccwg_order_past_2_to_the_20_letters_exits_2(capsys, N, n):
+    # C(n + N - 1, N - 1) compositions of N letters each: 6.9e10 of them at
+    # N = n = 20, and one just past the bound in the middle two
+    assert main(["ccwg", "order", "--N", str(N), "--n", str(n)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: ccwg order --N %d --n %d would list more "
+                            "than 2^20 letters\n" % (N, n))
+
+
+def test_ccwg_order_at_the_letter_bound_is_listed(capsys):
+    code, out = run(capsys, "ccwg", "order", "--N", str(2 ** 20), "--n", "0")
+    assert code == EXIT_OK and json.loads(out)["order"] == ["0" * 2 ** 20]
+    code, out = run(capsys, "ccwg", "order", "--N", "1", "--n", str(10 ** 9))
+    assert code == EXIT_OK and json.loads(out)["order"] == [str(10 ** 9)]
+
+
 def test_branch_ambiguity_names_its_polynomial(capsys):
     assert main(["analyze", "--case", "a-glue", "--n", "3"]) == EXIT_USAGE
     err = capsys.readouterr().err

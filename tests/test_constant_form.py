@@ -105,6 +105,35 @@ def test_equality_across_the_forms(pair):
     assert (A == B) == (RA == RB) == (A == RB) == (RA == B)
 
 
+@given(st.sampled_from(((2, 1, 2), (2, 2, 1), (3, 1, 2), (3, 2, 1))),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_copy_negation_and_transpose_of_a_non_square_matrix(shape, data):
+    N, rl, cl = shape
+    M = ExactMatrix.from_rows(
+        [[data.draw(st.one_of(st.just(Fraction(0)), _VALUES))
+          for _ in range(N ** cl)] for _ in range(N ** rl)],
+        N=N, rows_level=rl, cols_level=cl)
+    R = _twin(M)
+    for X, Y in ((M.copy(), R.copy()), (-M, -R)):
+        assert (X.rows_level, X.cols_level) == (rl, cl)
+        _same(X, Y)
+        assert Y._ints is None and _lowest(X)
+    X, Y = M.transpose(), R.transpose()
+    assert (X.rows_level, X.cols_level) == (cl, rl)
+    _same(X, Y)
+    assert Y._ints is None and _lowest(X)
+    for i in range(M.nrows):
+        for j in range(M.ncols):
+            _same_rf((-M)[i, j], -M[i, j])
+            _same_rf(X[j, i], M[i, j])
+    # a copy's rows are its own, in either form
+    for A in (M, R):
+        C = A.copy()
+        C.rows[0][0] = rf(9)
+        assert C[0, 0] == rf(9) and A[0, 0] == M[0, 0]
+
+
 @given(st.sampled_from(((2, 1), (3, 1))), st.data())
 @settings(max_examples=100, deadline=None)
 def test_embed_at_and_inverse_match_the_rf_path(shape, data):
@@ -152,7 +181,8 @@ def test_rows_write_after_a_constant_operation():
     C = A.copy()
     C.rows[0][0] = rf(9)
     assert A[0, 0] == rf(1) and C[0, 0] == rf(9)
-    # the in-place fill of a zero matrix, as from_json and clifford do it
+    # the in-place fill of a zero matrix, as clifford does it (from_json
+    # fills plain lists and calls from_rows)
     Z = ExactMatrix.zeros(2, 1)
     Z.rows[1][0] = param("p")
     assert not Z.is_zero() and Z[1, 0] == param("p")

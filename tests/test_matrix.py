@@ -1229,27 +1229,32 @@ def _char_poly_dense(A):
 
 def _char_poly_inputs(rng):
     """(kind, matrices) for 216 seeded rational matrices of sizes 1..9, each
-    in the constant form and in the RF form, and 90 cyclotomic ones of
-    sizes 1..6 over Q(zeta_m) for m = 3, 4, 6: 522 inputs, zero entries in
-    about a third of the positions."""
+    in the constant form and in the RF form, 90 cyclotomic ones of sizes
+    1..6 over Q(zeta_m) for m = 3, 4, 6 with integral components, then four
+    of sizes 8 and 9 over Q(zeta_3) and Q(zeta_4) whose entries have
+    denominators too: 526 inputs, zero entries in about a third of the
+    positions."""
     rat = [0, 0, 0, 1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-5, 3),
            Fraction(9, 4)]
-    for kind, count, sizes in (("rational", 216, 9), ("cyc", 90, 6)):
-        for k in range(count):
-            d = 1 + k % sizes
-            pool = rat
-            if kind == "cyc":
-                z = zeta((3, 4, 6)[k // sizes % 3])
-                pool = rat[:8] + [z, -z, z * z, 1 + z, z - 2]
-            rows = [[rng.choice(pool) for _ in range(d)] for _ in range(d)]
-            if kind == "cyc" and not any(isinstance(e, Cyc) for r in rows
-                                         for e in r):
-                rows[0][0] = pool[-1]
-            rf_form = ExactMatrix(d, 1, 1, [[rf(e) for e in r] for r in rows])
-            if kind == "cyc":
-                yield kind, [rf_form]
-            else:
-                yield kind, [m(rows, N=d), rf_form]
+    draws = [("rational", 1 + k % 9, rat) for k in range(216)]
+    for k in range(90):
+        z = zeta((3, 4, 6)[k // 6 % 3])
+        draws.append(("cyc", 1 + k % 6,
+                      rat[:8] + [z, -z, z * z, 1 + z, z - 2]))
+    for order in (3, 4):
+        z = zeta(order)
+        draws += [("cyc", d, rat + [z, -z, z * z, 1 + z, z / 2, (1 - z) / 3])
+                  for d in (8, 9)]
+    for kind, d, pool in draws:
+        rows = [[rng.choice(pool) for _ in range(d)] for _ in range(d)]
+        if kind == "cyc" and not any(isinstance(e, Cyc) for r in rows
+                                     for e in r):
+            rows[0][0] = pool[-1]
+        rf_form = ExactMatrix(d, 1, 1, [[rf(e) for e in r] for r in rows])
+        if kind == "cyc":
+            yield kind, [rf_form]
+        else:
+            yield kind, [m(rows, N=d), rf_form]
 
 
 def test_char_poly_matches_the_dense_loop(rng):
@@ -1270,6 +1275,27 @@ def test_char_poly_matches_the_dense_loop(rng):
                 seen[kind, type(g).__name__] += 1
     assert set(seen) == {("rational", "Fraction"), ("cyc", "Fraction"),
                          ("cyc", "Cyc")}
+
+
+def test_char_poly_of_a_cyclotomic_matrix_runs_on_integral_rows(rng):
+    """``_char_poly`` clears a cyclotomic matrix as it clears a rational
+    one: to entries in Z[zeta_m] over the least integer D.  Its list is
+    D^n det(xI - A), the oracle's monic list times D^n, and holds only ints
+    and Cycs with integer components."""
+    cycs = 0
+    for kind, (A, *_) in _char_poly_inputs(rng):
+        if kind != "cyc":
+            continue
+        D = math.lcm(*(r.denominator for row in A.rows for e in row
+                       for x in [e.const_value()]
+                       for r in ((x.a, x.b) if isinstance(x, Cyc) else (x,))))
+        got = matrix._char_poly(A)
+        assert got == [w * D ** A.nrows for w in _char_poly_dense(A)]
+        for c in got:
+            assert type(c) is int or (type(c) is Cyc and type(c.a) is int
+                                      and type(c.b) is int), (A.rows, c)
+            cycs += type(c) is Cyc
+    assert cycs > 200
 
 
 def test_char_poly_refuses_a_symbolic_entry():

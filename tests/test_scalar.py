@@ -9,15 +9,16 @@ from functools import cmp_to_key
 
 import prs_scalar
 import pytest
+import twin_readers
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdreps
 from mdreps.scalar import (RF, RF_ZERO, Cyc, NonVanishing, Poly,
                            RejectedPoint, _cancel, _monic, _rat_rescale,
-                           _ratio, as_fraction, param, poly_divmod_exact,
-                           poly_gcd, rf, rf_from_json, rf_to_json,
-                           unity_order, zeta)
+                           _ratio, _rational, _rational_coeff, as_fraction,
+                           param, poly_divmod_exact, poly_gcd, rf,
+                           rf_from_json, rf_to_json, unity_order, zeta)
 
 p, q, t = param("p"), param("q"), param("t")
 _SRC = os.path.dirname(os.path.dirname(mdreps.__file__))
@@ -256,6 +257,59 @@ def test_as_fraction_of_a_rational_cyc():
             assert v == a and type(v) is Fraction
         with pytest.raises(ValueError, match="cyclotomic"):
             as_fraction(rf(Cyc(m, 1, 1)))
+
+
+
+def _reader_pool(rng):
+    """Seeded ints, Fractions (integral ones too), rational and genuine
+    Cycs, constant and symbolic Polys and RFs, RFs over a non-unit
+    denominator, and a parameter name."""
+    def rat():
+        return rng.choice((rng.randint(-9, 9),
+                           Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+    pool = ["p", 0, Fraction(0), Fraction(6, 3), Poly(), RF_ZERO]
+    for _ in range(40):
+        m = rng.choice((3, 4, 6))
+        c = rng.choice((rat(), Cyc(m, rat(), 0),
+                        Cyc(m, rat(), rng.randint(1, 3))))
+        poly = rng.choice((Poly.const(c), Poly.const(c) + Poly.var("p"),
+                           Poly.var("q").scale(c)))
+        pool += [c, poly, rf(c), rf(poly), rf(c) / (p + rng.randint(1, 3)),
+                 rf(poly) / q]
+    return pool
+
+
+def _outcome(fn, x):
+    try:
+        v = fn(x)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+    return "returns", type(v), v
+
+
+def test_rational_reader_matches_the_twin_readers(rng):
+    """``scalar._rational``, ``_rational_coeff`` and ``as_fraction`` give
+    what the readers of ``scalar`` and ``matrix`` gave before they were
+    merged: the same value of the same type, or the same exception class
+    and message; ``as_fraction`` on the RF of every value."""
+    rationals, fractions = Counter(), Counter()
+    for x in _reader_pool(rng):
+        want = _outcome(twin_readers._rational, x)
+        assert _outcome(_rational, x) == want, x
+        rationals[want[1].__name__] += 1
+        f = rf(x)
+        want = _outcome(twin_readers.as_fraction, f)
+        assert _outcome(as_fraction, f) == want, f
+        fractions[want[0], want[2].split(":")[0] if want[0] == "raises"
+                  else ""] += 1
+        for P in (f.num, f.den) + ((x,) if isinstance(x, Poly) else ()):
+            assert _outcome(_rational_coeff, P.terms) == \
+                _outcome(twin_readers._rational_coeff, P.terms)
+    assert set(rationals) == {"int", "Fraction", "NoneType"}
+    assert set(fractions) == {("returns", ""), ("raises", "not a constant"),
+                              ("raises", "cyclotomic constant, not "
+                               "rational")}
+    assert min(fractions.values()) > 10
 
 
 # ---------------------------------------------------------------------------
