@@ -281,24 +281,39 @@ def _pack(p, shift, scale):
 def _scan(M):
     """One pass over M's entries: (its parameter names, the degree bound,
     its distinct denominators, L, its nonzero entries as (row, column,
-    numerator, index of the denominator)).  The degree bound bounds the
+    numerator, index of the denominator)).  Each numerator's terms are
+    walked once, for its names, its largest exponent and its coefficient
+    denominators; L is the lcm of the latter.  The degree bound bounds the
     exponent of any parameter in an entry of the cleared matrix and in its
     c: the largest in a numerator plus the sum over the distinct
-    denominators.  L is the lcm of the numerators' ``_coeff_den``.  A
-    constant-form matrix has none of these; ``_clear`` reads its integer
-    rows."""
-    names, top, dens, L, entries = set(), 0, {}, 1, []
+    denominators.  Denominators are indexed by first appearance, and each
+    distinct one is read for names once.  An RF denominator is monic, so a
+    constant one is 1: all of those are indexed under the key None, so no
+    entry over 1 hashes its denominator.  A constant-form matrix has none
+    of these; ``_clear`` reads its integer rows."""
+    names, top, index, dens, L, entries = set(), 0, {}, [], 1, []
     if M._ints is None:
         for i, row in enumerate(M._rows):
             for j, x in enumerate(row):
-                if x.is_zero():
+                num, den = x.num, x.den
+                if not num.terms:
                     continue
-                names |= x.variables()
-                top = max(top, _top(x.num))
-                L = lcm(L, _coeff_den(x.num))
-                k = dens.setdefault(x.den, len(dens))
-                entries.append((i, j, x.num, k))
-    return names, top + sum(map(_top, dens)), list(dens), L, entries
+                for m, v in num.terms.items():
+                    for name, e in m:
+                        names.add(name)
+                        if e > top:
+                            top = e
+                    if isinstance(v, Cyc):
+                        L = lcm(L, v.a.denominator, v.b.denominator)
+                    else:
+                        L = lcm(L, v.denominator)
+                k = index.setdefault(None if den.is_constant() else den,
+                                     len(dens))
+                if k == len(dens):
+                    dens.append(den)
+                    names |= den.variables()
+                entries.append((i, j, num, k))
+    return names, top + sum(map(_top, dens)), dens, L, entries
 
 
 def _clear(M, scan, shift, bits):
@@ -306,7 +321,8 @@ def _clear(M, scan, shift, bits):
     ``_scan``.  Each distinct denominator d is cleared to l_d d with integer
     coefficients, l_d being ``_coeff_den(d)``: c is L times the cleared
     denominators, and an entry n / d becomes L n times l_d and the other
-    cleared denominators."""
+    cleared denominators, its cofactor.  An entry whose cofactor is 1 (the
+    one denominator of M is 1) goes into its row as packed."""
     if M._ints is not None:
         return ([{j << bits: a for j, a in enumerate(row) if a}
                  for row in M._ints], {0: M._den})
@@ -318,8 +334,12 @@ def _clear(M, scan, shift, bits):
     c = reduce(_pmul, cleared, {0: L})
     rows = [{} for _ in M._rows]
     for i, j, num, k in entries:
-        for e, v in _pmul(_pack(num, shift, L), cofactors[k]).items():
-            rows[i][(j << bits) + e] = v
+        f = _pack(num, shift, L)
+        if cofactors[k] != {0: 1}:
+            f = _pmul(f, cofactors[k])
+        row, col = rows[i], j << bits
+        for e, v in f.items():
+            row[col + e] = v
     return rows, c
 
 
@@ -333,7 +353,9 @@ def _addmul(h, f, g):
 
 
 def _nonzero(h):
-    return {e: v for e, v in h.items() if v}
+    """h without its zero coefficients: h itself when none cancelled (a Cyc
+    never equals 0, and a cancelled Cyc sum is a rational)."""
+    return {e: v for e, v in h.items() if v} if 0 in h.values() else h
 
 
 def _pmul(f, g):

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -12,9 +14,10 @@ from mdreps.presentations import (BRAID, LOOP_BRAID, MIXED_DOUBLES, SYM,
                                   VIRTUAL_BRAID, AnomalyReport, RelationSet,
                                   _clear, _Cleared, _is_far, _letters,
                                   _scan, _window, anomaly, passes, verify)
-from mdreps.scalar import RF, NonVanishing, Poly, param, rf, zeta
+from mdreps.scalar import RF, Cyc, NonVanishing, Poly, param, rf, zeta
 from nested_cleared import _differences as nested_differences
 from nested_cleared import image, nested, scaled
+import three_walk_reader
 
 p = param("p")
 
@@ -429,19 +432,183 @@ def test_flat_images_match_the_nested_oracle():
 
 
 def test_verify_product_count(monkeypatch):
-    """A MixedDoubles verify multiplies 12 pairs of images at every level:
-    each distinct level-3 or level-2 word is built once, from cached
-    factors."""
-    calls = Counter()
+    """A MixedDoubles verify multiplies 12 pairs of images at every level,
+    10 at level 3 (for the braid and mixed relations) and 2 at level 2 (for
+    the involutions): each distinct level-3 or level-2 word is built once,
+    from cached factors, and the far commutations add none."""
+    levels = Counter()
     matmul = presentations._matmul
 
-    def counted(*args):
-        calls["matmul"] += 1
-        return matmul(*args)
+    def counted(A, B, bits):
+        levels[len(A)] += 1
+        return matmul(A, B, bits)
     monkeypatch.setattr(presentations, "_matmul", counted)
     for case, kw in (("case2", {}), ("case6a", {"eps": 1})):
         pair = make_md_pair(case, check=False, **kw)
         for n in (3, 4, 5):
-            calls.clear()
+            levels.clear()
             assert passes(pair, MIXED_DOUBLES, n)
-            assert calls["matmul"] == 12, (case, n)
+            assert levels == {pair.N ** 3: 10, pair.N ** 2: 2}, (case, n)
+
+
+def test_verify_hashes_no_denominator_of_one(monkeypatch):
+    """The reader indexes every denominator 1 under one key without
+    hashing it: a pair whose entries all have denominator 1 makes no
+    ``Poly.__hash__`` call, and every other entry hashes its denominator
+    once."""
+    calls = Counter()
+    poly_hash = Poly.__hash__
+
+    def counted(self):
+        calls["hash"] += 1
+        return poly_hash(self)
+    want = {("case2", ()): 0, ("case3-wangian", (("sign", 1),)): 0,
+            ("case4", (("sign", 1),)): 2, ("case6a", (("eps", 1),)): 16}
+    pairs = {key: make_md_pair(key[0], check=False, **dict(key[1]))
+             for key in want}
+    monkeypatch.setattr(Poly, "__hash__", counted)
+    got = {}
+    for key, pair in pairs.items():
+        calls.clear()
+        verify(pair, MIXED_DOUBLES, 3)
+        got[key] = calls["hash"]
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# differential test: the one-walk reader against the three-walk one
+
+def _reader_pairs(rng):
+    """Every catalog pair and its cheap transforms, local_conj pairs over
+    Q and over Q(zeta_3), S scaled by a Fraction, a parameter read only
+    from a denominator, and the pairs above with a denominator other than
+    1, with more than one, at N = 3 and in the constant form."""
+    pairs = []
+    zeta_conj = ExactMatrix.from_rows([[zeta(3), 0], [1, 1]])
+    for pair in _catalog_pairs([c for c, _ in ALL_CASES]):
+        pairs.append(pair)
+        pairs += [apply_transform(Transform(kind), pair)
+                  for kind in ("swap_rs", "transpose", "global_sign",
+                               "antidiagonal")]
+        A = ExactMatrix.from_rows([[rng.choice((-1, 1)), 0],
+                                   [rng.choice((-1, 1)), rng.choice((-1, 1))]])
+        pairs.append(apply_transform(Transform("local_conj", A), pair))
+        pairs.append(apply_transform(Transform("local_conj", zeta_conj),
+                                     pair))
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(2, 7),
+                     rng.randint(2, 5))
+        pairs.append(RepPair(pair.R, pair.S.scale(c)))
+    pairs.append(make_md_pair("case6a", eps=-1, t="t", check=False))
+    # u in a denominator only, after an entry over 1
+    R = pairs[0].R.copy()
+    R.rows[3][3] = rf(1) / (param("u") + 1)
+    pairs.append(RepPair(R, pairs[0].S, provenance="R[3][3] = 1/(u+1)"))
+    return pairs + [_n3_pair(), _high_degree_pair(), _top_field_pair(),
+                    _constant_pair()]
+
+
+def test_one_walk_reader_matches_the_three_walk_reader():
+    rng = random.Random(29)
+    seen = Counter()
+    for pair in _reader_pairs(rng):
+        span = rng.choice((2, 3, 6))
+        images = _Cleared(pair, span)
+        names, shifts, bits, X, c = three_walk_reader.cleared(pair, span)
+        assert (images.names, images.shifts, images.bits) \
+            == (names, shifts, bits), pair.provenance
+        for sym in "rs":
+            assert [list(row.items()) for row in images.X[sym]] \
+                == [list(row.items()) for row in X[sym]], pair.provenance
+            assert list(images.c[sym].items()) == list(c[sym].items())
+        dens = {x.den for M in (pair.R, pair.S) if M._ints is None
+                for row in M._rows for x in row if not x.is_zero()}
+        seen["non-unit"] += any(not d.is_constant() for d in dens)
+        seen["mixed"] += len(dens) > 1
+        seen["cyc"] += any(isinstance(v, Cyc) for M in X.values()
+                           for row in M for v in row.values())
+    assert min(seen.values()) >= 20, seen
+
+
+# ---------------------------------------------------------------------------
+# products that cancel
+
+def _cancelling_pair(rng, cyc):
+    """(f, g, e): the terms a x^e1 and b x^(e1 + t) of f meet a c x^e3 and
+    -b c x^(e3 + t) of g, so the coefficient of x^e in f g, e = e1 + e3 + t,
+    cancels.  f's other terms have exponents above 32, where no product
+    meets x^e."""
+    def coeff():
+        v = rng.choice((-3, -2, -1, 1, 2, 3))
+        return Cyc(3, rng.randint(-2, 2), v) if cyc and rng.random() < 0.5 \
+            else v
+    e1, e3, t = rng.randrange(8), rng.randrange(8), rng.randint(1, 8)
+    a, b, c = coeff(), coeff(), coeff()
+    f = {e1: a, e1 + t: b}
+    for _ in range(rng.randrange(3)):
+        f.setdefault(rng.randrange(32, 48), coeff())
+    return f, {e3: a * c, e3 + t: -b * c}, e1 + e3 + t
+
+
+def _filtered_matmul(A, B, bits):
+    """The product of flat matrices, term by term, zeros dropped."""
+    mask, out = (1 << bits) - 1, []
+    for arow in A:
+        acc = {}
+        for ka, va in arow.items():
+            for kb, vb in B[ka >> bits].items():
+                acc[kb + (ka & mask)] = acc.get(kb + (ka & mask), 0) + va * vb
+        out.append({k: v for k, v in acc.items() if v != 0})
+    return out
+
+
+def test_cancelled_products_keep_no_zero_coefficient():
+    """Seeded products over Z and Z[zeta_3] with a coefficient that cancels
+    exactly: ``_pmul`` and ``_matmul`` return no zero coefficient, and
+    otherwise the term-by-term product."""
+    rng = random.Random(290)
+    bits = 6
+    for trial in range(200):
+        f, g, e = _cancelling_pair(rng, cyc=trial % 2)
+        h = presentations._pmul(f, g)
+        assert e not in h and 0 not in h.values(), (f, g)
+        # as a 1x1 matrix whose column field lies above every exponent
+        assert h == _filtered_matmul([f], [g], 64)[0]
+        # row 0 of A reads f's first term from row 0 of B and its second
+        # from row 1: B holds g's terms, moved to a column col
+        col = rng.randrange(3) << bits
+        (e1, a), (e2, b) = list(f.items())[:2]
+        (e3, c), (e4, d) = g.items()
+        A = [{e1: a, (1 << bits) + e2: b}, {(2 << bits) + e1: a}]
+        B = [{col + e4: d}, {col + e3: c}, {col + e3: c, col + e4: d}]
+        out = presentations._matmul(A, B, bits)
+        assert out[0] == {} and out == _filtered_matmul(A, B, bits), (A, B)
+        assert all(0 not in row.values() for row in out)
+
+
+# sha256 of the MixedDoubles reports of every catalog pair at n = 3 and 4,
+# then of three pairs with S scaled by a Fraction at n = 3
+_REPORTS_SHA256 = \
+    "3273c1f9821127c35919cf7d086a19f3099326e7acf772fccc998d269407049b"
+
+
+def test_verify_reports_are_unchanged():
+    """The reports of passing pairs, and of failing ones whose witness
+    values are boxed from the cleared pair (``box``, ``_unpack``), are the
+    bytes that the three-walk reader gave."""
+    h = hashlib.sha256()
+    for case, kw in ALL_CASES:
+        pair = make_md_pair(case, check=False, **kw)
+        for n in (3, 4):
+            h.update(json.dumps([r.to_json() for r in
+                                 verify(pair, MIXED_DOUBLES, n)]).encode())
+    failing = 0
+    for (case, kw), c in zip((("case2", {}), ("case3", {}),
+                              ("case7-fglue", {"sign": 1})),
+                             (Fraction(3, 2), Fraction(-7, 5),
+                              Fraction(5, 3))):
+        base = make_md_pair(case, check=False, **kw)
+        reports = verify(RepPair(base.R, base.S.scale(c)), MIXED_DOUBLES, 3)
+        failing += sum(not r.is_zero for r in reports)
+        h.update(json.dumps([r.to_json() for r in reports]).encode())
+    assert failing == 6
+    assert h.hexdigest() == _REPORTS_SHA256
