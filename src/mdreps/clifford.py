@@ -3,19 +3,27 @@ characters of the free-abelian subgroup, their symmetric-group stabilizers and
 orbits, canonical coset transversals, induction to the full group, and the
 small-dimension classification of irreducibles.
 
+Subgroups, the 1-d characters of a subgroup and its orbits on the pairs
+i < j are each one labelled closure, ``_closure``: a breadth-first walk from
+one element whose steps carry factors, which labels each element with the
+product along its first path and reports whether every path agreed.  The
+labels are 1 for a subgroup, the values of a candidate character, which is
+a character exactly when the paths agree, and the sign of a pair's image,
+which disagrees on the orbits some element reverses.
+
 Also home to the symmetric-group character machinery (partitions and the
 Murnaghan-Nakayama rule) used for decomposing semisimple quotients.
 """
 
 import itertools
-from fractions import Fraction
 from functools import reduce
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import mul
 
 from .matrix import ExactMatrix, commutant_basis
-from .mdd import (all_permutations, perm_adjacent, perm_compose, perm_identity,
-                  perm_inverse, perm_sign, perm_to_adjacent_word)
+from .mdd import (_apply_perm_to_pair, _cycle_lengths, all_permutations,
+                  perm_adjacent, perm_compose, perm_identity, perm_inverse,
+                  perm_sign, perm_to_adjacent_word)
 from .presentations import SYM
 from .scalar import RF, InvariantError, param, rf, zeta
 
@@ -153,11 +161,10 @@ def _scalar_irrep(label, values):
                              for g, v in values.items()})
 
 
-def symmetric_group_irreps(n, elements=None):
+def symmetric_group_irreps(n):
     """All irreducibles of the full Sym_n for n <= 4, as explicit rational (or
     cyclotomic) matrices computed elementwise."""
-    if elements is None:
-        elements = all_permutations(n)
+    elements = all_permutations(n)
     out = [_scalar_irrep("trivial", {g: 1 for g in elements})]
     if n >= 2:
         out.append(_scalar_irrep("sign", {g: perm_sign(g) for g in elements}))
@@ -175,31 +182,36 @@ def symmetric_group_irreps(n, elements=None):
 # ---------------------------------------------------------------------------
 # subgroups and their irreducibles
 
+def _closure(start, step):
+    """The closure of start under step, labelled: step(x) yields pairs
+    (y, f), start's label is 1 and y's is x's label times f, by the first
+    path that reaches y.  Returns the labels, in breadth-first order, and
+    whether every path gave every element that label."""
+    labels = {start: 1}
+    order = [start]
+    consistent = True
+    for x in order:
+        for y, f in step(x):
+            v = labels[x] * f
+            if y not in labels:
+                labels[y] = v
+                order.append(y)
+            elif labels[y] != v:
+                consistent = False
+    return labels, consistent
+
+
 def subgroup_closure(gens, n):
-    elems = {perm_identity(n)}
-    frontier = list(elems)
     gens = list(gens)
-    while frontier:
-        new = []
-        for g in frontier:
-            for h in gens:
-                x = perm_compose(g, h)
-                if x not in elems:
-                    elems.add(x)
-                    new.append(x)
-        frontier = new
+    elems, _ = _closure(perm_identity(n),
+                        lambda g: ((perm_compose(g, h), 1) for h in gens))
     return frozenset(elems)
 
 
 def all_subgroups(n):
     """All subgroups of Sym_n (n <= 4: every subgroup is 2-generated)."""
-    elements = all_permutations(n)
-    found = set()
-    for g in elements:
-        found.add(subgroup_closure([g], n))
-    for g in elements:
-        for h in elements:
-            found.add(subgroup_closure([g, h], n))
+    pairs = itertools.combinations_with_replacement(all_permutations(n), 2)
+    found = {subgroup_closure(gens, n) for gens in pairs}
     return sorted(found, key=lambda H: (len(H), sorted(H)))
 
 
@@ -219,77 +231,33 @@ def subgroups_up_to_conjugacy(n):
     return reps
 
 
-def _element_order(g):
-    n = len(g)
-    e = perm_identity(n)
-    p, k = g, 1
-    while p != e:
-        p = perm_compose(p, g)
-        k += 1
-    return k
+# The roots of unity of the tower, each once and in its own field; a
+# generator of order o takes the values v with v^o = 1.
+_ROOTS = (zeta(1), zeta(2), zeta(3), zeta(3) ** 2, zeta(4), zeta(4) ** 3,
+          zeta(6), zeta(6) ** 5)
 
 
 def _one_dim_characters(H, n):
     """All 1-d characters of a subgroup, with values among the supported
-    roots of unity; found by assigning root values to a generating set and
-    propagating with consistency checks (characters of a nonabelian group
-    factor through the abelianization automatically)."""
-    H = sorted(H)
-    # greedy generating set
+    roots of unity: each assignment of root values to a generating set,
+    extended by the closure, is a character when every path agrees
+    (characters of a nonabelian group factor through the abelianization
+    automatically); distinct assignments give distinct characters."""
     gens = []
     span = subgroup_closure([], n)
-    for g in H:
+    for g in sorted(H):
         if g not in span:
             gens.append(g)
             span = subgroup_closure(gens, n)
-        if len(span) == len(H):
-            break
-    roots = {1: [Fraction(1)], 2: [Fraction(1), Fraction(-1)]}
-    for m in (3, 4, 6):
-        roots[m] = [zeta(m) ** k for k in range(m)]
-    candidate_values = []
-    for g in gens:
-        o = _element_order(g)
-        vals = []
-        for m, rs in roots.items():
-            if m > o:
-                continue
-            for v in rs:
-                if v ** o == 1 and v not in vals:
-                    vals.append(v)
-        candidate_values.append(vals)
+    candidates = [[v for v in _ROOTS if v ** lcm(*_cycle_lengths(g)) == 1]
+                  for g in gens]
     chars = []
-    seen = set()
-
-    def assign(idx, current):
-        if idx == len(gens):
-            # extend to all elements by word search
-            table = {perm_identity(n): Fraction(1)}
-            frontier = [perm_identity(n)]
-            while frontier:
-                new = []
-                for g in frontier:
-                    for gen, val in zip(gens, current):
-                        x = perm_compose(g, gen)
-                        v = table[g] * val
-                        if x in table:
-                            if table[x] != v:
-                                return
-                        else:
-                            table[x] = v
-                            new.append(x)
-                frontier = new
-            if len(table) != len(H):
-                return
-            key = tuple(sorted((g, str(v)) for g, v in table.items()))
-            if key not in seen:
-                seen.add(key)
-                chars.append(table)
-            return
-        for v in candidate_values[idx]:
-            assign(idx + 1, current + [v])
-
-    assign(0, [])
+    for values in itertools.product(*candidates):
+        table, consistent = _closure(
+            perm_identity(n), lambda g: ((perm_compose(g, h), v)
+                                         for h, v in zip(gens, values)))
+        if consistent:
+            chars.append(table)
     return chars
 
 
@@ -300,7 +268,7 @@ def irreps_of_subgroup(H, n):
     H = frozenset(H)
     full = frozenset(all_permutations(n))
     if H == full and 3 <= n <= 4:
-        return symmetric_group_irreps(n, sorted(H))
+        return symmetric_group_irreps(n)
     return [_scalar_irrep("char%d" % i, table)
             for i, table in enumerate(_one_dim_characters(H, n))]
 
@@ -329,30 +297,31 @@ class Character:
     @classmethod
     def from_vector(cls, n, vec):
         """Values listed in the order x_12, x_13, .., x_1n, x_23, .., x_{n-1,n}."""
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
         if len(vec) != len(pairs):
             raise ValueError("rank %d needs %d character values, got %d"
                              % (n, len(pairs), len(vec)))
         return cls(n, dict(zip(pairs, vec)))
 
     def vector(self):
-        pairs = [(i, j) for i in range(1, self.n + 1)
-                 for j in range(i + 1, self.n + 1)]
-        return [self.values[p] for p in pairs]
+        return [self.values[p]
+                for p in itertools.combinations(range(1, self.n + 1), 2)]
 
     def value(self, i, j):
         if i < j:
             return self.values[(i, j)]
         return self.values[(j, i)].inverse()
 
+    def _acted_value(self, wi, i, j):
+        """chi^w(x_{ij}) = chi(x_{w^-1(i) w^-1(j)}), given wi = w^-1; i and
+        j in either order."""
+        return self.value(wi[i - 1] + 1, wi[j - 1] + 1)
+
     def acted(self, w):
-        """chi^w with chi^w(x_{ij}) = chi(x_{w^-1(i) w^-1(j)})."""
+        """chi^w, whose values are ``_acted_value``'s."""
         wi = perm_inverse(w)
-        out = {}
-        for (i, j) in self.values:
-            a, b = wi[i - 1] + 1, wi[j - 1] + 1
-            out[(i, j)] = self.value(a, b)
-        return Character(self.n, out)
+        return Character(self.n, {(i, j): self._acted_value(wi, i, j)
+                                  for (i, j) in self.values})
 
     def __eq__(self, other):
         return self.n == other.n and self.values == other.values
@@ -379,12 +348,18 @@ def _stabilizer(chi):
     return frozenset(w for w in all_permutations(chi.n) if chi.acted(w) == chi)
 
 
-def orbit_and_stabilizer(chi, bound=6):
+# The largest rank whose stabilizer ``orbit_and_stabilizer`` finds by
+# walking all of Sym_n.
+_RANK_BOUND = 6
+
+
+def orbit_and_stabilizer(chi):
     """Stabilizer subgroup and a canonical coset transversal (representatives
     moving as few points as possible, smallest moved points first)."""
     n = chi.n
-    if n > bound:
-        raise ValueError("rank %d exceeds enumeration bound %d" % (n, bound))
+    if n > _RANK_BOUND:
+        raise ValueError("rank %d exceeds enumeration bound %d"
+                         % (n, _RANK_BOUND))
     stabset = _stabilizer(chi)
     cosets = {}
     for w in sorted(all_permutations(n), key=_transversal_key):
@@ -436,13 +411,12 @@ class InducedRep:
 
 def _x_image(chi, T, dt, i, j):
     """The block-diagonal image of x_{ij}, either order of i and j, over
-    the transversal T: block b is chi(x_{t^-1(i) t^-1(j)}) times the
-    dt x dt identity, for the b-th t in T.  For i > j it is the inverse
-    of x_{ji}'s, as ``Character.value`` inverts an out-of-order pair."""
+    the transversal T: block b is chi^t(x_{ij}) times the dt x dt identity,
+    for the b-th t in T.  For i > j it is the inverse of x_{ji}'s, as
+    ``Character.value`` inverts an out-of-order pair."""
     M = ExactMatrix.zeros(len(T) * dt, 1)
     for b, t in enumerate(T):
-        ti = perm_inverse(t)
-        val = chi.value(ti[i - 1] + 1, ti[j - 1] + 1)
+        val = chi._acted_value(perm_inverse(t), i, j)
         for r in range(dt):
             M.rows[b * dt + r][b * dt + r] = val
     return M
@@ -543,36 +517,18 @@ def restriction_character_multiset(rep):
 # classification of small-dimensional irreducibles
 
 def _edge_orbits(H, n):
-    """Orbits of H on undirected pairs, with a flag marking orbits where some
-    element reverses an edge (forcing the value into {1,-1})."""
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    """Orbits of H on undirected pairs, each member labelled with the sign
+    of its image from the orbit's first pair, with a flag marking orbits
+    where some element reverses an edge (forcing the value into {1,-1})."""
     orbit_of = {}
     orbits = []
-    for p in pairs:
+    for p in itertools.combinations(range(1, n + 1), 2):
         if p in orbit_of:
             continue
-        idx = len(orbits)
-        members = {}
-        frontier = [(p, 1)]
-        members[p] = 1
-        flipped = False
-        while frontier:
-            (i, j), sign = frontier.pop()
-            for w in H:
-                a, b = w[i - 1] + 1, w[j - 1] + 1
-                s2 = sign
-                if a > b:
-                    a, b = b, a
-                    s2 = -sign
-                if (a, b) in members:
-                    if members[(a, b)] != s2:
-                        flipped = True
-                else:
-                    members[(a, b)] = s2
-                    frontier.append(((a, b), s2))
-        for q in members:
-            orbit_of[q] = idx
-        orbits.append({"members": members, "flipped": flipped})
+        members, consistent = _closure(
+            p, lambda q: (_apply_perm_to_pair(w, *q) for w in H))
+        orbit_of.update(dict.fromkeys(members, len(orbits)))
+        orbits.append({"members": members, "flipped": not consistent})
     return orbits, orbit_of
 
 
@@ -612,21 +568,17 @@ def classify_small_dims(n, d):
         signed = [i for i, o in enumerate(orbits) if o["flipped"]]
         free_names = {i: "a%d" % k for k, i in enumerate(free)}
         # enumerate sign branches; keep those with stabilizer exactly H
-        branches = []
         for combo in itertools.product((1, -1), repeat=len(signed)):
-            sign_choice = dict(zip(signed, combo))
-            chi = _pattern_character(orbits, orbit_of, n, sign_choice, free_names)
-            if len(_stabilizer(chi)) == len(H):
-                branches.append((sign_choice, chi))
-        if not branches:
-            continue
-        for sign_choice, chi in branches:
+            chi = _pattern_character(orbits, orbit_of, n,
+                                     dict(zip(signed, combo)), free_names)
+            if len(_stabilizer(chi)) != len(H):
+                continue
             results.append({
                 "dim": d,
                 "stabilizer_order": len(H),
                 "index": index,
                 "free_params": len(free),
-                "sign_choice": tuple(sign_choice[i] for i in sorted(sign_choice)),
+                "sign_choice": combo,
                 "tau_choices": len(taus),
                 "tau_dims": sorted(t.dim for t in taus),
                 "kind": "family" if free else "isolated",

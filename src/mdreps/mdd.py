@@ -44,21 +44,21 @@ def perm_adjacent(n, i):
 def all_permutations(n):
     return [tuple(p) for p in _itperms(range(n))]
 
-def perm_sign(p):
+def _cycle_lengths(p):
+    """The lengths of p's cycles, fixed points included: p's sign is -1 to
+    the number of even ones, and its order is their lcm."""
     seen = [False] * len(p)
-    sign = 1
     for i in range(len(p)):
-        if seen[i]:
-            continue
-        ln = 0
-        j = i
+        ln, j = 0, i
         while not seen[j]:
             seen[j] = True
             j = p[j]
             ln += 1
-        if ln % 2 == 0:
-            sign = -sign
-    return sign
+        if ln:
+            yield ln
+
+def perm_sign(p):
+    return -1 if sum(ln % 2 == 0 for ln in _cycle_lengths(p)) % 2 else 1
 
 def perm_to_adjacent_word(p):
     """Indices i with p = product of sigma_i (applied right to left)."""
@@ -235,21 +235,15 @@ def babeda_from_md(word, n):
     if isinstance(word, str):
         word = parse_word(word)
     for letter, exp in word:
-        if letter[0] == "s":
-            h = GroupElement.sigma(n, letter[1])
-            if exp % 2 == 0:
-                continue
-            g = g * h
-        elif letter[0] == "r":
-            i = letter[1]
-            h = GroupElement.x(n, i, i + 1) * GroupElement.sigma(n, i)
-            if exp % 2 == 0:
-                continue
-            g = g * h
-        elif letter[0] == "x":
+        if letter[0] == "x":
             g = g * GroupElement.x(n, letter[1], letter[2], exp)
-        else:
+        elif letter[0] not in ("r", "s"):
             raise ValueError("bad letter %r" % (letter,))
+        elif exp % 2:
+            i = letter[1]
+            if letter[0] == "r":
+                g = g * GroupElement.x(n, i, i + 1)
+            g = g * GroupElement.sigma(n, i)
     return g
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -144,6 +145,53 @@ def test_irreps_char(capsys):
     blob = json.loads(out)
     fams = [e for e in blob["entries"] if e["kind"] == "family"]
     assert len(fams) == 1 and fams[0]["tau_choices"] == 3
+
+
+def test_tau_indexes_each_character_of_an_order_six_stabilizer_once(capsys):
+    # the stabilizer is cyclic of order 6: six 1-d characters, indices 0..5
+    char = "a0,a1,-1,a1^-1,a0^-1,a0,a1,-1,a1^-1,a0,a1,-1,a0,a1,a0"
+    assert main(["irreps", "--n", "6", "--char=" + char, "--tau", "6"]) == \
+        EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "error: tau index 6 out of range (6 irreps)\n"
+
+
+def test_irreps_above_the_rank_bound_exits_2_naming_it(capsys):
+    assert main(["irreps", "--n", "7", "--char=" + ",".join(["a"] * 21)]) \
+        == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "error: rank 7 exceeds enumeration bound 6\n"
+
+
+# (--n, --char, --tau) lines whose reports are hashed below: every
+# stabilizer order at n = 3 and 4, tau indices up to the last, and one
+# index out of range
+_IRREPS_LINES = [
+    ("3", "a,a^-1,a", 0), ("3", "a,a^-1,a", 1), ("3", "a,a^-1,a", 2),
+    ("3", "a,a,1", 0), ("3", "a,a,1", 1),
+    ("3", "1,1,1", 0), ("3", "1,1,1", 1), ("3", "1,1,1", 2), ("3", "1,1,1", 3),
+    ("3", "-1,1,-1", 0), ("3", "w3,w3^2,w3", 1), ("3", "a,b,c", 0),
+    ("4", "1,1,1,1,1,1", 2), ("4", "1,1,1,1,1,1", 4),
+    ("4", "-1,-1,-1,-1,-1,-1", 3),
+    ("4", "a,a^-1,a,a,a^-1,a", 0), ("4", "a,1,a^-1,a^-1,1,a", 1),
+    ("4", "a,a,a,a,a,1", 1), ("4", "a,a,a,a,a^-1,a", 2),
+    ("4", "a,a,1,1,a^-1,a^-1", 3), ("4", "a,a,a,1,1,1", 1),
+    ("4", "1,1,-1,-1,1,1", 3), ("4", "2,3,2,2,3,2", 0),
+]
+# sha256 over "<n> <char> <tau> <exit>\n" and the report of each line, as
+# written before the group rules of clifford and mdd were written once
+_IRREPS_SHA256 = ("c0c50e310e4648454fd90cf7d3ac5858"
+                  "2d25ca736e6b70ccc8b26137e6d72d43")
+
+
+def test_irreps_reports_are_unchanged(capsys):
+    h = hashlib.sha256()
+    for n, char, tau in _IRREPS_LINES:
+        code, out = run(capsys, "irreps", "--n", n, "--char=" + char,
+                        "--tau", str(tau))
+        h.update(("%s %s %d %d\n" % (n, char, tau, code)).encode())
+        h.update(out.encode())
+    assert h.hexdigest() == _IRREPS_SHA256
 
 
 def test_ccwg_commands(tmp_path, capsys):

@@ -1,18 +1,25 @@
+import hashlib
+import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from mdreps.clifford import (Character, _verify_induced, classify_small_dims,
-                             dimension_formula_holds, induce,
-                             irreps_of_subgroup, is_irreducible, mn_character,
-                             orbit_and_stabilizer, partition_dim, partitions,
+import seed_clifford
+from mdreps.clifford import (Character, _edge_orbits, _one_dim_characters,
+                             _verify_induced, all_subgroups,
+                             classify_small_dims, dimension_formula_holds,
+                             induce, irreps_of_subgroup, is_irreducible,
+                             mn_character, orbit_and_stabilizer,
+                             partition_dim, partitions,
                              restriction_character_multiset, subgroup_closure,
                              subgroups_up_to_conjugacy,
                              symmetric_group_irreps)
 from mdreps.matrix import ExactMatrix
-from mdreps.mdd import perm_transposition
+from mdreps.mdd import (_cycle_lengths, all_permutations, perm_sign,
+                        perm_transposition)
 from mdreps.scalar import (InvariantError, NonVanishing, Poly, param, rf,
-                           zeta)
+                           unity_order, zeta)
 
 a = param("a")
 GEN_NV = NonVanishing(["a", Poly.var("a") - Poly.const(1),
@@ -68,9 +75,79 @@ def test_stabilizers_of_worked_characters():
 
 
 def test_rank_bound():
-    chi = Character.from_vector(2, [a])
-    with pytest.raises(ValueError):
-        orbit_and_stabilizer(chi, bound=1)
+    chi = Character.from_vector(7, [a] * 21)
+    with pytest.raises(ValueError, match="rank 7 exceeds enumeration bound 6"):
+        orbit_and_stabilizer(chi)
+
+
+def test_a_generator_of_order_six_has_six_distinct_characters():
+    # zeta_6^2 and zeta_6^4 are zeta_3 and zeta_3^2, not two more values
+    g = (1, 2, 3, 4, 5, 0)
+    H = subgroup_closure([g], 6)
+    values = [str(tau(g).rows[0][0]) for tau in irreps_of_subgroup(H, 6)]
+    assert len(values) == 6 and len(set(values)) == 6
+    # phi(d) roots of each order d dividing 6: the six sixth roots
+    orders = [unity_order(t[g]) for t in _one_dim_characters(H, 6)]
+    assert sorted(orders) == [1, 2, 3, 3, 6, 6]
+
+
+def _seed_groups():
+    """Every subgroup of Sym_n, n <= 4, and the order-6 stabilizer at n = 5
+    of the character -1,2,2,2,2,2,2,3,1/3,3 (generated by an element of
+    order 3 and one of order 2)."""
+    out = [(H, n) for n in (1, 2, 3, 4) for H in seed_clifford.all_subgroups(n)]
+    chi = Character.from_vector(5, [-1, 2, 2, 2, 2, 2, 2, 3, Fraction(1, 3),
+                                    3])
+    out.append((orbit_and_stabilizer(chi).subgroup, 5))
+    return out
+
+
+def test_subgroups_signs_and_orders_match_the_seed_rules():
+    for n in (1, 2, 3, 4):
+        assert all_subgroups(n) == seed_clifford.all_subgroups(n)
+    for n in (1, 2, 3, 4, 5):
+        for g in all_permutations(n):
+            assert perm_sign(g) == seed_clifford.perm_sign(g)
+            assert lcm(*_cycle_lengths(g)) == seed_clifford._element_order(g)
+
+
+def test_characters_match_the_seed_rules():
+    counts = []
+    for H, n in _seed_groups():
+        new = _one_dim_characters(H, n)
+        old = seed_clifford._one_dim_characters(H, n)
+        assert [list(t.items()) for t in new] == \
+            [list(t.items()) for t in old], sorted(H)
+        counts.append(len(new))
+    # 99 tables at n = 2..4 and Sym_1's one
+    assert sum(counts[:-1]) == 100 and counts[-1] == 6
+
+
+def test_edge_orbits_match_the_seed_rules():
+    flipped = 0
+    for H, n in _seed_groups():
+        orbits, orbit_of = _edge_orbits(H, n)
+        old_orbits, old_orbit_of = seed_clifford._edge_orbits(H, n)
+        assert orbits == old_orbits and orbit_of == old_orbit_of, sorted(H)
+        assert list(orbit_of) == list(old_orbit_of)
+        flipped += sum(o["flipped"] for o in orbits)
+    assert flipped > 0
+
+
+# sha256 of json.dumps(classify_small_dims(n, d), sort_keys=True) for
+# n = 1..4 and d = 1..3, in that order, as the classification gave it
+# before its group rules were written once
+_CLASSIFY_SHA256 = ("cd430b6d8a4d0daac9289c048ef4ba0e"
+                    "0b4afea497d07ef924a91fa37775003e")
+
+
+def test_classification_reports_are_unchanged():
+    h = hashlib.sha256()
+    for n in (1, 2, 3, 4):
+        for d in (1, 2, 3):
+            h.update(json.dumps(classify_small_dims(n, d),
+                                sort_keys=True).encode())
+    assert h.hexdigest() == _CLASSIFY_SHA256
 
 
 def test_induction_n2_example():
