@@ -343,11 +343,6 @@ def _transversal_key(t):
     return (len(moved), moved, t)
 
 
-def _stabilizer(chi):
-    """The permutations w of Sym_n with chi^w = chi."""
-    return frozenset(w for w in all_permutations(chi.n) if chi.acted(w) == chi)
-
-
 # The largest rank whose stabilizer ``orbit_and_stabilizer`` finds by
 # walking all of Sym_n.
 _RANK_BOUND = 6
@@ -355,18 +350,20 @@ _RANK_BOUND = 6
 
 def orbit_and_stabilizer(chi):
     """Stabilizer subgroup and a canonical coset transversal (representatives
-    moving as few points as possible, smallest moved points first)."""
+    moving as few points as possible, smallest moved points first), read
+    from one walk over Sym_n in ``_transversal_key`` order.  w and w' lie in
+    one left coset of the stabilizer H iff chi^w = chi^w', so the walk's
+    classes by chi^w are the cosets: H is the class of chi itself, and the
+    first element of each class is its representative."""
     n = chi.n
     if n > _RANK_BOUND:
         raise ValueError("rank %d exceeds enumeration bound %d"
                          % (n, _RANK_BOUND))
-    stabset = _stabilizer(chi)
     cosets = {}
     for w in sorted(all_permutations(n), key=_transversal_key):
-        key = frozenset(perm_compose(w, h) for h in stabset)
-        if key not in cosets:
-            cosets[key] = w
-    transversal = sorted(cosets.values(), key=_transversal_key)
+        cosets.setdefault(tuple(chi.acted(w).vector()), []).append(w)
+    stabset = frozenset(cosets[tuple(chi.vector())])
+    transversal = [ws[0] for ws in cosets.values()]
     if len(transversal) * len(stabset) != factorial(n):
         raise InvariantError("%d cosets of a stabilizer of order %d do not "
                              "cover Sym_%d" % (len(transversal), len(stabset),
@@ -571,7 +568,7 @@ def classify_small_dims(n, d):
         for combo in itertools.product((1, -1), repeat=len(signed)):
             chi = _pattern_character(orbits, orbit_of, n,
                                      dict(zip(signed, combo)), free_names)
-            if len(_stabilizer(chi)) != len(H):
+            if len(orbit_and_stabilizer(chi).subgroup) != len(H):
                 continue
             results.append({
                 "dim": d,

@@ -34,6 +34,8 @@ def perm_inverse(p):
 
 def perm_transposition(n, i, j):
     """The transposition (i j) on {1..n} as a 0-based tuple."""
+    if i == j or not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError("bad transposition (%d %d) for n=%d" % (i, j, n))
     out = list(range(n))
     out[i - 1], out[j - 1] = j - 1, i - 1
     return tuple(out)
@@ -239,6 +241,9 @@ def babeda_from_md(word, n):
             g = g * GroupElement.x(n, letter[1], letter[2], exp)
         elif letter[0] not in ("r", "s"):
             raise ValueError("bad letter %r" % (letter,))
+        elif not 1 <= letter[1] <= n - 1:
+            raise ValueError("letter %s%d out of range for n=%d"
+                             % (letter + (n,)))
         elif exp % 2:
             i = letter[1]
             if letter[0] == "r":

@@ -4,17 +4,19 @@ mixed-doubles presentations, and symbolic verification of a candidate pair
 
 A relation is a pair of words in the formal generators r_i, s_i; a word is a
 tuple of ("r"|"s", i) letters, the empty word being the identity.
-``RelationSet.relations`` is the one place a relation is written down:
-``anomaly``, the involution and Yang-Baxter checks of ``catalog``, the
+Each relation is written once, as a family at position 1 (``_LOCAL`` and
+``_FAR``), and read from there: ``verify`` and ``anomaly`` read the
+families, and ``RelationSet.relations(n)`` moves them to every position of
+level n for the involution and Yang-Baxter checks of ``catalog``, the
 relation words of ``mdd`` and the induced-representation check of
-``clifford`` read it.
+``clifford``.
 
-The relations are local, so ``verify`` checks each one where it lives: a
-braid or mixed relation on three strands at level 3, an involution at level
-2, each distinct shifted residual once for all positions and all n; a far
-commutation holds identically.  A failing relation's witness at level n is
-the level-3 (or level-2) witness with its row and column words padded by
-letters 1, exactly the first nonzero entry of the dense level-n residual.
+The relations are local, so ``verify`` checks each family where it lives,
+at position 1: a braid or mixed family on three strands at level 3, an
+involution at level 2, once for all positions and all n; a far commutation
+holds identically.  A failing relation's witness at level n is the level-3
+(or level-2) witness with its row and column words padded by letters 1,
+exactly the first nonzero entry of the dense level-n residual.
 
 The word images are products of the cleared pair R~ = c_R R, S~ = c_S S,
 whose rows are flat dicts keyed by the column above the packed exponent,
@@ -34,69 +36,66 @@ from .matrix import ExactMatrix, word_to_str, words
 from .scalar import RF, RF_ZERO, Cyc, InvariantError, Poly, rf_to_json
 
 
-def _braid(sym, i):
-    return ((sym, i), (sym, i + 1), (sym, i)), ((sym, i + 1), (sym, i), (sym, i + 1))
+# Each relation once, as a family at position 1.  A local family is (name,
+# the relation sets that hold it, lhs, rhs); its instance at position i
+# has every index raised by i - 1, at each i that keeps its letters in
+# 1..n-1.  A far family (name, sets, a, b) is a_i b_j = b_j a_i for each
+# j >= i + 2: the letters act on disjoint tensor factors, so it holds
+# identically.
+_R1, _R2, _S1, _S2 = ("r", 1), ("r", 2), ("s", 1), ("s", 2)
+# the sets with letters r and with letters s, each set holding the
+# relations of those before it: _WITH_S[1:] are the sets with both
+_WITH_R = ("Braid", "VirtualBraid", "LoopBraid", "MixedDoubles")
+_WITH_S = ("Sym", "VirtualBraid", "LoopBraid", "MixedDoubles")
+_LOCAL = (
+    ("braid_r", _WITH_R, (_R1, _R2, _R1), (_R2, _R1, _R2)),
+    ("braid_s", _WITH_S, (_S1, _S2, _S1), (_S2, _S1, _S2)),
+    ("invol_r", ("MixedDoubles",), (_R1, _R1), ()),
+    ("invol_s", _WITH_S, (_S1, _S1), ()),
+    ("mixed_rss", _WITH_S[1:], (_R1, _S2, _S1), (_S2, _S1, _R2)),
+    ("mixed_srr", _WITH_S[2:], (_S1, _R2, _R1), (_R2, _R1, _S2)),
+)
+_FAR = (("far_rr", _WITH_R, "r", "r"), ("far_rs", _WITH_S[1:], "r", "s"),
+        ("far_sr", _WITH_S[1:], "s", "r"), ("far_ss", _WITH_S, "s", "s"))
 
 
-def _invol(sym, i):
-    return ((sym, i), (sym, i)), ()
+def _shifted(word, shift):
+    return tuple((sym, i + shift) for sym, i in word)
 
 
-def _mixed_srr(i):
-    # s_i r_{i+1} r_i = r_{i+1} r_i s_{i+1}
-    return (("s", i), ("r", i + 1), ("r", i)), (("r", i + 1), ("r", i), ("s", i + 1))
-
-
-def _mixed_rss(i):
-    # r_i s_{i+1} s_i = s_{i+1} s_i r_{i+1}
-    return (("r", i), ("s", i + 1), ("s", i)), (("s", i + 1), ("s", i), ("r", i + 1))
-
-
-def _far(sym1, sym2, i, j):
-    return ((sym1, i), (sym2, j)), ((sym2, j), (sym1, i))
-
-
-_NAMES = ("Sym", "Braid", "VirtualBraid", "LoopBraid", "MixedDoubles")
+def _letters(word):
+    """(a, b): the letters r and the letters s of a word."""
+    a = sum(sym == "r" for sym, _ in word)
+    return a, len(word) - a
 
 
 class RelationSet:
     """Named family of defining relations, instantiated on demand at level n."""
 
     def __init__(self, name):
-        if name not in _NAMES:
+        # (family, lhs, rhs, level k, letter counts of both sides) of each
+        # local family of the set: its instances sit at positions 1..n-k+1
+        self._local = [(family, lhs, rhs, 1 + max(i for _, i in lhs + rhs),
+                        (_letters(lhs), _letters(rhs)))
+                       for family, sets, lhs, rhs in _LOCAL if name in sets]
+        if not self._local:
             raise ValueError("unknown relation set %r" % (name,))
         self.name = name
 
+    def _far(self, n):
+        """(id, lhs, rhs) of each far commutation at level n."""
+        return [("%s[%d,%d]" % (family, i, j), ((a, i), (b, j)),
+                 ((b, j), (a, i)))
+                for family, sets, a, b in _FAR if self.name in sets
+                for i in range(1, n) for j in range(i + 2, n)]
+
     def relations(self, n):
         """List of (id, lhs word, rhs word), sorted by id."""
-        name = self.name
-        rels = []
-        use_r = name in ("Braid", "VirtualBraid", "LoopBraid", "MixedDoubles")
-        use_s = name in ("Sym", "VirtualBraid", "LoopBraid", "MixedDoubles")
-        for i in range(1, n - 1):
-            if use_r:
-                rels.append(("braid_r[%d]" % i, *_braid("r", i)))
-            if use_s:
-                rels.append(("braid_s[%d]" % i, *_braid("s", i)))
-            if name in ("VirtualBraid", "LoopBraid", "MixedDoubles"):
-                rels.append(("mixed_rss[%d]" % i, *_mixed_rss(i)))
-            if name in ("LoopBraid", "MixedDoubles"):
-                rels.append(("mixed_srr[%d]" % i, *_mixed_srr(i)))
-        for i in range(1, n):
-            if use_s:
-                rels.append(("invol_s[%d]" % i, *_invol("s", i)))
-            if name == "MixedDoubles":
-                rels.append(("invol_r[%d]" % i, *_invol("r", i)))
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                if use_r:
-                    rels.append(("far_rr[%d,%d]" % (i, j), *_far("r", "r", i, j)))
-                if use_s:
-                    rels.append(("far_ss[%d,%d]" % (i, j), *_far("s", "s", i, j)))
-                if use_r and use_s:
-                    rels.append(("far_rs[%d,%d]" % (i, j), *_far("r", "s", i, j)))
-                    rels.append(("far_sr[%d,%d]" % (i, j), *_far("s", "r", i, j)))
-        return sorted(rels, key=lambda t: t[0])
+        rels = [("%s[%d]" % (family, i + 1), _shifted(lhs, i),
+                 _shifted(rhs, i))
+                for family, lhs, rhs, k, _ in self._local
+                for i in range(n - k + 1)]
+        return sorted(rels + self._far(n))
 
 
 SYM = RelationSet("Sym")
@@ -393,70 +392,42 @@ def _differences(A, B, bits):
             yield i, j, cols[j]
 
 
-def _letters(word):
-    """(a, b): the letters r and the letters s of a word."""
-    a = sum(sym == "r" for sym, _ in word)
-    return a, len(word) - a
-
-
-def _is_far(lhs, rhs):
-    """(a, b) = (b, a) with a and b two or more positions apart: the letters
-    act on disjoint tensor factors, so the relation holds identically."""
-    return (len(lhs) == 2 and rhs == lhs[::-1]
-            and abs(lhs[0][1] - lhs[1][1]) >= 2)
-
-
-def _window(lhs, rhs):
-    """(lo, k, shifted lhs, shifted rhs): the relation moved to start at
-    position 1 and the level k that holds all of its letters."""
-    idx = [i for _, i in lhs + rhs]
-    lo = min(idx)
-    shift = lo - 1
-    return (lo, max(idx) - shift + 1,
-            tuple((sym, i - shift) for sym, i in lhs),
-            tuple((sym, i - shift) for sym, i in rhs))
-
-
 def verify(pair, relset, n):
     """One AnomalyReport per instantiated relation of relset at level n; the
     pair satisfies the presentation at level n iff all reports are zero.
 
-    A relation whose letters span positions lo..hi has the level-n residual
-    I^(lo-1) (x) res_k (x) I^(n-lo-k+1) with k = hi - lo + 2, res_k being the
-    residual of the relation shifted to position 1 at level k (3 for braid
-    and mixed relations, 2 for involutions).  Each distinct res_k is
-    computed once.  With the first letter of a word varying fastest, the
-    first nonzero entry of the level-n residual is that of res_k, its row and
-    column words padded with lo-1 leading and n-lo-k+1 trailing letters 1.
-    Far commutations hold identically and take no matrix work.
+    A local family's residual res_k is computed once, at position 1 and
+    at the family's level k (3 for braid and mixed relations, 2 for
+    involutions); its instance at position i + 1 has the level-n residual
+    I^i (x) res_k (x) I^(n-i-k).  With the first letter of a word varying
+    fastest, the first nonzero entry of the level-n residual is that of
+    res_k, its row and column words padded with i leading and n-i-k
+    trailing letters 1.  Far commutations hold identically and take no
+    matrix work.
 
     res_k is computed over the cleared pair (see ``_Cleared``).  Braid and
     mixed relations have as many letters r, and as many letters s, on each
     side, so lhs = rhs iff lhs~ = rhs~ and the first differing entry is at
     the same place; an involution compares R~R~ with c_R^2 I.  The witness
-    value is boxed once per distinct failing res_k, as the canonical RF of
+    value is boxed once per failing family, as the canonical RF of
     the residual entry over c_R^A c_S^B, so a passing pair takes no gcd."""
     if n < 2:
         raise ValueError("level must be >= 2")
     if pair.R.nrows != pair.S.nrows:
         raise ValueError("R and S have mismatched dimensions")
-    rels = [(rel_id, None if _is_far(lhs, rhs) else _window(lhs, rhs))
-            for rel_id, lhs, rhs in relset.relations(n)]
-    windows = {win[2:]: win[1] for _, win in rels if win}
-    letters = {w: (_letters(w[0]), _letters(w[1])) for w in windows}
-    images = _Cleared(pair, max((sum(map(max, *ab)) for ab in
-                                 letters.values()), default=0))
-    witnesses = {w: images.witness(*w, k, letters[w])
-                 for w, k in windows.items()}
-    out = []
-    for rel_id, win in rels:
-        w = witnesses[win[2:]] if win else None
-        if w is not None:
-            lo, k = win[:2]
-            lead, trail = (1,) * (lo - 1), (1,) * (n - lo - k + 1)
-            w = (lead + w[0] + trail, lead + w[1] + trail, w[2])
-        out.append(AnomalyReport(rel_id, n, w))
-    return out
+    local = [fam for fam in relset._local if fam[3] <= n]
+    images = _Cleared(pair, max((sum(map(max, *letters))
+                                 for *_, letters in local), default=0))
+    out = [AnomalyReport(rel_id, n, None) for rel_id, _, _ in relset._far(n)]
+    for family, lhs, rhs, k, letters in local:
+        w = images.witness(lhs, rhs, k, letters)
+        for i in range(n - k + 1):
+            w_i = None
+            if w is not None:
+                lead, trail = (1,) * i, (1,) * (n - i - k)
+                w_i = (lead + w[0] + trail, lead + w[1] + trail, w[2])
+            out.append(AnomalyReport("%s[%d]" % (family, i + 1), n, w_i))
+    return sorted(out, key=lambda rep: rep.relation)
 
 
 def passes(pair, relset, n):
@@ -464,23 +435,22 @@ def passes(pair, relset, n):
 
 
 _ANOMALY_KINDS = {
-    # each kind and the mixed-doubles relation whose level-3 residual it is
-    "RRR": "braid_r[1]", "SSS": "braid_s[1]", "SRR": "mixed_srr[1]",
-    "SSR": "mixed_rss[1]", "RR1": "invol_r[1]", "SS1": "invol_s[1]",
+    # each kind and the relation family whose residual at position 1 it is
+    "RRR": "braid_r", "SSS": "braid_s", "SRR": "mixed_srr",
+    "SSR": "mixed_rss", "RR1": "invol_r", "SS1": "invol_s",
 }
 
 
 def anomaly(pair, kind, n=3):
     """The named relation residual (e.g. SRR = S1 R2 R1 - R2 R1 S2) at level n
     as a single exact matrix, its entries boxed from the residual of the
-    cleared pair as in ``verify``.  Each kind names a mixed-doubles relation
-    at level 3 (``_ANOMALY_KINDS``), whose words it reads."""
+    cleared pair as in ``verify``.  Each kind names a relation family
+    (``_ANOMALY_KINDS``), whose words at position 1 it reads."""
     if kind not in _ANOMALY_KINDS:
         raise ValueError("unknown anomaly kind %r (have %s)"
                          % (kind, sorted(_ANOMALY_KINDS)))
-    lhs, rhs = {rel_id: (lhs, rhs) for rel_id, lhs, rhs
-                in MIXED_DOUBLES.relations(3)}[_ANOMALY_KINDS[kind]]
-    letters = (_letters(lhs), _letters(rhs))
+    _, lhs, rhs, _, letters = next(fam for fam in MIXED_DOUBLES._local
+                                   if fam[0] == _ANOMALY_KINDS[kind])
     images = _Cleared(pair, sum(map(max, *letters)))
     entries, c = images.residual(lhs, rhs, n, letters)
     d = pair.N ** n

@@ -836,6 +836,9 @@ class NonVanishing:
         out = []
         for p in polys:
             if isinstance(p, str):
+                if not p.isidentifier():
+                    raise ValueError("constraint name %r is not an "
+                                     "identifier" % (p,))
                 p = Poly.var(p)
             elif isinstance(p, RF):
                 p = p.num

@@ -2,16 +2,20 @@
 were written once: a closure loop each in ``subgroup_closure``,
 ``_one_dim_characters`` and ``_edge_orbits``, two cycle walks
 (``_element_order`` and ``perm_sign``) and per-order lists of roots of
-unity.  The bodies are the old ones, kept as the oracle of the
-differential test in ``test_clifford``.  One difference is known: the old
+unity; and ``orbit_and_stabilizer`` from before it read the stabilizer
+and the transversal from one walk, with its ``_stabilizer`` walk and its
+frozenset cosets.  The bodies are the old ones, kept as the oracle of the
+differential tests in ``test_clifford``.  One difference is known: the old
 filter gives a generator of order 6 eight values, zeta_6^2 and zeta_6^4
 being Q(zeta_6) copies of zeta_3 and zeta_3^2.
 """
 
 from fractions import Fraction
+from math import factorial
 
+from mdreps.clifford import _RANK_BOUND, StabilizerData, _transversal_key
 from mdreps.mdd import all_permutations, perm_compose, perm_identity
-from mdreps.scalar import zeta
+from mdreps.scalar import InvariantError, zeta
 
 
 def subgroup_closure(gens, n):
@@ -165,3 +169,29 @@ def perm_sign(p):
         if ln % 2 == 0:
             sign = -sign
     return sign
+
+
+def _stabilizer(chi):
+    """The permutations w of Sym_n with chi^w = chi."""
+    return frozenset(w for w in all_permutations(chi.n) if chi.acted(w) == chi)
+
+
+def orbit_and_stabilizer(chi):
+    """Stabilizer subgroup and a canonical coset transversal (representatives
+    moving as few points as possible, smallest moved points first)."""
+    n = chi.n
+    if n > _RANK_BOUND:
+        raise ValueError("rank %d exceeds enumeration bound %d"
+                         % (n, _RANK_BOUND))
+    stabset = _stabilizer(chi)
+    cosets = {}
+    for w in sorted(all_permutations(n), key=_transversal_key):
+        key = frozenset(perm_compose(w, h) for h in stabset)
+        if key not in cosets:
+            cosets[key] = w
+    transversal = sorted(cosets.values(), key=_transversal_key)
+    if len(transversal) * len(stabset) != factorial(n):
+        raise InvariantError("%d cosets of a stabilizer of order %d do not "
+                             "cover Sym_%d" % (len(transversal), len(stabset),
+                                               n))
+    return StabilizerData(stabset, transversal)

@@ -57,7 +57,6 @@ def test_criterion_2_transversal_and_manji():
 def _linear_rows_from_anomaly(An, unknowns):
     """Rows of the linear system 'anomaly = 0' over Q(p); entries of the
     anomaly are homogeneous linear in the unknowns."""
-    zero_subs = {u: 0 for u in unknowns}
     rows = []
     for i in range(An.nrows):
         for j in range(An.ncols):
@@ -66,11 +65,6 @@ def _linear_rows_from_anomaly(An, unknowns):
                 continue
             row = {}
             for k, u in enumerate(unknowns):
-                subs = dict(zero_subs)
-                subs[u] = 1
-                subs["p"] = Fraction(97)  # placeholder; replaced below
-                row_val = None
-                del subs
                 # coefficient of u: strip one power of u from matching terms
                 terms = {}
                 for mono, cf in e.num.terms.items():

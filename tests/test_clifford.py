@@ -1,11 +1,13 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
 import seed_clifford
+from mdreps import clifford
 from mdreps.clifford import (Character, _edge_orbits, _one_dim_characters,
                              _verify_induced, all_subgroups,
                              classify_small_dims, dimension_formula_holds,
@@ -121,6 +123,39 @@ def test_characters_match_the_seed_rules():
         counts.append(len(new))
     # 99 tables at n = 2..4 and Sym_1's one
     assert sum(counts[:-1]) == 100 and counts[-1] == 6
+
+
+def test_one_walk_matches_the_seed_orbit_and_stabilizer(monkeypatch):
+    """Subgroup and transversal, in order, as the stabilizer walk and the
+    frozenset cosets gave them: on every pattern character that
+    ``classify_small_dims`` tests (n <= 4, d <= 3), on 30 seeded
+    characters at n = 5 and 6, and on one at n = 4 whose stabilizer of
+    order 2 is not normal, so that its left and right cosets differ."""
+    chars = []
+
+    def recording(chi):
+        chars.append(chi)
+        return orbit_and_stabilizer(chi)
+    monkeypatch.setattr(clifford, "orbit_and_stabilizer", recording)
+    for n in (1, 2, 3, 4):
+        for d in (1, 2, 3):
+            classify_small_dims(n, d)
+    monkeypatch.undo()
+    assert len(chars) == 23
+    rng = random.Random(31)
+    for n in (5, 6) * 15:
+        values = rng.choice(((1, -1), (1, -1, 2, a, a.inverse())))
+        chars.append(Character.from_vector(
+            n, [rng.choice(values) for _ in range(n * (n - 1) // 2)]))
+    skew = Character.from_vector(4, [-1, 2, 2, 2, 2, 2])
+    chars.append(skew)
+    for chi in chars:
+        new = orbit_and_stabilizer(chi)
+        old = seed_clifford.orbit_and_stabilizer(chi)
+        assert new.subgroup == old.subgroup, chi
+        assert new.transversal == old.transversal, chi
+    assert sorted(orbit_and_stabilizer(skew).subgroup) == \
+        [(0, 1, 2, 3), (1, 0, 2, 3)]
 
 
 def test_edge_orbits_match_the_seed_rules():

@@ -8,7 +8,8 @@ from mdreps.mdd import (GroupElement, babeda_from_md,
                         babeda_to_md, evaluate_in_rep, format_word,
                         md_defining_relation_words, parse_word, perm_compose,
                         perm_identity, perm_inverse, perm_sign,
-                        perm_to_adjacent_word, random_element)
+                        perm_to_adjacent_word, perm_transposition,
+                        random_element)
 from mdreps.presentations import MIXED_DOUBLES
 from mdreps.scalar import param, rf
 
@@ -101,6 +102,20 @@ def test_from_md_examples():
     # inverse exponent tokens
     assert babeda_from_md("x12^3 x12^-3", 3).is_identity()
     assert babeda_from_md("x21", 3) == GroupElement.x(3, 1, 2, -1)
+
+
+def test_letter_indices_outside_the_level_are_refused():
+    # s0 once gave the transposition (1 4), s4 an IndexError and s4^2
+    # the identity
+    for word in ("s0", "s4", "s4^2", "r4", "r0^2", "s1 r5"):
+        with pytest.raises(ValueError, match="out of range for n=4"):
+            babeda_from_md(word, 4)
+    with pytest.raises(ValueError, match=r"bad transposition \(4 5\)"):
+        GroupElement.sigma(4, 4)
+    for i, j in ((0, 2), (1, 5), (2, 2)):
+        with pytest.raises(ValueError, match="bad transposition"):
+            perm_transposition(4, i, j)
+    assert perm_transposition(4, 4, 1) == (3, 1, 2, 0)
 
 
 def test_word_text_round_trip():

@@ -12,11 +12,12 @@ from mdreps.catalog import (ALL_CASES, Transform, apply_transform,
 from mdreps.matrix import ExactMatrix, RepPair, embed_at, words
 from mdreps.presentations import (BRAID, LOOP_BRAID, MIXED_DOUBLES, SYM,
                                   VIRTUAL_BRAID, AnomalyReport, RelationSet,
-                                  _clear, _Cleared, _is_far, _letters,
-                                  _scan, _window, anomaly, passes, verify)
+                                  _clear, _Cleared, _letters, _scan,
+                                  anomaly, passes, verify)
 from mdreps.scalar import RF, Cyc, NonVanishing, Poly, param, rf, zeta
 from nested_cleared import _differences as nested_differences
 from nested_cleared import image, nested, scaled
+import seed_relations
 import three_walk_reader
 
 p = param("p")
@@ -38,6 +39,18 @@ def test_relation_counts_level4_includes_far():
     ids = [r[0] for r in MIXED_DOUBLES.relations(4)]
     assert "far_rr[1,3]" in ids and "far_rs[1,3]" in ids and "far_sr[1,3]" in ids
     assert "far_ss[1,3]" in ids
+
+
+def test_relations_match_the_seed_words():
+    """The families at position 1, moved to every position, give each set's
+    relations as the level-n words did: ids, words and order, n <= 12."""
+    for name in ("Sym", "Braid", "VirtualBraid", "LoopBraid",
+                 "MixedDoubles"):
+        for n in range(13):
+            assert RelationSet(name).relations(n) == \
+                seed_relations.RelationSet(name).relations(n), (name, n)
+    with pytest.raises(ValueError, match="unknown relation set"):
+        RelationSet("Pure")
 
 
 def test_identity_pair_passes():
@@ -397,8 +410,7 @@ def _assert_matches_nested(pair):
     shift = dict(zip(images.names, images.shifts))
     X = {sym: nested(_clear(M, _scan(M), shift, _WIDE)[0], _WIDE)
          for sym, M in (("r", pair.R), ("s", pair.S))}
-    windows = {_window(lhs, rhs)[1:] for _, lhs, rhs
-               in MIXED_DOUBLES.relations(3) if not _is_far(lhs, rhs)}
+    windows = {(k, lhs, rhs) for _, lhs, rhs, k, _ in MIXED_DOUBLES._local}
     for k, lhs, rhs in sorted(windows):
         letters = (_letters(lhs), _letters(rhs))
         entries, c = images.residual(lhs, rhs, k, letters)

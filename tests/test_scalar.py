@@ -1,6 +1,7 @@
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -187,6 +188,17 @@ def test_nonvanishing_covers():
     assert nv.covers(P.scale(-7))
     assert not nv.covers(P - Q)
     assert not nv.covers(Poly())
+
+
+def test_a_constraint_name_must_be_an_identifier():
+    # "p+q" once declared one variable named p+q, which covers nothing
+    for name in ("p+q", "2p", "", "p q"):
+        with pytest.raises(ValueError,
+                           match=re.escape("constraint name %r" % name)):
+            NonVanishing([name])
+    P, Q = Poly.var("p"), Poly.var("q")
+    assert NonVanishing(["p", "q_1"]).covers(P * Poly.var("q_1"))
+    assert NonVanishing([P + Q]).covers(P + Q)
 
 
 def _covers_oracle(declared, poly):
