@@ -201,12 +201,9 @@ def _parse_word(text, n):
     except ValueError as exc:
         raise UsageError("bad --word %r: %s" % (text, exc))
     for letter, _ in word:
-        if letter[0] == "x":
-            ok = letter[1] != letter[2] and all(1 <= i <= n
-                                                for i in letter[1:])
-        else:
-            ok = 1 <= letter[1] <= n - 1
-        if not ok:
+        try:
+            mdd.letter_kind(letter, n)
+        except ValueError:
             raise UsageError("letter %s out of range at --n %d"
                              % (mdd.format_word([(letter, 1)]), n))
     return word

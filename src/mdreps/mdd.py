@@ -226,6 +226,23 @@ def babeda_to_md(g, n=None):
     return [(letter, 1) for letter in word]
 
 
+def letter_kind(letter, n):
+    """The kind of a word letter at level n: "r", "s" or "x".  Refused with
+    ValueError unless it is r_i or s_i with 1 <= i <= n-1, or x_ij with
+    i != j, both in 1..n."""
+    kind = letter[0]
+    if kind == "x":
+        i, j = letter[1:]
+        if i == j or not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError("bad pair (%d,%d)" % (i, j))
+    elif kind not in ("r", "s"):
+        raise ValueError("bad letter %r" % (letter,))
+    elif not 1 <= letter[1] <= n - 1:
+        raise ValueError("letter %s%d out of range for n=%d"
+                         % (letter + (n,)))
+    return kind
+
+
 def babeda_from_md(word, n):
     """Normal form of a generator word: s_i -> (1, sigma_i) and
     r_i -> (x_{i,i+1}, sigma_i), extended to x-letters directly.
@@ -237,13 +254,8 @@ def babeda_from_md(word, n):
     if isinstance(word, str):
         word = parse_word(word)
     for letter, exp in word:
-        if letter[0] == "x":
+        if letter_kind(letter, n) == "x":
             g = g * GroupElement.x(n, letter[1], letter[2], exp)
-        elif letter[0] not in ("r", "s"):
-            raise ValueError("bad letter %r" % (letter,))
-        elif not 1 <= letter[1] <= n - 1:
-            raise ValueError("letter %s%d out of range for n=%d"
-                             % (letter + (n,)))
         elif exp % 2:
             i = letter[1]
             if letter[0] == "r":
@@ -255,7 +267,8 @@ def babeda_from_md(word, n):
 def evaluate_in_rep(g_or_word, pair, n, check=True):
     """Image matrix of a group element or generator word under the level-n
     representation defined by the pair; the pair must satisfy the
-    mixed-doubles relations at level n, which check=True verifies.  As in
+    mixed-doubles relations at level n, which check=True verifies.  A word
+    is refused letter by letter as ``babeda_from_md`` refuses it.  As in
     ``babeda_to_md``, x_{ij}^-1 is x_{ji}'s word (``_x_word``), so no
     matrix is inverted."""
     if check and not passes(pair, MIXED_DOUBLES, n):
@@ -279,7 +292,7 @@ def evaluate_in_rep(g_or_word, pair, n, check=True):
 
     M = None
     for letter, exp in word:
-        if letter[0] == "x":
+        if letter_kind(letter, n) == "x":
             i, j, e = letter[1], letter[2], exp
             if e < 0:
                 i, j, e = j, i, -e
@@ -328,6 +341,10 @@ def word_automorphism(word, swap_letters=False, reverse_indices=None):
         if swap_letters:
             sym = "r" if sym == "s" else "s"
         if reverse_indices is not None:
+            # n - i is in 1..n-1 exactly when i is
+            if not 1 <= i <= reverse_indices - 1:
+                raise ValueError("letter %s%d has no mirror for n=%d"
+                                 % (letter + (reverse_indices,)))
             i = reverse_indices - i
         out.append(((sym, i), exp))
     return out

@@ -6,6 +6,7 @@ from itertools import product
 from math import comb
 
 import pytest
+import word_pair_split
 
 from mdreps.catalog import make_md_pair
 from mdreps.ccwg import (CC, FORBIDDEN, GLUE, all_ones_glue, chain_length,
@@ -17,7 +18,7 @@ from mdreps.ccwg import (CC, FORBIDDEN, GLUE, all_ones_glue, chain_length,
 from mdreps.matrix import ExactMatrix, kron
 from mdreps.presentations import MIXED_DOUBLES, passes
 from mdreps.matrix import RepPair
-from mdreps.scalar import RF_ZERO, rf
+from mdreps.scalar import RF_ZERO, InvariantError, rf
 
 
 def m(rows, N=2):
@@ -178,6 +179,66 @@ def test_split_lemma():
     assert split_lemma_check(2, 2, 1)["ok"]
     with pytest.raises(ValueError):
         split_lemma_check(10, 3, 3)
+
+
+def _split_shapes():
+    # every (N, n, m) the word-pair oracle walks in at most 256^2 pairs
+    return [(N, n, m) for N in range(5) for n in range(5) for m in range(5)
+            if N ** (n + m) <= 256]
+
+
+def test_split_lemma_matches_the_word_pairs():
+    for N, n, m in _split_shapes():
+        got = split_lemma_check(N, n, m)
+        assert got == word_pair_split.split_lemma_check(N, n, m), (N, n, m)
+        assert got == {"pairs": N ** (2 * (n + m)), "ok": True}
+
+
+def _broken_less(n, m):
+    # the whole-word verdicts of _BROKEN, and a prefix comparison with its
+    # arguments swapped; whole words sum to n + m, prefixes to n
+    real = less
+
+    def whole(verdict):
+        return lambda a, b: verdict if sum(a) == n + m else real(a, b)
+    out = {v: whole(v) for v in "<=>"}
+    if n != m:
+        out["swapped"] = lambda a, b: real(b, a) if sum(a) == n else \
+            real(a, b)
+    return out
+
+
+def test_split_lemma_names_the_first_failing_word_pair(monkeypatch):
+    import mdreps.ccwg as cc
+    seen = 0
+    for N, n, m in _split_shapes():
+        if not (N > 1 and n and m):
+            continue
+        for name, broken in _broken_less(n, m).items():
+            monkeypatch.setattr(cc, "less", broken)
+            monkeypatch.setattr(word_pair_split, "less", broken)
+            with pytest.raises(InvariantError) as want:
+                word_pair_split.split_lemma_check(N, n, m)
+            with pytest.raises(InvariantError) as got:
+                split_lemma_check(N, n, m)
+            assert str(got.value) == str(want.value), (N, n, m, name)
+            seen += 1
+            monkeypatch.undo()
+    assert seen == 120
+
+
+def test_split_lemma_compares_classes_not_words(monkeypatch):
+    import mdreps.ccwg as cc
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return less(a, b)
+    monkeypatch.setattr(cc, "less", counting)
+    assert split_lemma_check(3, 3, 3) == {"pairs": 3 ** 12, "ok": True}
+    # three comparisons for each of the 100^2 class pairs, where the
+    # word-pair oracle makes three for each of the 3^12 word pairs
+    assert len(calls) <= 30000
 
 
 def _classify_by_kinds(M, kinds):

@@ -224,6 +224,51 @@ def test_word_automorphisms_preserve_relations():
                 assert babeda_from_md(image, n).is_identity(), (rid, kw)
 
 
+def test_word_automorphism_refuses_a_letter_without_a_mirror():
+    from mdreps.mdd import word_automorphism
+    # the mirror n - i of each refused letter is outside 1..n-1
+    for word, m in (("s1 s3", 2), ("r0", 3), ("s3", 3), ("r1", 1)):
+        with pytest.raises(ValueError, match="no mirror for n=%d" % m):
+            word_automorphism(word, reverse_indices=m)
+    assert word_automorphism("s1 r3^2", reverse_indices=4) == [
+        (("s", 3), 1), (("r", 1), 2)]
+
+
+def test_evaluate_in_rep_refuses_the_letters_babeda_refuses():
+    # an out-of-range index is refused before an even or zero exponent
+    # could skip the letter, and x22 is no x letter
+    pair = make_md_pair("case2", p=2, q=5)
+    for word in ("r0^2", "s5^2", "r3^2", "x22", "x11^0", "s0"):
+        with pytest.raises(ValueError):
+            evaluate_in_rep(word, pair, 3, check=False)
+    with pytest.raises(ValueError, match="bad letter"):
+        evaluate_in_rep([(("q", 1), 1)], pair, 3, check=False)
+
+
+def test_evaluate_in_rep_raises_exactly_when_babeda_from_md_does():
+    pair = make_md_pair("case2", p=2, q=5)
+    rng = random.Random(2032)
+    valid = [(kind, i) for kind in "rs" for i in (1, 2)]
+    valid += [("x", i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
+    invalid = [(kind, i) for kind in "rs" for i in (-1, 0, 3, 5)]
+    invalid += [("x", 1, 1), ("x", 2, 2), ("x", 1, 4), ("x", 0, 2),
+                ("q", 1), ("y", 2, 1)]
+    raised = 0
+    for _ in range(300):
+        word = [(rng.choice(valid if rng.random() < 0.75 else invalid),
+                 rng.choice((-2, -1, 0, 1, 2, 3)))
+                for _ in range(rng.randint(1, 3))]
+        try:
+            babeda_from_md(word, 3)
+        except ValueError:
+            with pytest.raises(ValueError):
+                evaluate_in_rep(word, pair, 3, check=False)
+            raised += 1
+        else:
+            evaluate_in_rep(word, pair, 3, check=False)
+    assert 50 < raised < 250
+
+
 def test_word_round_trip_agrees_in_representation(rng):
     # to_md(from_md(word)) is related to the original word by the defining
     # relations: compare the two matrix images in an evaluated catalog pair
