@@ -310,6 +310,8 @@ def split_lemma_check(N, n, m):
     A failing class pair is reported as the first failing word pair in word
     order.
     """
+    if min(N, n, m) < 0:
+        raise ValueError("split_lemma_check needs N, n and m >= 0")
     if N ** (n + m) > _SPLIT_WORDS_BOUND:
         raise ValueError("bound exceeded: N^(n+m) = %d" % N ** (n + m))
     classes, sizes = [], []

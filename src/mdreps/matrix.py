@@ -249,7 +249,7 @@ class ExactMatrix:
                      [list(col) for col in zip(*rows)])
 
     def trace(self):
-        _require_square(self, "trace")
+        _require_square([self], "trace")
         if self._ints is not None:
             return _box(sum(row[i] for i, row in enumerate(self._ints)),
                         self._den)
@@ -281,7 +281,7 @@ class ExactMatrix:
     def power(self, k):
         """self**k for k >= 0 by repeated squaring, with no product by the
         identity."""
-        _require_square(self, "power")
+        _require_square([self], "power")
         if k <= 1:
             return self if k else ExactMatrix.identity(self.N, self.rows_level)
         half = self.power(k // 2)
@@ -293,7 +293,7 @@ class ExactMatrix:
         else Gauss-Jordan elimination through ``RFEchelon``, fed the columns
         of the matrix; an uncertified pivot raises BranchAmbiguity.  A
         singular matrix raises ZeroDivisionError."""
-        _require_square(self, "inverse")
+        _require_square([self], "inverse")
         if self._ints is not None:
             return _const_inverse(self)
         n = self.nrows
@@ -424,10 +424,21 @@ def _json_entry(item, N, rows_level, cols_level):
     return ij[0], ij[1], rf_from_json(item[2])
 
 
-def _require_square(M, what):
-    if M.nrows != M.ncols:
-        raise ValueError("%s needs a square matrix, got %dx%d"
-                         % (what, M.nrows, M.ncols))
+def _require_square(mats, what):
+    """The size d of a nonempty list of d x d matrices; ValueError naming
+    ``what`` otherwise."""
+    if not mats:
+        raise ValueError("%s of an empty list of matrices" % what)
+    d = mats[0].nrows
+    for M in mats:
+        if M.nrows != M.ncols:
+            raise ValueError("%s needs a square matrix, got %dx%d"
+                             % (what, M.nrows, M.ncols))
+        if M.nrows != d:
+            raise ValueError("%s needs square matrices of one size, got "
+                             "%dx%d and %dx%d"
+                             % (what, d, d, M.nrows, M.nrows))
+    return d
 
 
 def _fraction_matrix(N, rows_level, cols_level, rows):
@@ -982,7 +993,7 @@ def _char_poly(A):
     integral rows B = D A over Z or Z[zeta_m]: B's coefficients e_k are
     algebraic integers, so each -tr/k divides exactly (checked,
     componentwise for a Cyc), and x^(n-k) has the coefficient e_k D^(n-k)."""
-    _require_square(A, "char_poly")
+    _require_square([A], "char_poly")
     if A._ints is not None:
         B, D = A._ints, A._den
     elif all(e.is_constant() for row in A._rows for e in row):
@@ -1039,7 +1050,7 @@ def eigen_data(A):
     polynomial must split over the scalar tower; otherwise
     UnsupportedSpectrum is raised.
     """
-    _require_square(A, "eigen_data")
+    _require_square([A], "eigen_data")
     mult = Counter(_roots_in_tower(_char_poly(A)))
     eigs = []
     diag = True
@@ -1095,14 +1106,8 @@ def commutant_basis(mats, constraints=None):
     M = A / D commute with T iff A does, and their commutant is found by
     spinning (``_spin_commutant``) on the integer rows A, in the constant
     form."""
-    if not mats:
-        raise ValueError("commutant of an empty list of matrices")
-    d = mats[0].nrows
+    d = _require_square(mats, "commutant")
     N, lvl = mats[0].N, mats[0].rows_level
-    for M in mats:
-        if M.nrows != d or M.ncols != d:
-            raise ValueError("commutant needs square matrices of one size, "
-                             "got %dx%d and %dx%d" % (d, d, M.nrows, M.ncols))
     try:
         gens = [_int_form(M)[0] for M in mats]
     except ValueError:  # a symbolic or cyclotomic entry

@@ -3,26 +3,22 @@ idempotent search with paper-style entry-forcing certificates, recursive
 eigenspace splitting, the image trichotomy of X = RS, semisimple-quotient
 dimensions through the glue projection, and matrix-algebra dimension data.
 
-Numeric analyses work over plain rationals at exact sample points, on the
-constant form of ``ExactMatrix`` (integer rows A with M = A / D).  At a
-point given by ``assignment``, ``decompose`` and ``algebra_dims`` evaluate
-the 4x4 pair once and embed the constant matrices.  Commutants come from
-``matrix.commutant_basis``, which spins under the generators instead of
-solving the d^2-unknown commutation system, with the same basis.  The
-minimal polynomials, spins, algebra closures, subspace restrictions (each
-image summed over nonzero entries only) and quotient coordinates eliminate
-fraction-free on the integer rows through ``matrix.Echelon``, and the
-spectral projectors are integer Horner evaluations.  Coordinates in a span
-are read as integers over one denominator, (c, den), and the matrices made
-of them as integer rows over their lcm.  On a rational basis the splitter
-search works in the regular representation of the commutant (m x m for
-an m-dimensional commutant), so no d x d matrix is formed per candidate.
-A leaf with a scalar commutant is labelled by spin certificates (a proper
-invariant subspace, or Norton's criterion); the Burnside closure runs only
-when neither applies.  The minimal polynomials (primitive integer lists)
-and their roots, and the CRT idempotents of the spectral projectors, are
-computed in Q[x] with ``upoly``.  The certificates (local endomorphism
-ring, commutant shape) are exact.
+Numeric analyses work at exact sample points on the constant form of
+``ExactMatrix`` (integer rows A with M = A / D), fraction-free through
+``matrix.Echelon``, and in Q[x] through ``upoly``.  Four rules are written
+once:
+
+- one coordinate span, ``_Coords``: coordinates (c, den), integers over one
+  denominator, for the Krylov chain of ``_annihilator``, the regular
+  representation of the splitter search, subspace restriction and the
+  quotient of ``algebra_dims``;
+- one spin, ``_spin``: the breadth-first walk that keeps each element
+  independent of those before it, for invariant subspaces and for algebra
+  closures;
+- one sparse product, ``matrix._sparse_apply``, for an integer matrix
+  applied to a vector;
+- one trace form, ``_trace_product``, read entry by entry with no product
+  formed, for the radicals of ``algebra_dims`` and ``endo_ring_local``.
 
 The semisimple quotient is decomposed from cycle-type traces: one trace per
 cycle length, once the glue projection passes the Sym relations at level 3.
@@ -38,9 +34,9 @@ from .clifford import (centralizer_order, mn_character, partition_dim,
                        partitions)
 from .matrix import (_ORDER_BOUND, Echelon, ExactMatrix, RepPair,
                      UnsupportedSpectrum, _char_poly, _columns, _combine,
-                     _entries, _imul, _int_form, _scaled_product,
-                     _sparse_apply, char_poly, commutant_basis, eigen_data,
-                     embed_at, kron, nullspace)
+                     _entries, _imul, _int_form, _require_square, _rf_rows,
+                     _scaled_product, _sparse_apply, char_poly,
+                     commutant_basis, eigen_data, embed_at, kron, nullspace)
 from .presentations import SYM, verify
 from .scalar import InvariantError, as_fraction
 from .upoly import (_clear, _monic, _pexquo, _plcm, _pmul, _ppow,
@@ -101,13 +97,19 @@ def distinct_eigenvalue_count(M):
 def endo_ring_local(basis, constraints=None):
     """True iff the algebra spanned by the commutant basis has semisimple
     quotient of dimension 1 (radical = kernel of the trace form), which
-    certifies indecomposability; exact over Q at numeric points."""
+    certifies indecomposability.  The Gram matrix is read on the integer
+    rows A_k of B_k = A_k / D_k, scaled by diag(D_k) on both sides, which
+    keeps its rank, or on RF rows."""
+    _require_square(basis, "endo_ring_local")
+    try:
+        rows = [_int_form(B)[0] for B in basis]
+    except ValueError:  # a symbolic or cyclotomic basis
+        rows = [_rf_rows(B) for B in basis]
     m = len(basis)
-    gram = ExactMatrix.from_rows([[(basis[i] * basis[j]).trace()
-                                   for j in range(m)] for i in range(m)],
-                                 N=m, rows_level=1, cols_level=1)
-    r = m - len(nullspace(gram, constraints))
-    return r == 1
+    gram = ExactMatrix.from_rows([[_trace_product(A, B) for B in rows]
+                                  for A in rows], N=m, rows_level=1,
+                                 cols_level=1)
+    return m - len(nullspace(gram, constraints)) == 1
 
 
 def _shape_certificate(basis):
@@ -141,6 +143,7 @@ def find_idempotents(com, constraints=None, rng=None):
     span does not contain I or is not closed under products raises
     ValueError."""
     basis = com.basis if isinstance(com, CommutantBasis) else com
+    _require_square(basis, "find_idempotents")
     if len(basis) == 1:
         return {"kind": "indecomposable", "certificate": "commutant is scalar"}
     shape = _shape_certificate(basis)
@@ -163,37 +166,30 @@ def find_idempotents(com, constraints=None, rng=None):
 
 
 def _annihilator(A, D, v):
-    """The annihilator of the integer vector v under M = A / D, as a
-    primitive integer list: the least-degree p with p(M) v = 0.  The
-    Krylov chain runs on the integer rows A, marker column d+j tagging
-    A^j v; a relation sum r_j A^j v = 0 is the relation
-    sum r_j D^j M^j v = 0."""
-    d = len(A)
-    nz = [[(j, a) for j, a in enumerate(row) if a] for row in A]
-    chain = Echelon(bound=d)
-    j = 0
-    while True:
-        row = {i: x for i, x in enumerate(v) if x}
-        row[d + j] = 1
-        rel = chain.insert(row)
-        if rel is not None:
-            break
-        v = [sum(a * v[k] for k, a in arow) for arow in nz]
-        j += 1
-    return _primitive([rel.get(d + k, 0) * D ** k for k in range(j + 1)])
+    """The annihilator of the sparse integer vector v under M = A / D, as a
+    primitive integer list: the least-degree p with p(M) v = 0.  The Krylov
+    chain v, A v, A^2 v, ... stops at the first A^j v with coordinates
+    c / den in the chain before it; as M^k = A^k / D^k, p is
+    den D^j x^j - sum c_k D^k x^k."""
+    cols, chain = _columns(A), _Coords(len(A))
+    while (found := chain.add(v, 1)) is None:
+        v = _sparse_apply(cols, v)
+    c, den = found
+    return _primitive([-x * D ** k for k, x in enumerate(c)]
+                      + [den * D ** len(c)])
 
 
 def minimal_polynomial(M):
     """Minimal polynomial of a constant exact matrix (ascending Fraction
     coefficients, monic): the lcm of the annihilators of the standard basis
     vectors, taken over primitive integer lists."""
+    d = _require_square([M], "minimal_polynomial")
     A, D = _int_form(M)
-    d = len(A)
     mp = [1]
     for start in range(d):
         if len(mp) - 1 == d:
             break
-        poly = _annihilator(A, D, [int(i == start) for i in range(d)])
+        poly = _annihilator(A, D, {start: 1})
         if _pexquo(mp, poly) is None:
             mp = _plcm(mp, poly)
     return _monic(mp)
@@ -214,27 +210,21 @@ def _rational_roots(coeffs):
 def _regular_representation(forms):
     """(L, e) for a basis B_k = A_k / D_k, given as (A_k, D_k), of a unital
     algebra: L[i], as (integer rows, denominator), is the matrix of left
-    multiplication by B_i in basis coordinates (column j holds the
-    coordinates of B_i B_j), and the integer vector e is a multiple of the
-    coordinates of I.  For T in the span, p(L_T) e = 0 iff p(T) = 0, so
-    the annihilator of e under L_T is the minimal polynomial of T.
-    ValueError when a product, or I, is not in the span."""
-    m, d = len(forms), len(forms[0][0])
-    dd = d * d
-    span = Echelon(dd)
-    for k, (A, D) in enumerate(forms):
-        row = _flat(A)
-        row[dd + k] = D
-        span.insert(row)
+    multiplication by B_i in basis coordinates, and the integer vector e is
+    a multiple of the coordinates of I.  For T in the span, p(L_T) e = 0
+    iff p(T) = 0, so the annihilator of e under L_T is the minimal
+    polynomial of T.  ValueError when the basis is dependent, or a product
+    or I is not in its span."""
+    d = len(forms[0][0])
+    span = _Coords(d * d)
+    if any(span.add(_flat(A), D) is not None for A, D in forms):
+        raise ValueError("the basis is dependent")
 
     def coords(A, D, what):
-        row = _flat(A)
-        row[dd + m] = D
-        try:
-            return _span_coords(span, row, m)
-        except InvariantError:
-            raise ValueError("%s is not in the span of the basis"
-                             % what) from None
+        c = span.coords(_flat(A), D)
+        if c is None:
+            raise ValueError("%s is not in the span of the basis" % what)
+        return c
 
     L = [_coord_matrix([coords(*_scaled_product(Ai, Di, Aj, Dj),
                                "B[%d]*B[%d]" % (i, j))
@@ -265,6 +255,7 @@ def _find_splitter(basis, rng=None):
         forms = None
     if forms is not None:
         L, e = _regular_representation(forms)
+        e = {i: x for i, x in enumerate(e) if x}
     best, most = None, 1
     for k, c in enumerate(cands):
         if forms is not None:
@@ -327,25 +318,47 @@ def _spectral_idempotents(T, mult):
 # ---------------------------------------------------------------------------
 # subspace restriction
 
-def _span_coords(span, row, k):
-    """(c, den): the coordinates c / den of a vector in the span of k stored
-    rows, as integers over one positive denominator.  Stored row j carries
-    its scale at marker column ``span.bound + j``, and ``row`` (the vector
-    times its scale) carries its scale at ``span.bound + k``; the residual
-    of ``row`` is then den (0 | -coordinates | 1) for some den > 0."""
-    res = span.reduce(row)
-    b = span.bound
-    if any(c < b for c in res):
-        raise InvariantError("vector not in the span")
-    return [-res.get(b + j, 0) for j in range(k)], res[b + k]
+class _Coords:
+    """A span in integer coordinates: vector j is stored times its scale,
+    with the scale at marker column ``bound + j`` of an ``Echelon``; a
+    vector looked up carries its scale at ``bound + k``, k vectors being
+    stored, so that its residual is den (0 | -c | 1) for coordinates
+    c / den.  Rows inserted into ``ech`` with no marker read as 0."""
+
+    __slots__ = ("ech", "k")
+
+    def __init__(self, bound):
+        self.ech, self.k = Echelon(bound), 0
+
+    def add(self, row, scale):
+        """Store the vector row / scale when it is not in the span, and
+        return None; else return its coordinates."""
+        res = self.ech.insert({**row, self.ech.bound + self.k: scale})
+        if res is None:
+            self.k += 1
+        return self._read(res)
+
+    def coords(self, row, scale):
+        """(c, den), the coordinates c / den of the vector row / scale as
+        integers over one positive denominator, or None outside the span."""
+        return self._read(self.ech.reduce({**row,
+                                           self.ech.bound + self.k: scale}))
+
+    def _read(self, res):
+        b = self.ech.bound
+        if res is None or any(c < b for c in res):
+            return None
+        return [-res.get(b + j, 0) for j in range(self.k)], res[b + self.k]
 
 
 def _coord_matrix(cols):
     """(A, D) with column j of A / D the coordinates c_j / den_j, D the lcm
-    of the den_j.  Each (c_j, den_j) from ``_span_coords`` has content 1,
+    of the den_j.  Each (c_j, den_j) from ``_Coords`` has content 1,
     so for every prime p dividing D, the column whose den_j holds the most
     factors p has an entry prime to p in D / den_j * c_j: A / D is in
-    lowest terms."""
+    lowest terms.  InvariantError when a vector was not in the span."""
+    if None in cols:
+        raise InvariantError("vector not in the span")
     D = lcm(*(den for _, den in cols))
     return [[c[i] * (D // den) for c, den in cols]
             for i in range(len(cols[0][0]))], D
@@ -353,27 +366,22 @@ def _coord_matrix(cols):
 
 def restrict_to_subspace(mats, basis_vectors):
     """Restrict matrices preserving span(basis_vectors) to that subspace;
-    the vectors are rational (ints or Fractions) of length d.  Each image
-    A v is summed over the nonzero entries of v and of A's columns."""
-    d = len(basis_vectors[0])
-    k = len(basis_vectors)
-    vecs = [_clear(v) for v in basis_vectors]
-    span = Echelon(d)
-    for j, (v, D) in enumerate(vecs):
-        row = dict(enumerate(v))
-        row[d + j] = D
-        if span.insert(row) is not None:
-            raise InvariantError("basis vectors are not independent")
-    vecs = [({i: x for i, x in enumerate(v) if x}, D) for v, D in vecs]
+    the vectors are rational (ints or Fractions) of length d."""
+    d = _require_square(mats, "restrict_to_subspace")
+    if not basis_vectors or any(len(v) != d for v in basis_vectors):
+        raise ValueError("restrict_to_subspace needs at least one basis "
+                         "vector, each of length %d" % d)
+    vecs = [({i: x for i, x in enumerate(v) if x}, D)
+            for v, D in map(_clear, basis_vectors)]
+    span, k = _Coords(d), len(vecs)
+    if any(span.add(v, D) is not None for v, D in vecs):
+        raise InvariantError("basis vectors are not independent")
     out = []
     for M in mats:
         A, DM = _int_form(M)
         cols = _columns(A)
-        coords = []
-        for v, D in vecs:
-            row = _sparse_apply(cols, v)
-            row[d + k] = DM * D
-            coords.append(_span_coords(span, row, k))
+        coords = [span.coords(_sparse_apply(cols, v), DM * D)
+                  for v, D in vecs]
         out.append(ExactMatrix.from_ints(*_coord_matrix(coords), N=k,
                                          rows_level=1, cols_level=1))
     return out
@@ -475,7 +483,7 @@ def _leaf_status(mats):
     forms = [_int_form(M) for M in mats]
     gens, d = [A for A, _ in forms], len(forms[0][0])
     for A, D in forms:
-        roots = _rational_roots(_annihilator(A, D, [1] + [0] * (d - 1)))
+        roots = _rational_roots(_annihilator(A, D, {0: 1}))
         if not roots:
             continue
         lam = min(roots)
@@ -496,31 +504,37 @@ def _leaf_status(mats):
 
 
 def _int_kernel(K):
-    """Basis of the right kernel of the integer rows K, as integer
+    """Basis of the right kernel of the integer rows K, as sparse integer
     vectors."""
     ech = Echelon()
     for row in K:
         ech.insert(dict(enumerate(row)))
-    return ech.int_nullspace(len(K[0]))
+    return [{i: x for i, x in enumerate(v) if x}
+            for v in ech.int_nullspace(len(K[0]))]
+
+
+def _spin(seeds, maps, row, full):
+    """The elements kept by a breadth-first walk from the seeds under the
+    maps, in the order found: x is kept when row(x) is independent of the
+    rows of those kept before it, and then its images f(x) join the queue.
+    The walk stops once full elements are kept."""
+    span = Echelon()
+    kept = []
+    queue = deque(seeds)
+    while queue and len(kept) < full:
+        x = queue.popleft()
+        if span.insert(row(x)) is None:
+            kept.append(x)
+            queue.extend(f(x) for f in maps)
+    return kept
 
 
 def _spin_dim(v, gens):
-    """Dimension of the least subspace that contains the integer vector v
-    and is invariant under the integer matrices gens (lists of rows),
-    computed until it is the whole space."""
-    d = len(v)
-    nzs = [[[(j, a) for j, a in enumerate(row) if a] for row in G]
-           for G in gens]
-    span = Echelon()
-    span.insert(dict(enumerate(v)))
-    queue = deque([v])
-    while queue and len(span.rows) < d:
-        w = queue.popleft()
-        for nz in nzs:
-            u = [sum(a * w[k] for k, a in row) for row in nz]
-            if span.insert(dict(enumerate(u))) is None:
-                queue.append(u)
-    return len(span.rows)
+    """Dimension of the least subspace that contains the sparse integer
+    vector v and is invariant under the integer matrices gens (lists of
+    rows)."""
+    maps = [lambda w, c=_columns(G): _sparse_apply(c, w) for G in gens]
+    return len(_spin([v], maps, lambda w: w, len(gens[0])))
 
 
 def _x_spectrum(gen_mats):
@@ -612,25 +626,22 @@ def _flat(A):
 
 def generated_algebra(mats):
     """Basis (as Fraction row-lists) of the unital algebra generated by the
-    given constant matrices, by span closure under products (ValueError past
-    ``_ALGEBRA_BOUND`` elements).  The closure multiplies (integer matrix,
-    denominator) pairs."""
-    d = mats[0].nrows
+    given constant matrices: the spin of I and the generators under
+    multiplication by each generator on the right and on the left, on
+    (integer matrix, denominator) pairs (ValueError past ``_ALGEBRA_BOUND``
+    elements)."""
+    d = _require_square(mats, "generated_algebra")
     gens = [_int_form(M) for M in mats]
-    span = Echelon()
-    basis = []
+    maps = []
+    for G, DG in gens:
+        maps += [lambda x, G=G, DG=DG: _scaled_product(*x, G, DG),
+                 lambda x, G=G, DG=DG: _scaled_product(G, DG, *x)]
     ident = [[int(i == j) for j in range(d)] for i in range(d)]
-    queue = deque([(ident, 1)] + gens)
-    while queue:
-        A, D = queue.popleft()
-        if span.insert(_flat(A)) is None:
-            basis.append([[Fraction(x, D) for x in row] for row in A])
-            if len(basis) > _ALGEBRA_BOUND:
-                raise ValueError("algebra closure exceeds bound")
-            for G, DG in gens:
-                queue.append(_scaled_product(A, D, G, DG))
-                queue.append(_scaled_product(G, DG, A, D))
-    return basis
+    basis = _spin([(ident, 1)] + gens, maps, lambda x: _flat(x[0]),
+                  min(d * d, _ALGEBRA_BOUND + 1))
+    if len(basis) > _ALGEBRA_BOUND:
+        raise ValueError("algebra closure exceeds bound")
+    return [[[Fraction(x, D) for x in row] for row in A] for A, D in basis]
 
 
 def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None):
@@ -651,13 +662,12 @@ def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None):
         mats = [M for _, M in pair.generator_images(n)]
     else:
         mats = list(mats_or_pair)
-    d = mats[0].nrows
+    d = _require_square(mats, "algebra_dims")
     basis = []
     for B in generated_algebra(mats):
         flat, D = _clear([x for row in B for x in row])
         basis.append(([flat[i:i + d] for i in range(0, d * d, d)], D))
     m = len(basis)
-    dd = d * d
     # radical = kernel of the trace Gram matrix tr(B_i B_j), row i scaled by
     # D_i * L
     L = lcm(*(D for _, D in basis))
@@ -669,35 +679,22 @@ def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None):
     rad_dim = len(rad_coords)
     ss_dim = m - rad_dim
     # quotient algebra: the radical rows, then each basis element outside
-    # their span with its scale at marker column dd + (its index in qbasis)
-    span = Echelon(dd)
+    # their span
+    span = _Coords(d * d)
     for vec in rad_coords:
-        span.insert(_flat(_combine(vec, basis)[0]))
-    qbasis = []
-    for A, D in basis:
-        row = _flat(A)
-        row[dd + len(qbasis)] = D
-        if span.insert(row) is None:
-            qbasis.append((A, D))
+        span.ech.insert(_flat(_combine(vec, basis)[0]))
+    qbasis = [(A, D) for A, D in basis if span.add(_flat(A), D) is None]
     s = len(qbasis)
     if s != ss_dim:
         raise InvariantError("quotient basis has %d elements, trace form "
                              "rank is %d" % (s, ss_dim))
-
-    def qcoords(A, D):
-        """Coordinates (c, den) of the class of A / D in the quotient
-        basis."""
-        row = _flat(A)
-        row[dd + s] = D
-        return _span_coords(span, row, s)
-
     # center of the quotient: sum_i c_i [B_i, G] = 0 (mod radical) for each
     # generator G, i.e. sum_i c_i (coordinates of [B_i, G])_l = 0 for every
     # l; the quotient is generated by I and the generators, so an element
     # commuting with each generator is central
     center = Echelon()
     for G, DG in map(_int_form, mats):
-        C, _ = _coord_matrix([qcoords(_commutator(B, G), DB * DG)
+        C, _ = _coord_matrix([span.coords(_flat(_commutator(B, G)), DB * DG)
                               for B, DB in qbasis])
         for row in C:
             center.insert(dict(enumerate(row)))
@@ -719,28 +716,23 @@ def algebra_dims(mats_or_pair, n=None, assignment=None, rng=None):
                        for k in range(s)]
             Z, DZ = _combine(weights, qbasis)
             Zm = ExactMatrix.from_ints(
-                *_coord_matrix([qcoords(_imul(Z, B), DZ * DB)
+                *_coord_matrix([span.coords(_flat(_imul(Z, B)), DZ * DB)
                                 for B, DB in qbasis]),
                 N=s, rows_level=1, cols_level=1)
             counts = _rational_roots(char_poly(Zm))
             if counts is None or len(counts) != center_dim:
                 continue
-            blocks = []
-            for _, c0 in sorted(counts.items()):
-                b = _sqrt(c0)
-                if b is None:
-                    blocks = None
-                    break
-                blocks.append(b)
-            if blocks is not None:
+            blocks = [_sqrt(c0) for _, c0 in sorted(counts.items())]
+            if None not in blocks:
                 simples = sorted(blocks, reverse=True)
                 break
     return {"dim": m, "radical": rad_dim, "ss": ss_dim,
-            "center_ss": center_dim,
-            "simples": simples}
+            "center_ss": center_dim, "simples": simples}
 
 
 def _trace_product(A, B):
+    """tr(A B) for integer or RF rows, summed over the nonzero entries of A
+    with no product formed."""
     return sum(a * brow[i] for i, arow in enumerate(A)
                for a, brow in zip(arow, B) if a)
 

@@ -364,3 +364,9 @@ def test_broken_checks_raise_under_python_O():
         "split< InvariantError split", "split= InvariantError split",
         "split> InvariantError split", "chain InvariantError compositions",
         "project InvariantError projection"]
+
+
+@pytest.mark.parametrize("N,n,m", [(3, -1, 2), (2, 5, -2), (-2, 1, 1)])
+def test_split_lemma_refuses_negative_sizes(N, n, m):
+    with pytest.raises(ValueError, match="N, n and m >= 0"):
+        split_lemma_check(N, n, m)

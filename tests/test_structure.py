@@ -8,8 +8,10 @@ from fractions import Fraction
 from math import factorial, lcm
 
 import pytest
+import seed_structure
 import stepwise_echelon
 from fraction_upoly import _plcm
+from seed_structure import _span_coords
 
 from mdreps.catalog import (ALL_CASES, Transform, analysis_pair,
                             apply_transform, make_md_pair)
@@ -19,16 +21,17 @@ from mdreps.matrix import (Echelon, ExactMatrix, RepPair, _columns, _combine,
                            _imul, _int_form, _scaled_product, _sparse_apply,
                            _spin_commutant, char_poly, embed_at)
 from mdreps.mdd import all_permutations, perm_to_adjacent_word
-from mdreps.scalar import (InvariantError, NonVanishing, Poly, as_fraction,
-                           param, rf, zeta)
-from mdreps.structure import (_commutator, _find_splitter, _flat,
+from mdreps.scalar import (BranchAmbiguity, InvariantError, NonVanishing,
+                           Poly, as_fraction, param, rf, zeta)
+from mdreps.structure import (_annihilator, _commutator, _Coords,
+                              _find_splitter, _flat,
                               _is_wangian, _leaf_status, _matrix_column_space,
                               _peval_matrix, _rational_roots,
-                              _regular_representation, _span_coords,
+                              _regular_representation, _spin_dim,
                               _spectral_idempotents, _trace_product,
                               algebra_dims, commutant,
                               decompose,
-                              distinct_eigenvalue_count,
+                              distinct_eigenvalue_count, endo_ring_local,
                               fglue_commutant_shape_ok, find_idempotents,
                               generated_algebra, minimal_polynomial,
                               restrict_to_subspace, semisimple_quotient_dims,
@@ -1330,3 +1333,209 @@ def test_decompose_at_a_point_evaluates_the_pair_once(monkeypatch):
     assert rep.to_json() == decompose(pair.evaluate(at), 4,
                                       rng=random.Random(5)).to_json()
     assert dims == algebra_dims(pair.evaluate(at), 3)
+
+
+# ---------------------------------------------------------------------------
+# the analysis rules written once (one coordinate span, one spin, one sparse
+# product, one trace form) against their old copies in seed_structure
+
+def _int_rows(rng, d, density):
+    return [[rng.randint(-3, 3) if rng.random() < density else 0
+             for _ in range(d)] for _ in range(d)]
+
+
+def _sparse(v):
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def test_coordinate_span_matches_the_seed_reader(rng):
+    # vectors stored with their scales, a dependent one read instead, then
+    # lookups of combinations (the zero vector among them) and of vectors
+    # that may lie outside the span, which read as None
+    outside = 0
+    for _ in range(80):
+        d = rng.randint(1, 6)
+        new, old = _Coords(d), Echelon(d)
+        stored = []
+        for _ in range(rng.randint(1, d + 3)):
+            v = _sparse([rng.randint(-4, 4) if rng.random() < 0.6 else 0
+                         for _ in range(d)])
+            scale = rng.randint(1, 6)
+            row = {**v, d + len(stored): scale}
+            want = old.insert(row)
+            if want is not None:
+                want = _span_coords(old, row, len(stored))
+            assert new.add(v, scale) == want
+            if want is None:
+                stored.append(v)
+        assert new.k == len(stored)
+        queries = [({}, rng.randint(1, 6))]
+        for _ in range(4):
+            cs = [rng.randint(-3, 3) for _ in stored]
+            queries.append((_sparse([sum(c * v.get(i, 0) for c, v
+                                         in zip(cs, stored))
+                                     for i in range(d)]),
+                            rng.randint(1, 6)))
+            queries.append((_sparse([rng.randint(-2, 2) for _ in range(d)]),
+                            rng.randint(1, 6)))
+        for x, scale in queries:
+            try:
+                want = _span_coords(old, {**x, d + len(stored): scale},
+                                    len(stored))
+            except InvariantError:
+                want = None
+                outside += 1
+            assert new.coords(x, scale) == want
+            assert new.k == len(stored)
+    assert outside > 0
+
+
+def test_annihilators_match_the_seed_chain(rng):
+    for _ in range(60):
+        d = rng.randint(1, 6)
+        A = _int_rows(rng, d, rng.choice((0.3, 0.7)))
+        D = rng.randint(1, 5)
+        vecs = [[0] * d, [int(i == 0) for i in range(d)],
+                [rng.randint(-2, 2) for _ in range(d)]]
+        for v in vecs:
+            assert _annihilator(A, D, _sparse(v)) \
+                == seed_structure._annihilator(A, D, v)
+
+
+def test_spins_match_the_seed_spin(rng):
+    dims = set()
+    for _ in range(60):
+        d = rng.randint(1, 6)
+        gens = [_int_rows(rng, d, rng.choice((0.2, 0.5)))
+                for _ in range(rng.randint(1, 3))]
+        for v in ([0] * d, [int(i == d - 1) for i in range(d)],
+                  [rng.randint(-2, 2) for _ in range(d)]):
+            for gs in (gens, [list(zip(*G)) for G in gens]):
+                got = _spin_dim(_sparse(v), gs)
+                assert got == seed_structure._spin_dim(v, gs)
+                dims.add(got == d)
+    assert dims == {True, False}
+
+
+def test_generated_algebras_match_the_seed_closure(rng):
+    full = 0
+    for _ in range(40):
+        d = rng.choice((1, 2, 4))
+        mats = [m([[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5)))
+                    if rng.random() < 0.5 else 0 for _ in range(d)]
+                   for _ in range(d)]) for _ in range(rng.randint(1, 3))]
+        got = generated_algebra(mats)
+        assert got == seed_structure.generated_algebra(mats)
+        full += len(got) == d * d
+    assert 0 < full < 40
+
+
+def _endo_outcome(fn, basis, constraints):
+    try:
+        return fn(basis, constraints)
+    except BranchAmbiguity as exc:
+        return str(exc)
+
+
+def _sweep_leaf_commutants(monkeypatch):
+    """The commutant basis of every leaf of the n = 3 catalog sweep: the 26
+    ``ALL_CASES`` pairs at p = 2, q = 5, s = t = 2 and their conjugates by
+    local_conj [[zeta_3, 0], [1, 1]], decomposed with Random(1)."""
+    import mdreps.structure as structure
+    seen = []
+    real = structure.commutant
+
+    def recorded(mats, *args):
+        com = real(mats, *args)
+        seen.append((mats, com.basis))
+        return com
+    monkeypatch.setattr(structure, "commutant", recorded)
+    A = ExactMatrix.from_rows([[zeta(3), 0], [1, 1]])
+    at = {"p": 2, "q": 5, "s": 2, "t": 2}
+    bases = []
+    for case, kw in ALL_CASES:
+        pair = make_md_pair(case, **kw)
+        point = {x: at[x] for x in pair.params} or None
+        for pr in (pair, apply_transform(Transform("local_conj", A), pair)):
+            for s in decompose(pr, 3, point, rng=random.Random(1)).summands:
+                bases += [b for mats, b in seen if mats is s["generators"]]
+    monkeypatch.undo()
+    return bases
+
+
+def test_endo_ring_local_matches_the_seed_products(monkeypatch):
+    # seeded rational commutants, the leaf commutants of the catalog sweep
+    # (rational and cyclotomic), and the symbolic glue commutants at n = 3
+    bases = [commutant(mats).basis
+             for mats in _block_reps(random.Random(13), 12)]
+    sweep = [b for b in _sweep_leaf_commutants(monkeypatch) if len(b) > 1]
+    cyclotomic = [b for b in sweep if _rational_forms(b) is None]
+    assert len(sweep) == 24 and len(cyclotomic) == 22
+    bases += sweep
+    for name, nv in (("f-glue", NV_FG), ("a-glue", NV_AG)):
+        mats = [M for _, M in analysis_pair(name).generator_images(3)]
+        bases.append((commutant(mats, nv).basis, nv))
+    # symbolic entries: the Gram matrix [[2, p], [p, p^2]] has rank 2 only
+    # when p is declared nonzero
+    I2, E = m([[1, 0], [0, 1]]), m([[p, 0], [0, 0]])
+    bases += [([I2, E], None), ([I2, E], NonVanishing(["p"])),
+              ([I2, m([[0, p], [0, 0]])], None)]
+    verdicts = set()
+    for basis in bases:
+        basis, nv = basis if isinstance(basis, tuple) else (basis, None)
+        got = _endo_outcome(endo_ring_local, basis, nv)
+        assert got == _endo_outcome(seed_structure.endo_ring_local, basis, nv)
+        verdicts.add(got if isinstance(got, bool) else "BranchAmbiguity")
+    assert verdicts == {True, False, "BranchAmbiguity"}
+
+
+def test_endo_ring_local_forms_no_product(monkeypatch):
+    calls = []
+    mul = ExactMatrix.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+    fgp = analysis_pair("f-glue", p=2, q=5).evaluate({"p": 2, "q": 5})
+    rational = commutant([M for _, M in fgp.generator_images(3)]).basis
+    symbolic = commutant([M for _, M in analysis_pair(
+        "f-glue").generator_images(3)], NV_FG).basis
+    monkeypatch.setattr(ExactMatrix, "__mul__", counted)
+    assert endo_ring_local(rational) and endo_ring_local(symbolic, NV_FG)
+    assert calls == []
+
+
+_I2 = ExactMatrix.identity(2, 1)
+_WIDE = ExactMatrix.from_rows([[1, 0, 0, 1], [0, 1, 1, 0]])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: generated_algebra([_WIDE]),
+     "generated_algebra needs a square matrix, got 2x4"),
+    (lambda: generated_algebra([_I2, ExactMatrix.identity(2, 2)]),
+     "generated_algebra needs square matrices of one size, got 2x2 and 4x4"),
+    (lambda: minimal_polynomial(_WIDE),
+     "minimal_polynomial needs a square matrix, got 2x4"),
+    (lambda: restrict_to_subspace([_I2], [[1, 0, 0]]),
+     "restrict_to_subspace needs at least one basis vector, each of "
+     "length 2"),
+    (lambda: restrict_to_subspace([_I2], []),
+     "restrict_to_subspace needs at least one basis vector, each of "
+     "length 2"),
+    (lambda: restrict_to_subspace([], [[1, 0]]),
+     "restrict_to_subspace of an empty list of matrices"),
+    (lambda: generated_algebra([]),
+     "generated_algebra of an empty list of matrices"),
+    (lambda: algebra_dims([]), "algebra_dims of an empty list of matrices"),
+    (lambda: find_idempotents([]),
+     "find_idempotents of an empty list of matrices"),
+    (lambda: endo_ring_local([]),
+     "endo_ring_local of an empty list of matrices"),
+    (lambda: endo_ring_local([_WIDE]),
+     "endo_ring_local needs a square matrix, got 2x4"),
+    (lambda: commutant([]), "commutant of an empty list of matrices"),
+])
+def test_malformed_analysis_input_is_refused(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
